@@ -25,21 +25,13 @@ from .config import EXPERIMENT_KINDS, parse_config
 from .errors import ConfigError, MechidError, ReplayIncompatibilityError
 from .experiments import run_experiment
 from .jsonio import canonical_digest, dump_json, dumps_json, file_digest, load_json
+from .recovery import COMPARISON_CLASSES
 
 __all__ = ["main", "build_parser"]
 
 # Stochastic runs are still bit-reproducible (counter-based streams), but
 # replay tolerates this much relative drift before declaring divergence.
 STOCHASTIC_REPLAY_RTOL = 1e-9
-
-_COMPARISON_CLASSES = (
-    "exact",
-    "offset",
-    "signed-permutation",
-    "signed-permutation+offset",
-    "linear",
-)
-
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -59,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         if kind == "imitate":
             sp.add_argument("--budget", type=int, default=None)
         if kind == "recover":
-            sp.add_argument("--class", dest="comparison_class", choices=_COMPARISON_CLASSES)
+            sp.add_argument("--class", dest="comparison_class", choices=COMPARISON_CLASSES)
         if kind == "commutant":
             sp.add_argument("--csv", action="store_true", help="also write basis.csv (row-major)")
     rp = sub.add_parser("replay", help="re-run a manifest and compare outputs")

@@ -35,7 +35,6 @@ __all__ = [
     "NoiseSpec",
     "sample_generalized_laplace",
     "additive_noise_mechanism",
-    "identity_kernel_mechanism",
     "ScalarMap",
     "make_scalar_map",
     "LinearDecoder",
@@ -90,10 +89,6 @@ class AffineMechanism:
                 f"state has dimension {z.shape[-1]}, mechanism expects {self.dim}"
             )
         return z @ self.M.T + self.b
-
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and eigenvector matrix of M (possibly complex)."""
-        return np.linalg.eig(self.M)
 
 
 @dataclass(frozen=True)
@@ -232,15 +227,6 @@ def additive_noise_mechanism(noise: NoiseSpec, label: str | None = None) -> Stoc
     return StochasticMechanism(kernel=kernel, dim=noise.dim, label=label or "additive-noise")
 
 
-def identity_kernel_mechanism(dim: int, label: str | None = None) -> StochasticMechanism:
-    """Kernel z -> z regardless of the noise draw."""
-
-    def kernel(z, U):
-        return np.broadcast_to(z, U.shape).copy()
-
-    return StochasticMechanism(kernel=kernel, dim=dim, label=label or "identity-kernel")
-
-
 # ---------------------------------------------------------------------------
 # decoders
 
@@ -307,9 +293,26 @@ def make_scalar_map(kind: str, **params) -> ScalarMap:
     return ScalarMap(kind=kind, **params)
 
 
-def _full_column_rank(G: np.ndarray) -> bool:
+def _decoder_matrix(G) -> tuple[np.ndarray, np.ndarray]:
+    """G as a read-only n x d array of full column rank, and its pseudoinverse."""
+    G = np.array(G, dtype=float)
+    if G.ndim != 2 or G.shape[0] < G.shape[1] or G.shape[1] < 1:
+        raise DimensionMismatchError(f"G must be n x d with n >= d >= 1, got {G.shape}")
     s = np.linalg.svd(G, compute_uv=False)
-    return s.size > 0 and s[0] > 0 and s[-1] > DEFAULT_RTOL * s[0]
+    if not (s[0] > 0 and s[-1] > DEFAULT_RTOL * s[0]):
+        raise SingularMapError("decoder matrix is column-rank deficient")
+    G.setflags(write=False)
+    return G, np.linalg.pinv(G)
+
+
+def _manifold_check(x: np.ndarray, recon: np.ndarray, tol: float) -> None:
+    """Raise for the first observation whose reconstruction deviates beyond tol."""
+    x2 = np.atleast_2d(x)
+    r2 = np.atleast_2d(recon)
+    dev = np.linalg.norm(r2 - x2, axis=-1) / (1.0 + np.linalg.norm(x2, axis=-1))
+    bad = np.nonzero(dev > tol)[0]
+    if bad.size:
+        raise OffManifoldError(int(bad[0]), float(dev[bad[0]]), tol)
 
 
 @dataclass(frozen=True)
@@ -320,14 +323,9 @@ class LinearDecoder:
     manifold_tol: float = 1e-6
 
     def __post_init__(self):
-        G = np.array(self.G, dtype=float)
-        if G.ndim != 2 or G.shape[0] < G.shape[1] or G.shape[1] < 1:
-            raise DimensionMismatchError(f"G must be n x d with n >= d >= 1, got {G.shape}")
-        if not _full_column_rank(G):
-            raise SingularMapError("decoder matrix is column-rank deficient")
-        G.setflags(write=False)
+        G, pinv = _decoder_matrix(self.G)
         object.__setattr__(self, "G", G)
-        object.__setattr__(self, "_pinv", np.linalg.pinv(G))
+        object.__setattr__(self, "_pinv", pinv)
 
     @property
     def latent_dim(self) -> int:
@@ -344,16 +342,8 @@ class LinearDecoder:
         x = np.asarray(x, dtype=float)
         z = x @ self._pinv.T
         if check and self.obs_dim > self.latent_dim:
-            self._manifold_check(x, self.decode(z))
+            _manifold_check(x, self.decode(z), self.manifold_tol)
         return z
-
-    def _manifold_check(self, x: np.ndarray, recon: np.ndarray):
-        x2 = np.atleast_2d(x)
-        r2 = np.atleast_2d(recon)
-        dev = np.linalg.norm(r2 - x2, axis=-1) / (1.0 + np.linalg.norm(x2, axis=-1))
-        bad = np.nonzero(dev > self.manifold_tol)[0]
-        if bad.size:
-            raise OffManifoldError(int(bad[0]), float(dev[bad[0]]), self.manifold_tol)
 
 
 @dataclass(frozen=True)
@@ -370,20 +360,15 @@ class StructuredDecoder:
     manifold_tol: float = 1e-6
 
     def __post_init__(self):
-        G = np.array(self.G, dtype=float)
-        if G.ndim != 2 or G.shape[0] < G.shape[1] or G.shape[1] < 1:
-            raise DimensionMismatchError(f"G must be n x d with n >= d >= 1, got {G.shape}")
-        if not _full_column_rank(G):
-            raise SingularMapError("decoder matrix is column-rank deficient")
+        G, pinv = _decoder_matrix(self.G)
         maps = tuple(self.maps)
         if len(maps) != G.shape[0]:
             raise DimensionMismatchError(
                 f"{len(maps)} coordinate maps for {G.shape[0]} observation coordinates"
             )
-        G.setflags(write=False)
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "maps", maps)
-        object.__setattr__(self, "_pinv", np.linalg.pinv(G))
+        object.__setattr__(self, "_pinv", pinv)
 
     @property
     def latent_dim(self) -> int:
@@ -412,12 +397,7 @@ class StructuredDecoder:
                 raise OffManifoldError(int(bad_rows[0]), float("inf"), self.manifold_tol)
         z = y @ self._pinv.T
         if check and self.obs_dim > self.latent_dim:
-            x2 = np.atleast_2d(x)
-            r2 = np.atleast_2d(self.decode(z))
-            dev = np.linalg.norm(r2 - x2, axis=-1) / (1.0 + np.linalg.norm(x2, axis=-1))
-            bad = np.nonzero(dev > self.manifold_tol)[0]
-            if bad.size:
-                raise OffManifoldError(int(bad[0]), float(dev[bad[0]]), self.manifold_tol)
+            _manifold_check(x, self.decode(z), self.manifold_tol)
         return z
 
 

@@ -1,15 +1,17 @@
 """Equivariance sets of affine mechanisms.
 
-An affine map a(z) = A z + p commutes with a mechanism m(z) = M z + b exactly
-when A M = M A and (A - I) b = (M - I) p. Both constraints are linear in
-(A, p), so the full solution set is the affine subspace (I, 0) + N where N is
-the null space of the stacked constraint operator. Everything here reduces to
-building that operator explicitly and reading off SVD null spaces.
+An affine map a(z) = A z + p carries a mechanism m1(z) = M1 z + b1 onto
+m2(z) = M2 z + b2 exactly when A M1 = M2 A and A b1 + p = M2 p + b2. Both
+constraints are linear in (A, p), and `_intertwiner_rows` builds them. An
+equivariance of m is the case m1 = m2 = m, so its solution set is the affine
+subspace (I, 0) + N where N is the null space of the stacked rows of every
+mechanism. Everything here reduces to building that operator explicitly and
+reading off SVD null spaces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,7 +21,6 @@ from .errors import DimensionMismatchError, NonFiniteSampleError
 from .grids import GridSpec
 from .linalg import (
     DEFAULT_RTOL,
-    commutator_operator,
     intertwiner_operator,
     null_space,
     offset_operator,
@@ -112,10 +113,6 @@ class AffineMapFamily:
     residual: float = 0.0
 
     @property
-    def dim(self) -> int:
-        return self.basis_A.shape[1]
-
-    @property
     def dimension(self) -> int:
         return self.basis_A.shape[0]
 
@@ -150,7 +147,7 @@ class AffineMapFamily:
     def a_part_basis(self, rtol: float = DEFAULT_RTOL) -> LinearSubspaceBasis:
         """Orthonormal basis of the A-projection of the homogeneous part."""
         k = self.dimension
-        d = self.dim
+        d = self.basis_A.shape[1]
         if k == 0:
             return LinearSubspaceBasis(np.zeros((0, d, d)))
         flat = self.basis_A.reshape(k, -1)
@@ -217,14 +214,13 @@ def _family_from_nullspace(
     )
 
 
-def _equivariance_rows(m: AffineMechanism) -> tuple[np.ndarray, np.ndarray]:
-    """Constraint rows over (vec A, p) for one mechanism, with rhs."""
-    d = m.dim
-    K = commutator_operator(m.M)
-    top = np.hstack([K, np.zeros((d * d, d))])
-    bottom = np.hstack([offset_operator(m.b), -(m.M - np.eye(d))])
+def _intertwiner_rows(m1: AffineMechanism, m2: AffineMechanism) -> tuple[np.ndarray, np.ndarray]:
+    """Rows over (vec A, p) for a∘m1 = m2∘a, with rhs; m1 = m2 gives equivariance."""
+    d = m1.dim
+    top = np.hstack([intertwiner_operator(m1.M, m2.M), np.zeros((d * d, d))])
+    bottom = np.hstack([offset_operator(m1.b), np.eye(d) - m2.M])
     C = np.vstack([top, bottom])
-    rhs = np.concatenate([np.zeros(d * d), m.b])
+    rhs = np.concatenate([np.zeros(d * d), m2.b])
     return C, rhs
 
 
@@ -257,25 +253,9 @@ class EquivarianceFamily:
     def a_part_basis(self) -> LinearSubspaceBasis:
         return self.family.a_part_basis(self.rtol)
 
-    def offset_for(self, A: np.ndarray) -> tuple[np.ndarray, float]:
-        """Solve the offset consistency equations (M_i - I) p = (A - I) b_i.
-
-        Returns the minimum-norm p and the relative residual; a residual
-        above tolerance means no offset makes this A an equivariance.
-        """
-        A = np.asarray(A, dtype=float)
-        d = A.shape[0]
-        blocks = [m.M - np.eye(d) for m in self.mechanisms]
-        rhs = [(A - np.eye(d)) @ m.b for m in self.mechanisms]
-        C = np.vstack(blocks)
-        r = np.concatenate(rhs)
-        p = np.linalg.lstsq(C, r, rcond=None)[0]
-        residual = float(np.linalg.norm(C @ p - r) / (1.0 + np.linalg.norm(r)))
-        return p, residual
-
     def classify(self) -> "ConditionVerdict":
         """Decision-table verdict from the family's shape."""
-        d = self.family.dim
+        d = self.family.basis_A.shape[1]
         dim = self.dimension
         a_dim = self.a_dimension
         p_fib = self.p_fiber_dimension
@@ -294,7 +274,7 @@ def linear_commutant(M: np.ndarray | AffineMechanism, rtol: float = DEFAULT_RTOL
     """Orthonormal basis of {A : A M = M A}."""
     M = M.M if isinstance(M, AffineMechanism) else np.asarray(M, dtype=float)
     d = M.shape[0]
-    basis = null_space(commutator_operator(M), rtol)
+    basis = null_space(intertwiner_operator(M, M), rtol)
     return LinearSubspaceBasis(basis.reshape(-1, d, d))
 
 
@@ -314,7 +294,7 @@ def shared_equivariances(
     for m in mechanisms[1:]:
         if m.dim != d:
             raise DimensionMismatchError("mechanisms have mixed dimensions")
-    rows = [_equivariance_rows(m)[0] for m in mechanisms]
+    rows = [_intertwiner_rows(m, m)[0] for m in mechanisms]
     C = np.vstack(rows)
     basis = null_space(C, rtol)
     # (I, 0) solves the inhomogeneous system exactly, for any mechanism set.
@@ -369,17 +349,22 @@ def _residual_report(lhs: np.ndarray, rhs: np.ndarray, tol: float) -> CheckRepor
     )
 
 
-def check_equivariance(a, m, grid=None, tol: float = DEFAULT_RTOL) -> CheckReport:
-    """Does a commute with m on the grid?
+def check_imitation(a, m1, m2, grid=None, tol: float = DEFAULT_RTOL) -> CheckReport:
+    """Does a carry m1 onto m2 on the grid, i.e. a∘m1 = m2∘a?
 
-    The residual at z is |a(m(z)) - m(a(z))| / (1 + |m(a(z))|); the check
+    The residual at z is |a(m1(z)) - m2(a(z))| / (1 + |m2(a(z))|); the check
     passes when the maximum over the grid is at or below tol.
     """
-    dim = getattr(m, "dim", getattr(a, "dim", None))
+    dim = getattr(m1, "dim", getattr(a, "dim", None))
     Z = _as_points(grid, dim)
-    lhs = a(m(Z))
-    rhs = m(a(Z))
+    lhs = a(m1(Z))
+    rhs = m2(a(Z))
     return _residual_report(lhs, rhs, tol)
+
+
+def check_equivariance(a, m, grid=None, tol: float = DEFAULT_RTOL) -> CheckReport:
+    """Does a commute with m on the grid? That is, does a carry m onto itself?"""
+    return check_imitation(a, m, m, grid, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +433,7 @@ def _eigen_summary(M: np.ndarray, gap_rtol: float):
 
 
 def _measured_dimension(M: np.ndarray, offsets: np.ndarray, rtol: float) -> int:
-    blocks = [commutator_operator(M)]
+    blocks = [intertwiner_operator(M, M)]
     for b in offsets:
         blocks.append(offset_operator(b))
     return null_space(np.vstack(blocks), rtol).shape[0]

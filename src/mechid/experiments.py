@@ -9,7 +9,7 @@ is the experiment's intrinsic pass flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -57,10 +57,8 @@ def _float_close(a: float, b: float) -> bool:
     return abs(a - b) <= 1e-9 * (1.0 + abs(b))
 
 
-def _check_expectations(summary: dict, expect: dict | None):
+def _check_expectations(summary: dict, expect: dict):
     """Compare a flat summary against an expect block; bounds are inclusive."""
-    if not expect:
-        return True, ()
     failures = []
     for key, want in expect.items():
         if key not in summary:
@@ -130,7 +128,7 @@ def _family_json(fam: EquivarianceFamily) -> dict:
         "degenerate_offset": fam.degenerate_offset,
         "classification": _verdict_json(fam.classify()),
         "particular": {"A": f.particular_A, "p": f.particular_p},
-        "basis": [{"A": f.basis_A[i], "p": f.basis_p[i]} for i in range(f.dim)],
+        "basis": [{"A": f.basis_A[i], "p": f.basis_p[i]} for i in range(f.dimension)],
         "residual": f.residual,
     }
 
@@ -177,15 +175,12 @@ def _run_simulate(cfg: SimulateConfig, seed: int, threads: int, csv_tables: bool
     report = dict(summary)
     report["z1"] = traj.latents[0]
     report["schedule"] = list(traj.mechanisms)
-    ok, failures = _check_expectations(summary, cfg.expect)
-    verdict = ok if cfg.expect else True
     return ExperimentOutcome(
         kind=cfg.kind,
-        verdict=verdict,
+        verdict=True,
         summary=summary,
         report=report,
         trajectory=traj,
-        expect_failures=failures,
         stochastic=cfg.stochastic,
     )
 
@@ -222,18 +217,11 @@ def _run_commutant(cfg: CommutantConfig, seed: int, threads: int, csv_tables: bo
         )
         rows = []
         f = fam.family
-        for k in range(f.dim):
+        for k in range(f.dimension):
             rows.append([k] + list(f.basis_A[k].reshape(-1)) + list(f.basis_p[k]))
         tables["basis.csv"] = {"header": header, "rows": rows}
-    ok, failures = _check_expectations(summary, cfg.expect)
-    verdict = ok if cfg.expect else True
     return ExperimentOutcome(
-        kind=cfg.kind,
-        verdict=verdict,
-        summary=summary,
-        report=report,
-        tables=tables,
-        expect_failures=failures,
+        kind=cfg.kind, verdict=True, summary=summary, report=report, tables=tables
     )
 
 
@@ -263,7 +251,7 @@ def _run_imitate(cfg: ImitateConfig, seed: int, threads: int, csv_tables: bool):
         assignments.append(
             {
                 "assignment": list(fam.assignment),
-                "family_dimension": fam.family.dim,
+                "family_dimension": fam.family.dimension,
                 "map": {"A": rep.A, "p": rep.p},
                 "records": recs,
                 "cycle": _cycle_json(cyc),
@@ -291,15 +279,8 @@ def _run_imitate(cfg: ImitateConfig, seed: int, threads: int, csv_tables: bool):
             "rows": rows,
         }
     }
-    ok, failures = _check_expectations(summary, cfg.expect)
-    verdict = ok if cfg.expect else True
     return ExperimentOutcome(
-        kind=cfg.kind,
-        verdict=verdict,
-        summary=summary,
-        report=report,
-        tables=tables,
-        expect_failures=failures,
+        kind=cfg.kind, verdict=True, summary=summary, report=report, tables=tables
     )
 
 
@@ -352,9 +333,6 @@ def _run_verify(cfg: VerifyConfig, seed: int, threads: int, csv_tables: bool):
         "max_equivariance_residual": max(r.equivariance_residual for r in audit.rows),
         "max_identity_residual": max(r.identity_residual for r in audit.rows),
     }
-    intrinsic = audit.agreement and audit.claims_ok
-    ok, failures = _check_expectations(summary, cfg.expect)
-    verdict = ok if cfg.expect else intrinsic
     tables = {
         "audit.csv": {
             "header": [
@@ -369,11 +347,10 @@ def _run_verify(cfg: VerifyConfig, seed: int, threads: int, csv_tables: bool):
     }
     return ExperimentOutcome(
         kind=cfg.kind,
-        verdict=verdict,
+        verdict=audit.agreement and audit.claims_ok,
         summary=summary,
         report=report,
         tables=tables,
-        expect_failures=failures,
     )
 
 
@@ -413,14 +390,11 @@ def _run_recover(cfg: RecoverConfig, seed: int, threads: int, csv_tables: bool):
             "signs": None if comp.signs is None else list(comp.signs),
         }
         summary["comparison_residual"] = comp.residual
-    ok, failures = _check_expectations(summary, cfg.expect)
-    verdict = ok if cfg.expect else True
     return ExperimentOutcome(
         kind=cfg.kind,
-        verdict=verdict,
+        verdict=True,
         summary=summary,
         report=report,
-        expect_failures=failures,
         stochastic=cfg.simulate.stochastic if cfg.simulate is not None else False,
     )
 
@@ -481,16 +455,12 @@ def _run_stochastic_test(cfg: StochasticTestConfig, seed: int, threads: int, csv
             "rows": anchor_rows,
         }
     }
-    intrinsic = test.passed
-    ok, failures = _check_expectations(summary, cfg.expect)
-    verdict = ok if cfg.expect else intrinsic
     return ExperimentOutcome(
         kind=cfg.kind,
-        verdict=verdict,
+        verdict=test.passed,
         summary=summary,
         report=report,
         tables=tables,
-        expect_failures=failures,
         stochastic=True,
     )
 
@@ -506,5 +476,13 @@ _RUNNERS = {
 
 
 def run_experiment(cfg, seed: int, threads: int = 1, csv_tables: bool = False) -> ExperimentOutcome:
-    """Dispatch a parsed config to its runner with the effective seed."""
-    return _RUNNERS[cfg.kind](cfg, seed, threads, csv_tables)
+    """Dispatch a parsed config to its runner with the effective seed.
+
+    Runners return their intrinsic verdict; an expect block replaces it with
+    whether every expectation held.
+    """
+    outcome = _RUNNERS[cfg.kind](cfg, seed, threads, csv_tables)
+    if not cfg.expect:
+        return outcome
+    ok, failures = _check_expectations(outcome.summary, cfg.expect)
+    return replace(outcome, verdict=ok, expect_failures=failures)

@@ -19,24 +19,18 @@ import numpy as np
 from .dynamics import AffineMechanism
 from .equivariance import (
     AffineMapFamily,
-    CheckReport,
-    EquivarianceFamily,
     _as_points,
     _family_from_nullspace,
-    _residual_report,
+    _intertwiner_rows,
     check_equivariance,
+    check_imitation,
 )
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
     ToleranceAmbiguityError,
 )
-from .linalg import (
-    DEFAULT_RTOL,
-    intertwiner_operator,
-    null_space,
-    offset_operator,
-)
+from .linalg import DEFAULT_RTOL, null_space
 from .maps import AffineMap, map_power
 
 __all__ = [
@@ -112,29 +106,13 @@ class ImitationRecord:
             )
 
 
-def _intertwiner_rows(m1: AffineMechanism, m2: AffineMechanism) -> tuple[np.ndarray, np.ndarray]:
-    """Rows over (vec A, p) for a∘m1 = m2∘a, with rhs."""
-    d = m1.dim
-    K = intertwiner_operator(m1.M, m2.M)
-    top = np.hstack([K, np.zeros((d * d, d))])
-    bottom = np.hstack([offset_operator(m1.b), np.eye(d) - m2.M])
-    C = np.vstack([top, bottom])
-    rhs = np.concatenate([np.zeros(d * d), m2.b])
-    return C, rhs
-
-
 def _solve_intertwiner_system(
     pairs: Sequence[tuple[AffineMechanism, AffineMechanism]], rtol: float
 ) -> AffineMapFamily:
     d = pairs[0][0].dim
-    rows = []
-    rhs = []
-    for m1, m2 in pairs:
-        C, r = _intertwiner_rows(m1, m2)
-        rows.append(C)
-        rhs.append(r)
-    C = np.vstack(rows)
-    r = np.concatenate(rhs)
+    blocks = [_intertwiner_rows(m1, m2) for m1, m2 in pairs]
+    C = np.vstack([rows for rows, _ in blocks])
+    r = np.concatenate([rhs for _, rhs in blocks])
     particular = np.linalg.lstsq(C, r, rcond=None)[0]
     residual = float(np.linalg.norm(C @ particular - r) / (1.0 + np.linalg.norm(r)))
     basis = null_space(C, rtol)
@@ -162,18 +140,6 @@ def find_affine_intertwiners(
     if m1.dim != m2.dim:
         raise DimensionMismatchError("mechanisms have different dimensions")
     return _solve_intertwiner_system([(m1, m2)], rtol)
-
-
-def check_imitation(a, m1, m2, grid=None, tol: float = DEFAULT_RTOL) -> CheckReport:
-    """Does a carry m1 onto m2 on the grid, i.e. a∘m1 = m2∘a?
-
-    The residual at z is |a(m1(z)) - m2(a(z))| / (1 + |m2(a(z))|).
-    """
-    dim = getattr(m1, "dim", getattr(a, "dim", None))
-    Z = _as_points(grid, dim)
-    lhs = a(m1(Z))
-    rhs = m2(a(Z))
-    return _residual_report(lhs, rhs, tol)
 
 
 def _sorted_spectrum(m: AffineMechanism) -> np.ndarray:

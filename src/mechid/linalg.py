@@ -13,25 +13,18 @@ threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "DEFAULT_RTOL",
     "vec",
     "unvec",
-    "commutator_operator",
     "intertwiner_operator",
     "offset_operator",
     "null_space",
     "relative_rank",
     "smallest_singular_gap",
-    "is_invertible",
     "orthonormal_defect",
-    "AffineSystem",
-    "AffineSolutionSet",
-    "solve_affine_system",
 ]
 
 DEFAULT_RTOL = 1e-9
@@ -44,13 +37,6 @@ def vec(A: np.ndarray) -> np.ndarray:
 
 def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return np.asarray(v, dtype=float).reshape(rows, cols)
-
-
-def commutator_operator(M: np.ndarray) -> np.ndarray:
-    """Matrix of A -> M A - A M acting on vec(A)."""
-    d = M.shape[0]
-    eye = np.eye(d)
-    return np.kron(M, eye) - np.kron(eye, M.T)
 
 
 def intertwiner_operator(M1: np.ndarray, M2: np.ndarray) -> np.ndarray:
@@ -69,13 +55,15 @@ def offset_operator(b: np.ndarray) -> np.ndarray:
 def null_space(K: np.ndarray, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     """Orthonormal basis of the null space of K, as rows.
 
-    Singular values at or below rtol times the largest count as zero.
+    Singular values at or below rtol times the largest count as zero. A
+    wide K needs the full V factor for its null rows; a tall one needs only
+    the economy factors, and never the (rows x rows) U.
     """
     K = np.atleast_2d(np.asarray(K, dtype=float))
     n = K.shape[1]
     if K.shape[0] == 0:
         return np.eye(n)
-    _, s, vh = np.linalg.svd(K)
+    _, s, vh = np.linalg.svd(K, full_matrices=K.shape[0] < n)
     if s.size == 0 or s[0] == 0.0:
         return np.eye(n)
     rank = int(np.sum(s > rtol * s[0]))
@@ -104,54 +92,7 @@ def smallest_singular_gap(A: np.ndarray) -> float:
     return float(s[-1] / max(1.0, s[0]))
 
 
-def is_invertible(A: np.ndarray, rtol: float = DEFAULT_RTOL) -> bool:
-    A = np.asarray(A, dtype=float)
-    return A.ndim == 2 and A.shape[0] == A.shape[1] and smallest_singular_gap(A) > rtol
-
-
 def orthonormal_defect(A: np.ndarray) -> float:
     """Frobenius norm of A^T A - I."""
     A = np.asarray(A, dtype=float)
     return float(np.linalg.norm(A.T @ A - np.eye(A.shape[1])))
-
-
-@dataclass(frozen=True)
-class AffineSystem:
-    """A stacked linear system C x = rhs over a flat unknown vector."""
-
-    C: np.ndarray
-    rhs: np.ndarray
-
-
-@dataclass(frozen=True)
-class AffineSolutionSet:
-    """Solution set of a (possibly inhomogeneous) linear system.
-
-    The full set is {particular + c @ basis : c in R^dim} when consistent.
-    `basis` rows are orthonormal. `residual` is the relative defect of the
-    particular solution; a residual above the caller's tolerance means the
-    system has no solution at all.
-    """
-
-    particular: np.ndarray
-    basis: np.ndarray
-    residual: float
-
-    @property
-    def dimension(self) -> int:
-        return self.basis.shape[0]
-
-    def consistent(self, tol: float) -> bool:
-        return self.residual <= tol
-
-
-def solve_affine_system(system: AffineSystem, rtol: float = DEFAULT_RTOL) -> AffineSolutionSet:
-    """Minimum-norm particular solution plus orthonormal null-space basis."""
-    C = np.atleast_2d(np.asarray(system.C, dtype=float))
-    rhs = np.asarray(system.rhs, dtype=float).reshape(-1)
-    if C.shape[0] != rhs.shape[0]:
-        raise ValueError(f"system has {C.shape[0]} rows but rhs has {rhs.shape[0]}")
-    particular = np.linalg.lstsq(C, rhs, rcond=None)[0]
-    residual = float(np.linalg.norm(C @ particular - rhs) / (1.0 + np.linalg.norm(rhs)))
-    basis = null_space(C, rtol)
-    return AffineSolutionSet(particular=particular, basis=basis, residual=residual)

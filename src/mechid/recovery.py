@@ -11,7 +11,6 @@ data manifold.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -130,13 +129,17 @@ class RecoveryResult:
 
 
 def _assemble_system(Xi_p, Xi_n, M, B):
+    """Rows of E x_{t+1} - M E x_t = b_t over vec(E), E of shape (d, r).
+
+    Entry [t, i, j, k] is the coefficient of E[j, k] in row i of pair t:
+    delta_ij * xn[t, k] - M[i, j] * xp[t, k].
+    """
     N, r = Xi_p.shape
     d = M.shape[0]
-    eye = np.eye(d)
-    blocks = np.zeros((N, d, d * r))
-    for t in range(N):
-        blocks[t] = np.kron(eye, Xi_n[t][None, :]) - M @ np.kron(eye, Xi_p[t][None, :])
-    return blocks.reshape(N * d, d * r), B.reshape(-1)
+    xn = Xi_n[:, None, None, :]
+    xp = Xi_p[:, None, None, :]
+    C = np.eye(d)[None, :, :, None] * xn - M[None, :, :, None] * xp
+    return C.reshape(N * d, d * r), B.reshape(-1)
 
 
 def recover_linear_encoder(
@@ -242,30 +245,21 @@ def _as_affine_encoder(E) -> tuple[np.ndarray, np.ndarray]:
     return W, np.zeros(W.shape[0])
 
 
-def _signed_perm_match(RE: np.ndarray, RT: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...], float]:
+def _signed_perm_match(RE: np.ndarray, RT: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Best assignment of estimate rows to signed truth rows.
 
-    Exhaustive for d <= 8, Hungarian otherwise; both are exact because the
-    total cost is a sum of independent row costs.
+    The Hungarian assignment is exact because the total cost is a sum of
+    independent row costs, each with its sign chosen freely.
     """
     d = RE.shape[0]
     minus = ((RE[:, None, :] - RT[None, :, :]) ** 2).sum(axis=2)
     plus = ((RE[:, None, :] + RT[None, :, :]) ** 2).sum(axis=2)
     cost = np.minimum(minus, plus)
     sign = np.where(minus <= plus, 1, -1)
-    if d <= 8:
-        best = None
-        for perm in itertools.permutations(range(d)):
-            total = sum(cost[i, perm[i]] for i in range(d))
-            if best is None or total < best[1]:
-                best = (perm, total)
-        perm, total = best
-    else:
-        rows, cols = linear_sum_assignment(cost)
-        perm = tuple(int(cols[i]) for i in np.argsort(rows))
-        total = float(cost[rows, cols].sum())
+    _, cols = linear_sum_assignment(cost)  # row indices come back as 0..d-1
+    perm = tuple(int(j) for j in cols)
     signs = tuple(int(sign[i, perm[i]]) for i in range(d))
-    return tuple(int(j) for j in perm), signs, float(total)
+    return perm, signs
 
 
 def _perm_matrix(perm: Sequence[int], signs: Sequence[int]) -> np.ndarray:
@@ -309,12 +303,12 @@ def compare_up_to_class(estimate, truth, klass: str = "exact") -> ComparisonResu
         q = cE - cT
         gap = WE - WT
     elif klass == "signed-permutation":
-        perm, signs, total = _signed_perm_match(RE, RT)
+        perm, signs = _signed_perm_match(RE, RT)
         L = _perm_matrix(perm, signs)
         q = np.zeros(d)
         gap = RE - L @ RT
     elif klass == "signed-permutation+offset":
-        perm, signs, total = _signed_perm_match(WE, WT)
+        perm, signs = _signed_perm_match(WE, WT)
         L = _perm_matrix(perm, signs)
         q = cE - L @ cT
         gap = WE - L @ WT

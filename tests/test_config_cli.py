@@ -8,14 +8,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mechid import __version__
+from mechid import AffineMechanism, __version__, find_affine_intertwiners
 from mechid.cli import main
 from mechid.config import parse_config
 from mechid.errors import ConfigError
+from mechid.experiments import run_experiment
 from mechid.jsonio import canonical_digest, dumps_json, load_json
+from mechid.rng import stream
+
+from conftest import random_invertible
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -280,3 +284,113 @@ def test_console_entry_point_runs(tmp_path):
     assert proc.returncode == 0
     assert "pass" in proc.stdout
     assert (out / "report.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# report shapes at the seams
+
+
+def write_doc(tmp_path, doc) -> Path:
+    path = tmp_path / "config.json"
+    path.write_text(dumps_json(doc))
+    return path
+
+
+def read_csv_rows(path: Path) -> list:
+    return path.read_text().splitlines()[1:]
+
+
+# the shared family of a diagonal stretch and a rotation is trivial
+TRIVIAL_DOC = {
+    "experiment": "commutant",
+    "mechanisms": [
+        {"M": [[2.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 5.0]], "b": [1.0, 1.0, 1.0]},
+        {"M": [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.5]], "b": [0.5, 0.0, 1.0]},
+    ],
+}
+# a 2x2 Jordan block: family dimension 3 (two commutant, one offset direction)
+JORDAN_DOC = {"experiment": "commutant", "mechanisms": [{"M": [[1.0, 1.0], [0.0, 1.0]]}]}
+
+
+def test_commutant_trivial_family_reports_empty_basis(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("commutant", write_doc(tmp_path, TRIVIAL_DOC), "--output-dir", out, "--csv") == 0
+    report = read_json(out / "report.json")
+    assert report["summary"]["dimension"] == 0
+    assert report["detail"]["family"]["basis"] == []
+    assert read_csv_rows(out / "basis.csv") == []
+
+
+def test_commutant_jordan_block_reports_every_basis_element(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("commutant", write_doc(tmp_path, JORDAN_DOC), "--output-dir", out, "--csv") == 0
+    report = read_json(out / "report.json")
+    assert report["summary"]["dimension"] == 3
+    assert len(report["detail"]["family"]["basis"]) == 3
+    assert len(read_csv_rows(out / "basis.csv")) == 3
+
+
+def test_imitate_reports_family_dimension_not_matrix_size(tmp_path):
+    M = [[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]
+    doc = {"experiment": "imitate", "used": [{"M": M}]}
+    out = tmp_path / "run"
+    assert run_cli("imitate", write_doc(tmp_path, doc), "--output-dir", out) == 0
+    assignments = read_json(out / "report.json")["detail"]["assignments"]
+    m = AffineMechanism(np.array(M), np.zeros(3))
+    assert assignments
+    assert all(a["family_dimension"] == 5 for a in assignments)
+    assert find_affine_intertwiners(m, m).dimension == 5
+
+
+EIGENVALUES = (-1.0, 0.5, 2.0, 3.0)
+
+
+@st.composite
+def commutant_docs(draw):
+    """Commutant configs with tied spectra, Jordan blocks and trivial families.
+
+    Mechanisms either share one eigenbasis (large shared families) or each
+    get their own (often trivial shared families).
+    """
+    d = draw(st.integers(min_value=1, max_value=4))
+    gen = stream(draw(st.integers(min_value=0, max_value=2**31 - 1)), 41)
+    shared_basis = draw(st.booleans())
+    S0 = random_invertible(gen, d, cond_cap=10.0)
+    mechanisms = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        kind = draw(st.sampled_from(["tied", "jordan", "generic", "scalar"]))
+        eigs = np.array([draw(st.sampled_from(EIGENVALUES)) for _ in range(d)])
+        if kind == "jordan":
+            eigs = np.sort(eigs)
+            J = np.diag(eigs) + np.diag((np.diff(eigs) == 0).astype(float), 1)
+        elif kind == "generic":
+            J = np.diag(gen.uniform(0.4, 2.5, d))
+        elif kind == "scalar":
+            J = eigs[0] * np.eye(d)
+        else:
+            J = np.diag(eigs)
+        S = S0 if shared_basis else random_invertible(gen, d, cond_cap=10.0)
+        offset = draw(st.sampled_from(["zero", "generic", "partial"]))
+        v = np.zeros(d) if offset == "zero" else gen.uniform(0.3, 1.0, d)
+        if offset == "partial":
+            v[0] = 0.0
+        M = S @ J @ np.linalg.inv(S)
+        mechanisms.append({"M": M.tolist(), "b": (S @ v).tolist()})
+    return {"experiment": "commutant", "mechanisms": mechanisms}
+
+
+@settings(max_examples=80, deadline=None)
+@given(commutant_docs())
+@example(TRIVIAL_DOC)
+@example(JORDAN_DOC)
+def test_commutant_basis_matches_dimension_and_constraints(doc):
+    cfg = parse_config(doc)
+    outcome = run_experiment(cfg, seed=0, csv_tables=True)
+    basis = outcome.report["family"]["basis"]
+    assert len(basis) == outcome.summary["dimension"]
+    assert len(outcome.tables["basis.csv"]["rows"]) == len(basis)
+    for element in basis:
+        A, p = element["A"], element["p"]
+        for m in cfg.mechanisms:
+            assert np.abs(A @ m.M - m.M @ A).max() <= 1e-8
+            assert np.abs(A @ m.b - (m.M - np.eye(m.dim)) @ p).max() <= 1e-8

@@ -70,6 +70,18 @@ def test_exp_intertwines_sum_with_product():
     assert not check_imitation(a, m_prod, m_sum, grid=grid, tol=1e-6).passed
 
 
+def test_inconsistent_system_gives_empty_family():
+    # a translation by 0 cannot imitate a translation by (1, 0): p = p + (1, 0)
+    still = AffineMechanism(np.eye(2), np.zeros(2))
+    shift = AffineMechanism(np.eye(2), np.array([1.0, 0.0]))
+    fam = find_affine_intertwiners(still, shift)
+    assert not fam.consistent
+    assert fam.residual == 0.5
+    assert fam.representative() is None
+    with pytest.raises(ValueError):
+        fam.element(np.zeros(fam.dimension))
+
+
 def test_identity_mechanisms_imitated_by_any_bijection():
     ident = AffineMechanism(np.eye(2), np.zeros(2))
     a = FunctionBijection(np.sinh, np.arcsinh, dim=2)

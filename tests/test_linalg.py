@@ -5,18 +5,14 @@ evaluation of the bilinear maps they encode, not against each other.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mechid.linalg import (
-    AffineSystem,
-    commutator_operator,
     intertwiner_operator,
     null_space,
     offset_operator,
     relative_rank,
-    solve_affine_system,
     unvec,
     vec,
 )
@@ -30,16 +26,6 @@ def test_vec_is_row_major():
 
 
 dims = st.integers(min_value=2, max_value=5)
-
-
-@settings(max_examples=40, deadline=None)
-@given(dims, st.integers(min_value=0, max_value=2**31 - 1))
-def test_commutator_operator_matches_bracket(d, seed):
-    gen = stream(seed, 1)
-    M = gen.standard_normal((d, d))
-    A = gen.standard_normal((d, d))
-    lhs = commutator_operator(M) @ vec(A)
-    assert np.allclose(lhs, vec(M @ A - A @ M), atol=1e-12 * (1 + np.abs(lhs).max()))
 
 
 @settings(max_examples=40, deadline=None)
@@ -84,22 +70,3 @@ def test_relative_rank():
     U = gen.standard_normal((5, 2))
     V = gen.standard_normal((2, 7))
     assert relative_rank(U @ V) == 2
-
-
-def test_solve_affine_system_consistent_and_not():
-    A = np.array([[1.0, 0.0], [0.0, 0.0]])
-    sol = solve_affine_system(AffineSystem(A, np.array([2.0, 0.0])))
-    assert sol.consistent(1e-9)
-    assert sol.dimension == 1
-    assert np.allclose(A @ sol.particular, [2.0, 0.0])
-    bad = solve_affine_system(AffineSystem(A, np.array([0.0, 1.0])))
-    assert not bad.consistent(1e-9)
-
-
-def test_solve_affine_system_unique_case():
-    gen = stream(7, 1)
-    A = gen.standard_normal((4, 4)) + 4 * np.eye(4)
-    x = gen.standard_normal(4)
-    sol = solve_affine_system(AffineSystem(A, A @ x))
-    assert sol.dimension == 0
-    assert np.allclose(sol.particular, x, atol=1e-9)

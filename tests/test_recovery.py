@@ -1,5 +1,7 @@
 """Constructive linear-encoder recovery and class-based comparison."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from mechid import (
     simulate_deterministic,
 )
 from mechid.errors import DataDeficiencyError
+from mechid.recovery import _assemble_system
 from mechid.rng import stream
 
 from conftest import distinct_eig_mechanism, random_invertible, random_signed_permutation
@@ -154,6 +157,39 @@ def test_exact_recovery_over_random_instances():
         assert result.solution_space_dim == 0
         truth = np.linalg.pinv(G)
         assert np.linalg.norm(result.E_hat - truth) / np.linalg.norm(truth) <= 1e-8
+
+
+def test_assembled_rows_match_per_pair_kron():
+    gen = stream(2501)
+    N, d, r = 40, 3, 5
+    xp, xn = gen.standard_normal((N, r)), gen.standard_normal((N, r))
+    M, B = gen.standard_normal((d, d)), gen.standard_normal((N, d))
+    eye = np.eye(d)
+    want = np.vstack(
+        [np.kron(eye, xn[t][None, :]) - M @ np.kron(eye, xp[t][None, :]) for t in range(N)]
+    )
+    C, rhs = _assemble_system(xp, xn, M, B)
+    assert np.array_equal(C, want)
+    assert np.array_equal(rhs, B.reshape(-1))
+
+
+def test_tall_system_builds_no_square_svd_factor():
+    # 1000 pairs at d = 3 stack 3000 constraint rows; a full SVD would build
+    # a 3000 x 3000 U factor (72 MB) that the null space never reads
+    gen = stream(2500)
+    d, n, N = 3, 6, 1000
+    G = gen.standard_normal((n, d))
+    offsets = gen.standard_normal((8, d))
+    problem = generic_pair_problem(gen, G, np.diag([0.5, 0.8, 1.3]), offsets[np.arange(N) % 8])
+    tracemalloc.start()
+    try:
+        result = recover_linear_encoder(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.solution_space_dim == 0
+    assert result.conditions.distinct_offset_count == 8
+    assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------
