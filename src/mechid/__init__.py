@@ -7,7 +7,7 @@ encoders where those sets are trivial, and tests the stochastic analogue
 of equivariance in distribution.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .dynamics import (
     AffineMechanism,
@@ -93,7 +93,6 @@ from .verify import (
     AuditReport,
     AuditRow,
     CandidateModel,
-    IdentityReport,
     membership_equivalence_audit,
     verify_identity_unknown_mech,
     verify_observation_identity,

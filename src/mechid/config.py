@@ -2,8 +2,7 @@
 
 Every parse error carries the dotted path of the offending field
 (`mechanisms[0].M`) so a malformed document is diagnosable from the
-message alone. The original document is kept on each config for
-manifest echoing and digesting.
+message alone.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from .dynamics import (
 from .errors import ConfigError
 from .grids import GridSpec
 from .maps import AffineMap
+from .recovery import COMPARISON_CLASSES
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -259,7 +259,6 @@ def _parse_expect(obj, path: str) -> dict | None:
 
 @dataclass(frozen=True)
 class SimulateConfig:
-    raw: dict
     seed: int
     decoder: object
     mechanisms: tuple
@@ -278,7 +277,6 @@ class SimulateConfig:
 
 @dataclass(frozen=True)
 class CommutantConfig:
-    raw: dict
     seed: int
     mechanisms: tuple[AffineMechanism, ...]
     offsets: np.ndarray | None
@@ -289,7 +287,6 @@ class CommutantConfig:
 
 @dataclass(frozen=True)
 class ImitateConfig:
-    raw: dict
     seed: int
     used: tuple[AffineMechanism, ...]
     hypothesized: tuple[AffineMechanism, ...]
@@ -303,7 +300,6 @@ class ImitateConfig:
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    raw: dict
     seed: int
     decoder: object
     mechanisms: tuple[AffineMechanism, ...]
@@ -317,7 +313,6 @@ class VerifyConfig:
 
 @dataclass(frozen=True)
 class RecoverConfig:
-    raw: dict
     seed: int
     mechanisms: tuple[AffineMechanism, ...]
     schedule: tuple[int, ...] | str | None
@@ -332,7 +327,6 @@ class RecoverConfig:
 
 @dataclass(frozen=True)
 class StochasticTestConfig:
-    raw: dict
     seed: int
     dim: int
     candidate: AffineMap
@@ -414,7 +408,6 @@ def _parse_simulate(doc: dict) -> SimulateConfig:
         if z1.shape[0] != d:
             raise ConfigError("z1", f"has dimension {z1.shape[0]}, decoder expects {d}")
     return SimulateConfig(
-        raw=doc,
         seed=_seed_of(doc),
         decoder=decoder,
         mechanisms=tuple(mechanisms),
@@ -434,7 +427,6 @@ def _parse_commutant(doc: dict) -> CommutantConfig:
     if offsets is not None and offsets.shape[1] != mechanisms[0].dim:
         raise ConfigError("offsets", "offset columns must match the mechanism dimension")
     return CommutantConfig(
-        raw=doc,
         seed=_seed_of(doc),
         mechanisms=mechanisms,
         offsets=offsets,
@@ -447,11 +439,10 @@ def _parse_imitate(doc: dict) -> ImitateConfig:
     used = parse_mechanisms(_get(doc, "used", ""), "used", prefix="m")
     hyp_raw = doc.get("hypothesized")
     hypothesized = (
-        used if hyp_raw is None else parse_mechanisms(hyp_raw, "hypothesized", prefix="h")
+        () if hyp_raw is None else parse_mechanisms(hyp_raw, "hypothesized", prefix="h")
     )
     rtol = _as_float(doc.get("rtol", 1e-9), "rtol")
     return ImitateConfig(
-        raw=doc,
         seed=_seed_of(doc),
         used=used,
         hypothesized=hypothesized,
@@ -481,15 +472,12 @@ def _parse_verify(doc: dict) -> VerifyConfig:
         if claim is not None and not isinstance(claim, bool):
             raise ConfigError(_join(cpath, "claim"), "expected true or false")
         candidates.append(
-            CandidateModel(
-                decoder=None, label=label, latent_map=a, expect_equivariant=claim
-            )
+            CandidateModel(label=label, latent_map=a, expect_equivariant=claim)
         )
     tol_eq = _as_float(doc.get("tol_equivariance", 1e-9), "tol_equivariance")
     tol_id_raw = doc.get("tol_identity")
     tol_id = None if tol_id_raw is None else _as_float(tol_id_raw, "tol_identity")
     return VerifyConfig(
-        raw=doc,
         seed=_seed_of(doc),
         decoder=decoder,
         mechanisms=mechanisms,
@@ -529,13 +517,7 @@ def _parse_recover(doc: dict) -> RecoverConfig:
         comparison_class = _as_str(
             comp.get("class", "exact"),
             "comparison.class",
-            choices=(
-                "exact",
-                "offset",
-                "signed-permutation",
-                "signed-permutation+offset",
-                "linear",
-            ),
+            choices=COMPARISON_CLASSES,
         )
         enc_raw = comp.get("encoder")
         if enc_raw is not None:
@@ -552,7 +534,6 @@ def _parse_recover(doc: dict) -> RecoverConfig:
                 c = np.zeros(W.shape[0])
             truth_encoder = (W, c)
     return RecoverConfig(
-        raw=doc,
         seed=_seed_of(doc),
         mechanisms=mechanisms,
         schedule=_schedule_of(doc),
@@ -584,7 +565,6 @@ def _parse_stochastic_test(doc: dict) -> StochasticTestConfig:
     if not isinstance(run_class_test, bool):
         raise ConfigError("class_test", "expected true or false")
     return StochasticTestConfig(
-        raw=doc,
         seed=_seed_of(doc),
         dim=dim,
         candidate=candidate,

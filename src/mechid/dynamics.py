@@ -24,7 +24,7 @@ from .errors import (
     OffManifoldError,
     SingularMapError,
 )
-from .linalg import DEFAULT_RTOL, smallest_singular_gap
+from .linalg import DEFAULT_RTOL, relative_rank, smallest_singular_gap
 from .rng import stream
 
 __all__ = [
@@ -298,8 +298,7 @@ def _decoder_matrix(G) -> tuple[np.ndarray, np.ndarray]:
     G = np.array(G, dtype=float)
     if G.ndim != 2 or G.shape[0] < G.shape[1] or G.shape[1] < 1:
         raise DimensionMismatchError(f"G must be n x d with n >= d >= 1, got {G.shape}")
-    s = np.linalg.svd(G, compute_uv=False)
-    if not (s[0] > 0 and s[-1] > DEFAULT_RTOL * s[0]):
+    if relative_rank(G) < G.shape[1]:
         raise SingularMapError("decoder matrix is column-rank deficient")
     G.setflags(write=False)
     return G, np.linalg.pinv(G)

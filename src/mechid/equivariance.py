@@ -25,6 +25,7 @@ from .linalg import (
     null_space,
     offset_operator,
     relative_rank,
+    row_space,
     smallest_singular_gap,
     vec,
 )
@@ -150,12 +151,7 @@ class AffineMapFamily:
         d = self.basis_A.shape[1]
         if k == 0:
             return LinearSubspaceBasis(np.zeros((0, d, d)))
-        flat = self.basis_A.reshape(k, -1)
-        u, s, vh = np.linalg.svd(flat, full_matrices=False)
-        if s.size == 0 or s[0] == 0.0:
-            return LinearSubspaceBasis(np.zeros((0, d, d)))
-        r = int(np.sum(s > rtol * s[0]))
-        return LinearSubspaceBasis(vh[:r].reshape(r, d, d))
+        return LinearSubspaceBasis(row_space(self.basis_A.reshape(k, -1), rtol).reshape(-1, d, d))
 
     def membership_defect(self, A: np.ndarray, p: np.ndarray) -> float:
         """Relative distance of (A, p) from the family."""

@@ -23,14 +23,12 @@ from .config import (
 )
 from .dynamics import Trajectory, simulate_deterministic, simulate_stochastic
 from .equivariance import (
-    ConditionReport,
-    ConditionVerdict,
     EquivarianceFamily,
     exact_recovery_conditions,
     offset_identifiability_check,
     shared_equivariances,
 )
-from .imitation import CycleReport, MechanismClass, cycle_analysis, imitator_closure
+from .imitation import MechanismClass, cycle_analysis, imitator_closure
 from .recovery import RecoveryProblem, compare_up_to_class, recover_linear_encoder
 from .rng import stream
 from .stochastic import signed_perm_offset_test, stochastic_equivariance_test
@@ -81,42 +79,7 @@ def _check_expectations(summary: dict, expect: dict):
 
 
 # ---------------------------------------------------------------------------
-# report serialization helpers
-
-
-def _complex_pairs(values) -> list:
-    return [[float(v.real), float(v.imag)] for v in values]
-
-
-def _verdict_json(v: ConditionVerdict) -> dict:
-    return {"kind": v.kind, "dimension": v.dimension}
-
-
-def _conditions_json(r: ConditionReport) -> dict:
-    return {
-        "eigenvalues": _complex_pairs(r.eigenvalues),
-        "diagonalizable": r.diagonalizable,
-        "distinct_eigenvalues": r.distinct_eigenvalues,
-        "min_eigenvalue_gap": r.min_eigenvalue_gap,
-        "spectral_radius": r.spectral_radius,
-        "measured_dimension": r.measured_dimension,
-        "verdict": _verdict_json(r.verdict),
-        "offset_component_magnitudes": (
-            None
-            if r.offset_component_magnitudes is None
-            else list(r.offset_component_magnitudes)
-        ),
-        "zero_component_count": r.zero_component_count,
-        "offset_condition": r.offset_condition,
-        "offset_count": r.offset_count,
-        "distinct_offset_count": r.distinct_offset_count,
-        "difference_rank": r.difference_rank,
-        "assumption_rank_ok": r.assumption_rank_ok,
-        "nonzero_difference_pair": (
-            None if r.nonzero_difference_pair is None else list(r.nonzero_difference_pair)
-        ),
-        "analytic_measure_assumed": r.analytic_measure_assumed,
-    }
+# report shapes of their own; result dataclasses go into reports as they are
 
 
 def _family_json(fam: EquivarianceFamily) -> dict:
@@ -126,23 +89,10 @@ def _family_json(fam: EquivarianceFamily) -> dict:
         "a_dimension": fam.a_dimension,
         "p_fiber_dimension": fam.p_fiber_dimension,
         "degenerate_offset": fam.degenerate_offset,
-        "classification": _verdict_json(fam.classify()),
+        "classification": fam.classify(),
         "particular": {"A": f.particular_A, "p": f.particular_p},
         "basis": [{"A": f.basis_A[i], "p": f.basis_p[i]} for i in range(f.dimension)],
         "residual": f.residual,
-    }
-
-
-def _cycle_json(c: CycleReport) -> dict:
-    return {
-        "in_closure": c.in_closure,
-        "permutation": None if c.permutation is None else list(c.permutation),
-        "cycles": [list(cy) for cy in c.cycles],
-        # unmatched mechanisms carry an infinite residual; render as null
-        "match_residuals": [r if np.isfinite(r) else None for r in c.match_residuals],
-        "power_residuals": list(c.power_residuals),
-        "power_checks_passed": c.power_checks_passed,
-        "unmatched": list(c.unmatched),
     }
 
 
@@ -194,7 +144,7 @@ def _run_commutant(cfg: CommutantConfig, seed: int, threads: int, csv_tables: bo
     elif len(cfg.mechanisms) == 1:
         conditions = exact_recovery_conditions(cfg.mechanisms[0], rtol=cfg.rtol)
     if conditions is not None:
-        report["conditions"] = _conditions_json(conditions)
+        report["conditions"] = conditions
     cls = fam.classify()
     summary = {
         "dimension": fam.dimension,
@@ -254,7 +204,7 @@ def _run_imitate(cfg: ImitateConfig, seed: int, threads: int, csv_tables: bool):
                 "family_dimension": fam.family.dimension,
                 "map": {"A": rep.A, "p": rep.p},
                 "records": recs,
-                "cycle": _cycle_json(cyc),
+                "cycle": cyc,
             }
         )
     report = {
@@ -294,31 +244,20 @@ def _run_verify(cfg: VerifyConfig, seed: int, threads: int, csv_tables: bool):
         tol_identity=cfg.tol_identity,
         workers=threads,
     )
-    rows_json = []
-    rows_csv = []
-    for r in audit.rows:
-        rows_json.append(
-            {
-                "candidate_id": r.label,
-                "equivariance_pass": r.equivariance_pass,
-                "identity_pass": r.identity_pass,
-                "equivariance_residual": r.equivariance_residual,
-                "identity_residual": r.identity_residual,
-                "lipschitz": r.lipschitz,
-                "coupling_ok": r.coupling_ok,
-                "claim": r.claim,
-                "claim_ok": r.claim_ok,
-            }
-        )
-        rows_csv.append(
-            [
-                r.label,
-                r.equivariance_pass,
-                r.identity_pass,
-                r.equivariance_residual,
-                r.identity_residual,
-            ]
-        )
+    rows_json = [
+        {
+            "candidate_id": r.label,
+            "equivariance_pass": r.equivariance_pass,
+            "identity_pass": r.identity_pass,
+            "equivariance_residual": r.equivariance_residual,
+            "identity_residual": r.identity_residual,
+            "lipschitz": r.lipschitz,
+            "coupling_ok": r.coupling_ok,
+            "claim": r.claim,
+            "claim_ok": r.claim_ok,
+        }
+        for r in audit.rows
+    ]
     report = {
         "agreement": audit.agreement,
         "claims_ok": audit.claims_ok,
@@ -342,7 +281,7 @@ def _run_verify(cfg: VerifyConfig, seed: int, threads: int, csv_tables: bool):
                 "equivariance_residual",
                 "identity_residual",
             ],
-            "rows": rows_csv,
+            "rows": audit.table(),
         }
     }
     return ExperimentOutcome(
@@ -369,7 +308,7 @@ def _run_recover(cfg: RecoverConfig, seed: int, threads: int, csv_tables: bool):
         "observed_rank": result.observed_rank,
         "pair_count": result.pair_count,
         "sufficient_pairs": result.sufficient_pairs,
-        "conditions": _conditions_json(result.conditions),
+        "conditions": result.conditions,
     }
     summary = {
         "solution_space_dim": result.solution_space_dim,
@@ -435,18 +374,7 @@ def _run_stochastic_test(cfg: StochasticTestConfig, seed: int, threads: int, csv
     }
     if cfg.run_class_test:
         verdict_cls = signed_perm_offset_test(cfg.candidate)
-        report["class_verdict"] = {
-            "orthonormal": verdict_cls.orthonormal,
-            "signed_permutation": verdict_cls.signed_permutation,
-            "volume_preserving": verdict_cls.volume_preserving,
-            "in_class": verdict_cls.in_class,
-            "orthonormal_defect": verdict_cls.orthonormal_defect,
-            "det_deviation": verdict_cls.det_deviation,
-            "permutation": (
-                None if verdict_cls.permutation is None else list(verdict_cls.permutation)
-            ),
-            "signs": None if verdict_cls.signs is None else list(verdict_cls.signs),
-        }
+        report["class_verdict"] = verdict_cls
         summary["in_class"] = verdict_cls.in_class
     d = cfg.dim
     tables = {

@@ -263,13 +263,14 @@ class CycleReport:
 
     When a belongs to the closure of a finite used set, matching each
     mechanism to its image defines a permutation; on each cycle of length k
-    the k-fold composition of a commutes with every member.
+    the k-fold composition of a commutes with every member. An unmatched
+    mechanism's match residual is None.
     """
 
     in_closure: bool
     permutation: tuple[int, ...] | None
     cycles: tuple[tuple[int, ...], ...]
-    match_residuals: tuple[float, ...]
+    match_residuals: tuple[float | None, ...]
     power_residuals: tuple[float, ...]
     power_checks_passed: bool
     unmatched: tuple[int, ...] = ()
@@ -311,7 +312,7 @@ def cycle_analysis(
         raise ValueError("at least one mechanism is required")
     points = _as_points(grid, mechanisms[0].dim)
     assigned: list[int | None] = []
-    residuals: list[float] = []
+    residuals: list[float | None] = []
     for i, m in enumerate(mechanisms):
         hits = []
         hit_res = []
@@ -326,7 +327,7 @@ def cycle_analysis(
                 f"cannot share an imitator image, so the tolerance is too loose"
             )
         assigned.append(hits[0] if hits else None)
-        residuals.append(hit_res[0] if hit_res else float("inf"))
+        residuals.append(hit_res[0] if hit_res else None)
     unmatched = tuple(i for i, j in enumerate(assigned) if j is None)
     if unmatched:
         return CycleReport(

@@ -2,7 +2,9 @@
 
 Floats are written with 17 significant digits so a reader recovers the
 exact binary64 value; digests hash a canonical form (sorted keys, no
-whitespace) so two files with reordered keys hash identically.
+whitespace) so two files with reordered keys hash identically. A
+dataclass renders as an object of its fields in declaration order, so each
+result type is the one definition of its report form.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +34,13 @@ def _format_float(x: float) -> str:
 
 
 def to_jsonable(value):
-    """Recursively convert numpy scalars/arrays and paths to plain types."""
+    """Recursively convert dataclasses, numpy values, complex numbers and paths.
+
+    A dataclass instance becomes {field: value} in declaration order and a
+    complex number becomes [re, im].
+    """
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: to_jsonable(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):
         return {str(k): to_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -44,6 +53,8 @@ def to_jsonable(value):
         return int(value)
     if isinstance(value, (np.bool_,)):
         return bool(value)
+    if isinstance(value, (complex, np.complexfloating)):
+        return [float(value.real), float(value.imag)]
     if isinstance(value, Path):
         return str(value)
     return value

@@ -22,6 +22,7 @@ __all__ = [
     "intertwiner_operator",
     "offset_operator",
     "null_space",
+    "row_space",
     "relative_rank",
     "smallest_singular_gap",
     "orthonormal_defect",
@@ -52,6 +53,13 @@ def offset_operator(b: np.ndarray) -> np.ndarray:
     return np.kron(np.eye(b.shape[0]), b[None, :])
 
 
+def _rank(s: np.ndarray, rtol: float) -> int:
+    """Count of singular values (descending) above rtol times the largest."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > rtol * s[0]))
+
+
 def null_space(K: np.ndarray, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     """Orthonormal basis of the null space of K, as rows.
 
@@ -66,18 +74,20 @@ def null_space(K: np.ndarray, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     _, s, vh = np.linalg.svd(K, full_matrices=K.shape[0] < n)
     if s.size == 0 or s[0] == 0.0:
         return np.eye(n)
-    rank = int(np.sum(s > rtol * s[0]))
-    return vh[rank:, :]
+    return vh[_rank(s, rtol) :, :]
+
+
+def row_space(K: np.ndarray, rtol: float = DEFAULT_RTOL) -> np.ndarray:
+    """Orthonormal basis of the row space of K, as rows, at the same cut."""
+    _, s, vh = np.linalg.svd(np.atleast_2d(np.asarray(K, dtype=float)), full_matrices=False)
+    return vh[: _rank(s, rtol)]
 
 
 def relative_rank(A: np.ndarray, rtol: float = DEFAULT_RTOL) -> int:
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.size == 0:
         return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rtol * s[0]))
+    return _rank(np.linalg.svd(A, compute_uv=False), rtol)
 
 
 def smallest_singular_gap(A: np.ndarray) -> float:

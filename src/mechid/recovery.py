@@ -25,7 +25,7 @@ from .equivariance import (
     offset_identifiability_check,
 )
 from .errors import DataDeficiencyError, DimensionMismatchError
-from .linalg import DEFAULT_RTOL, null_space, relative_rank
+from .linalg import DEFAULT_RTOL, null_space, relative_rank, row_space
 from .maps import AffineMap
 from .rng import stream
 
@@ -161,10 +161,8 @@ def recover_linear_encoder(
     span_rank = relative_rank(Xp, rtol)
     if span_rank < d:
         raise DataDeficiencyError(span_rank, d)
-    stacked = np.vstack([Xp, Xn])
-    _, s, vt = np.linalg.svd(stacked, full_matrices=False)
-    r = int(np.sum(s > rtol * s[0]))
-    Q = vt[:r]  # (r, n): coordinates of the observed subspace
+    Q = row_space(np.vstack([Xp, Xn]), rtol)  # (r, n): coordinates of the observed subspace
+    r = Q.shape[0]
     C, rhs = _assemble_system(Xp @ Q.T, Xn @ Q.T, M, B)
     w = np.linalg.lstsq(C, rhs, rcond=None)[0]
     residual = float(np.linalg.norm(C @ w - rhs) / (1.0 + np.linalg.norm(rhs)))

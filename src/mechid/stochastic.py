@@ -21,6 +21,7 @@ from scipy.stats import ks_2samp
 from .dynamics import StochasticMechanism
 from .errors import DimensionMismatchError, IllConditionedError, NonFiniteSampleError
 from .grids import GridSpec
+from .linalg import orthonormal_defect
 from .maps import AffineMap
 from .rng import stream
 
@@ -277,7 +278,7 @@ def signed_perm_offset_test(a, tol: float = 1e-9) -> ClassVerdict:
     A = a.A if isinstance(a, AffineMap) else np.asarray(a, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {A.shape}")
-    defect = float(np.linalg.norm(A.T @ A - np.eye(A.shape[0])))
+    defect = orthonormal_defect(A)
     orthonormal = bool(defect <= tol)
     det_dev = float(abs(abs(np.linalg.det(A)) - 1.0))
     volume = bool(det_dev <= tol)

@@ -24,7 +24,6 @@ from .maps import AffineMap
 
 __all__ = [
     "CandidateModel",
-    "IdentityReport",
     "AuditRow",
     "AuditReport",
     "verify_observation_identity",
@@ -39,32 +38,17 @@ IDENTITY_TOL_FACTOR = 10.0
 
 @dataclass(frozen=True)
 class CandidateModel:
-    """A candidate decoder, optionally with its own mechanism hypotheses.
+    """A labelled candidate g∘a^{-1}, given by its latent map a.
 
-    `latent_map` is bookkeeping for candidates of the form g∘a^{-1}; the
-    verifier never requires it. `expect_equivariant` is an optional claim
-    audited against the measured outcome.
+    The audit builds the candidate decoder from the true decoder and
+    `latent_map`, and checks it against the true mechanisms.
+    `expect_equivariant` is an optional claim audited against the measured
+    outcome.
     """
 
-    decoder: object
     label: str = "candidate"
-    mechanisms: tuple | None = None
     latent_map: AffineMap | None = None
     expect_equivariant: bool | None = None
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    """Residuals of g∘m∘g^{-1} against a candidate on observation points."""
-
-    passed: bool
-    max_residual: float
-    worst_index: int
-    points: int
-    tol: float
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def _identity_residuals(
@@ -89,7 +73,7 @@ def verify_observation_identity(
     grid=None,
     tol: float = 1e-8,
     candidate_mechanism=None,
-) -> IdentityReport:
+) -> CheckReport:
     """Check g∘m∘g^{-1} = g~∘m~∘g~^{-1} on decoded grid points.
 
     The grid lives in latent space and is pushed forward through the true
@@ -103,7 +87,7 @@ def verify_observation_identity(
     res = _identity_residuals(truth_decoder, mechanism, candidate_decoder, cand_mech, X)
     worst = int(np.argmax(res))
     mx = float(res[worst])
-    return IdentityReport(
+    return CheckReport(
         passed=bool(mx <= tol), max_residual=mx, worst_index=worst, points=X.shape[0], tol=tol
     )
 
@@ -112,7 +96,7 @@ def verify_observation_identity(
 class UnknownMechReport:
     """Per-step identity reports when the mechanism is also hypothesized."""
 
-    steps: tuple[IdentityReport, ...]
+    steps: tuple[CheckReport, ...]
     passed: bool
 
     def __bool__(self) -> bool:

@@ -108,7 +108,6 @@ def test_criterion_01_membership_audit_agreement():
         for k in range(10):
             candidates.append(
                 CandidateModel(
-                    decoder=None,
                     label=f"member{k}",
                     latent_map=_family_member(fam, g),
                     expect_equivariant=True,
@@ -117,7 +116,6 @@ def test_criterion_01_membership_audit_agreement():
         for k in range(10):
             candidates.append(
                 CandidateModel(
-                    decoder=None,
                     label=f"random{k}",
                     latent_map=AffineMap(random_invertible(g, d), g.standard_normal(d)),
                     expect_equivariant=False,

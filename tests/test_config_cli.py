@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,37 @@ def test_numpy_values_serialize():
     doc = {"m": np.eye(2), "n": np.float64(0.1), "k": np.int64(3)}
     parsed = json.loads(dumps_json(doc))
     assert parsed == {"m": [[1.0, 0.0], [0.0, 1.0]], "n": 0.1, "k": 3}
+
+
+@dataclass(frozen=True)
+class _Inner:
+    z: complex
+    a: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Outer:
+    name: str
+    pair: tuple
+    missing: None
+    inner: _Inner
+
+
+def test_dataclasses_serialize_in_declaration_order():
+    doc = _Outer("x", (1, 2.5), None, _Inner(complex(1.5, -2.0), np.arange(2.0)))
+    parsed = json.loads(dumps_json(doc))
+    assert parsed == {
+        "name": "x",
+        "pair": [1, 2.5],
+        "missing": None,
+        "inner": {"z": [1.5, -2.0], "a": [0.0, 1.0]},
+    }
+    assert list(parsed) == ["name", "pair", "missing", "inner"]
+    assert list(parsed["inner"]) == ["z", "a"]
+    with pytest.raises(ValueError):
+        dumps_json(_Inner(complex(float("nan"), 0.0), np.zeros(1)))
+    with pytest.raises(TypeError):
+        dumps_json(_Inner(1j, object()))
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +372,33 @@ def test_imitate_reports_family_dimension_not_matrix_size(tmp_path):
     assert assignments
     assert all(a["family_dimension"] == 5 for a in assignments)
     assert find_affine_intertwiners(m, m).dimension == 5
+
+
+def test_imitate_without_hypothesized_lists_each_used_mechanism_once():
+    stretch = {"M": [[2.0, 0.0], [0.0, 3.0]]}
+    mirrored = {"M": [[3.0, 0.0], [0.0, 2.0]]}
+    report = run_experiment(
+        parse_config({"experiment": "imitate", "used": [stretch, mirrored]}), seed=0
+    ).report
+    assert report["members"] == ["m1", "m2"]
+    assert report["candidates_total"] == 4
+    assert [a["assignment"] for a in report["assignments"]] == [[0, 1], [1, 0]]
+
+    M = [[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]
+    report = run_experiment(parse_config({"experiment": "imitate", "used": [{"M": M}]}), seed=0).report
+    assert report["members"] == ["m1"]
+    assert report["candidates_total"] == 1
+    assert [a["family_dimension"] for a in report["assignments"]] == [5]
+
+
+def test_imitate_report_marks_unmatched_mechanism_residual_null(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("imitate", FIXTURES / "imitate_swap_pair.json", "--output-dir", out) == 0
+    assignments = read_json(out / "report.json")["detail"]["assignments"]
+    mirrored = [a for a in assignments if a["assignment"] == [1]]
+    assert len(mirrored) == 1
+    assert mirrored[0]["cycle"]["match_residuals"] == [None]
+    assert mirrored[0]["cycle"]["unmatched"] == [0]
 
 
 EIGENVALUES = (-1.0, 0.5, 2.0, 3.0)

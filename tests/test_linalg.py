@@ -13,6 +13,7 @@ from mechid.linalg import (
     null_space,
     offset_operator,
     relative_rank,
+    row_space,
     unvec,
     vec,
 )
@@ -70,3 +71,14 @@ def test_relative_rank():
     U = gen.standard_normal((5, 2))
     V = gen.standard_normal((2, 7))
     assert relative_rank(U @ V) == 2
+
+
+def test_row_space_complements_null_space_at_one_cut():
+    gen = stream(6, 2)
+    for rows in (3, 9):  # wide and tall
+        K = gen.standard_normal((rows, 2)) @ gen.standard_normal((2, 6))
+        R = row_space(K)
+        assert R.shape == (relative_rank(K), 6) == (2, 6)
+        full = np.vstack([R, null_space(K)])
+        assert np.allclose(full @ full.T, np.eye(6), atol=1e-12)
+    assert row_space(np.zeros((3, 4))).shape == (0, 4)

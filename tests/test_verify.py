@@ -76,11 +76,11 @@ def test_audit_agreement_on_mixed_candidates():
     candidates = []
     for k in range(4):
         rep = fam.family.representative(seed=20 + k)
-        candidates.append(CandidateModel(decoder=None, label=f"member{k}", latent_map=rep,
+        candidates.append(CandidateModel(label=f"member{k}", latent_map=rep,
                                          expect_equivariant=True))
     for k in range(4):
         a = AffineMap(random_invertible(gen, 2), gen.standard_normal(2))
-        candidates.append(CandidateModel(decoder=None, label=f"random{k}", latent_map=a,
+        candidates.append(CandidateModel(label=f"random{k}", latent_map=a,
                                          expect_equivariant=False))
     report = membership_equivalence_audit(G, [m], candidates)
     assert report.agreement
@@ -94,7 +94,7 @@ def test_audit_agreement_on_mixed_candidates():
 def test_audit_flags_false_claim():
     gen = stream(107)
     a = AffineMap(random_invertible(gen, 2), gen.standard_normal(2))
-    cand = CandidateModel(decoder=None, label="liar", latent_map=a, expect_equivariant=True)
+    cand = CandidateModel(label="liar", latent_map=a, expect_equivariant=True)
     report = membership_equivalence_audit(G, [DIAG23], [cand])
     assert report.agreement
     assert not report.claims_ok
