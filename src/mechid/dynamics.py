@@ -188,8 +188,16 @@ class NoiseSpec:
             return self.scale * (2.0 * u - 1.0)
         s = u - 0.5
         w = np.clip(2.0 * np.abs(s), 0.0, 1.0 - 1e-16)
-        mag = self.scale * special.gammaincinv(1.0 / self.alpha, w) ** (1.0 / self.alpha)
-        return np.sign(s) * mag
+        # |V/scale|^alpha ~ Gamma(1/alpha, 1); Laplace and Gaussian have closed
+        # forms far cheaper than gammaincinv: gammaincinv(1, w) = -log1p(-w)
+        # and gammaincinv(1/2, w) ** 0.5 = erfinv(w)
+        if self.alpha == 1.0:
+            mag = -np.log1p(-w)
+        elif self.alpha == 2.0:
+            mag = special.erfinv(w)
+        else:
+            mag = special.gammaincinv(1.0 / self.alpha, w) ** (1.0 / self.alpha)
+        return np.sign(s) * (self.scale * mag)
 
     def variance(self) -> float:
         """Per-coordinate variance."""

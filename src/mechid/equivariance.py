@@ -394,12 +394,13 @@ class ConditionReport:
     hypothesis that is declared, never machine-checked. `measured_dimension`
     is the data-independent solution-space dimension of the homogeneous
     constraint system {A M = M A, A b_t = 0 for all offsets}.
+    `min_eigenvalue_gap` is None when M has a single eigenvalue.
     """
 
     eigenvalues: tuple[complex, ...]
     diagonalizable: bool
     distinct_eigenvalues: bool
-    min_eigenvalue_gap: float
+    min_eigenvalue_gap: float | None
     spectral_radius: float
     measured_dimension: int
     verdict: ConditionVerdict
@@ -423,8 +424,8 @@ def _eigen_summary(M: np.ndarray, gap_rtol: float):
         denom = max(np.linalg.norm(M), 1e-300)
         recon_ok = np.linalg.norm(recon - M) / denom <= 1e-8
     gaps = [abs(w[i] - w[j]) for i in range(len(w)) for j in range(i + 1, len(w))]
-    min_gap = float(min(gaps)) if gaps else float("inf")
-    distinct = bool(min_gap > gap_rtol * max(radius, 1e-300))
+    min_gap = float(min(gaps)) if gaps else None
+    distinct = min_gap is None or bool(min_gap > gap_rtol * max(radius, 1e-300))
     return w, S, radius, recon_ok, distinct, min_gap
 
 

@@ -46,8 +46,8 @@ class CandidateModel:
     outcome.
     """
 
+    latent_map: AffineMap
     label: str = "candidate"
-    latent_map: AffineMap | None = None
     expect_equivariant: bool | None = None
 
 

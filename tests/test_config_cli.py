@@ -362,6 +362,16 @@ def test_commutant_jordan_block_reports_every_basis_element(tmp_path):
     assert len(read_csv_rows(out / "basis.csv")) == 3
 
 
+def test_commutant_one_by_one_mechanism_reports_null_eigenvalue_gap(tmp_path):
+    # one eigenvalue has no pairwise gap; the report must still serialize
+    doc = {"experiment": "commutant", "mechanisms": [{"M": [[2.0]], "b": [1.0]}]}
+    out = tmp_path / "run"
+    assert run_cli("commutant", write_doc(tmp_path, doc), "--output-dir", out) == 0
+    conditions = read_json(out / "report.json")["detail"]["conditions"]
+    assert conditions["min_eigenvalue_gap"] is None
+    assert conditions["distinct_eigenvalues"] is True
+
+
 def test_imitate_reports_family_dimension_not_matrix_size(tmp_path):
     M = [[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]
     doc = {"experiment": "imitate", "used": [{"M": M}]}

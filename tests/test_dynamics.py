@@ -8,7 +8,7 @@ density, not against the gamma-transform used by the sampler.
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from mechid import (
     AffineMechanism,
@@ -156,6 +156,30 @@ def test_ppf_median_and_inverse_consistency():
     x = spec.ppf(u)
     assert np.all(np.diff(x) > 0)
     assert np.allclose(quad_cdf(0.8, 1.3)(x), u, atol=1e-7)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+def test_ppf_closed_forms_match_gammaincinv(alpha):
+    tiny = [1e-300, 1e-17, 1e-12, 1e-6]
+    u = np.concatenate(
+        [
+            tiny,
+            np.linspace(0.0, 1.0, 20001)[:-1],
+            [0.5 - t for t in tiny[1:]] + [0.5 + t for t in tiny[1:]],
+            [1.0 - 1e-6, 1.0 - 1e-12, 1.0 - 1e-15, 1.0 - 1e-16],
+        ]
+    )
+    scale = 1.7
+    spec = NoiseSpec("generalized-laplace", scale=scale, alpha=alpha)
+    x = spec.ppf(u)
+    s = u - 0.5
+    w = np.clip(2.0 * np.abs(s), 0.0, 1.0 - 1e-16)
+    expected = np.sign(s) * scale * special.gammaincinv(1.0 / alpha, w) ** (1.0 / alpha)
+    np.testing.assert_allclose(x, expected, rtol=1e-13, atol=0.0)
+    assert spec.ppf(np.array([0.5]))[0] == 0.0
+    # dyadic offsets, so that 0.5 + t and 0.5 - t are both exact
+    t = np.arange(1, 512) / 1024.0
+    np.testing.assert_array_equal(spec.ppf(0.5 + t), -spec.ppf(0.5 - t))
 
 
 def test_ppf_sampling_agrees_with_direct_sampler():

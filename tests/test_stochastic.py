@@ -4,8 +4,11 @@ Statistical assertions run on frozen seeds, so every rate below is a
 deterministic replay of a calibration experiment, not a flaky sample.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from mechid import (
     DistributionalTestSpec,
@@ -27,6 +30,7 @@ from mechid.errors import (
 from mechid.dynamics import StochasticMechanism
 from mechid.maps import AffineMap, FunctionBijection, identity_map
 from mechid.rng import stream
+from mechid.stochastic import _ENERGY_MAX_POINTS
 
 from conftest import (
     SWAP,
@@ -78,6 +82,69 @@ def test_energy_power_against_mean_shift():
 def test_dimension_mismatch_rejected():
     with pytest.raises(DimensionMismatchError):
         two_sample_test(np.zeros((100, 2)), np.zeros((100, 3)))
+
+
+def reference_energy_test(X, Y, seed, permutations):
+    """The energy test as one np.ix_ gather per permutation: the reference
+    for the blocked null, with the same subsample and permutation stream."""
+    gen = stream(seed, 101)
+    if X.shape[0] > _ENERGY_MAX_POINTS:
+        X = X[np.sort(gen.choice(X.shape[0], _ENERGY_MAX_POINTS, replace=False))]
+    if Y.shape[0] > _ENERGY_MAX_POINTS:
+        Y = Y[np.sort(gen.choice(Y.shape[0], _ENERGY_MAX_POINTS, replace=False))]
+    n, m = X.shape[0], Y.shape[0]
+    pool = np.vstack([X, Y])
+    D = cdist(pool, pool)
+
+    def statistic(idx_x, idx_y):
+        dxy = D[np.ix_(idx_x, idx_y)].mean()
+        dxx = D[np.ix_(idx_x, idx_x)].mean()
+        dyy = D[np.ix_(idx_y, idx_y)].mean()
+        return float(2.0 * dxy - dxx - dyy)
+
+    observed = statistic(np.arange(n), np.arange(n, n + m))
+    count = 0
+    for _ in range(permutations):
+        perm = gen.permutation(n + m)
+        if statistic(perm[:n], perm[n:]) >= observed:
+            count += 1
+    return (1.0 + count) / (1.0 + permutations), observed
+
+
+@pytest.mark.parametrize(
+    "n, m, permutations, shift, seeds",
+    [
+        (37, 53, 199, 0.0, range(6)),
+        (37, 53, 199, 0.4, range(6)),
+        # more than one block of labellings
+        (37, 53, 600, 0.1, range(3)),
+        # both samples over the subsampling cap
+        (600, 700, 40, 0.0, range(3)),
+        (600, 700, 300, 0.08, (5,)),
+    ],
+)
+def test_energy_null_matches_per_permutation_reference(n, m, permutations, shift, seeds):
+    for seed in seeds:
+        X = stream(313, seed, 0).standard_normal((n, 2))
+        Y = stream(313, seed, 1).standard_normal((m, 2)) + shift
+        res = two_sample_test(X, Y, method="energy", seed=seed, permutations=permutations)
+        p_ref, stat_ref = reference_energy_test(X, Y, seed, permutations)
+        assert res.p_value == p_ref
+        assert res.statistic == pytest.approx(stat_ref, rel=1e-10, abs=0.0)
+
+
+def test_energy_null_memory_is_flat_in_permutations():
+    X = stream(317, 0).standard_normal((600, 2))
+    Y = stream(317, 1).standard_normal((600, 2))
+    tracemalloc.start()
+    try:
+        two_sample_test(X, Y, method="energy", seed=0, permutations=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 1024² distance matrix is 8.4 MB; without blocking, the 2000 x 1024
+    # labelling matrix and its product with D would add about 33 MB
+    assert peak < 16e6
 
 
 def test_bonferroni_uses_worst_coordinate():

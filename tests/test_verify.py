@@ -101,6 +101,11 @@ def test_audit_flags_false_claim():
     assert report.rows[0].claim_ok is False
 
 
+def test_candidate_model_requires_latent_map():
+    with pytest.raises(TypeError):
+        CandidateModel(label="x")
+
+
 def test_audit_workers_do_not_change_results():
     m = AffineMechanism(np.array([[1.2, 0.4], [0.0, 0.8]]), np.array([0.5, -0.3]))
     gen = stream(109)
