@@ -361,6 +361,14 @@ def _seed_of(doc: dict) -> int:
     return _as_int(doc.get("seed", 0), "seed")
 
 
+def _rtol_of(doc: dict) -> float:
+    """The relative rank cut; outside (0, 1) it silently flips verdicts."""
+    rtol = _as_float(doc.get("rtol", 1e-9), "rtol")
+    if not 0.0 < rtol < 1.0:
+        raise ConfigError("rtol", f"must lie strictly between 0 and 1, got {rtol!r}")
+    return rtol
+
+
 def _schedule_of(doc: dict, path: str = "schedule"):
     raw = doc.get("schedule")
     if raw is None:
@@ -430,7 +438,7 @@ def _parse_commutant(doc: dict) -> CommutantConfig:
         seed=_seed_of(doc),
         mechanisms=mechanisms,
         offsets=offsets,
-        rtol=_as_float(doc.get("rtol", 1e-9), "rtol"),
+        rtol=_rtol_of(doc),
         expect=_parse_expect(doc.get("expect"), "expect"),
     )
 
@@ -441,7 +449,7 @@ def _parse_imitate(doc: dict) -> ImitateConfig:
     hypothesized = (
         () if hyp_raw is None else parse_mechanisms(hyp_raw, "hypothesized", prefix="h")
     )
-    rtol = _as_float(doc.get("rtol", 1e-9), "rtol")
+    rtol = _rtol_of(doc)
     return ImitateConfig(
         seed=_seed_of(doc),
         used=used,
@@ -539,7 +547,7 @@ def _parse_recover(doc: dict) -> RecoverConfig:
         schedule=_schedule_of(doc),
         trajectory_csv=trajectory_csv,
         simulate=simulate,
-        rtol=_as_float(doc.get("rtol", 1e-9), "rtol"),
+        rtol=_rtol_of(doc),
         comparison_class=comparison_class,
         truth_encoder=truth_encoder,
         expect=_parse_expect(doc.get("expect"), "expect"),

@@ -53,6 +53,8 @@ EIGENGAP_RTOL = 1e-7
 
 _BASIS_ORTHO_TOL = 1e-10
 _REPRESENTATIVE_ATTEMPTS = 20
+# Offset pairs per batched eigencoordinate solve; bounds the premise scan's memory.
+_PAIR_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -430,10 +432,10 @@ def _eigen_summary(M: np.ndarray, gap_rtol: float):
 
 
 def _measured_dimension(M: np.ndarray, offsets: np.ndarray, rtol: float) -> int:
-    blocks = [intertwiner_operator(M, M)]
-    for b in offsets:
-        blocks.append(offset_operator(b))
-    return null_space(np.vstack(blocks), rtol).shape[0]
+    d = M.shape[0]
+    # row t*d + i, column j*d + k holds delta_ij * b_t[k]: each offset's offset_operator
+    rows = (np.eye(d)[None, :, :, None] * offsets[:, None, None, :]).reshape(-1, d * d)
+    return null_space(np.vstack([intertwiner_operator(M, M), rows]), rtol).shape[0]
 
 
 def exact_recovery_conditions(
@@ -481,13 +483,52 @@ def exact_recovery_conditions(
     )
 
 
+def _require_finite_rows(a: np.ndarray, field: str) -> None:
+    """Raise naming the first row of the 2-D array `a` that is not finite."""
+    finite = np.isfinite(a).all(axis=1)
+    if not finite.all():
+        raise NonFiniteSampleError(f"{field}[{int(np.argmin(finite))}]")
+
+
 def _distinct_rows(rows: np.ndarray, rtol: float) -> list[int]:
-    scale = 1.0 + float(np.max(np.linalg.norm(rows, axis=1))) if rows.size else 1.0
-    kept: list[int] = []
-    for i in range(rows.shape[0]):
-        if all(np.linalg.norm(rows[i] - rows[j]) > rtol * scale for j in kept):
-            kept.append(i)
-    return kept
+    """Indices of the rows that a greedy scan in index order keeps.
+
+    Row i is kept iff it lies farther than tol = rtol * (1 + largest row
+    norm) from every row kept before it. The rule is not transitive: in the
+    chain a, a + 0.6 tol e, a + 1.2 tol e (e a unit vector) both ends are
+    kept, while a + 0.6 tol e, a, a + 1.2 tol e keeps only the first row.
+
+    An exact duplicate is as far from every kept row as its first copy, so
+    it is always dropped, and one sort collapses duplicates. A pair within
+    tol also lies within tol in coordinate 0, so windows over that sorted
+    coordinate find every near pair, and the greedy rule runs only over the
+    rows that have one.
+    """
+    n = rows.shape[0]
+    if n == 0:
+        return []
+    tol = rtol * (1.0 + float(np.max(np.linalg.norm(rows, axis=1))))
+    if tol < 0:
+        return list(range(n))
+    # lexicographic with coordinate 0 first; stable, so a first copy leads its duplicates
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    first = order[new]
+    x0 = ranked[new, 0]
+    # twice tol, so that rounding in the recomputed distances loses no pair
+    lo = np.searchsorted(x0, x0 - 2.0 * tol, side="left")
+    hi = np.searchsorted(x0, x0 + 2.0 * tol, side="right")
+    keep = np.ones(first.size, dtype=bool)
+    crowded = np.flatnonzero(hi - lo > 1)
+    for p in crowded[np.argsort(first[crowded])]:
+        window = np.arange(lo[p], hi[p])
+        earlier = first[window[(first[window] < first[p]) & keep[window]]]
+        row = rows[first[p]]
+        if any(np.linalg.norm(row - rows[j]) <= tol for j in earlier):
+            keep[p] = False
+    return np.sort(first[keep]).tolist()
 
 
 def offset_identifiability_check(
@@ -503,39 +544,55 @@ def offset_identifiability_check(
     eigencoordinates, and distinct eigenvalues. When every premise holds the
     verdict is offset-only; otherwise the measured solution-space dimension
     from the supplied offsets is reported.
+
+    Offsets are deduplicated by the rule of `_distinct_rows`.
+    `nonzero_difference_pair` is the pair (a, b), a < b, of kept offsets
+    whose difference has the largest smallest-to-norm eigencoordinate
+    ratio; on a tie it is the first such pair in lexicographic order.
     """
     M = M.M if isinstance(M, AffineMechanism) else np.asarray(M, dtype=float)
     d = M.shape[0]
     B = np.atleast_2d(np.asarray(offsets, dtype=float))
     if B.shape[1] != d:
         raise DimensionMismatchError(f"offsets have dimension {B.shape[1]}, M is {d}x{d}")
+    _require_finite_rows(M, "M")
+    _require_finite_rows(B, "offsets")
     w, S, radius, diag_ok, distinct, min_gap = _eigen_summary(M, gap_rtol)
     kept = _distinct_rows(B, rtol)
-    distinct_count = len(kept)
-    diffs = B[kept[1:]] - B[kept[0]] if distinct_count > 1 else np.zeros((0, d))
+    R = B[kept]
+    K = len(kept)
+    diffs = R[1:] - R[0] if K > 1 else np.zeros((0, d))
     rank = relative_rank(diffs, rtol) if diffs.size else 0
-    rank_ok = bool(distinct_count >= d + 1 and rank == d)
+    rank_ok = bool(K >= d + 1 and rank == d)
     best_pair = None
     best_mags = None
     offset_ok = None
     if diag_ok:
         offset_ok = False
         best_score = -1.0
-        for ai in range(len(kept)):
-            for bi in range(ai + 1, len(kept)):
-                v = np.linalg.solve(S, (B[kept[ai]] - B[kept[bi]]).astype(complex))
-                av = np.abs(v)
-                norm = float(np.linalg.norm(av))
-                if norm <= 0:
-                    continue
-                score = float(np.min(av) / norm)
-                if score > best_score:
-                    best_score = score
-                    best_pair = (kept[ai], kept[bi])
-                    best_mags = tuple(float(x) for x in av)
-                if np.all(av > rtol * norm):
-                    offset_ok = True
-    measured = _measured_dimension(M, B[kept], rtol)
+        # pairs a < b in lexicographic order, whole rows a at a time
+        cols = np.arange(K)
+        step = max(1, _PAIR_BLOCK // K)
+        for a0 in range(0, K - 1, step):
+            a, b = np.nonzero(cols[a0 : a0 + step, None] < cols)
+            a += a0
+            diff = (R.take(a, axis=0) - R.take(b, axis=0)).astype(complex)
+            mags = np.abs(np.linalg.solve(S, diff.T))  # (d, pairs)
+            # pair rows in C order, so that each norm is the dot product norm() takes
+            av = np.ascontiguousarray(mags.T)
+            norm = np.sqrt((av[:, None, :] @ av[:, :, None])[:, 0, 0])
+            low = np.minimum.reduce(mags, axis=0)
+            live = norm > 0
+            score = np.full(norm.shape, -np.inf)
+            np.divide(low, norm, out=score, where=live)
+            i = int(np.argmax(score))
+            if score[i] > best_score:
+                best_score = float(score[i])
+                best_pair = (kept[a[i]], kept[b[i]])
+                best_mags = tuple(float(x) for x in av[i])
+            # every |v| > rtol * norm exactly when the smallest one is
+            offset_ok = offset_ok or bool(np.any(live & (low > rtol * norm)))
+    measured = _measured_dimension(M, R, rtol)
     if not diag_ok:
         verdict = ConditionVerdict("not-applicable", measured)
     elif rank_ok and offset_ok and distinct:
@@ -554,7 +611,7 @@ def offset_identifiability_check(
         zero_component_count=None,
         offset_condition=offset_ok,
         offset_count=int(B.shape[0]),
-        distinct_offset_count=distinct_count,
+        distinct_offset_count=K,
         difference_rank=int(rank),
         assumption_rank_ok=rank_ok,
         nonzero_difference_pair=best_pair,

@@ -21,6 +21,7 @@ from .dynamics import AffineMechanism, Trajectory
 from .equivariance import (
     ConditionReport,
     _distinct_rows,
+    _require_finite_rows,
     exact_recovery_conditions,
     offset_identifiability_check,
 )
@@ -73,6 +74,8 @@ class RecoveryProblem:
             raise DimensionMismatchError(
                 f"offsets must be (pairs, d) = ({xp.shape[0]}, {M.shape[0]}), got {B.shape}"
             )
+        for name, a in (("x_prev", xp), ("x_next", xn), ("M", M), ("offsets", B)):
+            _require_finite_rows(a, name)
         object.__setattr__(self, "x_prev", xp)
         object.__setattr__(self, "x_next", xn)
         object.__setattr__(self, "M", M)

@@ -372,6 +372,33 @@ def test_commutant_one_by_one_mechanism_reports_null_eigenvalue_gap(tmp_path):
     assert conditions["distinct_eigenvalues"] is True
 
 
+DIAG23_B11_DOC = {
+    "experiment": "commutant",
+    "mechanisms": [{"M": [[2.0, 0.0], [0.0, 3.0]], "b": [1.0, 1.0]}],
+}
+
+
+@pytest.mark.parametrize("rtol", [-1.0, 0.0, 1.0, 2.5])
+def test_rtol_outside_unit_interval_exits_1_naming_rtol(tmp_path, capsys, rtol):
+    # rtol = -1 used to turn this linear-family (dimension 2) into exact, exit 0
+    path = write_doc(tmp_path, {**DIAG23_B11_DOC, "rtol": rtol})
+    assert run_cli("commutant", path, "--output-dir", tmp_path / "a") == 1
+    assert "rtol" in capsys.readouterr().err
+    flagged = write_doc(tmp_path, DIAG23_B11_DOC)
+    assert run_cli("commutant", flagged, "--output-dir", tmp_path / "b", "--rtol", rtol) == 1
+    assert "rtol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name", ["commutant_shared.json", "imitate_swap_pair.json", "recover_inverse.json"]
+)
+def test_parse_config_rejects_rtol_outside_unit_interval(name):
+    doc = {**load_json(FIXTURES / name), "rtol": -1e-9}
+    with pytest.raises(ConfigError) as exc:
+        parse_config(doc)
+    assert exc.value.field == "rtol"
+
+
 def test_imitate_reports_family_dimension_not_matrix_size(tmp_path):
     M = [[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]
     doc = {"experiment": "imitate", "used": [{"M": M}]}

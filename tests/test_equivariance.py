@@ -5,6 +5,8 @@ its definition (no Kronecker algebra) and takes an SVD null space; family
 examples additionally get closed-form parameterizations.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,9 @@ from mechid import (
     offset_identifiability_check,
     shared_equivariances,
 )
+from mechid.equivariance import ConditionReport, ConditionVerdict, _distinct_rows, _eigen_summary
+from mechid.errors import NonFiniteSampleError
+from mechid.linalg import intertwiner_operator, null_space, offset_operator, relative_rank
 from mechid.maps import AffineMap, compose
 from mechid.rng import stream
 
@@ -248,3 +253,215 @@ def test_offset_check_collinear_differences():
     assert not report.assumption_rank_ok
     # offsets confined to the first eigendirection leave one free direction
     assert report.measured_dimension == 1
+
+
+def test_offset_check_rejects_nonfinite_offsets():
+    offsets = np.arange(12.0).reshape(6, 2)
+    offsets[3, 1] = np.nan
+    with pytest.raises(NonFiniteSampleError, match=r"offsets\[3\]"):
+        offset_identifiability_check(np.diag([2.0, 3.0]), offsets)
+    offsets[3, 1] = np.inf
+    with pytest.raises(NonFiniteSampleError, match=r"offsets\[3\]"):
+        offset_identifiability_check(np.diag([2.0, 3.0]), offsets)
+    with pytest.raises(NonFiniteSampleError, match=r"M\[1\]"):
+        offset_identifiability_check(np.array([[2.0, 0.0], [np.nan, 3.0]]), offsets[:3])
+
+
+# ---------------------------------------------------------------------------
+# the near-duplicate rule of _distinct_rows
+
+
+RULE_RTOL = 1e-3
+
+
+def near_chain(steps):
+    """Rows a + s * tau * e for each s in steps, with tau = rtol * scale of the rows."""
+    a = np.array([1.0, 2.0, 2.0])
+    e = np.array([0.0, 0.6, -0.8])
+    # tau depends on the rows' largest norm, which moves by O(tau) with the steps
+    tau = RULE_RTOL * (1.0 + np.linalg.norm(a))
+    rows = a + np.outer(steps, e) * tau
+    tau = RULE_RTOL * (1.0 + np.max(np.linalg.norm(rows, axis=1)))
+    return rows, tau
+
+
+def test_near_duplicate_chain_keeps_its_ends():
+    rows, tau = near_chain([0.0, 0.6, 1.2])
+    dist = lambda i, j: np.linalg.norm(rows[i] - rows[j])
+    assert dist(0, 1) <= tau and dist(1, 2) <= tau and dist(0, 2) > tau
+    assert _distinct_rows(rows, RULE_RTOL) == [0, 2]
+    assert _distinct_rows(rows[::-1], RULE_RTOL) == [0, 2]
+
+
+def test_near_duplicate_rule_is_greedy_in_index_order():
+    # the middle of the chain comes first and absorbs both ends
+    rows, _ = near_chain([0.6, 0.0, 1.2])
+    assert _distinct_rows(rows, RULE_RTOL) == [0]
+
+
+def test_exact_duplicates_keep_their_first_copy():
+    a, b = np.array([1.0, -2.0]), np.array([0.5, 4.0])
+    assert _distinct_rows(np.array([a, b, a, b, a]), 1e-9) == [0, 1]
+    assert _distinct_rows(np.array([b, b, b]), 1e-9) == [0]
+    # every distance exceeds a negative cut, so nothing is dropped
+    assert _distinct_rows(np.array([a, b, a]), -1.0) == [0, 1, 2]
+
+
+def test_signed_zeros_are_duplicates():
+    rows = np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [1.0, 0.0], [-0.0, -0.0], [0.0, 0.0]])
+    assert _distinct_rows(rows, 1e-9) == [0, 2, 4]
+
+
+# ---------------------------------------------------------------------------
+# the sorted dedupe and the blocked pair scan against the per-row loops
+
+
+def reference_distinct_rows(rows, rtol):
+    scale = 1.0 + float(np.max(np.linalg.norm(rows, axis=1))) if rows.size else 1.0
+    kept = []
+    for i in range(rows.shape[0]):
+        if all(np.linalg.norm(rows[i] - rows[j]) > rtol * scale for j in kept):
+            kept.append(i)
+    return kept
+
+
+def reference_offset_check(M, offsets, rtol):
+    """One eigencoordinate solve per pair of kept offsets, one kron per offset."""
+    B = np.atleast_2d(np.asarray(offsets, dtype=float))
+    d = M.shape[0]
+    w, S, radius, diag_ok, distinct, min_gap = _eigen_summary(M, 1e-7)
+    kept = reference_distinct_rows(B, rtol)
+    diffs = B[kept[1:]] - B[kept[0]] if len(kept) > 1 else np.zeros((0, d))
+    rank = relative_rank(diffs, rtol) if diffs.size else 0
+    rank_ok = bool(len(kept) >= d + 1 and rank == d)
+    best_pair = best_mags = offset_ok = None
+    if diag_ok:
+        offset_ok = False
+        best_score = -1.0
+        for ai in range(len(kept)):
+            for bi in range(ai + 1, len(kept)):
+                v = np.linalg.solve(S, (B[kept[ai]] - B[kept[bi]]).astype(complex))
+                av = np.abs(v)
+                norm = float(np.linalg.norm(av))
+                if norm <= 0:
+                    continue
+                score = float(np.min(av) / norm)
+                if score > best_score:
+                    best_score = score
+                    best_pair = (kept[ai], kept[bi])
+                    best_mags = tuple(float(x) for x in av)
+                if np.all(av > rtol * norm):
+                    offset_ok = True
+    blocks = [intertwiner_operator(M, M)] + [offset_operator(b) for b in B[kept]]
+    measured = null_space(np.vstack(blocks), rtol).shape[0]
+    if not diag_ok:
+        verdict = ConditionVerdict("not-applicable", measured)
+    elif rank_ok and offset_ok and distinct:
+        verdict = ConditionVerdict("offset-only", d)
+    else:
+        verdict = ConditionVerdict("other", measured)
+    return ConditionReport(
+        eigenvalues=tuple(complex(x) for x in w),
+        diagonalizable=diag_ok,
+        distinct_eigenvalues=distinct,
+        min_eigenvalue_gap=min_gap,
+        spectral_radius=radius,
+        measured_dimension=measured,
+        verdict=verdict,
+        offset_component_magnitudes=best_mags,
+        offset_condition=offset_ok,
+        offset_count=int(B.shape[0]),
+        distinct_offset_count=len(kept),
+        difference_rank=int(rank),
+        assumption_rank_ok=rank_ok,
+        nonzero_difference_pair=best_pair,
+    )
+
+
+def random_offset_case(gen):
+    """M with plain, tied, Jordan or complex spectra; offsets with repeats and near chains."""
+    d = int(gen.integers(1, 7))
+    kind = int(gen.integers(0, 4))
+    S = random_invertible(gen, d)
+    if kind == 0:  # diagonal: the eigenbasis is the identity, zeroed columns tie every score
+        M = np.diag(gen.permutation(np.arange(1.0, d + 1)))
+    elif kind == 1:
+        M = S @ np.diag(gen.integers(1, 3, size=d).astype(float)) @ np.linalg.inv(S)
+    elif kind == 2:
+        J = np.diag(gen.uniform(0.5, 2.0, size=d))
+        if d > 1:
+            J[0, 1], J[1, 1] = 1.0, J[0, 0]
+        M = S @ J @ np.linalg.inv(S)
+    else:
+        M = gen.standard_normal((d, d))
+    k = int(gen.integers(1, 14))
+    if gen.random() < 0.4:
+        base = gen.integers(-2, 3, size=(k, d)).astype(float)
+    else:
+        base = gen.standard_normal((k, d))
+    if gen.random() < 0.3:
+        base[:, gen.integers(0, d)] = 0.0
+    rows = base[gen.integers(0, k, size=int(gen.integers(1, 81)))]
+    rtol = float(gen.choice([1e-9, 1e-3, 0.05, 0.3]))
+    if gen.random() < 0.4:
+        tau = rtol * (1.0 + np.max(np.linalg.norm(rows, axis=1)))
+        e = gen.standard_normal(d)
+        steps = np.cumsum(gen.uniform(0.3, 0.9, size=int(gen.integers(2, 8))))
+        chain = rows[0] + np.outer(steps, e / np.linalg.norm(e)) * tau
+        rows = np.vstack([rows, chain])[gen.permutation(rows.shape[0] + chain.shape[0])]
+    if gen.random() < 0.2:
+        rows = np.where(rows == 0.0, -0.0, rows)
+    return M, rows, rtol
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_offset_check_matches_per_pair_reference(seed):
+    gen = stream(3100, seed)
+    for _ in range(100):
+        M, rows, rtol = random_offset_case(gen)
+        assert _distinct_rows(rows, rtol) == reference_distinct_rows(rows, rtol)
+        got = offset_identifiability_check(M, rows, rtol=rtol)
+        assert repr(got) == repr(reference_offset_check(M, rows, rtol))
+
+
+def test_offset_check_matches_reference_across_pair_blocks():
+    # 150 offsets make 11 175 pairs, several blocks of the scan
+    gen = stream(3101)
+    for M in (np.diag([0.5, 0.8, 1.3]), gen.standard_normal((3, 3))):
+        rows = gen.standard_normal((150, 3))
+        want = reference_offset_check(M, rows, 1e-9)
+        assert repr(offset_identifiability_check(M, rows)) == repr(want)
+
+
+@pytest.mark.parametrize("d", [3, 5, 6])
+def test_offset_check_breaks_ties_like_the_reference(d):
+    # ties in exact arithmetic, decided by the last bit of each norm: small
+    # integer offsets under a diagonal M, a zeroed column, and collinear
+    # offsets, whose differences all share one direction and one score
+    gen = stream(3103, d)
+    S = random_invertible(gen, d)
+    cases = [
+        (np.diag(np.arange(1.0, d + 1)), gen.integers(-2, 3, size=(120, d)).astype(float)),
+        (np.diag(np.arange(1.0, d + 1)), gen.integers(-2, 3, size=(120, d)) * (np.arange(d) != 1)),
+        (S @ np.diag(np.arange(1.0, d + 1)) @ np.linalg.inv(S),
+         gen.standard_normal(d) + np.outer(np.arange(120.0), gen.standard_normal(d))),
+    ]
+    for M, rows in cases:
+        rows = np.asarray(rows, dtype=float)
+        want = reference_offset_check(M, rows, 1e-9)
+        assert repr(offset_identifiability_check(M, rows)) == repr(want)
+
+
+def test_offset_check_memory_is_flat_in_pairs():
+    # 1200 offsets make 719 400 pairs; blocks keep the scan from holding them all
+    gen = stream(3102)
+    rows = gen.standard_normal((1200, 3))
+    tracemalloc.start()
+    try:
+        report = offset_identifiability_check(np.diag([0.5, 0.8, 1.3]), rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.distinct_offset_count == 1200
+    assert report.verdict.kind == "offset-only"
+    assert peak < 16 * 2**20

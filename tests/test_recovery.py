@@ -15,7 +15,7 @@ from mechid import (
     recover_with_multiple_offsets,
     simulate_deterministic,
 )
-from mechid.errors import DataDeficiencyError
+from mechid.errors import DataDeficiencyError, NonFiniteSampleError
 from mechid.recovery import _assemble_system
 from mechid.rng import stream
 
@@ -190,6 +190,34 @@ def test_tall_system_builds_no_square_svd_factor():
     assert result.solution_space_dim == 0
     assert result.conditions.distinct_offset_count == 8
     assert peak < 16 * 2**20
+
+
+def test_many_pairs_with_few_offsets_count_each_offset_once():
+    # 10^5 pairs cycling 8 offsets; the per-row dedupe made this O(N K) in Python
+    gen = stream(2503)
+    d, n, N = 3, 6, 10**5
+    G = gen.standard_normal((n, d))
+    offsets = gen.standard_normal((8, d))
+    problem = generic_pair_problem(gen, G, np.diag([0.5, 0.8, 1.3]), offsets[np.arange(N) % 8])
+    result = recover_linear_encoder(problem)
+    assert result.solution_space_dim == 0
+    assert result.conditions.offset_count == 8
+    assert result.conditions.distinct_offset_count == 8
+    assert result.conditions.verdict.kind == "offset-only"
+
+
+@pytest.mark.parametrize("field", ["x_prev", "x_next", "M", "offsets"])
+def test_problem_rejects_nonfinite_inputs(field):
+    gen = stream(2502)
+    arrays = {
+        "x_prev": gen.standard_normal((6, 2)),
+        "x_next": gen.standard_normal((6, 2)),
+        "M": np.diag([2.0, 3.0]),
+        "offsets": gen.standard_normal((6, 2)),
+    }
+    arrays[field][1, 0] = np.nan
+    with pytest.raises(NonFiniteSampleError, match=rf"{field}\[1\]"):
+        RecoveryProblem(**arrays)
 
 
 # ---------------------------------------------------------------------------
