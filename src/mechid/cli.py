@@ -33,8 +33,17 @@ __all__ = ["main", "build_parser"]
 # replay tolerates this much relative drift before declaring divergence.
 STOCHASTIC_REPLAY_RTOL = 1e-9
 
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like any other malformed input; 2 means a failed verdict."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="mechid",
         description="Simulate latent dynamics, compute equivariance and imitator "
         "sets, verify observation identities, recover encoders, and test "
@@ -47,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output-dir", type=Path, default=Path("."))
         sp.add_argument("--seed", type=int, default=None, help="overrides MECHID_SEED and config")
         sp.add_argument("--threads", type=int, default=None)
-        sp.add_argument("--rtol", type=float, default=None)
+        if kind in ("commutant", "imitate", "recover"):
+            sp.add_argument("--rtol", type=float, default=None)
         if kind == "imitate":
             sp.add_argument("--budget", type=int, default=None)
         if kind == "recover":
@@ -102,9 +112,7 @@ def _execute_config(doc: dict, output_dir: Path, threads: int):
     """
     t0 = time.perf_counter()
     cfg = parse_config(doc)
-    outcome = run_experiment(
-        cfg, cfg.seed, threads=threads, csv_tables=bool(doc.get("csv_tables", False))
-    )
+    outcome = run_experiment(cfg, cfg.seed, threads=threads)
     output_dir.mkdir(parents=True, exist_ok=True)
     report_doc = {
         "experiment": outcome.kind,
@@ -161,11 +169,9 @@ def _run_command(args) -> int:
         doc["budget"] = args.budget
     if getattr(args, "comparison_class", None) is not None:
         comp = doc.get("comparison")
-        if not isinstance(comp, dict):
-            comp = {}
-        comp = dict(comp)
-        comp["class"] = args.comparison_class
-        doc["comparison"] = comp
+        comp = {} if comp is None else comp
+        if isinstance(comp, dict):  # anything else is left for the parser to reject
+            doc["comparison"] = {**comp, "class": args.comparison_class}
     if getattr(args, "csv", False):
         doc["csv_tables"] = True
     _effective_seed(doc, args.seed)

@@ -424,7 +424,7 @@ def _eigen_summary(M: np.ndarray, gap_rtol: float):
     if smallest_singular_gap(S) > 1e-12:
         recon = S @ np.diag(w) @ np.linalg.inv(S)
         denom = max(np.linalg.norm(M), 1e-300)
-        recon_ok = np.linalg.norm(recon - M) / denom <= 1e-8
+        recon_ok = bool(np.linalg.norm(recon - M) / denom <= 1e-8)
     gaps = [abs(w[i] - w[j]) for i in range(len(w)) for j in range(i + 1, len(w))]
     min_gap = float(min(gaps)) if gaps else None
     distinct = min_gap is None or bool(min_gap > gap_rtol * max(radius, 1e-300))

@@ -66,9 +66,13 @@ def _check_expectations(summary: dict, expect: dict):
         if isinstance(want, dict):
             lo = want.get("min")
             hi = want.get("max")
-            ok = (lo is None or got >= lo) and (hi is None or got <= hi)
+            ok = not isinstance(got, str) and (
+                (lo is None or got >= lo) and (hi is None or got <= hi)
+            )
         elif isinstance(want, bool) or isinstance(got, bool):
             ok = want is got
+        elif isinstance(want, str) or isinstance(got, str):
+            ok = want == got
         elif isinstance(want, float) or isinstance(got, float):
             ok = _float_close(float(got), float(want))
         else:
@@ -101,11 +105,9 @@ def _family_json(fam: EquivarianceFamily) -> dict:
 
 
 def _simulate_trajectory(cfg: SimulateConfig, seed: int) -> Trajectory:
-    d = cfg.decoder.latent_dim
-    if cfg.z1 is not None:
-        z1 = cfg.z1
-    else:
-        z1 = stream(seed, 9901).uniform(cfg.z1_low, cfg.z1_high, d)
+    z1 = cfg.z1
+    if isinstance(z1, tuple):
+        z1 = stream(seed, 9901).uniform(*z1, cfg.decoder.latent_dim)
     if cfg.stochastic:
         return simulate_stochastic(
             cfg.decoder, cfg.mechanisms, z1, cfg.steps, seed=seed, schedule=cfg.schedule
@@ -113,7 +115,7 @@ def _simulate_trajectory(cfg: SimulateConfig, seed: int) -> Trajectory:
     return simulate_deterministic(cfg.decoder, cfg.mechanisms, z1, cfg.steps, schedule=cfg.schedule)
 
 
-def _run_simulate(cfg: SimulateConfig, seed: int, threads: int, csv_tables: bool):
+def _run_simulate(cfg: SimulateConfig, seed: int, threads: int):
     traj = _simulate_trajectory(cfg, seed)
     summary = {
         "steps": traj.steps,
@@ -135,7 +137,7 @@ def _run_simulate(cfg: SimulateConfig, seed: int, threads: int, csv_tables: bool
     )
 
 
-def _run_commutant(cfg: CommutantConfig, seed: int, threads: int, csv_tables: bool):
+def _run_commutant(cfg: CommutantConfig, seed: int, threads: int):
     fam = shared_equivariances(cfg.mechanisms, rtol=cfg.rtol)
     report = {"family": _family_json(fam)}
     conditions = None
@@ -158,7 +160,7 @@ def _run_commutant(cfg: CommutantConfig, seed: int, threads: int, csv_tables: bo
         summary["measured_dimension"] = conditions.measured_dimension
         summary["condition_verdict"] = conditions.verdict.kind
     tables = {}
-    if csv_tables:
+    if cfg.csv_tables:
         d = cfg.mechanisms[0].dim
         header = (
             ["index"]
@@ -175,7 +177,7 @@ def _run_commutant(cfg: CommutantConfig, seed: int, threads: int, csv_tables: bo
     )
 
 
-def _run_imitate(cfg: ImitateConfig, seed: int, threads: int, csv_tables: bool):
+def _run_imitate(cfg: ImitateConfig, seed: int, threads: int):
     cls = MechanismClass(used=cfg.used, hypothesized=cfg.hypothesized)
     closure = imitator_closure(
         cls,
@@ -234,7 +236,7 @@ def _run_imitate(cfg: ImitateConfig, seed: int, threads: int, csv_tables: bool):
     )
 
 
-def _run_verify(cfg: VerifyConfig, seed: int, threads: int, csv_tables: bool):
+def _run_verify(cfg: VerifyConfig, seed: int, threads: int):
     audit = membership_equivalence_audit(
         cfg.decoder,
         cfg.mechanisms,
@@ -293,7 +295,7 @@ def _run_verify(cfg: VerifyConfig, seed: int, threads: int, csv_tables: bool):
     )
 
 
-def _run_recover(cfg: RecoverConfig, seed: int, threads: int, csv_tables: bool):
+def _run_recover(cfg: RecoverConfig, seed: int, threads: int):
     if cfg.trajectory_csv is not None:
         traj = Trajectory.from_csv(cfg.trajectory_csv)
     else:
@@ -318,8 +320,10 @@ def _run_recover(cfg: RecoverConfig, seed: int, threads: int, csv_tables: bool):
         "sufficient_pairs": result.sufficient_pairs,
         "condition_verdict": result.conditions.verdict.kind,
     }
-    if cfg.truth_encoder is not None:
-        comp = compare_up_to_class(result.E_hat, cfg.truth_encoder, klass=cfg.comparison_class)
+    if cfg.comparison["encoder"] is not None:
+        comp = compare_up_to_class(
+            result.E_hat, cfg.comparison["encoder"], klass=cfg.comparison["class"]
+        )
         report["comparison"] = {
             "class": comp.klass,
             "residual": comp.residual,
@@ -338,8 +342,8 @@ def _run_recover(cfg: RecoverConfig, seed: int, threads: int, csv_tables: bool):
     )
 
 
-def _run_stochastic_test(cfg: StochasticTestConfig, seed: int, threads: int, csv_tables: bool):
-    spec = cfg.test_spec(seed)
+def _run_stochastic_test(cfg: StochasticTestConfig, seed: int, threads: int):
+    spec = replace(cfg.test, seed=seed)
     test = stochastic_equivariance_test(cfg.candidate, cfg.m1, cfg.m2, spec, workers=threads)
     anchor_rows = []
     anchors_json = []
@@ -372,7 +376,7 @@ def _run_stochastic_test(cfg: StochasticTestConfig, seed: int, threads: int, csv
         "method": test.method,
         "samples_per_anchor": test.samples_per_anchor,
     }
-    if cfg.run_class_test:
+    if cfg.class_test:
         verdict_cls = signed_perm_offset_test(cfg.candidate)
         report["class_verdict"] = verdict_cls
         summary["in_class"] = verdict_cls.in_class
@@ -403,13 +407,13 @@ _RUNNERS = {
 }
 
 
-def run_experiment(cfg, seed: int, threads: int = 1, csv_tables: bool = False) -> ExperimentOutcome:
+def run_experiment(cfg, seed: int, threads: int = 1) -> ExperimentOutcome:
     """Dispatch a parsed config to its runner with the effective seed.
 
     Runners return their intrinsic verdict; an expect block replaces it with
     whether every expectation held.
     """
-    outcome = _RUNNERS[cfg.kind](cfg, seed, threads, csv_tables)
+    outcome = _RUNNERS[cfg.kind](cfg, seed, threads)
     if not cfg.expect:
         return outcome
     ok, failures = _check_expectations(outcome.summary, cfg.expect)

@@ -69,6 +69,10 @@ class DistributionalTestSpec:
             raise ValueError("significance must lie in (0, 1)")
         if self.method not in ("ks", "energy"):
             raise ValueError(f"unknown method '{self.method}'")
+        if self.anchor_count < 1:
+            raise ValueError("anchor_count must be >= 1")
+        if self.permutations < 1:
+            raise ValueError("permutations must be >= 1")
         if self.anchors is not None:
             anchors = np.atleast_2d(np.asarray(self.anchors, dtype=float))
             if anchors.shape[1] != self.dim:
@@ -126,6 +130,8 @@ def two_sample_test(
     The null's statistics come from blocked products of 0/1 labellings with
     that matrix, drawn in the same order as one permutation per statistic.
     """
+    if permutations < 1:
+        raise ValueError("permutations must be >= 1")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[1] != Y.shape[1]:

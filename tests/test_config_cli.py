@@ -1,9 +1,14 @@
 """Config parsing, canonical serialization, CLI contract, and replay."""
 
+import contextlib
+import io
 import json
+import math
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -12,12 +17,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mechid import AffineMechanism, __version__, find_affine_intertwiners
+from mechid import AffineMechanism, __version__, config, find_affine_intertwiners
 from mechid.cli import main
 from mechid.config import parse_config
 from mechid.errors import ConfigError
 from mechid.experiments import run_experiment
-from mechid.jsonio import canonical_digest, dumps_json, load_json
+from mechid.jsonio import Field, canonical_digest, dumps_json, load_json
 from mechid.rng import stream
 
 from conftest import random_invertible
@@ -389,6 +394,20 @@ def test_rtol_outside_unit_interval_exits_1_naming_rtol(tmp_path, capsys, rtol):
     assert "rtol" in capsys.readouterr().err
 
 
+def test_failed_bound_is_reported_as_written(tmp_path):
+    doc = {**DIAG23_B11_DOC, "expect": {"dimension": {"max": 1}}}
+    assert run_cli("commutant", write_doc(tmp_path, doc), "--output-dir", tmp_path / "run") == 2
+    failures = read_json(tmp_path / "run" / "report.json")["expect_failures"]
+    assert failures == [{"key": "dimension", "expected": {"max": 1}, "actual": 2}]
+
+
+@pytest.mark.parametrize("want", [-2.5, {"min": 0.0}])
+def test_expectation_of_another_type_fails_the_verdict(tmp_path, want):
+    # a number against the string summary field used to end in an error, not a verdict
+    doc = {**DIAG23_B11_DOC, "expect": {"condition_verdict": want}}
+    assert run_cli("commutant", write_doc(tmp_path, doc), "--output-dir", tmp_path / "run") == 2
+
+
 @pytest.mark.parametrize(
     "name", ["commutant_shared.json", "imitate_swap_pair.json", "recover_inverse.json"]
 )
@@ -480,8 +499,8 @@ def commutant_docs(draw):
 @example(TRIVIAL_DOC)
 @example(JORDAN_DOC)
 def test_commutant_basis_matches_dimension_and_constraints(doc):
-    cfg = parse_config(doc)
-    outcome = run_experiment(cfg, seed=0, csv_tables=True)
+    cfg = parse_config({**doc, "csv_tables": True})
+    outcome = run_experiment(cfg, seed=0)
     basis = outcome.report["family"]["basis"]
     assert len(basis) == outcome.summary["dimension"]
     assert len(outcome.tables["basis.csv"]["rows"]) == len(basis)
@@ -490,3 +509,166 @@ def test_commutant_basis_matches_dimension_and_constraints(doc):
         for m in cfg.mechanisms:
             assert np.abs(A @ m.M - m.M @ A).max() <= 1e-8
             assert np.abs(A @ m.b - (m.M - np.eye(m.dim)) @ p).max() <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# malformed documents: every one is a ConfigError naming its field
+
+RUNNABLE = {
+    "commutant_shared": "commutant",
+    "imitate_swap_pair": "imitate",
+    "recover_inverse": "recover",
+    "simulate_shear": "simulate",
+    "stochastic_swap": "stochastic-test",
+    "verify_planted_claim": "verify",
+}
+DROP = object()
+
+
+def mutated(name: str, path: tuple, value):
+    """The fixture `name` with the value at `path` replaced, added, or dropped (DROP)."""
+    doc = load_json(FIXTURES / f"{name}.json")
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def write_raw(directory: Path, doc) -> Path:
+    """Write `doc` as Python's JSON writer does, NaN and Infinity included."""
+    path = directory / "config.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+# (fixture, path of the changed value, new value, field the error must name)
+PROBES = [
+    ("commutant_shared", ("rtoll",), 1e-3, "rtoll"),
+    ("commutant_shared", ("mechanisms", 0, "bb"), [1.0, 1.0], "mechanisms[0].bb"),
+    ("commutant_shared", ("mechanisms", 0, "M", 0, 0), math.nan, "mechanisms[0].M"),
+    ("commutant_shared", ("mechanisms", 0, "b", 1), math.inf, "mechanisms[0].b"),
+    ("stochastic_swap", ("test", "significance"), 2, "test.significance"),
+    ("stochastic_swap", ("test", "permutations"), 0, "test.permutations"),
+    ("stochastic_swap", ("test", "anchor_count"), 0, "test.anchor_count"),
+    ("verify_planted_claim", ("tol_equivariance",), -1, "tol_equivariance"),
+    ("imitate_swap_pair", ("check_tol",), -1, "check_tol"),
+    ("imitate_swap_pair", ("budget",), -1, "budget"),
+    ("stochastic_swap", ("seed",), -1, "seed"),
+    ("verify_planted_claim", ("decoder", "maps"), 5, "decoder.maps"),
+    ("commutant_shared", ("mechanisms", 0, "label"), 7, "mechanisms[0].label"),
+    ("verify_planted_claim", ("csv_tables",), True, "csv_tables"),
+]
+
+
+@pytest.mark.parametrize("name, path, value, field", PROBES)
+def test_malformed_document_exits_1_naming_its_field(tmp_path, capsys, name, path, value, field):
+    config = write_raw(tmp_path, mutated(name, path, value))
+    assert run_cli(RUNNABLE[name], config, "--output-dir", tmp_path / "run") == 1
+    assert f"config field '{field}'" in capsys.readouterr().err
+
+
+def test_readme_names_every_config_field():
+    text = (FIXTURES.parent / "README.md").read_text()
+    tables = [
+        t for t in vars(config).values() if isinstance(t, tuple) and t and isinstance(t[0], Field)
+    ]
+    names = {f.name for table in tables for f in table}
+    assert {"M", "samples_per_anchor", "csv_tables", "z1"} <= names
+    assert not {n for n in names if not re.search(rf'[`"]{re.escape(n)}[`"]', text)}
+
+
+def test_stochastic_config_holds_the_test_spec():
+    cfg = parse_config(load_json(FIXTURES / "stochastic_swap.json"))
+    assert (cfg.test.dim, cfg.test.samples_per_anchor, cfg.test.anchor_count) == (2, 400, 3)
+    assert (cfg.test.method, cfg.test.permutations, cfg.test.seed) == ("ks", 500, 0)
+
+
+def _paths(value, prefix=()):
+    """(path, is a key of an object) for every value inside a JSON document."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield prefix + (key,), isinstance(value, dict)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+NASTY = [math.nan, math.inf, -math.inf, "text", -1, [], {}]
+
+
+@st.composite
+def mutants(draw):
+    """A runnable fixture with one key dropped, one unknown key added, or one value replaced."""
+    name = draw(st.sampled_from(sorted(RUNNABLE)))
+    paths = list(_paths(load_json(FIXTURES / f"{name}.json")))
+    op = draw(st.sampled_from(["drop", "add", "replace"]))
+    if op == "drop":
+        return name, draw(st.sampled_from([p for p, keyed in paths if keyed])), DROP
+    if op == "add":
+        objects = [()] + [p for p, _ in paths if isinstance(_lookup(name, p), dict)]
+        return name, draw(st.sampled_from(objects)) + ("unknown",), draw(st.sampled_from(NASTY))
+    return name, draw(st.sampled_from([p for p, _ in paths])), draw(st.sampled_from(NASTY))
+
+
+def _lookup(name: str, path: tuple):
+    value = load_json(FIXTURES / f"{name}.json")
+    for key in path:
+        value = value[key]
+    return value
+
+
+def _with_probes(test):
+    for name, path, value, _ in PROBES:
+        test = example((name, path, value))(test)
+    return test
+
+
+@settings(max_examples=40, deadline=2000)
+@given(mutants())
+@_with_probes
+def test_no_cli_input_ends_in_a_traceback(mutant):
+    name, path, value = mutant
+    with tempfile.TemporaryDirectory() as td:
+        config = write_raw(Path(td), mutated(name, path, value))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            argv = [RUNNABLE[name], str(config), "--output-dir", f"{td}/run", "--threads", "1"]
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert re.search(r"config field '[^']+'", err.getvalue()), err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# usage errors and versions
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["commutant", FIXTURES / "commutant_shared.json", "--bogus"],
+        ["verify", FIXTURES / "verify_planted_claim.json", "--rtol", "0.5"],
+    ],
+)
+def test_usage_errors_exit_1_with_the_usage_on_stderr(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--output-dir", tmp_path)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mechid")
+    assert "unrecognized arguments" in err
+
+
+def test_replay_of_a_0_4_0_manifest_names_both_versions(tmp_path, capsys):
+    out = tmp_path / "run"
+    run_cli("simulate", FIXTURES / "simulate_shear.json", "--output-dir", out)
+    manifest = read_json(out / "manifest.json")
+    manifest["version"] = "0.4.0"
+    (out / "manifest.json").write_text(dumps_json(manifest))
+    capsys.readouterr()
+    assert run_cli("replay", out / "manifest.json", "--output-dir", tmp_path / "r") == 1
+    err = capsys.readouterr().err
+    assert "0.4.0" in err and __version__ in err

@@ -213,6 +213,13 @@ def test_conditions_distinct_eigs_nonzero_offset():
     assert report.zero_component_count == 0
 
 
+def test_conditions_report_diagonalizable_as_a_bool():
+    # a numpy.bool_ here made `report.diagonalizable is True` false
+    assert exact_recovery_conditions(DIAG23_B11).diagonalizable is True
+    jordan = AffineMechanism(np.array([[1.0, 1.0], [0.0, 1.0]]), np.ones(2))
+    assert exact_recovery_conditions(jordan).diagonalizable is False
+
+
 def test_conditions_zero_eigencoordinate():
     report = exact_recovery_conditions(AffineMechanism(np.diag([2.0, 3.0]), np.array([1.0, 0.0])))
     assert report.verdict.kind == "other"

@@ -79,6 +79,14 @@ def test_energy_power_against_mean_shift():
     assert res.permutations == 500
 
 
+@pytest.mark.parametrize("permutations", [0, -3])
+def test_energy_test_requires_a_permutation(permutations):
+    # with an empty null, samples 5 sigma apart came out p = 1.0 (0) or -0.5 (-3)
+    X = stream(308, 0).standard_normal((64, 2))
+    with pytest.raises(ValueError, match="permutations"):
+        two_sample_test(X, X + 5.0, method="energy", permutations=permutations)
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(DimensionMismatchError):
         two_sample_test(np.zeros((100, 2)), np.zeros((100, 3)))
@@ -240,6 +248,12 @@ def test_spec_validation():
         DistributionalTestSpec(dim=2, anchors=np.zeros((3, 3)))
     spec = DistributionalTestSpec(dim=2, anchors=[[0.5, -0.5]])
     assert spec.anchor_points().shape == (1, 2)
+
+
+@pytest.mark.parametrize("field", ["anchor_count", "permutations"])
+def test_spec_requires_an_anchor_and_a_permutation(field):
+    with pytest.raises(ValueError, match=field):
+        DistributionalTestSpec(dim=2, **{field: 0})
 
 
 # ---------------------------------------------------------------------------
