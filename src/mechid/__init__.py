@@ -7,7 +7,7 @@ encoders where those sets are trivial, and tests the stochastic analogue
 of equivariance in distribution.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .dynamics import (
     AffineMechanism,
@@ -20,8 +20,6 @@ from .dynamics import (
     Trajectory,
     TransformedDecoder,
     additive_noise_mechanism,
-    apply_mechanism,
-    make_scalar_map,
     sample_generalized_laplace,
     simulate_deterministic,
     simulate_stochastic,

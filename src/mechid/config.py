@@ -16,6 +16,7 @@ from dataclasses import field, make_dataclass
 import numpy as np
 
 from .dynamics import (
+    SCALAR_MAP_KINDS,
     AffineMechanism,
     LinearDecoder,
     NoiseSpec,
@@ -26,11 +27,13 @@ from .dynamics import (
 )
 from .errors import ConfigError, DimensionMismatchError
 from .grids import GridSpec
+from .imitation import CLOSURE_TOL_FACTOR, DEFAULT_ASSIGNMENT_BUDGET
 from .jsonio import (
     REQUIRED,
     Field,
     _bool,
     _choice,
+    _count,
     _dict,
     _each,
     _int,
@@ -47,9 +50,10 @@ from .jsonio import (
     _typed,
     _vector,
 )
+from .linalg import DEFAULT_RTOL
 from .maps import AffineMap
 from .recovery import COMPARISON_CLASSES
-from .stochastic import DistributionalTestSpec
+from .stochastic import MAX_SAMPLES_PER_ANCHOR, MIN_SAMPLES_PER_ANCHOR, DistributionalTestSpec
 from .verify import CandidateModel
 
 __all__ = [
@@ -62,6 +66,13 @@ __all__ = [
     "StochasticTestConfig",
     "parse_config",
 ]
+
+# Counts run from 1 to a cap, so that no document can ask for unbounded memory
+# or time. Each cap alone, at the fixtures' d = 2, peaks well under 1 GiB:
+MAX_STEPS = 10**6  # about 440 B per step in a recover run
+MAX_GRID_COUNT = 10**6  # about 280 B per point in a verify run
+MAX_ANCHOR_COUNT = 10**4  # about 2.5 KB and 1 ms per anchor at 100 samples
+MAX_PERMUTATIONS = 10**5  # memory flat; about 50 us each at 1000 samples
 
 # ---------------------------------------------------------------------------
 # nested objects
@@ -111,7 +122,7 @@ def _simulated_mechanism(raw, path, ctx):
 
 
 SCALAR_MAP = (
-    Field("kind", _str),
+    Field("kind", _choice(*SCALAR_MAP_KINDS)),
     Field("beta", _number, 0.0),
     Field("s", _number, 1.0),
     Field("t", _number, 0.0),
@@ -130,7 +141,7 @@ def _decoder(g, _):
 
 
 GRID = (
-    Field("count", _int, 256, _positive),
+    Field("count", _int, 256, _count(1, MAX_GRID_COUNT)),
     Field("low", _number, -2.0),
     Field("high", _number, 2.0),
 )
@@ -210,12 +221,12 @@ COMPARISON = (
     Field("encoder", _object(ENCODER, lambda g, _: (g["W"], g["c"]), bare="W"), None),
 )
 TEST = (
-    Field("samples_per_anchor", _int, 1000),
+    Field("samples_per_anchor", _int, 1000, _count(MIN_SAMPLES_PER_ANCHOR, MAX_SAMPLES_PER_ANCHOR)),
     Field("significance", _number, 0.05, _open_unit),
     Field("method", _choice("ks", "energy"), "ks"),
     Field("anchors", _matrix, None),
-    Field("anchor_count", _int, 5, _positive),
-    Field("permutations", _int, 500, _positive),
+    Field("anchor_count", _int, 5, _count(1, MAX_ANCHOR_COUNT)),
+    Field("permutations", _int, 500, _count(1, MAX_PERMUTATIONS)),
 )
 
 
@@ -274,7 +285,7 @@ def _test_spec(g, ctx) -> DistributionalTestSpec:
 
 
 _SEED = Field("seed", _int, lambda c: c.get("seed", 0), _non_negative)
-_RTOL = Field("rtol", _number, 1e-9, _open_unit)
+_RTOL = Field("rtol", _number, DEFAULT_RTOL, _open_unit)
 _EXPECT = Field("expect", _expect, None)
 _DECODER = Field("decoder", _object(DECODER, _decoder))
 
@@ -283,7 +294,7 @@ SIMULATION = (
     _SEED,
     _DECODER,
     Field("mechanisms", _each(_simulated_mechanism, "m"), lambda c: c.get("mechanisms", REQUIRED)),
-    Field("steps", _int, check=_positive),
+    Field("steps", _int, check=_count(1, MAX_STEPS)),
     Field("schedule", _schedule, lambda c: c.get("schedule")),
     Field("z1", _z1, (-1.0, 1.0)),
 )
@@ -301,8 +312,8 @@ IMITATE = (
     Field("used", _mechanisms),
     Field("hypothesized", _each(_mechanism, "h"), ()),
     _RTOL,
-    Field("check_tol", _number, lambda c: 10.0 * c["rtol"], _positive),
-    Field("budget", _int, 10000, _positive),
+    Field("check_tol", _number, lambda c: CLOSURE_TOL_FACTOR * c["rtol"], _positive),
+    Field("budget", _int, DEFAULT_ASSIGNMENT_BUDGET, _positive),
     Field("grid", _object(GRID, lambda g, c: GridSpec(dim=c["used"][0].dim, **g)), {}),
     _EXPECT,
 )

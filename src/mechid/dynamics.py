@@ -29,6 +29,7 @@ from .rng import stream
 
 __all__ = [
     "DIVERGENCE_BOUND",
+    "SCALAR_MAP_KINDS",
     "AffineMechanism",
     "GeneralMechanism",
     "StochasticMechanism",
@@ -36,18 +37,17 @@ __all__ = [
     "sample_generalized_laplace",
     "additive_noise_mechanism",
     "ScalarMap",
-    "make_scalar_map",
     "LinearDecoder",
     "StructuredDecoder",
     "TransformedDecoder",
     "Trajectory",
-    "apply_mechanism",
     "simulate_deterministic",
     "simulate_stochastic",
 ]
 
 # States with norm beyond this are treated as numerically divergent.
 DIVERGENCE_BOUND = 1e12
+SCALAR_MAP_KINDS = ("identity", "exp", "sinh", "asinh", "cubic", "affine")
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +136,6 @@ class StochasticMechanism:
         return out
 
 
-def apply_mechanism(mechanism, z: np.ndarray) -> np.ndarray:
-    """One deterministic step; raises on dimension mismatch."""
-    return mechanism(z)
-
-
 # ---------------------------------------------------------------------------
 # noise
 
@@ -226,13 +221,13 @@ def sample_generalized_laplace(
     return sign * mag
 
 
-def additive_noise_mechanism(noise: NoiseSpec, label: str | None = None) -> StochasticMechanism:
+def additive_noise_mechanism(noise: NoiseSpec) -> StochasticMechanism:
     """Kernel z -> z + V with V drawn coordinatewise from `noise`."""
 
     def kernel(z, U):
         return z[None, :] + noise.ppf(U)
 
-    return StochasticMechanism(kernel=kernel, dim=noise.dim, label=label or "additive-noise")
+    return StochasticMechanism(kernel=kernel, dim=noise.dim, label="additive-noise")
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +238,10 @@ def additive_noise_mechanism(noise: NoiseSpec, label: str | None = None) -> Stoc
 class ScalarMap:
     """A smooth strictly monotone scalar map with a closed-form inverse.
 
-    Supported kinds: identity, exp, sinh, asinh, cubic (x + beta x^3 with
-    beta >= 0), affine (s x + t with s != 0). Inverses return NaN outside
-    their domain; decoders turn that into an off-manifold error.
+    Supported kinds (SCALAR_MAP_KINDS): identity, exp, sinh, asinh, cubic
+    (x + beta x^3 with beta >= 0), affine (s x + t with s != 0). Inverses
+    return NaN outside their domain; decoders turn that into an off-manifold
+    error.
     """
 
     kind: str
@@ -254,7 +250,7 @@ class ScalarMap:
     t: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("identity", "exp", "sinh", "asinh", "cubic", "affine"):
+        if self.kind not in SCALAR_MAP_KINDS:
             raise ValueError(f"unknown scalar map '{self.kind}'")
         if self.kind == "cubic" and self.beta < 0:
             raise ValueError("cubic map requires beta >= 0")
@@ -295,10 +291,6 @@ class ScalarMap:
             disc = np.sqrt(half**2 + (1.0 / (3.0 * self.beta)) ** 3)
             return np.cbrt(half + disc) + np.cbrt(half - disc)
         return (y - self.t) / self.s
-
-
-def make_scalar_map(kind: str, **params) -> ScalarMap:
-    return ScalarMap(kind=kind, **params)
 
 
 def _decoder_matrix(G) -> tuple[np.ndarray, np.ndarray]:
@@ -345,10 +337,10 @@ class LinearDecoder:
     def decode(self, z: np.ndarray) -> np.ndarray:
         return np.asarray(z, dtype=float) @ self.G.T
 
-    def encode(self, x: np.ndarray, check: bool = True) -> np.ndarray:
+    def encode(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         z = x @ self._pinv.T
-        if check and self.obs_dim > self.latent_dim:
+        if self.obs_dim > self.latent_dim:
             _manifold_check(x, self.decode(z), self.manifold_tol)
         return z
 
@@ -392,18 +384,16 @@ class StructuredDecoder:
             out[..., i] = m.forward(lin[..., i])
         return out
 
-    def encode(self, x: np.ndarray, check: bool = True) -> np.ndarray:
+    def encode(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         y = np.empty_like(x, dtype=float)
         for i, m in enumerate(self.maps):
             y[..., i] = m.inverse(x[..., i])
-        if check:
-            y2 = np.atleast_2d(y)
-            bad_rows = np.nonzero(~np.isfinite(y2).all(axis=-1))[0]
-            if bad_rows.size:
-                raise OffManifoldError(int(bad_rows[0]), float("inf"), self.manifold_tol)
+        bad_rows = np.nonzero(~np.isfinite(np.atleast_2d(y)).all(axis=-1))[0]
+        if bad_rows.size:
+            raise OffManifoldError(int(bad_rows[0]), float("inf"), self.manifold_tol)
         z = y @ self._pinv.T
-        if check and self.obs_dim > self.latent_dim:
+        if self.obs_dim > self.latent_dim:
             _manifold_check(x, self.decode(z), self.manifold_tol)
         return z
 
@@ -430,8 +420,8 @@ class TransformedDecoder:
     def decode(self, z: np.ndarray) -> np.ndarray:
         return self.base.decode(self.latent_map.inverse(z))
 
-    def encode(self, x: np.ndarray, check: bool = True) -> np.ndarray:
-        return self.latent_map(self.base.encode(x, check=check))
+    def encode(self, x: np.ndarray) -> np.ndarray:
+        return self.latent_map(self.base.encode(x))
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +435,6 @@ class Trajectory:
     latents: np.ndarray
     observations: np.ndarray
     mechanisms: tuple[int, ...]
-    seed: int | None = None
 
     def __post_init__(self):
         z = np.asarray(self.latents, dtype=float)
@@ -542,7 +531,7 @@ def simulate_deterministic(
     _check_state(z, 1)
     states = [z]
     for t in range(1, T):
-        z = apply_mechanism(mechanisms[idx[t - 1]], z)
+        z = mechanisms[idx[t - 1]](z)
         _check_state(z, t + 1)
         states.append(z)
     latents = np.vstack(states)
@@ -582,12 +571,10 @@ def simulate_stochastic(
             U = stream(seed, t).random((1, mech.dim))
             z = mech.sample_next(z, U)[0]
         else:
-            z = apply_mechanism(mech, z)
+            z = mech(z)
         if not np.isfinite(z).all():
             raise NonFiniteSampleError(f"simulation step {t + 1}")
         _check_state(z, t + 1)
         states.append(z)
     latents = np.vstack(states)
-    return Trajectory(
-        latents=latents, observations=decoder.decode(latents), mechanisms=idx, seed=seed
-    )
+    return Trajectory(latents=latents, observations=decoder.decode(latents), mechanisms=idx)

@@ -48,7 +48,8 @@ __all__ = [
     "offset_identifiability_check",
 ]
 
-# Eigenvalues closer than this fraction of the spectral radius count as tied.
+# Eigenvalues closer than this fraction of the spectral radius are equal: they
+# count as tied, and they match between the spectra the imitator closure prunes by.
 EIGENGAP_RTOL = 1e-7
 
 _BASIS_ORTHO_TOL = 1e-10
@@ -80,10 +81,6 @@ class LinearSubspaceBasis:
     def dimension(self) -> int:
         return self.matrices.shape[0]
 
-    @property
-    def matrix_dim(self) -> int:
-        return self.matrices.shape[1]
-
     def projection_defect(self, A: np.ndarray) -> float:
         """Relative distance from A to the subspace."""
         v = vec(A)
@@ -106,14 +103,16 @@ class AffineMapFamily:
 
     The set is {particular + sum_i c_i basis_i}. The basis pairs are jointly
     orthonormal in the flattened (vec A, p) space. `particular` is None when
-    the defining system has no solution at all.
+    the defining system has no solution at all. `rtol` is the rank cut the
+    basis was taken at; every later decision about the family reads it.
     """
 
     basis_A: np.ndarray  # (k, d, d)
     basis_p: np.ndarray  # (k, d)
     particular_A: np.ndarray | None
     particular_p: np.ndarray | None
-    residual: float = 0.0
+    residual: float
+    rtol: float
 
     @property
     def dimension(self) -> int:
@@ -122,10 +121,7 @@ class AffineMapFamily:
     @property
     def a_dimension(self) -> int:
         """Dimension of the projection of the homogeneous part onto A."""
-        k = self.dimension
-        if k == 0:
-            return 0
-        return relative_rank(self.basis_A.reshape(k, -1))
+        return self.a_part_basis().dimension
 
     @property
     def p_fiber_dimension(self) -> int:
@@ -147,13 +143,13 @@ class AffineMapFamily:
         p = self.particular_p + c @ self.basis_p if self.dimension else self.particular_p.copy()
         return A, p
 
-    def a_part_basis(self, rtol: float = DEFAULT_RTOL) -> LinearSubspaceBasis:
+    def a_part_basis(self) -> LinearSubspaceBasis:
         """Orthonormal basis of the A-projection of the homogeneous part."""
         k = self.dimension
         d = self.basis_A.shape[1]
         if k == 0:
             return LinearSubspaceBasis(np.zeros((0, d, d)))
-        return LinearSubspaceBasis(row_space(self.basis_A.reshape(k, -1), rtol).reshape(-1, d, d))
+        return LinearSubspaceBasis(row_space(self.basis_A.reshape(k, -1), self.rtol).reshape(-1, d, d))
 
     def membership_defect(self, A: np.ndarray, p: np.ndarray) -> float:
         """Relative distance of (A, p) from the family."""
@@ -169,46 +165,46 @@ class AffineMapFamily:
         proj = flat.T @ (flat @ h)
         return float(np.linalg.norm(h - proj) / max(nh, 1.0))
 
-    def representative(
-        self, seed: int = 0, attempts: int = _REPRESENTATIVE_ATTEMPTS, rtol: float = DEFAULT_RTOL
-    ) -> AffineMap | None:
+    def representative(self, seed: int = 0) -> AffineMap | None:
         """An invertible member, or None if none is found.
 
         Tries the particular solution first, then seeded random combinations
-        of the homogeneous basis. Failure after the attempt budget means no
-        invertible representative was found, not that none exists.
+        of the homogeneous basis; a member is invertible when its smallest
+        singular gap exceeds the family's `rtol`. Failure after the attempt
+        budget means no invertible representative was found, not that none
+        exists.
         """
         if not self.consistent:
             return None
         candidates = [np.zeros(self.dimension)] if self.dimension else [np.zeros(0)]
         gen = stream(seed, 7041)
-        for _ in range(attempts):
+        for _ in range(_REPRESENTATIVE_ATTEMPTS):
             if self.dimension == 0:
                 break
             candidates.append(gen.standard_normal(self.dimension))
         for c in candidates:
             A, p = self.element(c)
-            if smallest_singular_gap(A) > rtol:
+            if smallest_singular_gap(A) > self.rtol:
                 return AffineMap(A, p)
         return None
 
 
 def _family_from_nullspace(
-    basis_flat: np.ndarray, d: int, particular: tuple[np.ndarray, np.ndarray] | None, residual: float
+    basis_flat: np.ndarray,
+    d: int,
+    particular: tuple[np.ndarray, np.ndarray] | None,
+    residual: float,
+    rtol: float,
 ) -> AffineMapFamily:
-    k = basis_flat.shape[0]
-    basis_A = basis_flat[:, : d * d].reshape(k, d, d) if k else np.zeros((0, d, d))
-    basis_p = basis_flat[:, d * d :] if k else np.zeros((0, d))
-    if particular is None:
-        return AffineMapFamily(
-            basis_A=basis_A, basis_p=basis_p, particular_A=None, particular_p=None, residual=residual
-        )
+    """The family cut at `rtol`; `particular` None means the system has no solution."""
+    A0, p0 = (None, None) if particular is None else particular
     return AffineMapFamily(
-        basis_A=basis_A,
-        basis_p=basis_p,
-        particular_A=particular[0],
-        particular_p=particular[1],
+        basis_A=basis_flat[:, : d * d].reshape(-1, d, d),
+        basis_p=basis_flat[:, d * d :],
+        particular_A=A0,
+        particular_p=p0,
         residual=residual,
+        rtol=rtol,
     )
 
 
@@ -234,7 +230,6 @@ class EquivarianceFamily:
     mechanisms: tuple[AffineMechanism, ...]
     family: AffineMapFamily
     degenerate_offset: bool
-    rtol: float = DEFAULT_RTOL
 
     @property
     def dimension(self) -> int:
@@ -249,7 +244,7 @@ class EquivarianceFamily:
         return self.family.p_fiber_dimension
 
     def a_part_basis(self) -> LinearSubspaceBasis:
-        return self.family.a_part_basis(self.rtol)
+        return self.family.a_part_basis()
 
     def classify(self) -> "ConditionVerdict":
         """Decision-table verdict from the family's shape."""
@@ -297,11 +292,9 @@ def shared_equivariances(
     basis = null_space(C, rtol)
     # (I, 0) solves the inhomogeneous system exactly, for any mechanism set.
     particular = (np.eye(d), np.zeros(d))
-    family = _family_from_nullspace(basis, d, particular, residual=0.0)
+    family = _family_from_nullspace(basis, d, particular, residual=0.0, rtol=rtol)
     degenerate = any(smallest_singular_gap(m.M - np.eye(d)) <= rtol for m in mechanisms)
-    return EquivarianceFamily(
-        mechanisms=mechanisms, family=family, degenerate_offset=degenerate, rtol=rtol
-    )
+    return EquivarianceFamily(mechanisms=mechanisms, family=family, degenerate_offset=degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +410,7 @@ class ConditionReport:
     analytic_measure_assumed: bool = True
 
 
-def _eigen_summary(M: np.ndarray, gap_rtol: float):
+def _eigen_summary(M: np.ndarray):
     w, S = np.linalg.eig(M)
     radius = float(np.max(np.abs(w))) if w.size else 0.0
     recon_ok = False
@@ -427,7 +420,7 @@ def _eigen_summary(M: np.ndarray, gap_rtol: float):
         recon_ok = bool(np.linalg.norm(recon - M) / denom <= 1e-8)
     gaps = [abs(w[i] - w[j]) for i in range(len(w)) for j in range(i + 1, len(w))]
     min_gap = float(min(gaps)) if gaps else None
-    distinct = min_gap is None or bool(min_gap > gap_rtol * max(radius, 1e-300))
+    distinct = min_gap is None or bool(min_gap > EIGENGAP_RTOL * max(radius, 1e-300))
     return w, S, radius, recon_ok, distinct, min_gap
 
 
@@ -438,9 +431,7 @@ def _measured_dimension(M: np.ndarray, offsets: np.ndarray, rtol: float) -> int:
     return null_space(np.vstack([intertwiner_operator(M, M), rows]), rtol).shape[0]
 
 
-def exact_recovery_conditions(
-    m: AffineMechanism, rtol: float = DEFAULT_RTOL, gap_rtol: float = EIGENGAP_RTOL
-) -> ConditionReport:
+def exact_recovery_conditions(m: AffineMechanism, rtol: float = DEFAULT_RTOL) -> ConditionReport:
     """Premises for a unique linear encoder given one affine mechanism.
 
     Uniqueness holds exactly when the eigenvalues of M are distinct and every
@@ -448,7 +439,7 @@ def exact_recovery_conditions(
     free direction, whose count is also measured directly as the null-space
     dimension of {A M = M A, A b = 0}.
     """
-    w, S, radius, diag_ok, distinct, min_gap = _eigen_summary(m.M, gap_rtol)
+    w, S, radius, diag_ok, distinct, min_gap = _eigen_summary(m.M)
     measured = _measured_dimension(m.M, m.b[None, :], rtol)
     mags = None
     zero_count = None
@@ -532,10 +523,7 @@ def _distinct_rows(rows: np.ndarray, rtol: float) -> list[int]:
 
 
 def offset_identifiability_check(
-    M: np.ndarray | AffineMechanism,
-    offsets: Sequence[np.ndarray],
-    rtol: float = DEFAULT_RTOL,
-    gap_rtol: float = EIGENGAP_RTOL,
+    M: np.ndarray | AffineMechanism, offsets: Sequence[np.ndarray], rtol: float = DEFAULT_RTOL
 ) -> ConditionReport:
     """Premises for offset-only recovery from a shared M with varying offsets.
 
@@ -557,7 +545,7 @@ def offset_identifiability_check(
         raise DimensionMismatchError(f"offsets have dimension {B.shape[1]}, M is {d}x{d}")
     _require_finite_rows(M, "M")
     _require_finite_rows(B, "offsets")
-    w, S, radius, diag_ok, distinct, min_gap = _eigen_summary(M, gap_rtol)
+    w, S, radius, diag_ok, distinct, min_gap = _eigen_summary(M)
     kept = _distinct_rows(B, rtol)
     R = B[kept]
     K = len(kept)

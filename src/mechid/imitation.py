@@ -18,6 +18,7 @@ import numpy as np
 
 from .dynamics import AffineMechanism
 from .equivariance import (
+    EIGENGAP_RTOL,
     AffineMapFamily,
     _as_points,
     _family_from_nullspace,
@@ -35,7 +36,7 @@ from .maps import AffineMap, map_power
 
 __all__ = [
     "DEFAULT_ASSIGNMENT_BUDGET",
-    "SPECTRUM_RTOL",
+    "CLOSURE_TOL_FACTOR",
     "MechanismClass",
     "ImitationRecord",
     "AssignmentFamily",
@@ -48,7 +49,9 @@ __all__ = [
 ]
 
 DEFAULT_ASSIGNMENT_BUDGET = 10_000
-SPECTRUM_RTOL = 1e-7
+# A stacked system is solvable, the identity solves it, and a representative's
+# grid residuals verify, each within this multiple of the rank cut rtol.
+CLOSURE_TOL_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -116,16 +119,16 @@ def _solve_intertwiner_system(
     particular = np.linalg.lstsq(C, r, rcond=None)[0]
     residual = float(np.linalg.norm(C @ particular - r) / (1.0 + np.linalg.norm(r)))
     basis = null_space(C, rtol)
-    if residual > rtol * 10 + 1e-12:
+    if residual > rtol * CLOSURE_TOL_FACTOR + 1e-12:
         # inhomogeneous system has no solution: the family is empty
-        return _family_from_nullspace(basis, d, None, residual)
+        return _family_from_nullspace(basis, d, None, residual, rtol)
     # prefer the identity when it solves the system (the self-assignment case)
     ident = np.concatenate([np.eye(d).reshape(-1), np.zeros(d)])
-    if np.linalg.norm(C @ ident - r) <= rtol * 10 * (1.0 + np.linalg.norm(r)):
+    if np.linalg.norm(C @ ident - r) <= rtol * CLOSURE_TOL_FACTOR * (1.0 + np.linalg.norm(r)):
         particular = ident
     A0 = particular[: d * d].reshape(d, d)
     p0 = particular[d * d :]
-    return _family_from_nullspace(basis, d, (A0, p0), residual)
+    return _family_from_nullspace(basis, d, (A0, p0), residual, rtol)
 
 
 def find_affine_intertwiners(
@@ -134,8 +137,8 @@ def find_affine_intertwiners(
     """The affine solution set of {A M1 = M2 A, A b1 + p = M2 p + b2}.
 
     The family may be empty (spectra differ), trivial (only singular A), or
-    a positive-dimensional affine subspace. Use `.representative(seed)` to
-    extract an invertible member when one exists.
+    a positive-dimensional affine subspace, cut at `rtol`. Use
+    `.representative(seed)` to extract an invertible member when one exists.
     """
     if m1.dim != m2.dim:
         raise DimensionMismatchError("mechanisms have different dimensions")
@@ -148,9 +151,9 @@ def _sorted_spectrum(m: AffineMechanism) -> np.ndarray:
     return w[order]
 
 
-def _spectra_match(w1: np.ndarray, w2: np.ndarray, rtol: float) -> bool:
+def _spectra_match(w1: np.ndarray, w2: np.ndarray) -> bool:
     scale = max(float(np.max(np.abs(w1))), float(np.max(np.abs(w2))), 1e-300)
-    return bool(np.max(np.abs(w1 - w2)) <= rtol * scale)
+    return bool(np.max(np.abs(w1 - w2)) <= EIGENGAP_RTOL * scale)
 
 
 @dataclass(frozen=True)
@@ -194,16 +197,17 @@ def imitator_closure(
 
     Enumerates assignments sigma: used -> members, pruned by eigenvalue
     multisets (conjugation preserves spectra), solves each stacked
-    intertwiner system for one shared (A, p), and keeps assignments with an
-    invertible representative whose grid residuals verify. Raises when the
+    intertwiner system for one shared (A, p), and keeps assignments with a
+    representative invertible at `rtol` whose grid residuals verify within
+    `check_tol` (default CLOSURE_TOL_FACTOR * rtol). Raises when the
     post-pruning assignment count exceeds `budget`.
     """
-    check_tol = 10 * rtol if check_tol is None else check_tol
+    check_tol = CLOSURE_TOL_FACTOR * rtol if check_tol is None else check_tol
     members = cls.members
     spectra = [_sorted_spectrum(m) for m in members]
     compatible: list[list[int]] = []
     for i, m in enumerate(cls.used):
-        targets = [j for j in range(len(members)) if _spectra_match(spectra[i], spectra[j], SPECTRUM_RTOL)]
+        targets = [j for j in range(len(members)) if _spectra_match(spectra[i], spectra[j])]
         compatible.append(targets)
     total = len(members) ** len(cls.used)
     after_pruning = 1

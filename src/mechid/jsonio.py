@@ -106,12 +106,13 @@ def _render(value, sort_keys: bool, indent: int | None, level: int = 0) -> str:
     raise TypeError(f"cannot serialize value of type {type(value).__name__}")
 
 
-def dumps_json(value, sort_keys: bool = False, indent: int | None = 2) -> str:
-    return _render(to_jsonable(value), sort_keys=sort_keys, indent=indent)
+def dumps_json(value) -> str:
+    """Fields in declaration order, indented by two spaces."""
+    return _render(to_jsonable(value), sort_keys=False, indent=2)
 
 
-def dump_json(value, path: str | Path, sort_keys: bool = False) -> None:
-    Path(path).write_text(dumps_json(value, sort_keys=sort_keys) + "\n")
+def dump_json(value, path: str | Path) -> None:
+    Path(path).write_text(dumps_json(value) + "\n")
 
 
 def load_json(path: str | Path):
@@ -282,6 +283,11 @@ def _each(convert, label: str = "entry"):
         )
 
     return read
+
+
+def _count(low: int, high: int):
+    """A count from `low` to `high`; the cap bounds what one document can cost."""
+    return lambda v: None if low <= v <= high else f"must lie between {low} and {high}, got {v!r}"
 
 
 def _positive(v):

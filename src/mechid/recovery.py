@@ -95,7 +95,7 @@ class RecoveryProblem:
 
     @classmethod
     def from_trajectory(
-        cls, trajectory: Trajectory, mechanisms: Sequence[AffineMechanism], rtol: float = 1e-9
+        cls, trajectory: Trajectory, mechanisms: Sequence[AffineMechanism], rtol: float = DEFAULT_RTOL
     ) -> "RecoveryProblem":
         """Consecutive observation pairs with each step's (M, b_t)."""
         mechs = [mechanisms[i] for i in trajectory.mechanisms]
@@ -204,16 +204,17 @@ def recover_with_multiple_offsets(
 ) -> RecoveryResult:
     """Recovery specialized to schedules that vary the offset.
 
-    Identical solver; requires at least two distinct offsets so the
-    offset-variation premises are meaningful.
+    Identical solver; requires at least two distinct offsets, as the solver
+    counts them, so the offset-variation premises are meaningful. A problem
+    whose data span too few directions raises `DataDeficiencyError` first.
     """
-    uniq = _distinct_rows(problem.offsets, rtol)
-    if len(uniq) < 2:
+    result = recover_linear_encoder(problem, rtol=rtol, seed=seed)
+    if result.conditions.distinct_offset_count < 2:
         raise ValueError(
             "offset-variation recovery needs >= 2 distinct offsets; "
             "use recover_linear_encoder for a fixed mechanism"
         )
-    return recover_linear_encoder(problem, rtol=rtol, seed=seed)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,10 @@ __all__ = [
 ]
 
 DEFAULT_FD_STEP = 1e-5
+# Samples per anchor: fewer leave the two-sample tests without power. The cap
+# bounds config documents: 10^6 samples of a 2-D walk peak near 140 MiB.
+MIN_SAMPLES_PER_ANCHOR = 100
+MAX_SAMPLES_PER_ANCHOR = 10**6
 _ENERGY_MAX_POINTS = 512
 # permutation labellings per S D product; bounds the null's memory
 _ENERGY_BLOCK = 256
@@ -58,13 +62,11 @@ class DistributionalTestSpec:
     seed: int = 0
     anchors: np.ndarray | None = None
     anchor_count: int = 5
-    anchor_low: float = -2.0
-    anchor_high: float = 2.0
     permutations: int = 500
 
     def __post_init__(self):
-        if self.samples_per_anchor < 100:
-            raise ValueError("samples_per_anchor must be >= 100")
+        if self.samples_per_anchor < MIN_SAMPLES_PER_ANCHOR:
+            raise ValueError(f"samples_per_anchor must be >= {MIN_SAMPLES_PER_ANCHOR}")
         if not 0 < self.significance < 1:
             raise ValueError("significance must lie in (0, 1)")
         if self.method not in ("ks", "energy"):
@@ -82,11 +84,10 @@ class DistributionalTestSpec:
             object.__setattr__(self, "anchors", anchors)
 
     def anchor_points(self) -> np.ndarray:
+        """The given anchors, or `anchor_count` grid points in [-2, 2]^dim."""
         if self.anchors is not None:
             return self.anchors
-        return GridSpec(
-            dim=self.dim, count=self.anchor_count, low=self.anchor_low, high=self.anchor_high
-        ).points()
+        return GridSpec(dim=self.dim, count=self.anchor_count).points()
 
 
 @dataclass(frozen=True)
@@ -332,9 +333,9 @@ def finite_difference_jacobian(fn: Callable, z: np.ndarray, step: float = DEFAUL
     return (out[:d] - out[d:]).T / (2.0 * h)
 
 
-def _consistent_jacobians(fn, z, step, tol, context):
-    J1 = finite_difference_jacobian(fn, z, step)
-    J2 = finite_difference_jacobian(fn, z, step / 2.0)
+def _consistent_jacobians(fn, z, tol, context):
+    J1 = finite_difference_jacobian(fn, z, DEFAULT_FD_STEP)
+    J2 = finite_difference_jacobian(fn, z, DEFAULT_FD_STEP / 2.0)
     if not (np.isfinite(J1).all() and np.isfinite(J2).all()):
         raise NonFiniteSampleError(context)
     if np.linalg.norm(J1 - J2) > 10.0 * tol * (1.0 + np.linalg.norm(J2)):
@@ -356,9 +357,7 @@ class VolumeReport:
         return self.passed
 
 
-def volume_preservation_test(
-    fn, points: np.ndarray, step: float = DEFAULT_FD_STEP, tol: float = 1e-6
-) -> VolumeReport:
+def volume_preservation_test(fn, points: np.ndarray, tol: float = 1e-6) -> VolumeReport:
     """Check |det J(z)| = 1 at every sample point.
 
     Jacobians are estimated by central differences at steps h and h/2; the
@@ -368,7 +367,7 @@ def volume_preservation_test(
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     dets = []
     for i, z in enumerate(pts):
-        J = _consistent_jacobians(fn, z, step, tol, f"point {i}")
+        J = _consistent_jacobians(fn, z, tol, f"point {i}")
         dets.append(float(abs(np.linalg.det(J))))
     deviation = float(max(abs(v - 1.0) for v in dets))
     return VolumeReport(
@@ -392,9 +391,7 @@ class JacobianClassReport:
         return self.in_class
 
 
-def jacobian_identifiability_test(
-    fn, anchors: np.ndarray, step: float = DEFAULT_FD_STEP, tol: float = 1e-6
-) -> JacobianClassReport:
+def jacobian_identifiability_test(fn, anchors: np.ndarray, tol: float = 1e-6) -> JacobianClassReport:
     """Is the map's Jacobian one fixed signed permutation everywhere?
 
     This is the checkable footprint of the class that product non-Gaussian
@@ -404,7 +401,7 @@ def jacobian_identifiability_test(
     pts = np.atleast_2d(np.asarray(anchors, dtype=float))
     verdicts = []
     for i, z in enumerate(pts):
-        J = _consistent_jacobians(fn, z, step, tol, f"anchor {i}")
+        J = _consistent_jacobians(fn, z, tol, f"anchor {i}")
         verdicts.append(signed_perm_offset_test(J, tol=tol))
     patterns = {(v.permutation, v.signs) for v in verdicts}
     consistent = len(patterns) == 1 and None not in next(iter(patterns))

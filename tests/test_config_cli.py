@@ -4,7 +4,9 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -383,6 +385,19 @@ DIAG23_B11_DOC = {
 }
 
 
+def test_commutant_rtol_reaches_the_split_into_a_and_offset_directions(tmp_path):
+    # at rtol 1e-6 the eigenvalue 1 + 1e-7 is 1, so one family direction moves
+    # mostly the offset; a_dimension used to be cut at 1e-9 whatever the rtol
+    doc = {"experiment": "commutant", "mechanisms": [{"M": [[1.0 + 1e-7, 0.0], [0.0, 2.0]], "b": [1.0, 1.0]}]}
+    out = tmp_path / "run"
+    assert run_cli("commutant", write_doc(tmp_path, doc), "--output-dir", out, "--rtol", 1e-6) == 0
+    report = read_json(out / "report.json")
+    summary = report["summary"]
+    assert (summary["dimension"], summary["a_dimension"], summary["p_fiber_dimension"]) == (2, 1, 1)
+    assert (summary["verdict"], summary["verdict_dimension"]) == ("other", 2)
+    assert len(report["detail"]["family"]["basis"]) == 2
+
+
 @pytest.mark.parametrize("rtol", [-1.0, 0.0, 1.0, 2.5])
 def test_rtol_outside_unit_interval_exits_1_naming_rtol(tmp_path, capsys, rtol):
     # rtol = -1 used to turn this linear-family (dimension 2) into exact, exit 0
@@ -561,6 +576,8 @@ PROBES = [
     ("verify_planted_claim", ("decoder", "maps"), 5, "decoder.maps"),
     ("commutant_shared", ("mechanisms", 0, "label"), 7, "mechanisms[0].label"),
     ("verify_planted_claim", ("csv_tables",), True, "csv_tables"),
+    ("stochastic_swap", ("test", "samples_per_anchor"), 50, "test.samples_per_anchor"),
+    ("verify_planted_claim", ("decoder", "maps"), ["identity", "cosh", "identity"], "decoder.maps[1].kind"),
 ]
 
 
@@ -569,6 +586,44 @@ def test_malformed_document_exits_1_naming_its_field(tmp_path, capsys, name, pat
     config = write_raw(tmp_path, mutated(name, path, value))
     assert run_cli(RUNNABLE[name], config, "--output-dir", tmp_path / "run") == 1
     assert f"config field '{field}'" in capsys.readouterr().err
+
+
+# (fixture, path of a count, name of its cap in mechid.config)
+CAPS = [
+    ("simulate_shear", ("steps",), "MAX_STEPS"),
+    ("recover_inverse", ("simulate", "steps"), "MAX_STEPS"),
+    ("verify_planted_claim", ("grid", "count"), "MAX_GRID_COUNT"),
+    ("imitate_swap_pair", ("grid", "count"), "MAX_GRID_COUNT"),
+    ("stochastic_swap", ("test", "samples_per_anchor"), "MAX_SAMPLES_PER_ANCHOR"),
+    ("stochastic_swap", ("test", "anchor_count"), "MAX_ANCHOR_COUNT"),
+    ("stochastic_swap", ("test", "permutations"), "MAX_PERMUTATIONS"),
+]
+
+
+@pytest.mark.parametrize("name, path, cap", CAPS)
+def test_count_above_its_cap_exits_1_naming_it(tmp_path, capsys, name, path, cap):
+    cap = getattr(config, cap)
+    parse_config(mutated(name, path, cap))
+    document = write_raw(tmp_path, mutated(name, path, cap + 1))
+    assert run_cli(RUNNABLE[name], document, "--output-dir", tmp_path / "run") == 1
+    assert f"config field '{'.'.join(path)}'" in capsys.readouterr().err
+
+
+def test_huge_step_count_exits_1_before_building_its_schedule(tmp_path):
+    # a "cycle" schedule of 10^9 steps used to be expanded while parsing, ending
+    # in MemoryError; the address-space limit keeps a regression from taking the host
+    document = write_raw(tmp_path, mutated("recover_inverse", ("simulate", "steps"), 10**9))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(FIXTURES.parent / "src"), env.get("PYTHONPATH")]))
+    limit = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "mechid.cli", "recover", str(document), "--output-dir", str(tmp_path / "run")],
+        capture_output=True, text=True, timeout=120, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "config field 'simulate.steps'" in proc.stderr
+    assert not (tmp_path / "run").exists()
 
 
 def test_readme_names_every_config_field():

@@ -14,12 +14,11 @@ from mechid import (
     AffineMechanism,
     LinearDecoder,
     NoiseSpec,
+    ScalarMap,
     StructuredDecoder,
     Trajectory,
     TransformedDecoder,
     additive_noise_mechanism,
-    apply_mechanism,
-    make_scalar_map,
     sample_generalized_laplace,
     simulate_deterministic,
     simulate_stochastic,
@@ -39,7 +38,7 @@ G_SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])
 
 def test_apply_affine_mechanism():
     m = AffineMechanism(np.diag([2.0, 3.0]), np.array([1.0, 1.0]))
-    assert np.allclose(apply_mechanism(m, np.array([1.0, 1.0])), [3.0, 4.0])
+    assert np.allclose(m(np.array([1.0, 1.0])), [3.0, 4.0])
 
 
 def test_two_step_rollout_values():
@@ -245,10 +244,10 @@ def test_structured_decoder_roundtrip():
     gen = stream(43)
     G = gen.standard_normal((4, 2))
     maps = (
-        make_scalar_map("exp"),
-        make_scalar_map("sinh"),
-        make_scalar_map("asinh"),
-        make_scalar_map("cubic", beta=0.4),
+        ScalarMap("exp"),
+        ScalarMap("sinh"),
+        ScalarMap("asinh"),
+        ScalarMap("cubic", beta=0.4),
     )
     dec = StructuredDecoder(G, maps)
     z = gen.uniform(-1.5, 1.5, (30, 2))
@@ -257,7 +256,7 @@ def test_structured_decoder_roundtrip():
 
 def test_structured_decoder_rejects_off_manifold():
     G = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    dec = StructuredDecoder(G, tuple(make_scalar_map("exp") for _ in range(3)))
+    dec = StructuredDecoder(G, tuple(ScalarMap("exp") for _ in range(3)))
     x = dec.decode(np.array([0.3, -0.2]))
     dec.encode(x)
     with pytest.raises(OffManifoldError):
@@ -268,11 +267,11 @@ def test_scalar_map_inverses():
     gen = stream(47)
     x = gen.uniform(-2, 2, 50)
     for kind in ("identity", "exp", "sinh", "asinh"):
-        m = make_scalar_map(kind)
+        m = ScalarMap(kind)
         assert np.max(np.abs(m.inverse(m.forward(x)) - x)) < 1e-9, kind
-    cub = make_scalar_map("cubic", beta=0.4)
+    cub = ScalarMap("cubic", beta=0.4)
     assert np.max(np.abs(cub.inverse(cub.forward(x)) - x)) < 1e-9
-    aff = make_scalar_map("affine", s=2.5, t=0.5)
+    aff = ScalarMap("affine", s=2.5, t=0.5)
     assert np.allclose(aff.forward(x), 2.5 * x + 0.5)
     assert np.max(np.abs(aff.inverse(aff.forward(x)) - x)) < 1e-12
 

@@ -336,7 +336,7 @@ def reference_offset_check(M, offsets, rtol):
     """One eigencoordinate solve per pair of kept offsets, one kron per offset."""
     B = np.atleast_2d(np.asarray(offsets, dtype=float))
     d = M.shape[0]
-    w, S, radius, diag_ok, distinct, min_gap = _eigen_summary(M, 1e-7)
+    w, S, radius, diag_ok, distinct, min_gap = _eigen_summary(M)
     kept = reference_distinct_rows(B, rtol)
     diffs = B[kept[1:]] - B[kept[0]] if len(kept) > 1 else np.zeros((0, d))
     rank = relative_rank(diffs, rtol) if diffs.size else 0

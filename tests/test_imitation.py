@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mechid import (
     AffineMechanism,
@@ -13,8 +15,10 @@ from mechid import (
     cycle_analysis,
     find_affine_intertwiners,
     imitator_closure,
+    shared_equivariances,
 )
 from mechid.errors import BudgetExceededError, ToleranceAmbiguityError
+from mechid.linalg import smallest_singular_gap
 from mechid.maps import AffineMap, compose, map_power
 from mechid.rng import stream
 
@@ -275,3 +279,65 @@ def test_closure_maps_yield_bijective_cycle_permutations():
         if report.in_closure:
             assert sorted(report.permutation) == list(range(len(used)))
             assert report.power_checks_passed
+
+
+# ---------------------------------------------------------------------------
+# every decision about a family reads the cut it was solved at
+
+EIGENVALUES = [1.0, 1.0 + 1e-7, 1.0 + 1e-4, 1.0 - 1e-5, 0.5, 2.0, -1.5]
+
+
+@st.composite
+def planted_families(draw):
+    """(mechanisms, m1 -> conjugate pair, rtol) with M = S J S^-1 at d <= 4.
+
+    J has tied eigenvalues, eigenvalues near 1 and Jordan blocks; each
+    eigencoordinate of an offset may be zero. The second mechanism shares S.
+    """
+    d = draw(st.integers(1, 4))
+    gen = stream(draw(st.integers(0, 2**32 - 1)))
+    S = random_invertible(gen, d, cond_cap=20.0)
+    Sinv = np.linalg.inv(S)
+
+    def planted():
+        J = np.zeros((d, d))
+        i = 0
+        while i < d:
+            size = draw(st.integers(1, d - i))
+            lam = draw(st.sampled_from(EIGENVALUES))
+            J[i : i + size, i : i + size] = lam * np.eye(size) + draw(st.booleans()) * np.eye(size, k=1)
+            i += size
+        v = gen.uniform(0.5, 1.5, d) * draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=d, max_size=d))
+        return AffineMechanism(S @ J @ Sinv, S @ v)
+
+    mechanisms = [planted() for _ in range(draw(st.integers(1, 2)))]
+    m1 = mechanisms[0]
+    P, q = random_invertible(gen, d, cond_cap=20.0), gen.standard_normal(d)
+    M2 = P @ m1.M @ np.linalg.inv(P)
+    m2 = AffineMechanism(M2, P @ m1.b + q - M2 @ q)  # (P, q) carries m1 onto m2
+    return mechanisms, (m1, m2), draw(st.sampled_from([1e-9, 1e-6, 1e-3]))
+
+
+def assert_one_cut(family, rtol):
+    assert family.rtol == rtol
+    assert family.a_dimension == family.a_part_basis().dimension
+    assert family.p_fiber_dimension == family.dimension - family.a_dimension
+    for seed in range(3):
+        rep = family.representative(seed)
+        if rep is not None:
+            assert smallest_singular_gap(rep.A) > family.rtol
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_families())
+def test_every_family_decision_reads_its_own_cut(case):
+    mechanisms, (m1, m2), rtol = case
+    shared = shared_equivariances(mechanisms, rtol)
+    assert_one_cut(shared.family, rtol)
+    assert shared.a_dimension == shared.a_part_basis().dimension
+    assert shared.p_fiber_dimension == shared.dimension - shared.a_dimension
+    assert_one_cut(find_affine_intertwiners(m1, m2, rtol), rtol)
+    closure = imitator_closure(MechanismClass(used=(m1,), hypothesized=(m2,)), rtol=rtol)
+    for found in closure.assignments:
+        assert_one_cut(found.family, rtol)
+        assert smallest_singular_gap(found.representative.A) > rtol

@@ -11,10 +11,10 @@ from mechid import (
     AffineMechanism,
     CandidateModel,
     LinearDecoder,
+    ScalarMap,
     StructuredDecoder,
     TransformedDecoder,
     affine_equivariances,
-    make_scalar_map,
     membership_equivalence_audit,
     verify_identity_unknown_mech,
     verify_observation_identity,
@@ -121,10 +121,10 @@ def test_audit_through_structured_decoder():
     Gs = StructuredDecoder(
         gen.standard_normal((4, 2)),
         (
-            make_scalar_map("sinh"),
-            make_scalar_map("identity"),
-            make_scalar_map("cubic", beta=0.2),
-            make_scalar_map("asinh"),
+            ScalarMap("sinh"),
+            ScalarMap("identity"),
+            ScalarMap("cubic", beta=0.2),
+            ScalarMap("asinh"),
         ),
     )
     m = AffineMechanism(np.diag([0.9, 0.7]), np.array([0.1, 0.2]))
