@@ -11,6 +11,7 @@ from the message alone.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import field, make_dataclass
 
 import numpy as np
@@ -54,7 +55,7 @@ from .linalg import DEFAULT_RTOL
 from .maps import AffineMap
 from .recovery import COMPARISON_CLASSES
 from .stochastic import MAX_SAMPLES_PER_ANCHOR, MIN_SAMPLES_PER_ANCHOR, DistributionalTestSpec
-from .verify import CandidateModel
+from .verify import CandidateModel, membership_equivalence_audit
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -70,6 +71,10 @@ __all__ = [
 # Counts run from 1 to a cap, so that no document can ask for unbounded memory
 # or time. Each cap alone, at the fixtures' d = 2, peaks well under 1 GiB:
 MAX_STEPS = 10**6  # about 440 B per step in a recover run
+# A simulated recovery with d latent and n observed coordinates costs about
+# (steps - 1) d d n units: 95 B each at d = 1, 30 B at d = 6 and 12. The
+# largest accepted, d = 1 and n = 8 at 10^6 steps, peaks at 830 MiB.
+MAX_RECOVERY_SIZE = 8 * 10**6
 MAX_GRID_COUNT = 10**6  # about 280 B per point in a verify run
 MAX_ANCHOR_COUNT = 10**4  # about 2.5 KB and 1 ms per anchor at 100 samples
 MAX_PERMUTATIONS = 10**5  # memory flat; about 50 us each at 1000 samples
@@ -87,8 +92,8 @@ _mechanism = _object(MECHANISM, lambda g, _: AffineMechanism(g["M"], g["b"], g["
 _mechanisms = _each(_mechanism, "m")
 
 NOISE = (
-    Field("family", _choice("generalized-laplace", "gaussian", "uniform")),
-    Field("scale", _number, 1.0, _positive),
+    Field("family", _choice(*NoiseSpec.FAMILIES)),
+    Field("scale", _number, NoiseSpec.scale, _positive),
     Field("alpha", _number, None, _positive),
 )
 # z -> Mz + b + noise in the enclosing `dim`; M and b default to the identity walk
@@ -123,13 +128,13 @@ def _simulated_mechanism(raw, path, ctx):
 
 SCALAR_MAP = (
     Field("kind", _choice(*SCALAR_MAP_KINDS)),
-    Field("beta", _number, 0.0),
-    Field("s", _number, 1.0),
-    Field("t", _number, 0.0),
+    Field("beta", _number, ScalarMap.beta),
+    Field("s", _number, ScalarMap.s),
+    Field("t", _number, ScalarMap.t),
 )
 DECODER = (
     Field("G", _matrix),
-    Field("manifold_tol", _number, 1e-6, _positive),
+    Field("manifold_tol", _number, LinearDecoder.manifold_tol, _positive),
     Field("maps", _each(_object(SCALAR_MAP, lambda g, _: ScalarMap(**g), bare="kind")), None),
 )
 
@@ -141,9 +146,9 @@ def _decoder(g, _):
 
 
 GRID = (
-    Field("count", _int, 256, _count(1, MAX_GRID_COUNT)),
-    Field("low", _number, -2.0),
-    Field("high", _number, 2.0),
+    Field("count", _int, GridSpec.count, _count(1, MAX_GRID_COUNT)),
+    Field("low", _number, GridSpec.low),
+    Field("high", _number, GridSpec.high),
 )
 AFFINE_MAP = (
     Field("A", _matrix),
@@ -221,12 +226,17 @@ COMPARISON = (
     Field("encoder", _object(ENCODER, lambda g, _: (g["W"], g["c"]), bare="W"), None),
 )
 TEST = (
-    Field("samples_per_anchor", _int, 1000, _count(MIN_SAMPLES_PER_ANCHOR, MAX_SAMPLES_PER_ANCHOR)),
-    Field("significance", _number, 0.05, _open_unit),
-    Field("method", _choice("ks", "energy"), "ks"),
+    Field(
+        "samples_per_anchor",
+        _int,
+        DistributionalTestSpec.samples_per_anchor,
+        _count(MIN_SAMPLES_PER_ANCHOR, MAX_SAMPLES_PER_ANCHOR),
+    ),
+    Field("significance", _number, DistributionalTestSpec.significance, _open_unit),
+    Field("method", _choice(*DistributionalTestSpec.METHODS), DistributionalTestSpec.method),
     Field("anchors", _matrix, None),
-    Field("anchor_count", _int, 5, _count(1, MAX_ANCHOR_COUNT)),
-    Field("permutations", _int, 500, _count(1, MAX_PERMUTATIONS)),
+    Field("anchor_count", _int, DistributionalTestSpec.anchor_count, _count(1, MAX_ANCHOR_COUNT)),
+    Field("permutations", _int, DistributionalTestSpec.permutations, _count(1, MAX_PERMUTATIONS)),
 )
 
 
@@ -261,9 +271,16 @@ def _simulation(g) -> dict:
 
 
 def _recovery(g) -> dict:
-    """Recovery poses one shared M; a mixed set would fail later with no field named."""
-    if (g["trajectory_csv"] is None) == (g["simulate"] is None):
+    """One shared M and a system that fits in memory, checked here so errors name a field."""
+    sim = g["simulate"]
+    if (g["trajectory_csv"] is None) == (sim is None):
         raise ConfigError("trajectory_csv", "exactly one of trajectory_csv or simulate is required")
+    if sim is not None:
+        d, n = sim.decoder.latent_dim, sim.decoder.obs_dim
+        most = 1 + MAX_RECOVERY_SIZE // (d * d * n)
+        if sim.steps > most:
+            problem = f"must lie between 1 and {most} for a {n} x {d} decoder, got {sim.steps}"
+            raise ConfigError("simulate.steps", problem)
     M = g["mechanisms"][0].M
     tol = g["rtol"] * (1.0 + np.max(np.abs(M)))
     for i, m in enumerate(g["mechanisms"]):
@@ -296,7 +313,7 @@ SIMULATION = (
     Field("mechanisms", _each(_simulated_mechanism, "m"), lambda c: c.get("mechanisms", REQUIRED)),
     Field("steps", _int, check=_count(1, MAX_STEPS)),
     Field("schedule", _schedule, lambda c: c.get("schedule")),
-    Field("z1", _z1, (-1.0, 1.0)),
+    Field("z1", _z1, {}),
 )
 SIMULATE = SIMULATION + (_EXPECT,)
 COMMUTANT = (
@@ -323,7 +340,12 @@ VERIFY = (
     Field("mechanisms", _mechanisms),
     Field("candidates", _each(_object(CANDIDATE, _candidate), "candidate")),
     Field("grid", _object(GRID, lambda g, c: GridSpec(dim=c["decoder"].latent_dim, **g)), {}),
-    Field("tol_equivariance", _number, 1e-9, _positive),
+    Field(
+        "tol_equivariance",
+        _number,
+        inspect.signature(membership_equivalence_audit).parameters["tol_equivariance"].default,
+        _positive,
+    ),
     Field("tol_identity", _number, None, _positive),
     _EXPECT,
 )

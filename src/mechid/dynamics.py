@@ -150,13 +150,15 @@ class NoiseSpec:
     on [-scale, scale].
     """
 
+    FAMILIES = ("generalized-laplace", "gaussian", "uniform")
+
     family: str
     scale: float = 1.0
     alpha: float | None = None
     dim: int = 1
 
     def __post_init__(self):
-        if self.family not in ("generalized-laplace", "gaussian", "uniform"):
+        if self.family not in self.FAMILIES:
             raise ValueError(f"unknown noise family '{self.family}'")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
@@ -356,7 +358,7 @@ class StructuredDecoder:
 
     G: np.ndarray
     maps: tuple[ScalarMap, ...]
-    manifold_tol: float = 1e-6
+    manifold_tol: float = LinearDecoder.manifold_tol
 
     def __post_init__(self):
         G, pinv = _decoder_matrix(self.G)

@@ -5,6 +5,13 @@ outputs, including the order of table rows, independent of thread count.
 The `verdict` drives the process exit status; when a config carries an
 `expect` block the verdict is whether every expectation held, otherwise it
 is the experiment's intrinsic pass flag.
+
+A report names the library's own result objects (`{"audit": AuditReport}`),
+which `jsonio.to_jsonable` renders field by field, so a field added to a
+result type reaches report.json with no edit here. Values derived from
+those fields go in the summary. Simulate's result is its trajectory, which
+is written as a table; its report repeats the summary with the start state
+and schedule.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ from .config import (
 )
 from .dynamics import Trajectory, simulate_deterministic, simulate_stochastic
 from .equivariance import (
-    EquivarianceFamily,
     exact_recovery_conditions,
     offset_identifiability_check,
     shared_equivariances,
@@ -83,24 +89,6 @@ def _check_expectations(summary: dict, expect: dict):
 
 
 # ---------------------------------------------------------------------------
-# report shapes of their own; result dataclasses go into reports as they are
-
-
-def _family_json(fam: EquivarianceFamily) -> dict:
-    f = fam.family
-    return {
-        "dimension": fam.dimension,
-        "a_dimension": fam.a_dimension,
-        "p_fiber_dimension": fam.p_fiber_dimension,
-        "degenerate_offset": fam.degenerate_offset,
-        "classification": fam.classify(),
-        "particular": {"A": f.particular_A, "p": f.particular_p},
-        "basis": [{"A": f.basis_A[i], "p": f.basis_p[i]} for i in range(f.dimension)],
-        "residual": f.residual,
-    }
-
-
-# ---------------------------------------------------------------------------
 # runners
 
 
@@ -139,7 +127,7 @@ def _run_simulate(cfg: SimulateConfig, seed: int, threads: int):
 
 def _run_commutant(cfg: CommutantConfig, seed: int, threads: int):
     fam = shared_equivariances(cfg.mechanisms, rtol=cfg.rtol)
-    report = {"family": _family_json(fam)}
+    report = {"family": fam}
     conditions = None
     if cfg.offsets is not None:
         conditions = offset_identifiability_check(cfg.mechanisms[0].M, cfg.offsets, rtol=cfg.rtol)
@@ -167,10 +155,8 @@ def _run_commutant(cfg: CommutantConfig, seed: int, threads: int):
             + [f"A_{i + 1}{j + 1}" for i in range(d) for j in range(d)]
             + [f"p_{i + 1}" for i in range(d)]
         )
-        rows = []
         f = fam.family
-        for k in range(f.dimension):
-            rows.append([k] + list(f.basis_A[k].reshape(-1)) + list(f.basis_p[k]))
+        rows = [[k, *A.reshape(-1), *p] for k, (A, p) in enumerate(zip(f.basis_A, f.basis_p))]
         tables["basis.csv"] = {"header": header, "rows": rows}
     return ExperimentOutcome(
         kind=cfg.kind, verdict=True, summary=summary, report=report, tables=tables
@@ -187,43 +173,22 @@ def _run_imitate(cfg: ImitateConfig, seed: int, threads: int):
         check_tol=cfg.check_tol,
         seed=seed,
     )
-    assignments = []
-    rows = []
-    max_residual = 0.0
-    cycles_all_pass = True
-    for k, fam in enumerate(closure.assignments):
-        rep = fam.representative
-        cyc = cycle_analysis(rep, cfg.used, grid=cfg.grid, tol=max(cfg.check_tol, 1e-8))
-        cycles_all_pass = cycles_all_pass and cyc.in_closure and cyc.power_checks_passed
-        recs = []
-        for r in fam.records:
-            max_residual = max(max_residual, r.residual)
-            recs.append({"source": r.source, "target": r.target, "residual": r.residual})
-            rows.append([k, r.source, r.target, r.residual])
-        assignments.append(
-            {
-                "assignment": list(fam.assignment),
-                "family_dimension": fam.family.dimension,
-                "map": {"A": rep.A, "p": rep.p},
-                "records": recs,
-                "cycle": cyc,
-            }
-        )
-    report = {
-        "dim": cls.dim,
-        "used": [m.label for m in cfg.used],
-        "members": [cls.label_of(i) for i in range(len(cls.members))],
-        "candidates_total": closure.candidates_total,
-        "candidates_after_pruning": closure.candidates_after_pruning,
-        "solved": closure.solved,
-        "assignments": assignments,
-    }
+    cycles = [
+        cycle_analysis(fam.representative, cfg.used, grid=cfg.grid, tol=max(cfg.check_tol, 1e-8))
+        for fam in closure.assignments
+    ]
+    rows = [
+        [k, r.source, r.target, r.residual]
+        for k, fam in enumerate(closure.assignments)
+        for r in fam.records
+    ]
+    report = {"class": cls, "closure": closure, "cycles": cycles}
     summary = {
         "candidates_total": closure.candidates_total,
         "candidates_after_pruning": closure.candidates_after_pruning,
         "solved": closure.solved,
-        "max_record_residual": max_residual,
-        "cycles_all_pass": cycles_all_pass,
+        "max_record_residual": max((row[3] for row in rows), default=0.0),
+        "cycles_all_pass": all(c.in_closure and c.power_checks_passed for c in cycles),
     }
     tables = {
         "records.csv": {
@@ -246,27 +211,7 @@ def _run_verify(cfg: VerifyConfig, seed: int, threads: int):
         tol_identity=cfg.tol_identity,
         workers=threads,
     )
-    rows_json = [
-        {
-            "candidate_id": r.label,
-            "equivariance_pass": r.equivariance_pass,
-            "identity_pass": r.identity_pass,
-            "equivariance_residual": r.equivariance_residual,
-            "identity_residual": r.identity_residual,
-            "lipschitz": r.lipschitz,
-            "coupling_ok": r.coupling_ok,
-            "claim": r.claim,
-            "claim_ok": r.claim_ok,
-        }
-        for r in audit.rows
-    ]
-    report = {
-        "agreement": audit.agreement,
-        "claims_ok": audit.claims_ok,
-        "tol_equivariance": audit.tol_equivariance,
-        "tol_identity": audit.tol_identity,
-        "rows": rows_json,
-    }
+    report = {"audit": audit}
     summary = {
         "rows": len(audit.rows),
         "agreement": audit.agreement,
@@ -302,16 +247,6 @@ def _run_recover(cfg: RecoverConfig, seed: int, threads: int):
         traj = _simulate_trajectory(cfg.simulate, seed)
     problem = RecoveryProblem.from_trajectory(traj, cfg.mechanisms, rtol=cfg.rtol)
     result = recover_linear_encoder(problem, rtol=cfg.rtol, seed=seed)
-    report = {
-        "E_hat": result.E_hat,
-        "solution_space_dim": result.solution_space_dim,
-        "residual": result.residual,
-        "span_rank": result.span_rank,
-        "observed_rank": result.observed_rank,
-        "pair_count": result.pair_count,
-        "sufficient_pairs": result.sufficient_pairs,
-        "conditions": result.conditions,
-    }
     summary = {
         "solution_space_dim": result.solution_space_dim,
         "residual": result.residual,
@@ -320,19 +255,13 @@ def _run_recover(cfg: RecoverConfig, seed: int, threads: int):
         "sufficient_pairs": result.sufficient_pairs,
         "condition_verdict": result.conditions.verdict.kind,
     }
+    comparison = None
     if cfg.comparison["encoder"] is not None:
-        comp = compare_up_to_class(
+        comparison = compare_up_to_class(
             result.E_hat, cfg.comparison["encoder"], klass=cfg.comparison["class"]
         )
-        report["comparison"] = {
-            "class": comp.klass,
-            "residual": comp.residual,
-            "L": comp.L,
-            "q": comp.q,
-            "permutation": None if comp.permutation is None else list(comp.permutation),
-            "signs": None if comp.signs is None else list(comp.signs),
-        }
-        summary["comparison_residual"] = comp.residual
+        summary["comparison_residual"] = comparison.residual
+    report = {"recovery": result, "comparison": comparison}
     return ExperimentOutcome(
         kind=cfg.kind,
         verdict=True,
@@ -345,30 +274,7 @@ def _run_recover(cfg: RecoverConfig, seed: int, threads: int):
 def _run_stochastic_test(cfg: StochasticTestConfig, seed: int, threads: int):
     spec = replace(cfg.test, seed=seed)
     test = stochastic_equivariance_test(cfg.candidate, cfg.m1, cfg.m2, spec, workers=threads)
-    anchor_rows = []
-    anchors_json = []
-    for i, a in enumerate(test.anchors):
-        anchors_json.append(
-            {
-                "anchor": list(a.anchor),
-                "p_value": a.result.p_value,
-                "statistic": a.result.statistic,
-                "coordinate_p_values": (
-                    None
-                    if a.result.coordinate_p_values is None
-                    else list(a.result.coordinate_p_values)
-                ),
-            }
-        )
-        anchor_rows.append([i, a.result.p_value, a.result.statistic] + list(a.anchor))
-    report = {
-        "passed": test.passed,
-        "significance": test.significance,
-        "method": test.method,
-        "samples_per_anchor": test.samples_per_anchor,
-        "min_p_value": test.min_p_value,
-        "anchors": anchors_json,
-    }
+    report = {"test": test}
     summary = {
         "passed": test.passed,
         "min_p_value": test.min_p_value,
@@ -380,11 +286,14 @@ def _run_stochastic_test(cfg: StochasticTestConfig, seed: int, threads: int):
         verdict_cls = signed_perm_offset_test(cfg.candidate)
         report["class_verdict"] = verdict_cls
         summary["in_class"] = verdict_cls.in_class
-    d = cfg.dim
+    z_columns = [f"z_{i + 1}" for i in range(cfg.dim)]
     tables = {
         "anchors.csv": {
-            "header": ["anchor_index", "p_value", "statistic"] + [f"z_{i + 1}" for i in range(d)],
-            "rows": anchor_rows,
+            "header": ["anchor_index", "p_value", "statistic"] + z_columns,
+            "rows": [
+                [i, a.result.p_value, a.result.statistic] + list(a.anchor)
+                for i, a in enumerate(test.anchors)
+            ],
         }
     }
     return ExperimentOutcome(

@@ -98,7 +98,6 @@ class ImitationRecord:
 
     source: str
     target: str
-    map: AffineMap
     residual: float
     tol: float
 
@@ -180,10 +179,6 @@ class ImitatorClosure:
     candidates_after_pruning: int
     solved: int
 
-    @property
-    def maps(self) -> tuple[AffineMap, ...]:
-        return tuple(a.representative for a in self.assignments)
-
 
 def imitator_closure(
     cls: MechanismClass,
@@ -238,7 +233,6 @@ def imitator_closure(
                 ImitationRecord(
                     source=cls.label_of(i),
                     target=cls.label_of(assignment[i]),
-                    map=rep,
                     residual=report.max_residual,
                     tol=check_tol,
                 )

@@ -27,7 +27,6 @@ from .equivariance import (
 )
 from .errors import DataDeficiencyError, DimensionMismatchError
 from .linalg import DEFAULT_RTOL, null_space, relative_rank, row_space
-from .maps import AffineMap
 from .rng import stream
 
 __all__ = [
@@ -226,15 +225,13 @@ class ComparisonResult:
     """Best alignment of an estimate to the truth within a map class.
 
     `L` and `q` define the aligning map a(z) = L z + q with
-    estimate ≈ a∘truth; `map` is the same thing as an AffineMap when L is
-    invertible. `residual` is relative to the truth's magnitude.
+    estimate ≈ a∘truth. `residual` is relative to the truth's magnitude.
     """
 
     residual: float
     L: np.ndarray
     q: np.ndarray
     klass: str
-    map: AffineMap | None = None
     permutation: tuple[int, ...] | None = None
     signs: tuple[int, ...] | None = None
 
@@ -319,11 +316,4 @@ def compare_up_to_class(estimate, truth, klass: str = "exact") -> ComparisonResu
         q = cE - L @ cT
         gap = WE - L @ WT
     residual = float(np.linalg.norm(gap) / norm)
-    amap = None
-    try:
-        amap = AffineMap(L, q)
-    except Exception:
-        amap = None
-    return ComparisonResult(
-        residual=residual, L=L, q=q, klass=klass, map=amap, permutation=perm, signs=signs
-    )
+    return ComparisonResult(residual=residual, L=L, q=q, klass=klass, permutation=perm, signs=signs)

@@ -55,6 +55,8 @@ _ENERGY_BLOCK = 256
 class DistributionalTestSpec:
     """Protocol parameters for an equivariance-in-distribution test."""
 
+    METHODS = ("ks", "energy")
+
     dim: int
     samples_per_anchor: int = 1000
     significance: float = 0.05
@@ -69,7 +71,7 @@ class DistributionalTestSpec:
             raise ValueError(f"samples_per_anchor must be >= {MIN_SAMPLES_PER_ANCHOR}")
         if not 0 < self.significance < 1:
             raise ValueError("significance must lie in (0, 1)")
-        if self.method not in ("ks", "energy"):
+        if self.method not in self.METHODS:
             raise ValueError(f"unknown method '{self.method}'")
         if self.anchor_count < 1:
             raise ValueError("anchor_count must be >= 1")
@@ -118,9 +120,9 @@ def _energy_statistics(D: np.ndarray, row_sums: np.ndarray, S: np.ndarray, n: in
 def two_sample_test(
     X: np.ndarray,
     Y: np.ndarray,
-    method: str = "ks",
+    method: str = DistributionalTestSpec.method,
     seed: int = 0,
-    permutations: int = 500,
+    permutations: int = DistributionalTestSpec.permutations,
 ) -> TwoSampleResult:
     """Test whether X and Y come from one distribution.
 
@@ -131,6 +133,8 @@ def two_sample_test(
     The null's statistics come from blocked products of 0/1 labellings with
     that matrix, drawn in the same order as one permutation per statistic.
     """
+    if method not in DistributionalTestSpec.METHODS:
+        raise ValueError(f"unknown method '{method}'")
     if permutations < 1:
         raise ValueError("permutations must be >= 1")
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -152,8 +156,6 @@ def two_sample_test(
             method="ks",
             coordinate_p_values=tuple(pvals),
         )
-    if method != "energy":
-        raise ValueError(f"unknown method '{method}'")
     gen = stream(seed, 101)
     if X.shape[0] > _ENERGY_MAX_POINTS:
         X = X[np.sort(gen.choice(X.shape[0], _ENERGY_MAX_POINTS, replace=False))]

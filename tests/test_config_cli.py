@@ -11,7 +11,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, make_dataclass
+from dataclasses import field as dataclass_field
 from pathlib import Path
 
 import numpy as np
@@ -19,13 +20,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mechid import AffineMechanism, __version__, config, find_affine_intertwiners
+from mechid import AffineMechanism, __version__, config, experiments, find_affine_intertwiners
 from mechid.cli import main
 from mechid.config import parse_config
 from mechid.errors import ConfigError
 from mechid.experiments import run_experiment
-from mechid.jsonio import Field, canonical_digest, dumps_json, load_json
+from mechid.dynamics import LinearDecoder, NoiseSpec, ScalarMap, StructuredDecoder
+from mechid.grids import GridSpec
+from mechid.jsonio import Field, _read, canonical_digest, dumps_json, load_json
 from mechid.rng import stream
+from mechid.stochastic import DistributionalTestSpec
+from mechid.verify import membership_equivalence_audit
 
 from conftest import random_invertible
 
@@ -150,7 +155,7 @@ def test_planted_claim_fixture_fails_with_status_2(tmp_path, capsys):
     assert "FAIL" in text
     report = read_json(out / "report.json")
     assert report["verdict"] is False
-    rows = {r["candidate_id"]: r for r in report["detail"]["rows"]}
+    rows = {r["label"]: r for r in report["detail"]["audit"]["rows"]}
     assert rows["planted-liar"]["equivariance_pass"] is False
     assert rows["diagonal-member"]["equivariance_pass"] is True
 
@@ -356,7 +361,7 @@ def test_commutant_trivial_family_reports_empty_basis(tmp_path):
     assert run_cli("commutant", write_doc(tmp_path, TRIVIAL_DOC), "--output-dir", out, "--csv") == 0
     report = read_json(out / "report.json")
     assert report["summary"]["dimension"] == 0
-    assert report["detail"]["family"]["basis"] == []
+    assert report["detail"]["family"]["family"]["basis_A"] == []
     assert read_csv_rows(out / "basis.csv") == []
 
 
@@ -365,7 +370,7 @@ def test_commutant_jordan_block_reports_every_basis_element(tmp_path):
     assert run_cli("commutant", write_doc(tmp_path, JORDAN_DOC), "--output-dir", out, "--csv") == 0
     report = read_json(out / "report.json")
     assert report["summary"]["dimension"] == 3
-    assert len(report["detail"]["family"]["basis"]) == 3
+    assert len(report["detail"]["family"]["family"]["basis_A"]) == 3
     assert len(read_csv_rows(out / "basis.csv")) == 3
 
 
@@ -395,7 +400,7 @@ def test_commutant_rtol_reaches_the_split_into_a_and_offset_directions(tmp_path)
     summary = report["summary"]
     assert (summary["dimension"], summary["a_dimension"], summary["p_fiber_dimension"]) == (2, 1, 1)
     assert (summary["verdict"], summary["verdict_dimension"]) == ("other", 2)
-    assert len(report["detail"]["family"]["basis"]) == 2
+    assert len(report["detail"]["family"]["family"]["basis_A"]) == 2
 
 
 @pytest.mark.parametrize("rtol", [-1.0, 0.0, 1.0, 2.5])
@@ -438,10 +443,10 @@ def test_imitate_reports_family_dimension_not_matrix_size(tmp_path):
     doc = {"experiment": "imitate", "used": [{"M": M}]}
     out = tmp_path / "run"
     assert run_cli("imitate", write_doc(tmp_path, doc), "--output-dir", out) == 0
-    assignments = read_json(out / "report.json")["detail"]["assignments"]
+    assignments = read_json(out / "report.json")["detail"]["closure"]["assignments"]
     m = AffineMechanism(np.array(M), np.zeros(3))
     assert assignments
-    assert all(a["family_dimension"] == 5 for a in assignments)
+    assert all(len(a["family"]["basis_A"]) == 5 for a in assignments)
     assert find_affine_intertwiners(m, m).dimension == 5
 
 
@@ -451,25 +456,26 @@ def test_imitate_without_hypothesized_lists_each_used_mechanism_once():
     report = run_experiment(
         parse_config({"experiment": "imitate", "used": [stretch, mirrored]}), seed=0
     ).report
-    assert report["members"] == ["m1", "m2"]
-    assert report["candidates_total"] == 4
-    assert [a["assignment"] for a in report["assignments"]] == [[0, 1], [1, 0]]
+    assert [m.label for m in report["class"].members] == ["m1", "m2"]
+    assert report["closure"].candidates_total == 4
+    assert [list(a.assignment) for a in report["closure"].assignments] == [[0, 1], [1, 0]]
 
     M = [[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]
     report = run_experiment(parse_config({"experiment": "imitate", "used": [{"M": M}]}), seed=0).report
-    assert report["members"] == ["m1"]
-    assert report["candidates_total"] == 1
-    assert [a["family_dimension"] for a in report["assignments"]] == [5]
+    assert [m.label for m in report["class"].members] == ["m1"]
+    assert report["closure"].candidates_total == 1
+    assert [len(a.family.basis_A) for a in report["closure"].assignments] == [5]
 
 
 def test_imitate_report_marks_unmatched_mechanism_residual_null(tmp_path):
     out = tmp_path / "run"
     assert run_cli("imitate", FIXTURES / "imitate_swap_pair.json", "--output-dir", out) == 0
-    assignments = read_json(out / "report.json")["detail"]["assignments"]
-    mirrored = [a for a in assignments if a["assignment"] == [1]]
+    detail = read_json(out / "report.json")["detail"]
+    pairs = zip(detail["closure"]["assignments"], detail["cycles"])
+    mirrored = [cycle for a, cycle in pairs if a["assignment"] == [1]]
     assert len(mirrored) == 1
-    assert mirrored[0]["cycle"]["match_residuals"] == [None]
-    assert mirrored[0]["cycle"]["unmatched"] == [0]
+    assert mirrored[0]["match_residuals"] == [None]
+    assert mirrored[0]["unmatched"] == [0]
 
 
 EIGENVALUES = (-1.0, 0.5, 2.0, 3.0)
@@ -516,11 +522,10 @@ def commutant_docs(draw):
 def test_commutant_basis_matches_dimension_and_constraints(doc):
     cfg = parse_config({**doc, "csv_tables": True})
     outcome = run_experiment(cfg, seed=0)
-    basis = outcome.report["family"]["basis"]
-    assert len(basis) == outcome.summary["dimension"]
-    assert len(outcome.tables["basis.csv"]["rows"]) == len(basis)
-    for element in basis:
-        A, p = element["A"], element["p"]
+    family = outcome.report["family"].family
+    assert len(family.basis_A) == outcome.summary["dimension"]
+    assert len(outcome.tables["basis.csv"]["rows"]) == len(family.basis_A)
+    for A, p in zip(family.basis_A, family.basis_p):
         for m in cfg.mechanisms:
             assert np.abs(A @ m.M - m.M @ A).max() <= 1e-8
             assert np.abs(A @ m.b - (m.M - np.eye(m.dim)) @ p).max() <= 1e-8
@@ -558,6 +563,44 @@ def write_raw(directory: Path, doc) -> Path:
     path = directory / "config.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+# (the library call whose result each runner reports, the report key holding it)
+PRODUCERS = {
+    "commutant_shared": ("shared_equivariances", "family"),
+    "imitate_swap_pair": ("imitator_closure", "closure"),
+    "recover_inverse": ("recover_linear_encoder", "recovery"),
+    "stochastic_swap": ("stochastic_equivariance_test", "test"),
+    "verify_planted_claim": ("membership_equivalence_audit", "audit"),
+}
+
+
+@pytest.mark.parametrize("name", PRODUCERS)
+def test_report_holds_library_result_objects(name):
+    # result objects go into reports as they are; no runner copies their fields
+    cfg = parse_config(load_json(FIXTURES / f"{name}.json"))
+    for key, value in run_experiment(cfg, cfg.seed).report.items():
+        for item in value if isinstance(value, list) else [value]:
+            assert item is None or (
+                is_dataclass(item) and type(item).__module__.startswith("mechid.")
+            ), key
+
+
+@pytest.mark.parametrize("name", PRODUCERS)
+def test_field_added_to_a_result_type_reaches_the_report(monkeypatch, name):
+    call, key = PRODUCERS[name]
+    original = getattr(experiments, call)
+
+    def widened(*args, **kwargs):
+        result = original(*args, **kwargs)
+        extra = [("margin", float, dataclass_field(default=0.125))]
+        cls = make_dataclass(type(result).__name__, extra, bases=(type(result),), frozen=True)
+        return cls(**{f.name: getattr(result, f.name) for f in fields(result)})
+
+    monkeypatch.setattr(experiments, call, widened)
+    cfg = parse_config(load_json(FIXTURES / f"{name}.json"))
+    detail = json.loads(dumps_json(run_experiment(cfg, cfg.seed).report))
+    assert detail[key]["margin"] == 0.125
 
 
 # (fixture, path of the changed value, new value, field the error must name)
@@ -609,18 +652,52 @@ def test_count_above_its_cap_exits_1_naming_it(tmp_path, capsys, name, path, cap
     assert f"config field '{'.'.join(path)}'" in capsys.readouterr().err
 
 
-def test_huge_step_count_exits_1_before_building_its_schedule(tmp_path):
-    # a "cycle" schedule of 10^9 steps used to be expanded while parsing, ending
-    # in MemoryError; the address-space limit keeps a regression from taking the host
-    document = write_raw(tmp_path, mutated("recover_inverse", ("simulate", "steps"), 10**9))
+def _run_under_1_gib(tmp_path, doc):
+    """`mechid recover` on `doc` in a child whose address space is capped at 1 GiB.
+
+    The limit keeps a regression from taking the host.
+    """
+    document = write_raw(tmp_path, doc)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(FIXTURES.parent / "src"), env.get("PYTHONPATH")]))
     limit = 1 << 30
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "mechid.cli", "recover", str(document), "--output-dir", str(tmp_path / "run")],
         capture_output=True, text=True, timeout=120, env=env,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
+
+
+def test_huge_step_count_exits_1_before_building_its_schedule(tmp_path):
+    # a "cycle" schedule of 10^9 steps used to be expanded while parsing, ending
+    # in MemoryError
+    proc = _run_under_1_gib(tmp_path, mutated("recover_inverse", ("simulate", "steps"), 10**9))
+    assert proc.returncode == 1, proc.stderr
+    assert "config field 'simulate.steps'" in proc.stderr
+    assert not (tmp_path / "run").exists()
+
+
+def wide_recovery(steps: int) -> dict:
+    """A 12 x 6 decoder and 7 offsets: (steps - 1) d d n grows by 432 a step."""
+    G = np.vstack([np.eye(6), np.arange(36).reshape(6, 6) % 5 / 4.0 + 0.1])
+    M = np.diag(np.linspace(0.3, 0.8, 6))
+    offsets = np.vstack([np.zeros(6), np.eye(6)])
+    return {
+        "experiment": "recover",
+        "mechanisms": [{"M": M.tolist(), "b": b.tolist()} for b in offsets],
+        "schedule": "cycle",
+        "simulate": {"decoder": {"G": G.tolist()}, "steps": steps},
+    }
+
+
+def test_recovery_too_large_for_memory_exits_1_naming_steps(tmp_path):
+    # at 10^6 steps its recovery needs gigabytes; it used to start and die in MemoryError
+    largest = 1 + config.MAX_RECOVERY_SIZE // (6 * 6 * 12)
+    parse_config(wide_recovery(largest))
+    with pytest.raises(ConfigError) as exc:
+        parse_config(wide_recovery(largest + 1))
+    assert exc.value.field == "simulate.steps"
+    proc = _run_under_1_gib(tmp_path, wide_recovery(10**6))
     assert proc.returncode == 1, proc.stderr
     assert "config field 'simulate.steps'" in proc.stderr
     assert not (tmp_path / "run").exists()
@@ -634,6 +711,25 @@ def test_readme_names_every_config_field():
     names = {f.name for table in tables for f in table}
     assert {"M", "samples_per_anchor", "csv_tables", "z1"} <= names
     assert not {n for n in names if not re.search(rf'[`"]{re.escape(n)}[`"]', text)}
+
+
+def test_config_defaults_are_the_library_defaults():
+    # each default is stated once, by the library type, and an empty document reads it
+    def read(table, **required):
+        return _read(table, required, "", {})
+
+    assert GridSpec(dim=2, **read(config.GRID)) == GridSpec(dim=2)
+    assert DistributionalTestSpec(dim=2, **read(config.TEST)) == DistributionalTestSpec(dim=2)
+    assert NoiseSpec(dim=2, **read(config.NOISE, family="gaussian")) == NoiseSpec("gaussian", dim=2)
+    assert ScalarMap(**read(config.SCALAR_MAP, kind="cubic")) == ScalarMap("cubic")
+    tol = read(config.DECODER, G=[[1.0]])["manifold_tol"]
+    assert tol == LinearDecoder(np.eye(1)).manifold_tol
+    assert tol == StructuredDecoder(np.eye(1), (ScalarMap("exp"),)).manifold_tol
+    doc = load_json(FIXTURES / "verify_planted_claim.json")
+    assert "tol_equivariance" not in doc
+    cfg = parse_config(doc)
+    audit = membership_equivalence_audit(cfg.decoder, cfg.mechanisms, cfg.candidates[:1])
+    assert cfg.tol_equivariance == audit.tol_equivariance
 
 
 def test_stochastic_config_holds_the_test_spec():
