@@ -70,12 +70,12 @@ __all__ = [
 
 # Counts run from 1 to a cap, so that no document can ask for unbounded memory
 # or time. Each cap alone, at the fixtures' d = 2, peaks well under 1 GiB:
-MAX_STEPS = 10**6  # about 440 B per step in a recover run
+MAX_STEPS = 10**6  # about 355 B per step in a recover run
 # A simulated recovery with d latent and n observed coordinates costs about
-# (steps - 1) d d n units: 95 B each at d = 1, 30 B at d = 6 and 12. The
-# largest accepted, d = 1 and n = 8 at 10^6 steps, peaks at 830 MiB.
+# (steps - 1) d d n units: under 95 B each at d = 1, 30 B at d = 6 and 12. The
+# largest accepted, d = 1 and n = 8 at 10^6 steps, peaks at about 700 MiB.
 MAX_RECOVERY_SIZE = 8 * 10**6
-MAX_GRID_COUNT = 10**6  # about 280 B per point in a verify run
+MAX_GRID_COUNT = 10**6  # about 235 B per point in a verify run
 MAX_ANCHOR_COUNT = 10**4  # about 2.5 KB and 1 ms per anchor at 100 samples
 MAX_PERMUTATIONS = 10**5  # memory flat; about 50 us each at 1000 samples
 

@@ -531,12 +531,12 @@ def simulate_deterministic(
             f"z1 has dimension {z.shape[0]}, decoder expects {decoder.latent_dim}"
         )
     _check_state(z, 1)
-    states = [z]
+    latents = np.empty((T, z.shape[0]))
+    latents[0] = z
     for t in range(1, T):
         z = mechanisms[idx[t - 1]](z)
         _check_state(z, t + 1)
-        states.append(z)
-    latents = np.vstack(states)
+        latents[t] = z
     return Trajectory(latents=latents, observations=decoder.decode(latents), mechanisms=idx)
 
 
@@ -566,7 +566,8 @@ def simulate_stochastic(
             f"z1 has dimension {z.shape[0]}, decoder expects {decoder.latent_dim}"
         )
     _check_state(z, 1)
-    states = [z]
+    latents = np.empty((T, z.shape[0]))
+    latents[0] = z
     for t in range(1, T):
         mech = mechanisms[idx[t - 1]]
         if isinstance(mech, StochasticMechanism):
@@ -577,6 +578,5 @@ def simulate_stochastic(
         if not np.isfinite(z).all():
             raise NonFiniteSampleError(f"simulation step {t + 1}")
         _check_state(z, t + 1)
-        states.append(z)
-    latents = np.vstack(states)
+        latents[t] = z
     return Trajectory(latents=latents, observations=decoder.decode(latents), mechanisms=idx)

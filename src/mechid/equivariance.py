@@ -2,11 +2,12 @@
 
 An affine map a(z) = A z + p carries a mechanism m1(z) = M1 z + b1 onto
 m2(z) = M2 z + b2 exactly when A M1 = M2 A and A b1 + p = M2 p + b2. Both
-constraints are linear in (A, p), and `_intertwiner_rows` builds them. An
-equivariance of m is the case m1 = m2 = m, so its solution set is the affine
-subspace (I, 0) + N where N is the null space of the stacked rows of every
-mechanism. Everything here reduces to building that operator explicitly and
-reading off SVD null spaces.
+constraints are linear in (A, p). `_intertwiner_system` builds them for a
+stack of pairs (m1_i, m2_i) at once, one block of rows per pair, in a single
+array. An equivariance of m is the case m1 = m2 = m, so its solution set is
+the affine subspace (I, 0) + N where N is the null space of the stacked
+blocks of every mechanism. Everything here reduces to building that operator
+explicitly and reading off SVD null spaces.
 """
 
 from __future__ import annotations
@@ -208,14 +209,26 @@ def _family_from_nullspace(
     )
 
 
-def _intertwiner_rows(m1: AffineMechanism, m2: AffineMechanism) -> tuple[np.ndarray, np.ndarray]:
-    """Rows over (vec A, p) for a∘m1 = m2∘a, with rhs; m1 = m2 gives equivariance."""
-    d = m1.dim
-    top = np.hstack([intertwiner_operator(m1.M, m2.M), np.zeros((d * d, d))])
-    bottom = np.hstack([offset_operator(m1.b), np.eye(d) - m2.M])
-    C = np.vstack([top, bottom])
-    rhs = np.concatenate([np.zeros(d * d), m2.b])
-    return C, rhs
+def _intertwiner_system(
+    M1: np.ndarray, b1: np.ndarray, M2: np.ndarray, b2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows over (vec A, p) for a∘m1_i = m2_i∘a, i < k, with rhs.
+
+    M1, M2 are (k, d, d) stacks and b1, b2 (k, d). Block i holds the d*d rows
+    of A M1_i - M2_i A = 0, then the d rows of A b1_i + (I - M2_i) p = b2_i;
+    m1 = m2 gives equivariance. The blocks are written into one
+    (k(d*d + d), d*d + d) array.
+    """
+    k, d = b1.shape
+    dd = d * d
+    C = np.empty((k, dd + d, dd + d))
+    C[:, :dd, :dd] = intertwiner_operator(M1, M2)
+    C[:, :dd, dd:] = 0.0
+    C[:, dd:, :dd] = offset_operator(b1)
+    C[:, dd:, dd:] = np.eye(d) - M2
+    rhs = np.zeros((k, dd + d))
+    rhs[:, dd:] = b2
+    return C.reshape(k * (dd + d), dd + d), rhs.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -287,9 +300,9 @@ def shared_equivariances(
     for m in mechanisms[1:]:
         if m.dim != d:
             raise DimensionMismatchError("mechanisms have mixed dimensions")
-    rows = [_intertwiner_rows(m, m)[0] for m in mechanisms]
-    C = np.vstack(rows)
-    basis = null_space(C, rtol)
+    M = np.stack([m.M for m in mechanisms])
+    b = np.stack([m.b for m in mechanisms])
+    basis = null_space(_intertwiner_system(M, b, M, b)[0], rtol)
     # (I, 0) solves the inhomogeneous system exactly, for any mechanism set.
     particular = (np.eye(d), np.zeros(d))
     family = _family_from_nullspace(basis, d, particular, residual=0.0, rtol=rtol)
@@ -426,8 +439,7 @@ def _eigen_summary(M: np.ndarray):
 
 def _measured_dimension(M: np.ndarray, offsets: np.ndarray, rtol: float) -> int:
     d = M.shape[0]
-    # row t*d + i, column j*d + k holds delta_ij * b_t[k]: each offset's offset_operator
-    rows = (np.eye(d)[None, :, :, None] * offsets[:, None, None, :]).reshape(-1, d * d)
+    rows = offset_operator(offsets).reshape(-1, d * d)
     return null_space(np.vstack([intertwiner_operator(M, M), rows]), rtol).shape[0]
 
 

@@ -22,7 +22,7 @@ from .equivariance import (
     AffineMapFamily,
     _as_points,
     _family_from_nullspace,
-    _intertwiner_rows,
+    _intertwiner_system,
     check_equivariance,
     check_imitation,
 )
@@ -109,12 +109,11 @@ class ImitationRecord:
 
 
 def _solve_intertwiner_system(
-    pairs: Sequence[tuple[AffineMechanism, AffineMechanism]], rtol: float
+    M1: np.ndarray, b1: np.ndarray, M2: np.ndarray, b2: np.ndarray, rtol: float
 ) -> AffineMapFamily:
-    d = pairs[0][0].dim
-    blocks = [_intertwiner_rows(m1, m2) for m1, m2 in pairs]
-    C = np.vstack([rows for rows, _ in blocks])
-    r = np.concatenate([rhs for _, rhs in blocks])
+    """Shared maps carrying each (M1_i, b1_i) onto (M2_i, b2_i); stacks as in `_intertwiner_system`."""
+    d = b1.shape[1]
+    C, r = _intertwiner_system(M1, b1, M2, b2)
     particular = np.linalg.lstsq(C, r, rcond=None)[0]
     residual = float(np.linalg.norm(C @ particular - r) / (1.0 + np.linalg.norm(r)))
     basis = null_space(C, rtol)
@@ -141,7 +140,7 @@ def find_affine_intertwiners(
     """
     if m1.dim != m2.dim:
         raise DimensionMismatchError("mechanisms have different dimensions")
-    return _solve_intertwiner_system([(m1, m2)], rtol)
+    return _solve_intertwiner_system(m1.M[None], m1.b[None], m2.M[None], m2.b[None], rtol)
 
 
 def _sorted_spectrum(m: AffineMechanism) -> np.ndarray:
@@ -211,11 +210,16 @@ def imitator_closure(
     if after_pruning > budget:
         raise BudgetExceededError(after_pruning, budget)
     points = _as_points(grid, cls.dim)
+    used_M = np.stack([m.M for m in cls.used])
+    used_b = np.stack([m.b for m in cls.used])
+    member_M = np.stack([m.M for m in members])
+    member_b = np.stack([m.b for m in members])
     found: list[AssignmentFamily] = []
     solved = 0
     for k, assignment in enumerate(itertools.product(*compatible)):
-        pairs = [(cls.used[i], members[assignment[i]]) for i in range(len(cls.used))]
-        family = _solve_intertwiner_system(pairs, rtol)
+        # only this assignment's stacked system is held at a time
+        to = list(assignment)
+        family = _solve_intertwiner_system(used_M, used_b, member_M[to], member_b[to], rtol)
         if not family.consistent:
             continue
         rep = family.representative(seed=seed + k)
@@ -224,15 +228,15 @@ def imitator_closure(
         solved += 1
         records = []
         ok = True
-        for i, (m1, m2) in enumerate(pairs):
-            report = check_imitation(rep, m1, m2, points, tol=check_tol)
+        for i, j in enumerate(assignment):
+            report = check_imitation(rep, cls.used[i], members[j], points, tol=check_tol)
             if not report.passed:
                 ok = False
                 break
             records.append(
                 ImitationRecord(
                     source=cls.label_of(i),
-                    target=cls.label_of(assignment[i]),
+                    target=cls.label_of(j),
                     residual=report.max_residual,
                     tol=check_tol,
                 )

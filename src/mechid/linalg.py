@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "DEFAULT_RTOL",
     "vec",
-    "unvec",
     "intertwiner_operator",
     "offset_operator",
     "null_space",
@@ -36,21 +35,30 @@ def vec(A: np.ndarray) -> np.ndarray:
     return np.asarray(A, dtype=float).reshape(-1)
 
 
-def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    return np.asarray(v, dtype=float).reshape(rows, cols)
-
-
 def intertwiner_operator(M1: np.ndarray, M2: np.ndarray) -> np.ndarray:
-    """Matrix of A -> A M1 - M2 A acting on vec(A)."""
-    d = M1.shape[0]
+    """Matrix of A -> A M1 - M2 A acting on vec(A); stacks (k, d, d) give (k, d*d, d*d).
+
+    Entry [i*d + j, k*d + l] is I[i, k] * M1[l, j] - M2[i, k] * I[j, l]: the
+    same products np.kron(I, M1.T) and np.kron(M2, I) form, so the result
+    equals their difference bit for bit, signed zeros included.
+    """
+    M1 = np.asarray(M1, dtype=float)
+    M2 = np.asarray(M2, dtype=float)
+    d = M1.shape[-1]
     eye = np.eye(d)
-    return np.kron(eye, M1.T) - np.kron(M2, eye)
+    op = eye[:, None, :, None] * np.swapaxes(M1, -1, -2)[..., None, :, None, :]
+    op -= M2[..., :, None, :, None] * eye[:, None, :]
+    return op.reshape(M1.shape[:-2] + (d * d, d * d))
 
 
 def offset_operator(b: np.ndarray) -> np.ndarray:
-    """Matrix of A -> A b acting on vec(A); shape (d, d*d)."""
+    """Matrix of A -> A b acting on vec(A); shape (d, d*d), or (k, d, d*d) for (k, d).
+
+    Entry [i, j*d + l] is I[i, j] * b[l], the product np.kron(I, b[None, :]) forms.
+    """
     b = np.asarray(b, dtype=float)
-    return np.kron(np.eye(b.shape[0]), b[None, :])
+    d = b.shape[-1]
+    return (np.eye(d)[:, :, None] * b[..., None, None, :]).reshape(b.shape[:-1] + (d, d * d))
 
 
 def _rank(s: np.ndarray, rtol: float) -> int:

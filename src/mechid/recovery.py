@@ -97,17 +97,17 @@ class RecoveryProblem:
         cls, trajectory: Trajectory, mechanisms: Sequence[AffineMechanism], rtol: float = DEFAULT_RTOL
     ) -> "RecoveryProblem":
         """Consecutive observation pairs with each step's (M, b_t)."""
-        mechs = [mechanisms[i] for i in trajectory.mechanisms]
-        if not mechs:
+        if not trajectory.mechanisms:
             raise ValueError("trajectory has no transitions")
-        M = mechs[0].M
-        for m in mechs[1:]:
-            if np.max(np.abs(m.M - M)) > rtol * (1.0 + np.max(np.abs(M))):
+        schedule = np.asarray(trajectory.mechanisms, dtype=np.intp)
+        M = mechanisms[schedule[0]].M
+        for i in np.unique(schedule):
+            if np.max(np.abs(mechanisms[i].M - M)) > rtol * (1.0 + np.max(np.abs(M))):
                 raise ValueError(
                     "recovery expects one shared transition matrix; schedule mixes different M"
                 )
         X = trajectory.observations
-        B = np.vstack([m.b for m in mechs])
+        B = np.stack([m.b for m in mechanisms])[schedule]
         return cls(x_prev=X[:-1], x_next=X[1:], M=M, offsets=B)
 
 

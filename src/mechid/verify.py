@@ -12,12 +12,12 @@ reports any disagreement.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .dynamics import TransformedDecoder
 from .equivariance import CheckReport, _as_points
 from .errors import DimensionMismatchError, NonFiniteSampleError
 from .maps import AffineMap
@@ -34,6 +34,8 @@ __all__ = [
 # Identity checks run at a 10x looser tolerance than latent equivariance
 # checks: the decoder multiplies commutation defects by its local stretch.
 IDENTITY_TOL_FACTOR = 10.0
+# Candidate x grid points per block of the membership audit; bounds its memory.
+_AUDIT_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -172,35 +174,47 @@ class AuditReport:
         ]
 
 
-def _audit_one(
-    truth_decoder, mechanisms, a: AffineMap, Z: np.ndarray, X: np.ndarray, tol_eq, tol_id
-):
-    cand_decoder = TransformedDecoder(truth_decoder, a)
-    eq_res = 0.0
-    id_res = 0.0
-    raw_eq_max = 0.0
-    raw_id_max = 0.0
-    lip = 0.0
-    x_norm = np.linalg.norm(X, axis=-1)
-    for m in mechanisms:
-        u = a(m(Z))
-        v = m(a(Z))
-        raw = np.linalg.norm(u - v, axis=-1)
-        eq_res = max(eq_res, float(np.max(raw / (1.0 + np.linalg.norm(v, axis=-1)))))
-        raw_eq_max = max(raw_eq_max, float(np.max(raw)))
-        # decoder expansion measured on the exact evaluation pairs
-        du = cand_decoder.decode(u)
-        dv = cand_decoder.decode(v)
-        obs_gap = np.linalg.norm(du - dv, axis=-1)
-        sep = raw > 1e-13 * (1.0 + np.linalg.norm(u, axis=-1))
-        if np.any(sep):
-            lip = max(lip, float(np.max(obs_gap[sep] / raw[sep])))
-        # independent route: identity residual through the encoder
-        res = _identity_residuals(truth_decoder, m, cand_decoder, m, X)
-        id_res = max(id_res, float(np.max(res)))
-        raw_id_max = max(raw_id_max, float(np.max(res * (1.0 + x_norm))))
-    coupling_ok = raw_id_max <= 1.05 * lip * raw_eq_max + 1e-9 * (1.0 + float(np.max(x_norm)))
-    return eq_res, id_res, lip, coupling_ok
+def _inverse(A: np.ndarray, p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a_i^{-1}(x_i) for a stack of maps, solved as `AffineMap.inverse` solves one."""
+    return np.swapaxes(np.linalg.solve(A, np.swapaxes(x - p, 1, 2)), 1, 2)
+
+
+def _audit_block(truth_decoder, m, A, p, Z, E, truth_next, x_norm):
+    """One mechanism's measures for a block of candidates (A, p), one entry each.
+
+    Returns the largest relative and raw commutation gaps, the largest
+    expansion ratio (-inf where no pair separates), the largest relative and
+    raw identity gaps, and the first non-finite observation row (-1 if none).
+    Each array is dropped once read, so that a block at its size limit holds
+    few arrays of its size at a time.
+    """
+    At = np.swapaxes(A, 1, 2)
+    p = p[:, None, :]
+    u = m(Z) @ At + p  # a(m(z))
+    v = m(Z @ At + p)  # m(a(z))
+    raw = np.linalg.norm(u - v, axis=-1)
+    eq = np.max(raw / (1.0 + np.linalg.norm(v, axis=-1)), axis=-1)
+    raw_eq = np.max(raw, axis=-1)
+    sep = raw > 1e-13 * (1.0 + np.linalg.norm(u, axis=-1))
+    # decoder expansion measured on the exact evaluation pairs
+    gap = truth_decoder.decode(_inverse(A, p, u))
+    del u
+    gap -= truth_decoder.decode(_inverse(A, p, v))
+    del v
+    ratio = np.divide(np.linalg.norm(gap, axis=-1), raw, out=np.full(raw.shape, -np.inf), where=sep)
+    del gap, raw, sep
+    lip = np.max(ratio, axis=-1)
+    del ratio
+    # independent route: g~∘m∘g~^{-1} with g~^{-1} = a∘g^{-1}
+    gap = truth_decoder.decode(_inverse(A, p, m(E @ At + p)))
+    bad = ~(np.isfinite(truth_next).all(axis=-1) & np.isfinite(gap).all(axis=-1))
+    first_bad = np.where(bad.any(axis=-1), np.argmax(bad, axis=-1), -1)
+    del bad
+    np.subtract(truth_next, gap, out=gap)
+    x_scale = 1.0 + x_norm
+    res = np.linalg.norm(gap, axis=-1) / x_scale
+    del gap
+    return eq, raw_eq, lip, np.max(res, axis=-1), np.max(res * x_scale, axis=-1), first_bad
 
 
 def membership_equivalence_audit(
@@ -219,48 +233,79 @@ def membership_equivalence_audit(
     identity for the decoder g∘a^{-1} through the encode/decode route. The
     two columns must agree on every row; `agreement` is the global flag.
     Candidates may carry an `expect_equivariant` claim, audited separately.
-    Rows compute independently, so `workers > 1` fans them out over a thread
-    pool; ordering is by candidate index either way.
+
+    Candidates are measured in blocks of at most _AUDIT_BLOCK candidate x
+    grid points (one candidate at least), one batched evaluation per block,
+    so mechanisms and the truth decoder must act on the last axis. The truth
+    path g∘m∘g^{-1} runs once per mechanism. `workers > 1` fans the blocks
+    out over a thread pool; rows are ordered by candidate index either way.
+    A non-finite observation names the first grid point of the first
+    failing candidate, at its first failing mechanism.
     """
     if tol_identity is None:
         tol_identity = IDENTITY_TOL_FACTOR * tol_equivariance
     Z = _as_points(grid, truth_decoder.latent_dim)
     X = truth_decoder.decode(Z)
-
-    def one_row(item) -> AuditRow:
-        i, cand = item
+    labels, claims, maps = [], [], []
+    for i, cand in enumerate(candidates):
         if isinstance(cand, CandidateModel):
-            a = cand.latent_map
-            label = cand.label
-            claim = cand.expect_equivariant
+            a, label, claim = cand.latent_map, cand.label, cand.expect_equivariant
         else:
-            a = cand
-            label = getattr(cand, "label", None) or f"candidate[{i}]"
-            claim = None
-        eq_res, id_res, lip, coupling_ok = _audit_one(
-            truth_decoder, mechanisms, a, Z, X, tol_equivariance, tol_identity
-        )
-        eq_pass = bool(eq_res <= tol_equivariance)
-        id_pass = bool(id_res <= tol_identity)
-        claim_ok = None if claim is None else (claim == eq_pass)
-        return AuditRow(
-            label=label,
-            equivariance_pass=eq_pass,
-            identity_pass=id_pass,
-            equivariance_residual=eq_res,
-            identity_residual=id_res,
-            lipschitz=lip,
-            coupling_ok=coupling_ok,
-            claim=claim,
-            claim_ok=claim_ok,
-        )
+            a, label, claim = cand, getattr(cand, "label", None) or f"candidate[{i}]", None
+        if not isinstance(a, AffineMap):
+            kind = type(a).__name__
+            raise TypeError(f"candidate[{i}]: latent map must be an AffineMap, got {kind}")
+        labels.append(label)
+        claims.append(claim)
+        maps.append(a)
+    n = len(maps)
+    eq_res, raw_eq, lip, id_res, raw_id = (np.zeros(n) for _ in range(5))
+    # grid point of each candidate's first non-finite row, at its first such mechanism
+    first_bad = np.full(n, -1)
+    x_norm = np.linalg.norm(X, axis=-1)
+    if n and len(mechanisms):
+        A = np.stack([a.A for a in maps])
+        p = np.stack([a.p for a in maps])
+        step = max(1, _AUDIT_BLOCK // max(1, Z.shape[0]))
+        blocks = [slice(lo, lo + step) for lo in range(0, n, step)]
+        E = truth_decoder.encode(X)
+        pooled = workers > 1 and len(blocks) > 1
+        with ThreadPoolExecutor(max_workers=workers) if pooled else nullcontext() as pool:
+            for m in mechanisms:
+                truth_next = truth_decoder.decode(m(E))
 
-    items = list(enumerate(candidates))
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one_row, items))
-    else:
-        rows = [one_row(it) for it in items]
+                def measure(b):
+                    return _audit_block(truth_decoder, m, A[b], p[b], Z, E, truth_next, x_norm)
+
+                parts = (pool.map if pool else map)(measure, blocks)
+                eq, r_eq, lp, idr, r_id, bad = (np.concatenate(c) for c in zip(*parts))
+                # running maxima over mechanisms, each kept unless beaten, as max() keeps
+                eq_res = np.where(eq > eq_res, eq, eq_res)
+                raw_eq = np.where(r_eq > raw_eq, r_eq, raw_eq)
+                lip = np.where(lp > lip, lp, lip)
+                id_res = np.where(idr > id_res, idr, id_res)
+                raw_id = np.where(r_id > raw_id, r_id, raw_id)
+                first_bad = np.where(first_bad < 0, bad, first_bad)
+    failing = np.flatnonzero(first_bad >= 0)
+    if failing.size:
+        raise NonFiniteSampleError(f"observation grid point {int(first_bad[failing[0]])}")
+    slack = 1e-9 * (1.0 + float(np.max(x_norm))) if n else 0.0
+    rows = []
+    for i in range(n):
+        eq_pass = bool(eq_res[i] <= tol_equivariance)
+        rows.append(
+            AuditRow(
+                label=labels[i],
+                equivariance_pass=eq_pass,
+                identity_pass=bool(id_res[i] <= tol_identity),
+                equivariance_residual=float(eq_res[i]),
+                identity_residual=float(id_res[i]),
+                lipschitz=float(lip[i]),
+                coupling_ok=bool(raw_id[i] <= 1.05 * float(lip[i]) * float(raw_eq[i]) + slack),
+                claim=claims[i],
+                claim_ok=None if claims[i] is None else (claims[i] == eq_pass),
+            )
+        )
     agreement = all(r.equivariance_pass == r.identity_pass for r in rows)
     claims_ok = all(r.claim_ok is not False for r in rows)
     return AuditReport(

@@ -20,7 +20,13 @@ from mechid import (
     offset_identifiability_check,
     shared_equivariances,
 )
-from mechid.equivariance import ConditionReport, ConditionVerdict, _distinct_rows, _eigen_summary
+from mechid.equivariance import (
+    ConditionReport,
+    ConditionVerdict,
+    _distinct_rows,
+    _eigen_summary,
+    _intertwiner_system,
+)
 from mechid.errors import NonFiniteSampleError
 from mechid.linalg import intertwiner_operator, null_space, offset_operator, relative_rank
 from mechid.maps import AffineMap, compose
@@ -317,6 +323,38 @@ def test_exact_duplicates_keep_their_first_copy():
 def test_signed_zeros_are_duplicates():
     rows = np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [1.0, 0.0], [-0.0, -0.0], [0.0, 0.0]])
     assert _distinct_rows(rows, 1e-9) == [0, 2, 4]
+
+
+# ---------------------------------------------------------------------------
+# the stacked constraint system against per-pair Kronecker blocks
+
+
+def reference_intertwiner_rows(M1, b1, M2, b2):
+    """Rows over (vec A, p) for a∘m1 = m2∘a, with rhs, one pair at a time."""
+    d = M1.shape[0]
+    eye = np.eye(d)
+    top = np.hstack([np.kron(eye, M1.T) - np.kron(M2, eye), np.zeros((d * d, d))])
+    bottom = np.hstack([np.kron(eye, b1[None, :]), eye - M2])
+    return np.vstack([top, bottom]), np.concatenate([np.zeros(d * d), b2])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_intertwiner_system_equals_stacked_pair_rows(seed):
+    gen = stream(3200, seed)
+    for _ in range(25):
+        k, d = int(gen.integers(1, 5)), int(gen.integers(1, 7))
+        M1, M2 = gen.standard_normal((2, k, d, d))
+        b1, b2 = gen.standard_normal((2, k, d))
+        for a in (M1, M2, b1, b2):  # exact zeros of both signs
+            a[gen.random(a.shape) < 0.3] = float(gen.choice([0.0, -0.0]))
+        pairs = [reference_intertwiner_rows(M1[i], b1[i], M2[i], b2[i]) for i in range(k)]
+        want_C = np.vstack([C for C, _ in pairs])
+        want_r = np.concatenate([r for _, r in pairs])
+        C, r = _intertwiner_system(M1, b1, M2, b2)
+        for got, want in ((C, want_C), (r, want_r)):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from mechid.linalg import (
     offset_operator,
     relative_rank,
     row_space,
-    unvec,
     vec,
 )
 from mechid.rng import stream
@@ -23,7 +22,6 @@ from mechid.rng import stream
 def test_vec_is_row_major():
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(vec(A), [1.0, 2.0, 3.0, 4.0])
-    assert np.array_equal(unvec(vec(A), 2, 2), A)
 
 
 dims = st.integers(min_value=2, max_value=5)
@@ -38,6 +36,37 @@ def test_intertwiner_operator_matches_difference(d, seed):
     A = gen.standard_normal((d, d))
     lhs = intertwiner_operator(M1, M2) @ vec(A)
     assert np.allclose(lhs, vec(A @ M1 - M2 @ A), atol=1e-12 * (1 + np.abs(lhs).max()))
+
+
+def _bitwise_equal(a, b):
+    same_bits = np.array_equal(np.signbit(a), np.signbit(b))
+    return a.shape == b.shape and np.array_equal(a, b) and same_bits
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_stacked_operators_equal_kron_bit_for_bit(k, d, seed):
+    gen = stream(seed, 5)
+    M1 = gen.standard_normal((k, d, d))
+    M2 = gen.standard_normal((k, d, d))
+    b = gen.standard_normal((k, d))
+    # exact zeros of both signs, so that signed-zero products are exercised
+    M1[gen.random((k, d, d)) < 0.3] = 0.0
+    M2[gen.random((k, d, d)) < 0.3] = -0.0
+    b[gen.random((k, d)) < 0.3] = -0.0
+    eye = np.eye(d)
+    stack = intertwiner_operator(M1, M2)
+    offsets = offset_operator(b)
+    for i in range(k):
+        want = np.kron(eye, M1[i].T) - np.kron(M2[i], eye)
+        assert _bitwise_equal(stack[i], want)
+        assert _bitwise_equal(intertwiner_operator(M1[i], M2[i]), want)
+        assert _bitwise_equal(offsets[i], np.kron(eye, b[i][None, :]))
+        assert _bitwise_equal(offset_operator(b[i]), offsets[i])
 
 
 @settings(max_examples=40, deadline=None)

@@ -192,6 +192,36 @@ def test_tall_system_builds_no_square_svd_factor():
     assert peak < 16 * 2**20
 
 
+def test_from_trajectory_peak_is_a_small_multiple_of_the_trajectory():
+    # one offset table indexed by the schedule: no per-step arrays or rows
+    T = 10**5
+    mechanisms = [AffineMechanism(np.array([[0.5]]), np.array([b])) for b in (1.0, -1.0, 0.25)]
+    latents = stream(2504).standard_normal((T, 1))
+    schedule = [t % 3 for t in range(T - 1)]
+    traj = Trajectory(latents=latents, observations=2.0 * latents, mechanisms=schedule)
+    tracemalloc.start()
+    try:
+        problem = RecoveryProblem.from_trajectory(traj, mechanisms)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(problem.offsets[:, 0], np.array([1.0, -1.0, 0.25])[np.arange(T - 1) % 3])
+    assert peak < 2 * (traj.latents.nbytes + traj.observations.nbytes)
+
+
+def test_from_trajectory_rejects_a_schedule_that_mixes_transition_matrices():
+    same = AffineMechanism(np.diag([2.0, 3.0]), np.ones(2))
+    other = AffineMechanism(np.diag([2.0, 3.5]), np.ones(2))
+    mechanisms = [AffineMechanism(np.diag([2.0, 3.0]), np.zeros(2)), other, same]
+    decoder = LinearDecoder(np.eye(2))
+    z1 = np.array([0.1, 0.2])
+    traj = simulate_deterministic(decoder, mechanisms, z1, T=6, schedule=[0, 2, 0, 2, 0])
+    assert RecoveryProblem.from_trajectory(traj, mechanisms).offsets.shape == (5, 2)
+    traj = simulate_deterministic(decoder, mechanisms, z1, T=6, schedule=[0, 2, 0, 1, 0])
+    with pytest.raises(ValueError, match="schedule mixes different M"):
+        RecoveryProblem.from_trajectory(traj, mechanisms)
+
+
 def test_many_pairs_with_few_offsets_count_each_offset_once():
     # 10^5 pairs cycling 8 offsets; the per-row dedupe made this O(N K) in Python
     gen = stream(2503)
