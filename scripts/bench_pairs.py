@@ -1,0 +1,179 @@
+#!/usr/bin/env python3
+"""Benchmark a change against its parent in alternating pairs and write BENCH_<n>.json.
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+        --runs stochastic=10 recover=3 --seeds 5 11 3 7 13 17 19 23 29 31 \\
+        --trace stochastic --title "what the change does" --out BENCH_11.json
+
+Both directories are source checkouts that hold ``bench/run.py``. Pair k of
+a workload runs ``bench/run.py --workload W --seed seeds[k] --trace 0`` once
+in each checkout, one run at a time: the parent first in even pairs, the
+change first in odd ones. Pairs are interleaved across workloads, so a slow
+spell of the host falls on every workload alike. Each workload listed under
+``--trace`` then gets one ``--trace 1`` run per side at the first seed.
+
+The output keeps each run's end-to-end metrics with its correct/attempted/
+failed counts, and per workload and metric the median and quartiles
+(``statistics.quantiles(method="inclusive")``) of each side, the pairs the
+change won (ties count for neither side) and the ratio of the medians.
+The run length, the metric names and their directions come from the
+change's BENCHMARK.json. The file is rewritten after every pair, so a failed run leaves the pairs
+before it. Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+COMMAND = "python3 bench/run.py --workload <workload> --seed <seed> --seconds {seconds} --trace <0|1>"
+PROTOCOL = (
+    "Parent and change checkouts side by side; the order within each pair alternates, "
+    "parent first in even pairs. One run at a time on the host. Metrics are copied from "
+    "each run's result line; environment from its description line."
+)
+
+
+class RunError(RuntimeError):
+    pass
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> tuple[dict, dict]:
+    """One bench/run.py call: its (description, result) lines."""
+    argv = [
+        sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+        "--seconds", str(seconds), "--trace", str(trace),
+    ]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        raise RunError(f"{checkout}: {' '.join(argv[1:])} exited {proc.returncode}\n{proc.stderr[-2000:]}")
+    return json.loads(lines[-2]), json.loads(lines[-1])
+
+
+def side_record(result: dict) -> dict:
+    record = {name: m["value"] for name, m in result["metrics"].items()}
+    record.update(correct=result["correct"], attempted=result["attempted"], failed=result["failed"])
+    return record
+
+
+def spread(values: list[float]) -> dict:
+    median = statistics.median(values)
+    if len(values) < 2:
+        return {"median": median, "q1": median, "q3": median}
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(pairs: list[dict], metrics: dict[str, str]) -> dict:
+    """Per metric: each side's median and quartiles, pairs won by the change, median ratio."""
+    out = {}
+    for name, better in metrics.items():
+        parent = [p["parent"][name] for p in pairs]
+        change = [p["change"][name] for p in pairs]
+        sign = 1.0 if better == "lower" else -1.0
+        wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+        out[name] = {
+            "parent": spread(parent),
+            "change": spread(change),
+            "change_better_pairs": wins,
+            "pairs": len(pairs),
+            "median_ratio_change_over_parent": statistics.median(change) / statistics.median(parent),
+        }
+    return out
+
+
+def revision(checkout: Path) -> str:
+    proc = subprocess.run(
+        ["git", "rev-parse", "--short", "HEAD"], cwd=checkout, capture_output=True, text=True
+    )
+    return proc.stdout.strip() if proc.returncode == 0 else checkout.name
+
+
+def parse_runs(items: list[str]) -> dict[str, int]:
+    runs = {}
+    for item in items:
+        name, sep, count = item.partition("=")
+        if not sep or not count.isdigit() or int(count) < 1:
+            raise argparse.ArgumentTypeError(f"--runs takes WORKLOAD=PAIRS, got '{item}'")
+        runs[name] = int(count)
+    return runs
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    ap.add_argument("--runs", nargs="+", required=True, metavar="WORKLOAD=PAIRS")
+    ap.add_argument("--seeds", type=int, nargs="+", required=True, help="seed of pair k is the k-th")
+    ap.add_argument("--trace", nargs="*", default=[], metavar="WORKLOAD")
+    ap.add_argument("--title", default="", help="what the change does")
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+    try:
+        runs = parse_runs(args.runs)
+    except argparse.ArgumentTypeError as e:
+        ap.error(str(e))
+    if max(runs.values()) > len(args.seeds):
+        ap.error(f"{max(runs.values())} pairs need as many seeds, got {len(args.seeds)}")
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
+
+    doc = {
+        "change": args.title,
+        "parent": revision(sides["parent"]),
+        "command": COMMAND.format(seconds=seconds),
+        "protocol": PROTOCOL,
+        "workloads": {w: {"pairs": [], "summary": {}} for w in runs},
+        "trace": {},
+        "environment": [],
+    }
+
+    def note_environment(info: dict) -> None:
+        if info.get("environment") not in doc["environment"]:
+            doc["environment"].append(info.get("environment"))
+
+    def write() -> None:
+        args.out.write_text(json.dumps(doc, indent=1) + "\n")
+
+    try:
+        for k in range(max(runs.values())):
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            for workload, count in runs.items():
+                if k >= count:
+                    continue
+                pair = {"seed": args.seeds[k], "first": order[0], "parent": None, "change": None}
+                for side in order:
+                    info, result = run_bench(sides[side], workload, args.seeds[k], seconds, 0)
+                    note_environment(info)
+                    pair[side] = side_record(result)
+                entry = doc["workloads"][workload]
+                entry["pairs"].append(pair)
+                entry["summary"] = summarize(entry["pairs"], metrics)
+                print(f"{workload} seed {args.seeds[k]}: " + ", ".join(
+                    f"{name} {pair['parent'][name]:.4g} -> {pair['change'][name]:.4g}" for name in metrics
+                ), flush=True)
+                write()
+        for workload in args.trace:
+            traced = {"seed": args.seeds[0]}
+            for side in ("parent", "change"):
+                info, result = run_bench(sides[side], workload, args.seeds[0], seconds, 1)
+                note_environment(info)
+                traced[side] = {name: m["value"] for name, m in result["metrics"].items()}
+            doc["trace"][workload] = traced
+            write()
+    except RunError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    write()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -55,9 +55,12 @@ class AffineMap:
 
     def inverse(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return np.linalg.solve(self.A, (x - self.p).T).T if x.ndim > 1 else np.linalg.solve(
-            self.A, x - self.p
-        )
+        if x.ndim <= 1:
+            return np.linalg.solve(self.A, x - self.p)
+        if x.ndim == 2:
+            return np.linalg.solve(self.A, (x - self.p).T).T
+        # a stack of (N, d) batches: one right-hand side per point
+        return np.linalg.solve(self.A, (x - self.p)[..., None])[..., 0]
 
     def inverse_map(self) -> "AffineMap":
         Ainv = np.linalg.inv(self.A)

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.spatial.distance import cdist
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, kstwo
 
 from .dynamics import StochasticMechanism
 from .errors import DimensionMismatchError, IllConditionedError, NonFiniteSampleError
@@ -47,6 +47,8 @@ DEFAULT_FD_STEP = 1e-5
 MIN_SAMPLES_PER_ANCHOR = 100
 MAX_SAMPLES_PER_ANCHOR = 10**6
 _ENERGY_MAX_POINTS = 512
+# ks_2samp(method="auto") takes its exact p-value up to this sample size
+_KS_EXACT_MAX_N = 10_000
 # permutation labellings per S D product; bounds the null's memory
 _ENERGY_BLOCK = 256
 
@@ -117,6 +119,55 @@ def _energy_statistics(D: np.ndarray, row_sums: np.ndarray, S: np.ndarray, n: in
     return 2.0 * xdy / (n * m) - xdx / (n * n) - ydy / (m * m)
 
 
+def _ks_prob_outside_square(n: int, h: int) -> float:
+    """Pr(D_{n,n} >= h/n) for 0 < h <= n, bitwise as scipy computes it.
+
+    scipy's `_compute_prob_outside_square` (Hodges 1958) forms the terms
+    A_k = prod_j (n - kh - j) / (n + kh + j + 1), j < h, for k = 0..n//h,
+    one multiply and one divide per j, then P = 2 A_0 (1 - A_1 (1 - ...)).
+    Here every A_k advances together through the same j sequence, so each
+    term, and the Horner pass over them, sees the same IEEE operations in
+    the same order. The terms depend only on the integers (n, h).
+    """
+    k_max = n // h
+    steps = np.arange(0, (k_max + 1) * h, h) + np.arange(h)[:, None]  # [j, k] = kh + j
+    numerators = (n - steps).astype(float)
+    denominators = (n + 1 + steps).astype(float)
+    terms = np.ones(k_max + 1)
+    for j in range(h):
+        np.multiply(terms, numerators[j], out=terms)
+        np.divide(terms, denominators[j], out=terms)
+    P = 0.0
+    for term in reversed(terms.tolist()):
+        P = term * (1.0 - P)
+    return 2 * P
+
+
+def _ks_equal_size(X: np.ndarray, Y: np.ndarray) -> tuple[list[float], list[float]]:
+    """Per-column two-sided KS p-values and statistics of two (n, d) samples.
+
+    For 0 < n <= _KS_EXACT_MAX_N this equals `ks_2samp(method="auto")` bit
+    for bit: h = round(n·D) from the same ECDF differences, statistic h/n,
+    p = 1 at h = 0, else the exact value, or `kstwo.sf(h/n, round(n/2))`
+    when the exact value falls outside [0, 1] (scipy's fallback, taken
+    here without its RuntimeWarning), clipped to [0, 1].
+    """
+    n = X.shape[0]
+    Xs = np.sort(X, axis=0)
+    Ys = np.sort(Y, axis=0)
+    pvals, stats = [], []
+    for x, y in zip(Xs.T, Ys.T):
+        pooled = np.concatenate([x, y])
+        cddiffs = np.searchsorted(x, pooled, side="right") / n - np.searchsorted(y, pooled, side="right") / n
+        h = int(np.round(np.abs(cddiffs).max() * n))
+        p = 1.0 if h == 0 else _ks_prob_outside_square(n, h)
+        if not 0 <= p <= 1:
+            p = kstwo.sf(h / n, np.round(n / 2))
+        pvals.append(float(np.clip(p, 0, 1)))
+        stats.append(h / n)
+    return pvals, stats
+
+
 def two_sample_test(
     X: np.ndarray,
     Y: np.ndarray,
@@ -127,11 +178,17 @@ def two_sample_test(
     """Test whether X and Y come from one distribution.
 
     "ks": per-coordinate two-sample Kolmogorov-Smirnov, Bonferroni-combined
-    (d times the smallest coordinate p-value, capped at 1). "energy": the
+    (d times the smallest coordinate p-value, capped at 1). Each coordinate
+    gets what `scipy.stats.ks_2samp(method="auto")` gives: the exact p-value
+    when neither sample has more than 10^4 points, with Smirnov's asymptotic
+    one where the exact value leaves [0, 1], and the asymptotic one above
+    10^4 points. Equal-size samples up to 10^4 points take a batched routine
+    that is bitwise equal to it; other sizes call it. "energy": the
     energy-distance statistic with a label-permutation null; samples over
     512 points are subsampled, so the distance matrix stays at most 1024².
     The null's statistics come from blocked products of 0/1 labellings with
     that matrix, drawn in the same order as one permutation per statistic.
+    A non-finite value in X or Y raises NonFiniteSampleError naming it.
     """
     if method not in DistributionalTestSpec.METHODS:
         raise ValueError(f"unknown method '{method}'")
@@ -141,14 +198,17 @@ def two_sample_test(
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[1] != Y.shape[1]:
         raise DimensionMismatchError("samples have different dimensions")
+    for name, sample in (("X", X), ("Y", Y)):
+        if not np.isfinite(sample).all():
+            raise NonFiniteSampleError(f"sample {name}")
     d = X.shape[1]
     if method == "ks":
-        pvals = []
-        stats = []
-        for i in range(d):
-            r = ks_2samp(X[:, i], Y[:, i])
-            pvals.append(float(r.pvalue))
-            stats.append(float(r.statistic))
+        if 0 < X.shape[0] == Y.shape[0] <= _KS_EXACT_MAX_N:
+            pvals, stats = _ks_equal_size(X, Y)
+        else:
+            results = [ks_2samp(X[:, i], Y[:, i]) for i in range(d)]
+            pvals = [float(r.pvalue) for r in results]
+            stats = [float(r.statistic) for r in results]
         p = min(1.0, d * min(pvals))
         return TwoSampleResult(
             p_value=p,

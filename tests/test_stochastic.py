@@ -5,10 +5,12 @@ deterministic replay of a calibration experiment, not a flaky sample.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
+from scipy.stats import ks_2samp
 
 from mechid import (
     DistributionalTestSpec,
@@ -30,7 +32,7 @@ from mechid.errors import (
 from mechid.dynamics import StochasticMechanism
 from mechid.maps import AffineMap, FunctionBijection, identity_map
 from mechid.rng import stream
-from mechid.stochastic import _ENERGY_MAX_POINTS
+from mechid.stochastic import _ENERGY_MAX_POINTS, _ks_equal_size, _ks_prob_outside_square
 
 from conftest import (
     SWAP,
@@ -90,6 +92,19 @@ def test_energy_test_requires_a_permutation(permutations):
 def test_dimension_mismatch_rejected():
     with pytest.raises(DimensionMismatchError):
         two_sample_test(np.zeros((100, 2)), np.zeros((100, 3)))
+
+
+@pytest.mark.parametrize("method", ["ks", "energy"])
+@pytest.mark.parametrize("side", ["X", "Y"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_nonfinite_sample_is_rejected_naming_it(method, side, value):
+    # a NaN column gave a NaN coordinate p-value that the Bonferroni min
+    # skipped (KS), or a NaN statistic with p = 1/(1+P) (energy)
+    gen = stream(309)
+    samples = {"X": gen.standard_normal((300, 2)), "Y": gen.standard_normal((300, 2)) + 0.5}
+    samples[side][7, 1] = value
+    with pytest.raises(NonFiniteSampleError, match=f"sample {side}"):
+        two_sample_test(samples["X"], samples["Y"], method=method, permutations=19)
 
 
 def reference_energy_test(X, Y, seed, permutations):
@@ -163,6 +178,83 @@ def test_bonferroni_uses_worst_coordinate():
     res = two_sample_test(X, Y, method="ks")
     assert res.p_value < 1e-6
     assert res.coordinate_p_values[0] > res.coordinate_p_values[1]
+
+
+def ks_reference(X, Y):
+    """Per-column scipy.stats.ks_2samp: the reference for the batched KS."""
+    with warnings.catch_warnings():
+        # scipy announces its exact-to-asymptotic fallback; the values are the reference
+        warnings.simplefilter("ignore", RuntimeWarning)
+        results = [ks_2samp(X[:, i], Y[:, i]) for i in range(X.shape[1])]
+    return [r.pvalue for r in results], [r.statistic for r in results]
+
+
+def bits(values):
+    return [np.float64(v).tobytes() for v in values]
+
+
+def ks_case(kind, n, m=None):
+    gen = stream(313, n, len(kind))
+    X = gen.laplace(size=(n, 2))
+    if kind == "shifted":
+        Y = gen.laplace(size=(m or n, 2)) + [0.0, 0.1]
+    elif kind == "tied":
+        X = np.round(X, 1)
+        Y = np.round(gen.laplace(size=(n, 2)) + [0.05, 0.0], 1)
+    elif kind == "identical":
+        Y = X[gen.permutation(n)]
+    elif kind == "one_step":
+        X = np.tile(np.arange(float(n))[:, None], (1, 2))
+        Y = X.copy()
+        Y[-1, 0] += 0.5  # one point later: D = 1/n in the first column
+    else:  # "separated": every Y beyond every X, D = 1
+        Y = X + 100.0
+    return X, Y
+
+
+@pytest.mark.parametrize(
+    "kind, n, m",
+    [("shifted", n, None) for n in (100, 109, 400, 3000, 10_000)]
+    + [
+        ("tied", 400, None),
+        ("tied", 3000, None),
+        ("identical", 400, None),
+        ("one_step", 109, None),
+        ("separated", 3000, None),
+        ("shifted", 300, 500),  # unequal sizes: ks_2samp itself
+        ("shifted", 10_001, None),  # above the exact limit: ks_2samp itself
+    ],
+)
+def test_ks_is_bitwise_equal_to_per_column_ks_2samp(kind, n, m):
+    X, Y = ks_case(kind, n, m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = two_sample_test(X, Y, method="ks")
+    pvals, stats = ks_reference(X, Y)
+    assert bits(res.coordinate_p_values) == bits(pvals)
+    assert bits([res.statistic]) == bits([max(stats)])
+    if m is None and n <= 10_000:
+        assert bits(_ks_equal_size(X, Y)[1]) == bits(stats)
+
+
+def test_ks_cases_reach_every_branch():
+    # the parametrized cases above cover h = 0, scipy's fallback and h = n
+    assert ks_reference(*ks_case("identical", 400))[0] == [1.0, 1.0]
+    assert not 0 <= _ks_prob_outside_square(109, 1) <= 1
+    assert round(_ks_equal_size(*ks_case("one_step", 109))[1][0] * 109) == 1
+    assert _ks_equal_size(*ks_case("separated", 3000))[1] == [1.0, 1.0]
+
+
+def test_ks_random_cases_are_bitwise_equal_to_ks_2samp():
+    gen = stream(317)
+    for _ in range(60):
+        n = int(gen.integers(100, 2001))
+        X = np.round(gen.standard_normal((n, 2)), int(gen.integers(1, 4)))
+        Y = np.round(gen.standard_normal((n, 2)) * gen.uniform(0.8, 1.2) + gen.uniform(-0.2, 0.2), 2)
+        pvals, stats = _ks_equal_size(X, Y)
+        ref_p, ref_s = ks_reference(X, Y)
+        assert bits(pvals) == bits(ref_p)
+        assert bits(stats) == bits(ref_s)
 
 
 # ---------------------------------------------------------------------------

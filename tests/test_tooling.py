@@ -4,10 +4,12 @@ bench/spans.py wraps functions where each mechid module looks them up, and
 bench/selftest.py runs one operation of every workload through its checks;
 a rename or a changed output in the library would otherwise only surface as
 a failing benchmark run. The scripts under scripts/ are run once each at a
-small size for the same reason.
+small size for the same reason; scripts/bench_pairs.py runs against two
+stub checkouts whose bench/run.py prints canned lines.
 """
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -69,3 +71,75 @@ def test_experiment_script_runs(script, args):
         capture_output=True, text=True, timeout=300, env=env,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+STUB_RUN = """
+import argparse, json, pathlib
+ap = argparse.ArgumentParser()
+for flag in ("--workload", "--seed", "--seconds", "--trace"):
+    ap.add_argument(flag, required=True)
+args = ap.parse_args()
+assert args.seconds == "20"
+here = pathlib.Path(__file__).resolve().parent.parent
+with open(here.parent / "order.log", "a") as log:
+    log.write(f"{here.name} {args.workload} {args.seed} {args.trace}\\n")
+base = float((here / "floor_ms").read_text())
+floor = base + int(args.seed)
+metrics = {"latency_floor_ms": {"value": floor, "unit": "ms"}, "setup_s": {"value": 1.0, "unit": "s"}}
+if args.trace == "1":
+    metrics = {"stochastic.two_sample_ks_ms": {"value": floor / 2, "unit": "ms"}}
+print(json.dumps({"environment": {"cores": 2, "side": here.name}}))
+print(json.dumps({"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}))
+"""
+
+
+def make_stub_checkout(path, floor_ms):
+    (path / "bench").mkdir(parents=True)
+    (path / "bench" / "run.py").write_text(STUB_RUN)
+    (path / "floor_ms").write_text(str(floor_ms))
+    spec = {"run_seconds": 20, "end_to_end": [
+        {"name": "latency_floor_ms", "better": "lower"}, {"name": "setup_s", "better": "lower"}
+    ]}
+    (path / "BENCHMARK.json").write_text(json.dumps(spec))
+
+
+def test_bench_pairs_alternates_and_summarizes(tmp_path):
+    make_stub_checkout(tmp_path / "parent", 40.0)
+    make_stub_checkout(tmp_path / "change", 30.0)
+    out = tmp_path / "BENCH.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"),
+         "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+         "--runs", "stochastic=3", "cli=1", "--seeds", "5", "11", "3", "--trace", "stochastic",
+         "--title", "stub", "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    order = (tmp_path / "order.log").read_text().splitlines()
+    assert order == [
+        "parent stochastic 5 0", "change stochastic 5 0", "parent cli 5 0", "change cli 5 0",
+        "change stochastic 11 0", "parent stochastic 11 0",
+        "parent stochastic 3 0", "change stochastic 3 0",
+        "parent stochastic 5 1", "change stochastic 5 1",
+    ]
+    doc = json.loads(out.read_text())
+    pairs = doc["workloads"]["stochastic"]["pairs"]
+    assert [(p["seed"], p["first"]) for p in pairs] == [(5, "parent"), (11, "change"), (3, "parent")]
+    assert pairs[1]["change"] == {
+        "latency_floor_ms": 41.0, "setup_s": 1.0, "correct": True, "attempted": 10, "failed": 0
+    }
+    floor = doc["workloads"]["stochastic"]["summary"]["latency_floor_ms"]
+    assert floor["parent"] == {"median": 45.0, "q1": 44.0, "q3": 48.0}
+    assert floor["change"]["median"] == 35.0
+    assert (floor["change_better_pairs"], floor["pairs"]) == (3, 3)
+    assert floor["median_ratio_change_over_parent"] == 35.0 / 45.0
+    setup = doc["workloads"]["stochastic"]["summary"]["setup_s"]
+    assert setup["change_better_pairs"] == 0  # ties count for neither side
+    assert doc["workloads"]["cli"]["summary"]["latency_floor_ms"]["pairs"] == 1
+    assert doc["trace"]["stochastic"] == {
+        "seed": 5,
+        "parent": {"stochastic.two_sample_ks_ms": 22.5},
+        "change": {"stochastic.two_sample_ks_ms": 17.5},
+    }
+    assert doc["environment"] == [{"cores": 2, "side": "parent"}, {"cores": 2, "side": "change"}]
+    assert doc["change"] == "stub"
