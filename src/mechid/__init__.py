@@ -7,7 +7,7 @@ encoders where those sets are trivial, and tests the stochastic analogue
 of equivariance in distribution.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .dynamics import (
     AffineMechanism,

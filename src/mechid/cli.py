@@ -104,6 +104,13 @@ def _effective_seed(doc: dict, flag_seed: int | None) -> None:
             raise ConfigError("seed", f"MECHID_SEED must be an integer, got '{env}'") from None
 
 
+def _pool_size(threads) -> int:
+    """Worker threads for a run or replay: an integer >= 1, clamped to the cores."""
+    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
+        raise ConfigError("threads", f"must be a positive integer, got {threads!r}")
+    return min(threads, os.cpu_count() or 1)
+
+
 def _execute_config(doc: dict, output_dir: Path, threads: int):
     """Run one effective config document and write all outputs.
 
@@ -175,9 +182,7 @@ def _run_command(args) -> int:
     if getattr(args, "csv", False):
         doc["csv_tables"] = True
     _effective_seed(doc, args.seed)
-    threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
-    if threads < 1:
-        raise ConfigError("threads", "must be a positive integer")
+    threads = _pool_size(args.threads if args.threads is not None else (os.cpu_count() or 1))
     status, manifest = _execute_config(doc, args.output_dir, threads)
     verdict = manifest["outcome"]["verdict"]
     print(f"{kind}: {'pass' if verdict else 'FAIL'}; outputs in {args.output_dir}")
@@ -251,11 +256,10 @@ def _replay_command(args) -> int:
         )
     recorded_dir = args.manifest.parent
     tolerance = float(manifest.get("replay_tolerance", 0.0))
+    threads = _pool_size(manifest.get("threads", 1))
 
     def compare_into(workdir: Path) -> dict:
-        _, _new_manifest = _execute_config(
-            dict(manifest["config"]), workdir, int(manifest.get("threads", 1))
-        )
+        _, _new_manifest = _execute_config(dict(manifest["config"]), workdir, threads)
         files = []
         first_divergence = None
         for name, digest in manifest.get("outputs", {}).items():

@@ -168,14 +168,6 @@ class NoiseSpec:
             if self.alpha is None or self.alpha <= 0:
                 raise ValueError("generalized-laplace requires alpha > 0")
 
-    def sample(self, count: int, gen: np.random.Generator) -> np.ndarray:
-        shape = (count, self.dim)
-        if self.family == "generalized-laplace":
-            return sample_generalized_laplace(self.alpha, self.scale, shape, gen)
-        if self.family == "gaussian":
-            return self.scale * gen.standard_normal(shape)
-        return gen.uniform(-self.scale, self.scale, shape)
-
     def ppf(self, u: np.ndarray) -> np.ndarray:
         """Coordinatewise quantile transform of uniform-[0,1) variates."""
         u = np.asarray(u, dtype=float)

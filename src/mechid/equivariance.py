@@ -13,6 +13,7 @@ explicitly and reading off SVD null spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -94,9 +95,6 @@ class LinearSubspaceBasis:
         proj = flat.T @ (flat @ v)
         return float(np.linalg.norm(v - proj) / nv)
 
-    def contains(self, A: np.ndarray, tol: float = 1e-8) -> bool:
-        return self.projection_defect(A) <= tol
-
 
 @dataclass(frozen=True)
 class AffineMapFamily:
@@ -146,6 +144,10 @@ class AffineMapFamily:
 
     def a_part_basis(self) -> LinearSubspaceBasis:
         """Orthonormal basis of the A-projection of the homogeneous part."""
+        return self._a_part_basis
+
+    @cached_property  # one row-space SVD per family; not a field, so reports omit it
+    def _a_part_basis(self) -> LinearSubspaceBasis:
         k = self.dimension
         d = self.basis_A.shape[1]
         if k == 0:
@@ -191,19 +193,15 @@ class AffineMapFamily:
 
 
 def _family_from_nullspace(
-    basis_flat: np.ndarray,
-    d: int,
-    particular: tuple[np.ndarray, np.ndarray] | None,
-    residual: float,
-    rtol: float,
+    basis_flat: np.ndarray, d: int, particular: np.ndarray | None, residual: float, rtol: float
 ) -> AffineMapFamily:
-    """The family cut at `rtol`; `particular` None means the system has no solution."""
-    A0, p0 = (None, None) if particular is None else particular
+    """The family cut at `rtol`; `particular`, over (vec A, p), is None for an unsolvable system."""
+    dd = d * d
     return AffineMapFamily(
-        basis_A=basis_flat[:, : d * d].reshape(-1, d, d),
-        basis_p=basis_flat[:, d * d :],
-        particular_A=A0,
-        particular_p=p0,
+        basis_A=basis_flat[:, :dd].reshape(-1, d, d),
+        basis_p=basis_flat[:, dd:],
+        particular_A=None if particular is None else particular[:dd].reshape(d, d),
+        particular_p=None if particular is None else particular[dd:],
         residual=residual,
         rtol=rtol,
     )
@@ -304,8 +302,8 @@ def shared_equivariances(
     b = np.stack([m.b for m in mechanisms])
     basis = null_space(_intertwiner_system(M, b, M, b)[0], rtol)
     # (I, 0) solves the inhomogeneous system exactly, for any mechanism set.
-    particular = (np.eye(d), np.zeros(d))
-    family = _family_from_nullspace(basis, d, particular, residual=0.0, rtol=rtol)
+    ident = np.concatenate([np.eye(d).reshape(-1), np.zeros(d)])
+    family = _family_from_nullspace(basis, d, ident, residual=0.0, rtol=rtol)
     degenerate = any(smallest_singular_gap(m.M - np.eye(d)) <= rtol for m in mechanisms)
     return EquivarianceFamily(mechanisms=mechanisms, family=family, degenerate_offset=degenerate)
 

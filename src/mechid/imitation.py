@@ -11,6 +11,7 @@ capped by a budget.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,6 +53,8 @@ DEFAULT_ASSIGNMENT_BUDGET = 10_000
 # A stacked system is solvable, the identity solves it, and a representative's
 # grid residuals verify, each within this multiple of the rank cut rtol.
 CLOSURE_TOL_FACTOR = 10.0
+# A cycle's k-fold power of the map commutes with each member within this residual.
+_CYCLE_POWER_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -111,22 +114,20 @@ class ImitationRecord:
 def _solve_intertwiner_system(
     M1: np.ndarray, b1: np.ndarray, M2: np.ndarray, b2: np.ndarray, rtol: float
 ) -> AffineMapFamily:
-    """Shared maps carrying each (M1_i, b1_i) onto (M2_i, b2_i); stacks as in `_intertwiner_system`."""
+    """Shared maps carrying each (M1_i, b1_i) onto (M2_i, b2_i); stacks as in `_intertwiner_system`.
+
+    One `null_space` call gives the basis and the particular solution, which
+    is minimum-norm at the rtol cut, so both come from one rank decision.
+    """
     d = b1.shape[1]
     C, r = _intertwiner_system(M1, b1, M2, b2)
-    particular = np.linalg.lstsq(C, r, rcond=None)[0]
-    residual = float(np.linalg.norm(C @ particular - r) / (1.0 + np.linalg.norm(r)))
-    basis = null_space(C, rtol)
-    if residual > rtol * CLOSURE_TOL_FACTOR + 1e-12:
-        # inhomogeneous system has no solution: the family is empty
-        return _family_from_nullspace(basis, d, None, residual, rtol)
-    # prefer the identity when it solves the system (the self-assignment case)
+    basis, particular, residual = null_space(C, rtol, r)
     ident = np.concatenate([np.eye(d).reshape(-1), np.zeros(d)])
-    if np.linalg.norm(C @ ident - r) <= rtol * CLOSURE_TOL_FACTOR * (1.0 + np.linalg.norm(r)):
-        particular = ident
-    A0 = particular[: d * d].reshape(d, d)
-    p0 = particular[d * d :]
-    return _family_from_nullspace(basis, d, (A0, p0), residual, rtol)
+    if residual > rtol * CLOSURE_TOL_FACTOR + 1e-12:
+        particular = None  # the inhomogeneous system has no solution: the family is empty
+    elif np.linalg.norm(C @ ident - r) <= rtol * CLOSURE_TOL_FACTOR * (1.0 + np.linalg.norm(r)):
+        particular = ident  # prefer the identity when it solves the system (self-assignments)
+    return _family_from_nullspace(basis, d, particular, residual, rtol)
 
 
 def find_affine_intertwiners(
@@ -199,14 +200,12 @@ def imitator_closure(
     check_tol = CLOSURE_TOL_FACTOR * rtol if check_tol is None else check_tol
     members = cls.members
     spectra = [_sorted_spectrum(m) for m in members]
-    compatible: list[list[int]] = []
-    for i, m in enumerate(cls.used):
-        targets = [j for j in range(len(members)) if _spectra_match(spectra[i], spectra[j])]
-        compatible.append(targets)
+    compatible = [
+        [j for j in range(len(members)) if _spectra_match(spectra[i], spectra[j])]
+        for i in range(len(cls.used))
+    ]
     total = len(members) ** len(cls.used)
-    after_pruning = 1
-    for t in compatible:
-        after_pruning *= len(t)
+    after_pruning = math.prod(len(t) for t in compatible)
     if after_pruning > budget:
         raise BudgetExceededError(after_pruning, budget)
     points = _as_points(grid, cls.dim)
@@ -227,11 +226,9 @@ def imitator_closure(
             continue
         solved += 1
         records = []
-        ok = True
         for i, j in enumerate(assignment):
             report = check_imitation(rep, cls.used[i], members[j], points, tol=check_tol)
             if not report.passed:
-                ok = False
                 break
             records.append(
                 ImitationRecord(
@@ -241,16 +238,15 @@ def imitator_closure(
                     tol=check_tol,
                 )
             )
-        if not ok:
-            continue
-        found.append(
-            AssignmentFamily(
-                assignment=tuple(assignment),
-                family=family,
-                representative=rep,
-                records=tuple(records),
+        else:  # every used mechanism verified
+            found.append(
+                AssignmentFamily(
+                    assignment=tuple(assignment),
+                    family=family,
+                    representative=rep,
+                    records=tuple(records),
+                )
             )
-        )
     return ImitatorClosure(
         assignments=tuple(found),
         candidates_total=total,
@@ -300,7 +296,6 @@ def cycle_analysis(
     mechanisms: Sequence[AffineMechanism],
     grid=None,
     tol: float = 1e-8,
-    power_tol: float = 1e-7,
 ) -> CycleReport:
     """Match each mechanism to its image under conjugation by a.
 
@@ -354,7 +349,7 @@ def cycle_analysis(
         k = len(cyc)
         a_k = map_power(a, k)
         for i in cyc:
-            report = check_equivariance(a_k, mechanisms[i], points, tol=power_tol)
+            report = check_equivariance(a_k, mechanisms[i], points, tol=_CYCLE_POWER_TOL)
             power_residuals.append(report.max_residual)
             ok = ok and report.passed
     return CycleReport(

@@ -8,7 +8,7 @@ Row-major (C-order) vectorization is used throughout:
 
 so operators on matrices become explicit (d*d x d*d) matrices and solution
 sets of matrix equations become null spaces computed by SVD with a relative
-threshold.
+threshold: `null_space` solves each system with one SVD and one rank cut.
 """
 
 from __future__ import annotations
@@ -68,21 +68,31 @@ def _rank(s: np.ndarray, rtol: float) -> int:
     return int(np.sum(s > rtol * s[0]))
 
 
-def null_space(K: np.ndarray, rtol: float = DEFAULT_RTOL) -> np.ndarray:
-    """Orthonormal basis of the null space of K, as rows.
+def null_space(K: np.ndarray, rtol: float = DEFAULT_RTOL, rhs: np.ndarray | None = None):
+    """Orthonormal basis of the null space of K, as rows; the one constraint solve.
 
     Singular values at or below rtol times the largest count as zero. A
     wide K needs the full V factor for its null rows; a tall one needs only
-    the economy factors, and never the (rows x rows) U.
+    the economy factors, and never the (rows x rows) U. Given `rhs`, returns
+    (basis, x, residual) from the same factors and cut: x = V_k diag(1/s_k)
+    U_k^T rhs is the minimum-norm solution at the rtol cut, and residual is
+    |K x - rhs| / (1 + |rhs|), which counts the directions the cut dropped.
     """
     K = np.atleast_2d(np.asarray(K, dtype=float))
     n = K.shape[1]
+    x = np.zeros(n)
     if K.shape[0] == 0:
-        return np.eye(n)
-    _, s, vh = np.linalg.svd(K, full_matrices=K.shape[0] < n)
-    if s.size == 0 or s[0] == 0.0:
-        return np.eye(n)
-    return vh[_rank(s, rtol) :, :]
+        basis = np.eye(n)
+    else:
+        u, s, vh = np.linalg.svd(K, full_matrices=K.shape[0] < n)
+        k = _rank(s, rtol)
+        basis = vh[k:, :] if s.size and s[0] != 0.0 else np.eye(n)
+        if rhs is not None:
+            x = vh[:k].T @ ((u[:, :k].T @ rhs) / s[:k])
+    if rhs is None:
+        return basis
+    residual = float(np.linalg.norm(K @ x - rhs) / (1.0 + np.linalg.norm(rhs)))
+    return basis, x, residual
 
 
 def row_space(K: np.ndarray, rtol: float = DEFAULT_RTOL) -> np.ndarray:

@@ -2,11 +2,12 @@
 
 When the decoder is linear and the mechanism parameters (M, b_t) are known,
 the encoder E must satisfy E x_{t+1} = M E x_t + b_t on every pair, which is
-linear in E. Stacking pairs gives a least-squares problem whose null-space
-dimension measures exactly how non-identifiable the encoder is; zero means
-unique recovery. The unknown is restricted to the subspace actually spanned
-by the data, matching the convention that encoders are left inverses on the
-data manifold.
+linear in E. Stacking pairs gives one system, solved by one SVD: its
+solution is minimum-norm at the rtol cut, and its null-space dimension at
+that same cut measures exactly how non-identifiable the encoder is; zero
+means unique recovery. The unknown is restricted to the subspace actually
+spanned by the data, matching the convention that encoders are left
+inverses on the data manifold.
 """
 
 from __future__ import annotations
@@ -117,7 +118,8 @@ class RecoveryResult:
 
     `solution_space_dim` counts the free directions of the encoder restricted
     to the observed subspace; zero means the recovery is unique. `residual`
-    is the relative least-squares defect of the returned encoder.
+    is |C w - rhs| / (1 + |rhs|) for the stacked system's minimum-norm
+    solution w at the rtol cut, so it counts the directions the cut dropped.
     """
 
     E_hat: np.ndarray
@@ -149,12 +151,12 @@ def recover_linear_encoder(
 ) -> RecoveryResult:
     """Solve the stacked system E x_{t+1} = M E x_t + b_t for E.
 
-    Returns the minimum-norm solution, extended by zero off the observed
-    subspace, refined to a full-row-rank representative when the solution
-    set allows one. Raises a data-deficiency error when the inputs span
-    fewer than d directions; that is a property of the data, distinct from
-    structural non-identifiability, which shows up as a positive
-    `solution_space_dim` instead.
+    Returns the solution that is minimum-norm at the rtol cut, where the
+    null basis is cut too, extended by zero off the observed subspace,
+    refined to a full-row-rank representative when the solution set allows
+    one. Raises a data-deficiency error when the inputs span fewer than d
+    directions; that is a property of the data, distinct from structural
+    non-identifiability, which shows up as a positive `solution_space_dim`.
     """
     Xp, Xn, M, B = problem.x_prev, problem.x_next, problem.M, problem.offsets
     N = problem.pair_count
@@ -166,9 +168,7 @@ def recover_linear_encoder(
     Q = row_space(np.vstack([Xp, Xn]), rtol)  # (r, n): coordinates of the observed subspace
     r = Q.shape[0]
     C, rhs = _assemble_system(Xp @ Q.T, Xn @ Q.T, M, B)
-    w = np.linalg.lstsq(C, rhs, rcond=None)[0]
-    residual = float(np.linalg.norm(C @ w - rhs) / (1.0 + np.linalg.norm(rhs)))
-    basis = null_space(C, rtol)
+    basis, w, residual = null_space(C, rtol, rhs)
     dim = basis.shape[0]
     W = w.reshape(d, r)
     if dim > 0 and relative_rank(W, rtol) < d:

@@ -214,6 +214,24 @@ def test_thread_count_does_not_change_bytes(tmp_path):
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
 
+def test_thread_count_is_bounded_on_run_and_replay(tmp_path, capsys):
+    # the fixture has 3 anchors, so even an unbounded pool starts at most 3 threads
+    out = tmp_path / "run"
+    args = ("stochastic-test", FIXTURES / "stochastic_swap.json", "--seed", 3)
+    assert run_cli(*args, "--output-dir", out, "--threads", 100000) == 0
+    manifest = read_json(out / "manifest.json")
+    assert 1 <= manifest["threads"] <= (os.cpu_count() or 1)
+    for threads, status in ((1000000, 0), (0, 1), (2.5, 1), ("4", 1)):
+        manifest["threads"] = threads
+        (out / "manifest.json").write_text(dumps_json(manifest))
+        capsys.readouterr()
+        assert run_cli("replay", out / "manifest.json", "--output-dir", tmp_path / "r") == status
+        if status == 1:
+            assert "threads" in capsys.readouterr().err
+    assert run_cli(*args, "--output-dir", tmp_path / "zero", "--threads", 0) == 1
+    assert "threads" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # seed precedence
 

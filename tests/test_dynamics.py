@@ -138,7 +138,7 @@ def test_variance_formula_against_quadrature():
 def test_gaussian_case_unit_variance():
     # alpha=2, scale=sqrt(2) is the standard normal
     spec = NoiseSpec("generalized-laplace", scale=np.sqrt(2.0), alpha=2.0)
-    draws = spec.sample(50_000, stream(23))
+    draws = spec.ppf(stream(23).random((50_000, 1)))
     assert abs(np.var(draws) - 1.0) < 0.03
     assert abs(spec.variance() - 1.0) < 1e-12
 

@@ -86,6 +86,19 @@ def test_inconsistent_system_gives_empty_family():
         fam.element(np.zeros(fam.dimension))
 
 
+@pytest.mark.parametrize("delta", [1e-11, 1e-12, 1e-13])
+def test_particular_solution_is_cut_where_the_basis_is(delta):
+    # 3 and 3 + delta are one eigenvalue at the rtol cut; a particular solution
+    # that inverts the delta-sized singular value leans along the family's basis
+    source = AffineMechanism(np.diag([2.0, 3.0]), np.array([1.0, 1.0]))
+    target = AffineMechanism(np.diag([2.0, 3.0 + delta]), np.array([0.5, 2.0]))
+    fam = find_affine_intertwiners(source, target)
+    assert fam.consistent and fam.dimension == 2
+    x = np.concatenate([fam.particular_A.reshape(-1), fam.particular_p])
+    basis = np.hstack([fam.basis_A.reshape(fam.dimension, -1), fam.basis_p])
+    assert np.linalg.norm(basis @ x) <= 1e-12 * (1.0 + np.linalg.norm(x))
+
+
 def test_identity_mechanisms_imitated_by_any_bijection():
     ident = AffineMechanism(np.eye(2), np.zeros(2))
     a = FunctionBijection(np.sinh, np.arcsinh, dim=2)

@@ -1,11 +1,12 @@
 """Row-major vec identities and null-space machinery.
 
 The operator constructions are verified against direct entrywise
-evaluation of the bilinear maps they encode, not against each other.
+evaluation of the bilinear maps they encode, not against each other. The
+constraint solve is checked against numpy's pseudoinverse at the same cut.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mechid.linalg import (
@@ -111,3 +112,36 @@ def test_row_space_complements_null_space_at_one_cut():
         full = np.vstack([R, null_space(K)])
         assert np.allclose(full @ full.T, np.eye(6), atol=1e-12)
     assert row_space(np.zeros((3, 4))).shape == (0, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=0, max_value=11),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+@example(rows=12, cols=4, rank=2, seed=1)  # tall
+@example(rows=3, cols=10, rank=2, seed=2)  # wide
+def test_constraint_solve_is_the_pseudoinverse_at_the_basis_cut(rows, cols, rank, seed):
+    gen = stream(seed, 7)
+    rank = min(rank, rows - 1, cols - 1)  # rank-deficient either way
+    K = gen.standard_normal((rows, rank)) @ gen.standard_normal((rank, cols))
+    rhs = K @ gen.standard_normal(cols) + 1e-6 * gen.standard_normal(rows)
+    rtol = 1e-9
+    basis, x, residual = null_space(K, rtol, rhs)
+    want = np.linalg.pinv(K, rcond=rtol) @ rhs  # keeps s > rcond * s_0, as the cut does
+    assert np.linalg.norm(x - want) <= 1e-10 * (1.0 + np.linalg.norm(want))
+    assert np.abs(basis @ x).max(initial=0.0) <= 1e-10 * (1.0 + np.linalg.norm(x))
+    assert _bitwise_equal(basis, null_space(K, rtol))
+    assert residual == np.linalg.norm(K @ x - rhs) / (1.0 + np.linalg.norm(rhs))
+
+
+def test_constraint_solve_of_empty_and_zero_systems():
+    basis, x, residual = null_space(np.zeros((0, 3)), rhs=np.zeros(0))
+    assert _bitwise_equal(basis, np.eye(3)) and _bitwise_equal(x, np.zeros(3))
+    assert residual == 0.0
+    rhs = np.array([3.0, 0.0, 4.0])
+    basis, x, residual = null_space(np.zeros((3, 2)), rhs=rhs)
+    assert _bitwise_equal(basis, np.eye(2)) and _bitwise_equal(x, np.zeros(2))
+    assert residual == 5.0 / 6.0

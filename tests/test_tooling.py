@@ -19,6 +19,9 @@ import numpy as np
 import pytest
 
 import mechid.equivariance
+import mechid.imitation
+import mechid.recovery
+from mechid import AffineMechanism, RecoveryProblem
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -36,15 +39,38 @@ def test_tracer_probes_resolve_and_record():
     spans = load_spans()
     tracer = spans.Tracer()
     originals = [getattr(owner, attr) for owner, attr, _, _ in spans.PROBES]
-    tracer.begin(0)
+    m1 = AffineMechanism(np.diag([2.0, 3.0]), np.array([1.0, 1.0]))
+    m2 = AffineMechanism(np.diag([3.0, 2.0]), np.array([0.5, 2.0]))
+    pairs = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, -1.0], [0.5, 3.0]])
+    problem = RecoveryProblem(pairs, pairs @ m1.M.T + m1.b, m1.M, np.tile(m1.b, (6, 1)))
+    calls = (
+        lambda: mechid.equivariance.linear_commutant(np.diag([2.0, 3.0])),
+        lambda: mechid.imitation.find_affine_intertwiners(m1, m2),
+        lambda: mechid.recovery.recover_linear_encoder(problem),
+    )
     try:
-        mechid.equivariance.linear_commutant(np.diag([2.0, 3.0]))
+        for op, call in enumerate(calls):
+            tracer.begin(op)
+            call()
     finally:
         tracer.end()
     assert [getattr(owner, attr) for owner, attr, _, _ in spans.PROBES] == originals
-    row = tracer.per_op([0])[0]
-    assert row["equivariance.linear_commutant.calls"] == 1
-    assert row["linalg.null_space.calls"] == 1
+    rows = tracer.per_op(range(len(calls)))
+    assert rows[0]["equivariance.linear_commutant.calls"] == 1
+    # each constraint solve is one null_space call, wherever its module looks it up
+    assert rows[0]["linalg.null_space.calls"] == rows[1]["linalg.null_space.calls"] == 1
+    assert rows[1]["imitation.solves"] == 1
+    # the recovery makes one solve; the other is its premise check's
+    nested = [
+        (tracer.spans[parent][1], name)
+        for op, name, _, _, parent in tracer.spans
+        if op == 2 and parent >= 0
+    ]
+    assert sorted(nested) == [
+        ("equivariance.exact_recovery_conditions", "linalg.null_space"),
+        ("recovery.recover_linear_encoder", "equivariance.exact_recovery_conditions"),
+        ("recovery.recover_linear_encoder", "linalg.null_space"),
+    ]
 
 
 def test_benchmark_selftest_passes():
