@@ -4,6 +4,7 @@
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --runs stochastic=10 recover=3 --seeds 5 11 3 7 13 17 19 23 29 31 \\
         --trace stochastic --title "what the change does" --out BENCH_11.json
+    python3 scripts/bench_pairs.py --parent ../parent --change . --fixtures 10 --out BENCH_13.json
 
 Both directories are source checkouts that hold ``bench/run.py``. Pair k of
 a workload runs ``bench/run.py --workload W --seed seeds[k] --trace 0`` once
@@ -17,7 +18,18 @@ failed counts, and per workload and metric the median and quartiles
 (``statistics.quantiles(method="inclusive")``) of each side, the pairs the
 change won (ties count for neither side) and the ratio of the medians.
 The run length, the metric names and their directions come from the
-change's BENCHMARK.json. The file is rewritten after every pair, so a failed run leaves the pairs
+change's BENCHMARK.json.
+
+``--fixtures PAIRS`` also times, PAIRS times per side, a fresh
+``python3 -m mechid.cli <kind> fixtures/<name>.json --threads 1`` for each
+fixture shipped in the change, with the checkout as working directory, its
+``src`` as the only PYTHONPATH entry and BLAS pinned to one thread as
+bench/run.py pins it. Pair k of every fixture comes after pair k of the
+workloads, in the same order. Per fixture the output keeps every pair's
+wall seconds and exit status, each side's least and median seconds and the
+pairs the change won; a pair whose sides exit differently is an error.
+
+The file is rewritten after every pair, so a failed run leaves the pairs
 before it. Standard library only.
 """
 
@@ -25,9 +37,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 COMMAND = "python3 bench/run.py --workload <workload> --seed <seed> --seconds {seconds} --trace <0|1>"
@@ -36,6 +51,16 @@ PROTOCOL = (
     "parent first in even pairs. One run at a time on the host. Metrics are copied from "
     "each run's result line; environment from its description line."
 )
+FIXTURE_COMMAND = (
+    "python3 -m mechid.cli <kind> fixtures/<name>.json --threads 1 --output-dir <temporary directory>"
+)
+PINNED_ENV = {
+    "OPENBLAS_NUM_THREADS": "1",
+    "OMP_NUM_THREADS": "1",
+    "MKL_NUM_THREADS": "1",
+    "NUMEXPR_NUM_THREADS": "1",
+    "VECLIB_MAXIMUM_THREADS": "1",
+}
 
 
 class RunError(RuntimeError):
@@ -53,6 +78,38 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: int, trace: int
     if proc.returncode != 0 or len(lines) < 2:
         raise RunError(f"{checkout}: {' '.join(argv[1:])} exited {proc.returncode}\n{proc.stderr[-2000:]}")
     return json.loads(lines[-2]), json.loads(lines[-1])
+
+
+def fixture_kinds(checkout: Path) -> dict[str, str]:
+    """Each shipped fixture's name and the experiment kind its document names."""
+    paths = sorted((checkout / "fixtures").glob("*.json"))
+    return {p.stem: json.loads(p.read_text())["experiment"] for p in paths}
+
+
+def run_fixture(checkout: Path, kind: str, name: str) -> tuple[float, int]:
+    """Wall seconds and exit status of one fresh ``mechid <kind> fixtures/<name>.json``."""
+    env = {k: v for k, v in os.environ.items() if k != "MECHID_SEED"}
+    env.update(PINNED_ENV, PYTHONPATH=str(checkout / "src"))
+    with tempfile.TemporaryDirectory() as out:
+        argv = [sys.executable, "-m", "mechid.cli", kind, f"fixtures/{name}.json"]
+        argv += ["--threads", "1", "--output-dir", out]
+        t = time.perf_counter()
+        proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
+        seconds = time.perf_counter() - t
+    if proc.returncode not in (0, 1, 2) or "Traceback" in proc.stderr:
+        raise RunError(
+            f"{checkout}: mechid {kind} fixtures/{name}.json exited {proc.returncode}\n{proc.stderr[-2000:]}"
+        )
+    return seconds, proc.returncode
+
+
+def summarize_fixture(pairs: list[dict]) -> dict:
+    out = {
+        side: {"min_s": min(p[side] for p in pairs), "median_s": statistics.median(p[side] for p in pairs)}
+        for side in ("parent", "change")
+    }
+    out["change_better_pairs"] = sum(p["change"] < p["parent"] for p in pairs)
+    return out
 
 
 def side_record(result: dict) -> dict:
@@ -108,9 +165,12 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    ap.add_argument("--runs", nargs="+", required=True, metavar="WORKLOAD=PAIRS")
-    ap.add_argument("--seeds", type=int, nargs="+", required=True, help="seed of pair k is the k-th")
+    ap.add_argument("--runs", nargs="+", default=[], metavar="WORKLOAD=PAIRS")
+    ap.add_argument("--seeds", type=int, nargs="+", default=[], help="seed of pair k is the k-th")
     ap.add_argument("--trace", nargs="*", default=[], metavar="WORKLOAD")
+    ap.add_argument(
+        "--fixtures", type=int, default=0, metavar="PAIRS", help="fresh-process pairs per shipped fixture"
+    )
     ap.add_argument("--title", default="", help="what the change does")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
@@ -118,20 +178,27 @@ def main(argv=None) -> int:
         runs = parse_runs(args.runs)
     except argparse.ArgumentTypeError as e:
         ap.error(str(e))
-    if max(runs.values()) > len(args.seeds):
-        ap.error(f"{max(runs.values())} pairs need as many seeds, got {len(args.seeds)}")
+    if args.fixtures < 0 or not runs and not args.fixtures:
+        ap.error("nothing to run: give --runs, a positive --fixtures or both")
+    needed = max(runs.values(), default=1 if args.trace else 0)
+    if needed > len(args.seeds):
+        ap.error(f"{needed} pairs need as many seeds, got {len(args.seeds)}")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
-    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    seconds = spec["run_seconds"]
+    spec = json.loads((sides["change"] / "BENCHMARK.json").read_text()) if runs or args.trace else None
+    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]} if spec else {}
+    fixtures = fixture_kinds(sides["change"]) if args.fixtures else {}
 
     doc = {
         "change": args.title,
         "parent": revision(sides["parent"]),
-        "command": COMMAND.format(seconds=seconds),
+        "command": COMMAND.format(seconds=spec["run_seconds"]) if spec else None,
         "protocol": PROTOCOL,
         "workloads": {w: {"pairs": [], "summary": {}} for w in runs},
         "trace": {},
+        "fixtures": {
+            "command": FIXTURE_COMMAND,
+            "runs": {name: {"kind": kind, "pairs": [], "summary": {}} for name, kind in fixtures.items()},
+        },
         "environment": [],
     }
 
@@ -143,14 +210,14 @@ def main(argv=None) -> int:
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
 
     try:
-        for k in range(max(runs.values())):
+        for k in range(max(*runs.values(), args.fixtures, 0)):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for workload, count in runs.items():
                 if k >= count:
                     continue
                 pair = {"seed": args.seeds[k], "first": order[0], "parent": None, "change": None}
                 for side in order:
-                    info, result = run_bench(sides[side], workload, args.seeds[k], seconds, 0)
+                    info, result = run_bench(sides[side], workload, args.seeds[k], spec["run_seconds"], 0)
                     note_environment(info)
                     pair[side] = side_record(result)
                 entry = doc["workloads"][workload]
@@ -160,10 +227,24 @@ def main(argv=None) -> int:
                     f"{name} {pair['parent'][name]:.4g} -> {pair['change'][name]:.4g}" for name in metrics
                 ), flush=True)
                 write()
+            for name, entry in doc["fixtures"]["runs"].items():
+                if k >= args.fixtures:
+                    break
+                timed = {side: run_fixture(sides[side], entry["kind"], name) for side in order}
+                (parent_s, status), (change_s, change_status) = timed["parent"], timed["change"]
+                if status != change_status:
+                    raise RunError(
+                        f"fixtures/{name}.json exits {status} at the parent, {change_status} changed"
+                    )
+                pair = {"first": order[0], "parent": parent_s, "change": change_s, "exit_status": status}
+                entry["pairs"].append(pair)
+                entry["summary"] = summarize_fixture(entry["pairs"])
+                print(f"{name}: {pair['parent']:.3f} s -> {pair['change']:.3f} s", flush=True)
+                write()
         for workload in args.trace:
             traced = {"seed": args.seeds[0]}
             for side in ("parent", "change"):
-                info, result = run_bench(sides[side], workload, args.seeds[0], seconds, 1)
+                info, result = run_bench(sides[side], workload, args.seeds[0], spec["run_seconds"], 1)
                 note_environment(info)
                 traced[side] = {name: m["value"] for name, m in result["metrics"].items()}
             doc["trace"][workload] = traced

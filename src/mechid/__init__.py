@@ -5,6 +5,9 @@ a decoder x = g(z), computes the equivariance and imitator sets that govern
 which models are observationally indistinguishable, recovers linear
 encoders where those sets are trivial, and tests the stochastic analogue
 of equivariance in distribution.
+
+scipy is imported inside the functions that call it, so `import mechid`
+loads numpy alone and a run pays for a scipy module only when it uses one.
 """
 
 __version__ = "0.8.0"

@@ -12,6 +12,7 @@ Exit status: 0 success, 2 verdict-failure, 1 error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -24,7 +25,18 @@ from . import __version__
 from .config import EXPERIMENT_KINDS, parse_config
 from .errors import ConfigError, MechidError, ReplayIncompatibilityError
 from .experiments import run_experiment
-from .jsonio import canonical_digest, dump_json, dumps_json, file_digest, load_json
+from .jsonio import (
+    _dict,
+    _join,
+    _non_negative,
+    _number,
+    _str,
+    canonical_digest,
+    dump_json,
+    dumps_json,
+    file_digest,
+    load_json,
+)
 from .recovery import COMPARISON_CLASSES
 
 __all__ = ["main", "build_parser"]
@@ -73,6 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep regenerated outputs here (default: temporary directory)",
     )
     return p
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses; parsing leaves it unchanged, so one serves a whole process."""
+    return build_parser()
 
 
 def _format_cell(v) -> str:
@@ -255,14 +273,20 @@ def _replay_command(args) -> int:
             f"manifest written by version {version}, this artifact is {__version__}"
         )
     recorded_dir = args.manifest.parent
-    tolerance = float(manifest.get("replay_tolerance", 0.0))
+    config = _dict(manifest["config"], "config")
+    outputs = _dict(manifest.get("outputs", {}), "outputs")
+    for name, digest in outputs.items():
+        _str(digest, _join("outputs", name))
+    tolerance = _number(manifest.get("replay_tolerance", 0.0), "replay_tolerance")
+    if problem := _non_negative(tolerance):
+        raise ConfigError("replay_tolerance", problem)
     threads = _pool_size(manifest.get("threads", 1))
 
     def compare_into(workdir: Path) -> dict:
-        _, _new_manifest = _execute_config(dict(manifest["config"]), workdir, threads)
+        _, _new_manifest = _execute_config(dict(config), workdir, threads)
         files = []
         first_divergence = None
-        for name, digest in manifest.get("outputs", {}).items():
+        for name, digest in outputs.items():
             new_path = workdir / name
             entry = {"file": name}
             if not new_path.exists():
@@ -304,7 +328,7 @@ def _replay_command(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "replay":
             return _replay_command(args)

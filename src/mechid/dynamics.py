@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     DimensionMismatchError,
@@ -172,7 +171,9 @@ class NoiseSpec:
         """Coordinatewise quantile transform of uniform-[0,1) variates."""
         u = np.asarray(u, dtype=float)
         if self.family == "gaussian":
-            return self.scale * special.ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
+            from scipy.special import ndtri
+
+            return self.scale * ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
         if self.family == "uniform":
             return self.scale * (2.0 * u - 1.0)
         s = u - 0.5
@@ -183,9 +184,13 @@ class NoiseSpec:
         if self.alpha == 1.0:
             mag = -np.log1p(-w)
         elif self.alpha == 2.0:
-            mag = special.erfinv(w)
+            from scipy.special import erfinv
+
+            mag = erfinv(w)
         else:
-            mag = special.gammaincinv(1.0 / self.alpha, w) ** (1.0 / self.alpha)
+            from scipy.special import gammaincinv
+
+            mag = gammaincinv(1.0 / self.alpha, w) ** (1.0 / self.alpha)
         return np.sign(s) * (self.scale * mag)
 
     def variance(self) -> float:

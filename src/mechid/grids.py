@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 __all__ = ["GridSpec"]
 
@@ -34,6 +33,8 @@ class GridSpec:
             raise ValueError("grid box is empty: high must exceed low")
 
     def points(self) -> np.ndarray:
+        from scipy.stats import qmc
+
         sampler = qmc.Sobol(d=self.dim, scramble=False)
         with warnings.catch_warnings():
             # balance warning for non power-of-two counts; harmless here

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .dynamics import AffineMechanism, Trajectory
 from .equivariance import (
@@ -250,6 +249,8 @@ def _signed_perm_match(RE: np.ndarray, RT: np.ndarray) -> tuple[tuple[int, ...],
     The Hungarian assignment is exact because the total cost is a sum of
     independent row costs, each with its sign chosen freely.
     """
+    from scipy.optimize import linear_sum_assignment
+
     d = RE.shape[0]
     minus = ((RE[:, None, :] - RT[None, :, :]) ** 2).sum(axis=2)
     plus = ((RE[:, None, :] + RT[None, :, :]) ** 2).sum(axis=2)

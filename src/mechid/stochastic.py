@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.stats import ks_2samp, kstwo
 
 from .dynamics import StochasticMechanism
 from .errors import DimensionMismatchError, IllConditionedError, NonFiniteSampleError
@@ -162,6 +160,8 @@ def _ks_equal_size(X: np.ndarray, Y: np.ndarray) -> tuple[list[float], list[floa
         h = int(np.round(np.abs(cddiffs).max() * n))
         p = 1.0 if h == 0 else _ks_prob_outside_square(n, h)
         if not 0 <= p <= 1:
+            from scipy.stats import kstwo
+
             p = kstwo.sf(h / n, np.round(n / 2))
         pvals.append(float(np.clip(p, 0, 1)))
         stats.append(h / n)
@@ -206,6 +206,8 @@ def two_sample_test(
         if 0 < X.shape[0] == Y.shape[0] <= _KS_EXACT_MAX_N:
             pvals, stats = _ks_equal_size(X, Y)
         else:
+            from scipy.stats import ks_2samp
+
             results = [ks_2samp(X[:, i], Y[:, i]) for i in range(d)]
             pvals = [float(r.pvalue) for r in results]
             stats = [float(r.statistic) for r in results]
@@ -222,6 +224,8 @@ def two_sample_test(
     if Y.shape[0] > _ENERGY_MAX_POINTS:
         Y = Y[np.sort(gen.choice(Y.shape[0], _ENERGY_MAX_POINTS, replace=False))]
     n, m = X.shape[0], Y.shape[0]
+    from scipy.spatial.distance import cdist
+
     pool = np.vstack([X, Y])
     D = cdist(pool, pool)
     row_sums = D.sum(axis=1)

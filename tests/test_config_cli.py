@@ -321,6 +321,32 @@ def test_replay_rejects_version_mismatch(tmp_path, capsys):
     assert "version" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("outputs", []),
+        ("outputs", {"report.json": 5}),
+        ("config", 5),
+        ("config", [1, 2]),
+        ("replay_tolerance", "x"),
+        ("replay_tolerance", -1e-9),
+        ("replay_tolerance", math.nan),
+        ("replay_tolerance", math.inf),
+        ("replay_tolerance", True),
+    ],
+)
+def test_replay_of_a_malformed_manifest_names_the_field(tmp_path, capsys, key, value):
+    out = tmp_path / "run"
+    run_cli("commutant", FIXTURES / "commutant_shared.json", "--output-dir", out)
+    manifest = read_json(out / "manifest.json")
+    manifest[key] = value
+    (out / "manifest.json").write_text(json.dumps(manifest))  # json.dumps writes NaN and Infinity
+    capsys.readouterr()
+    assert run_cli("replay", out / "manifest.json", "--output-dir", tmp_path / "r") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config field '{key}"), err
+
+
 def test_stochastic_manifest_records_tolerance(tmp_path):
     out = tmp_path / "run"
     run_cli("stochastic-test", FIXTURES / "stochastic_swap.json", "--output-dir", out)
@@ -346,6 +372,83 @@ def test_console_entry_point_runs(tmp_path):
     assert proc.returncode == 0
     assert "pass" in proc.stdout
     assert (out / "report.json").exists()
+
+
+def _outputs(directory: Path) -> dict:
+    """Every output file's bytes; a manifest without its run time."""
+    files = {}
+    for path in sorted(directory.iterdir()):
+        if path.name == "manifest.json":
+            manifest = read_json(path)
+            manifest.pop("duration_seconds")
+            files[path.name] = manifest
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
+def test_calls_in_one_process_match_separate_processes(tmp_path, monkeypatch, capsys):
+    """main reuses one parser; a usage error must leave it fit for the calls after it."""
+    calls = [
+        ["commutant", str(FIXTURES / "commutant_shared.json"), "--bogus"],
+        ["commutant", str(FIXTURES / "commutant_shared.json"), "--output-dir", "run"],
+        ["replay", "run/manifest.json", "--output-dir", "replayed"],
+        ["imitate", str(FIXTURES / "imitate_swap_pair.json"), "--output-dir", "imitated", "--budget", "4"],
+    ]
+    env = {k: v for k, v in os.environ.items() if k != "MECHID_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(FIXTURES.parent / "src"), env.get("PYTHONPATH")]))
+    monkeypatch.delenv("MECHID_SEED", raising=False)
+    separate, together = tmp_path / "separate", tmp_path / "together"
+    separate.mkdir()
+    together.mkdir()
+    expected = []
+    for argv in calls:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mechid.cli", *argv], cwd=separate, env=env, capture_output=True
+        )
+        expected.append((proc.returncode, proc.stdout, proc.stderr))
+    monkeypatch.chdir(together)
+    got = []
+    for argv in calls:
+        try:
+            status = main(argv)
+        except SystemExit as e:
+            status = e.code
+        captured = capsys.readouterr()
+        got.append((status, captured.out.encode(), captured.err.encode()))
+    assert [status for status, _, _ in got] == [1, 0, 0, 0]
+    assert got == expected
+    for name in ("run", "replayed", "imitated"):
+        assert _outputs(together / name) == _outputs(separate / name)
+
+
+# Loading scipy.stats costs about 1 s; the kinds that never call it must not pay for it.
+IMPORT_BOUNDARY_SCRIPT = """
+import contextlib, io, json, sys
+import mechid, mechid.cli
+heavy = ("scipy.stats", "scipy.special", "scipy.optimize", "scipy.spatial")
+at_import = [m for m in heavy if m in sys.modules]
+statuses = []
+runs = (("commutant", "commutant_shared"), ("simulate", "simulate_shear"), ("recover", "recover_inverse"))
+for kind, name in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        statuses.append(mechid.cli.main(
+            [kind, sys.argv[1] + "/" + name + ".json", "--output-dir", kind, "--threads", "1"]
+        ))
+stats_after_runs = "scipy.stats" in sys.modules
+print(json.dumps({"at_import": at_import, "statuses": statuses, "stats_after_runs": stats_after_runs}))
+"""
+
+
+def test_import_and_three_kinds_leave_scipy_stats_unloaded(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(FIXTURES.parent / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_BOUNDARY_SCRIPT, str(FIXTURES)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"at_import": [], "statuses": [0, 0, 0], "stats_after_runs": False}
 
 
 # ---------------------------------------------------------------------------

@@ -169,3 +169,33 @@ def test_bench_pairs_alternates_and_summarizes(tmp_path):
     }
     assert doc["environment"] == [{"cores": 2, "side": "parent"}, {"cores": 2, "side": "change"}]
     assert doc["change"] == "stub"
+
+
+def test_bench_pairs_times_each_shipped_fixture(tmp_path):
+    for side in ("parent", "change"):
+        (tmp_path / side / "fixtures").mkdir(parents=True)
+        (tmp_path / side / "src").symlink_to(ROOT / "src", target_is_directory=True)
+        (tmp_path / side / "fixtures" / "commutant_shared.json").write_bytes(
+            (ROOT / "fixtures" / "commutant_shared.json").read_bytes()
+        )
+    out = tmp_path / "BENCH.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"),
+         "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+         "--fixtures", "1", "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    doc = json.loads(out.read_text())
+    assert doc["workloads"] == {}
+    runs = doc["fixtures"]["runs"]
+    assert list(runs) == ["commutant_shared"]
+    entry = runs["commutant_shared"]
+    assert entry["kind"] == "commutant"
+    [pair] = entry["pairs"]
+    assert (pair["first"], pair["exit_status"]) == ("parent", 0)
+    for side in ("parent", "change"):
+        assert entry["summary"][side] == {"min_s": pair[side], "median_s": pair[side]}
+        assert pair[side] > 0
+    # each run wrote into a temporary directory, never into the checkout
+    assert sorted(p.name for p in (tmp_path / "change").iterdir()) == ["fixtures", "src"]
