@@ -8,6 +8,9 @@ of equivariance in distribution.
 
 scipy is imported inside the functions that call it, so `import mechid`
 loads numpy alone and a run pays for a scipy module only when it uses one.
+Evaluation grids are built in numpy from the Sobol direction numbers scipy
+ships as data, so no shipped fixture loads `scipy.stats`, `scipy.special`,
+`scipy.optimize` or `scipy.spatial`.
 """
 
 __version__ = "0.8.0"

@@ -150,6 +150,20 @@ GRID = (
     Field("low", _number, GridSpec.low),
     Field("high", _number, GridSpec.high),
 )
+
+
+def _grid(latent_dim):
+    """A grid in the dimension `latent_dim(ctx)`; with its count checked, a bad box names `high`."""
+
+    def build(g, ctx) -> GridSpec:
+        try:
+            return GridSpec(dim=latent_dim(ctx), **g)
+        except ValueError as e:
+            raise ConfigError("high", str(e)) from None
+
+    return build
+
+
 AFFINE_MAP = (
     Field("A", _matrix),
     Field("p", _vector, lambda c: np.zeros(len(c["A"]))),
@@ -331,7 +345,7 @@ IMITATE = (
     _RTOL,
     Field("check_tol", _number, lambda c: CLOSURE_TOL_FACTOR * c["rtol"], _positive),
     Field("budget", _int, DEFAULT_ASSIGNMENT_BUDGET, _positive),
-    Field("grid", _object(GRID, lambda g, c: GridSpec(dim=c["used"][0].dim, **g)), {}),
+    Field("grid", _object(GRID, _grid(lambda c: c["used"][0].dim)), {}),
     _EXPECT,
 )
 VERIFY = (
@@ -339,7 +353,7 @@ VERIFY = (
     _DECODER,
     Field("mechanisms", _mechanisms),
     Field("candidates", _each(_object(CANDIDATE, _candidate), "candidate")),
-    Field("grid", _object(GRID, lambda g, c: GridSpec(dim=c["decoder"].latent_dim, **g)), {}),
+    Field("grid", _object(GRID, _grid(lambda c: c["decoder"].latent_dim)), {}),
     Field(
         "tol_equivariance",
         _number,

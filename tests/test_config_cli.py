@@ -422,33 +422,37 @@ def test_calls_in_one_process_match_separate_processes(tmp_path, monkeypatch, ca
         assert _outputs(together / name) == _outputs(separate / name)
 
 
-# Loading scipy.stats costs about 1 s; the kinds that never call it must not pay for it.
+# Loading scipy.stats costs about 1 s; no kind needs it, or the other heavy
+# scipy subpackages, to run a shipped fixture.
 IMPORT_BOUNDARY_SCRIPT = """
 import contextlib, io, json, sys
 import mechid, mechid.cli
 heavy = ("scipy.stats", "scipy.special", "scipy.optimize", "scipy.spatial")
 at_import = [m for m in heavy if m in sys.modules]
-statuses = []
-runs = (("commutant", "commutant_shared"), ("simulate", "simulate_shear"), ("recover", "recover_inverse"))
-for kind, name in runs:
+statuses = {}
+for name, kind in json.loads(sys.argv[2]).items():
     with contextlib.redirect_stdout(io.StringIO()):
-        statuses.append(mechid.cli.main(
-            [kind, sys.argv[1] + "/" + name + ".json", "--output-dir", kind, "--threads", "1"]
-        ))
-stats_after_runs = "scipy.stats" in sys.modules
-print(json.dumps({"at_import": at_import, "statuses": statuses, "stats_after_runs": stats_after_runs}))
+        statuses[name] = mechid.cli.main(
+            [kind, sys.argv[1] + "/" + name + ".json", "--output-dir", name, "--threads", "1"]
+        )
+after_runs = [m for m in heavy if m in sys.modules]
+print(json.dumps({"at_import": at_import, "statuses": statuses, "after_runs": after_runs}))
 """
 
 
-def test_import_and_three_kinds_leave_scipy_stats_unloaded(tmp_path):
+def test_import_and_every_fixture_leave_heavy_scipy_unloaded(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(FIXTURES.parent / "src"), env.get("PYTHONPATH")]))
+    kinds = dict(RUNNABLE, malformed_missing_matrix="commutant")
+    assert sorted(kinds) == sorted(p.stem for p in FIXTURES.glob("*.json"))
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_BOUNDARY_SCRIPT, str(FIXTURES)],
+        [sys.executable, "-c", IMPORT_BOUNDARY_SCRIPT, str(FIXTURES), json.dumps(kinds)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"at_import": [], "statuses": [0, 0, 0], "stats_after_runs": False}
+    statuses = {name: 0 for name in kinds}
+    statuses.update(malformed_missing_matrix=1, verify_planted_claim=2)
+    assert json.loads(proc.stdout) == {"at_import": [], "statuses": statuses, "after_runs": []}
 
 
 # ---------------------------------------------------------------------------
@@ -742,6 +746,10 @@ PROBES = [
     ("verify_planted_claim", ("csv_tables",), True, "csv_tables"),
     ("stochastic_swap", ("test", "samples_per_anchor"), 50, "test.samples_per_anchor"),
     ("verify_planted_claim", ("decoder", "maps"), ["identity", "cosh", "identity"], "decoder.maps[1].kind"),
+    # an empty box and one whose width overflows name `high`, as relational checks name a field
+    ("verify_planted_claim", ("grid",), {"low": 2, "high": -2}, "grid.high"),
+    ("verify_planted_claim", ("grid",), {"low": -1e308, "high": 1e308}, "grid.high"),
+    ("imitate_swap_pair", ("grid", "high"), -2.0, "grid.high"),
 ]
 
 
