@@ -9,8 +9,13 @@ of equivariance in distribution.
 scipy is imported inside the functions that call it, so `import mechid`
 loads numpy alone and a run pays for a scipy module only when it uses one.
 Evaluation grids are built in numpy from the Sobol direction numbers scipy
-ships as data, so no shipped fixture loads `scipy.stats`, `scipy.special`,
-`scipy.optimize` or `scipy.spatial`.
+ships as data, and signed-permutation comparisons match rows with an
+assignment solver of their own, so no shipped fixture loads `scipy.stats`,
+`scipy.special`, `scipy.optimize` or `scipy.spatial`, and `recover` loads
+no scipy module at all. What still loads one: Gaussian and
+generalized-Laplace noise with alpha other than 1 (`scipy.special`), the
+energy test (`scipy.spatial`), and the KS test on samples of unequal size
+or over 10^4 points (`scipy.stats`).
 """
 
 __version__ = "0.8.0"

@@ -12,6 +12,7 @@ inverses on the data manifold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -243,22 +244,79 @@ def _as_affine_encoder(E) -> tuple[np.ndarray, np.ndarray]:
     return W, np.zeros(W.shape[0])
 
 
+def _min_cost_assignment(cost: list[list[float]]) -> list[int]:
+    """Column of each row in a least-total-cost assignment of a square matrix.
+
+    Shortest augmenting paths with row and column potentials (Kuhn 1955; the
+    Jonker-Volgenant family, Crouse, IEEE TAES 2016): row `start` joins the
+    matching along the cheapest alternating path, found by a Dijkstra search
+    over reduced costs cost[i][j] - u[i] - v[j], which the potentials keep
+    non-negative. O(d^3) in all. Plain Python over lists: at the sizes
+    compared here a numpy call per step costs more than the arithmetic. The
+    costs must be finite; a NaN would stop the search from settling.
+    """
+    d = len(cost)
+    u = [0.0] * d
+    v = [0.0] * d
+    col4row = [-1] * d
+    row4col = [-1] * d
+    path = [-1] * d  # the row that reaches column j on the current search
+    for start in range(d):
+        dist = [math.inf] * d
+        rows = [start]  # rows reached, in order
+        cols = []  # columns settled, in order
+        todo = list(range(d - 1, -1, -1))
+        i, low = start, 0.0
+        while True:
+            row, ui = cost[i], u[i]
+            best, at = math.inf, -1
+            for k, j in enumerate(todo):
+                r = low + row[j] - ui - v[j]
+                if r < dist[j]:
+                    dist[j], path[j] = r, i
+                # among equally near columns prefer a free one: it ends the path
+                if dist[j] < best or (dist[j] == best and row4col[j] < 0):
+                    best, at = dist[j], k
+            low = best
+            j = todo[at]
+            todo[at] = todo[-1]
+            todo.pop()
+            cols.append(j)
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+            rows.append(i)
+        u[start] += low
+        for i in rows[1:]:
+            u[i] += low - dist[col4row[i]]
+        for j in cols:
+            v[j] -= low - dist[j]
+        while True:  # flip the path: each row on it takes the column it reached
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == start:
+                break
+    return col4row
+
+
 def _signed_perm_match(RE: np.ndarray, RT: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Best assignment of estimate rows to signed truth rows.
 
-    The Hungarian assignment is exact because the total cost is a sum of
-    independent row costs, each with its sign chosen freely.
+    The assignment is exact because the total cost is a sum of independent
+    row costs, each with its sign chosen freely. Both inputs are first scaled
+    by one power of two so that the largest entry lies in [0.5, 1): exact,
+    and no squared distance overflows, nor underflows unless it is
+    negligible beside the largest.
     """
-    from scipy.optimize import linear_sum_assignment
-
-    d = RE.shape[0]
+    e = math.frexp(max(np.abs(RE).max(initial=0.0), np.abs(RT).max(initial=0.0)))[1]
+    RE, RT = np.ldexp(RE, -e), np.ldexp(RT, -e)
     minus = ((RE[:, None, :] - RT[None, :, :]) ** 2).sum(axis=2)
     plus = ((RE[:, None, :] + RT[None, :, :]) ** 2).sum(axis=2)
     cost = np.minimum(minus, plus)
     sign = np.where(minus <= plus, 1, -1)
-    _, cols = linear_sum_assignment(cost)  # row indices come back as 0..d-1
-    perm = tuple(int(j) for j in cols)
-    signs = tuple(int(sign[i, perm[i]]) for i in range(d))
+    perm = tuple(_min_cost_assignment(cost.tolist()))
+    signs = tuple(int(sign[i, j]) for i, j in enumerate(perm))
     return perm, signs
 
 
@@ -278,7 +336,8 @@ def compare_up_to_class(estimate, truth, klass: str = "exact") -> ComparisonResu
     (coordinate relabels and sign flips), signed-permutation+offset, linear
     (any affine reweighting, fit by least squares). The residual is the
     Frobenius distance of the aligned truth to the estimate, relative to the
-    truth's magnitude.
+    truth's magnitude. A non-finite entry in either encoder raises
+    NonFiniteSampleError naming the argument and row.
     """
     if klass not in COMPARISON_CLASSES:
         raise ValueError(f"unknown class '{klass}'; choose from {COMPARISON_CLASSES}")
@@ -291,6 +350,8 @@ def compare_up_to_class(estimate, truth, klass: str = "exact") -> ComparisonResu
     d = WE.shape[0]
     RE = np.hstack([WE, cE[:, None]])
     RT = np.hstack([WT, cT[:, None]])
+    _require_finite_rows(RE, "estimate")
+    _require_finite_rows(RT, "truth")
     norm = max(float(np.linalg.norm(RT)), 1e-300)
     perm = None
     signs = None

@@ -45,6 +45,12 @@ def read_json(path: Path):
     return json.loads(path.read_text())
 
 
+def with_src_path(env: dict) -> dict:
+    """`env` with this checkout's `src` first on PYTHONPATH, for a child interpreter."""
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(FIXTURES.parent / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -395,8 +401,7 @@ def test_calls_in_one_process_match_separate_processes(tmp_path, monkeypatch, ca
         ["replay", "run/manifest.json", "--output-dir", "replayed"],
         ["imitate", str(FIXTURES / "imitate_swap_pair.json"), "--output-dir", "imitated", "--budget", "4"],
     ]
-    env = {k: v for k, v in os.environ.items() if k != "MECHID_SEED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(FIXTURES.parent / "src"), env.get("PYTHONPATH")]))
+    env = with_src_path({k: v for k, v in os.environ.items() if k != "MECHID_SEED"})
     monkeypatch.delenv("MECHID_SEED", raising=False)
     separate, together = tmp_path / "separate", tmp_path / "together"
     separate.mkdir()
@@ -422,37 +427,63 @@ def test_calls_in_one_process_match_separate_processes(tmp_path, monkeypatch, ca
         assert _outputs(together / name) == _outputs(separate / name)
 
 
-# Loading scipy.stats costs about 1 s; no kind needs it, or the other heavy
-# scipy subpackages, to run a shipped fixture.
+# Loading scipy.stats costs about 1 s and scipy.optimize about 0.5 s; no kind
+# needs them, or the other heavy scipy subpackages, to run a shipped fixture
+# or to compare a recovered encoder up to a signed permutation.
 IMPORT_BOUNDARY_SCRIPT = """
 import contextlib, io, json, sys
+from pathlib import Path
 import mechid, mechid.cli
 heavy = ("scipy.stats", "scipy.special", "scipy.optimize", "scipy.spatial")
 at_import = [m for m in heavy if m in sys.modules]
 statuses = {}
-for name, kind in json.loads(sys.argv[2]).items():
+for path, kind in json.loads(sys.argv[1]).items():
+    name = Path(path).stem
     with contextlib.redirect_stdout(io.StringIO()):
-        statuses[name] = mechid.cli.main(
-            [kind, sys.argv[1] + "/" + name + ".json", "--output-dir", name, "--threads", "1"]
-        )
+        statuses[name] = mechid.cli.main([kind, path, "--output-dir", name, "--threads", "1"])
 after_runs = [m for m in heavy if m in sys.modules]
 print(json.dumps({"at_import": at_import, "statuses": statuses, "after_runs": after_runs}))
 """
 
 
 def test_import_and_every_fixture_leave_heavy_scipy_unloaded(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(FIXTURES.parent / "src"), env.get("PYTHONPATH")]))
+    env = with_src_path(dict(os.environ))
     kinds = dict(RUNNABLE, malformed_missing_matrix="commutant")
     assert sorted(kinds) == sorted(p.stem for p in FIXTURES.glob("*.json"))
+    configs = {str(FIXTURES / f"{name}.json"): kind for name, kind in kinds.items()}
+    # no shipped fixture compares up to a signed permutation
+    doc = load_json(FIXTURES / "recover_inverse.json")
+    for klass in ("signed-permutation", "signed-permutation+offset"):
+        doc["comparison"]["class"] = klass
+        path = tmp_path / f"recover_{klass.replace('+', '_')}.json"
+        path.write_text(dumps_json(doc))
+        configs[str(path)] = "recover"
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_BOUNDARY_SCRIPT, str(FIXTURES), json.dumps(kinds)],
+        [sys.executable, "-c", IMPORT_BOUNDARY_SCRIPT, json.dumps(configs)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    statuses = {name: 0 for name in kinds}
+    statuses = {Path(path).stem: 0 for path in configs}
     statuses.update(malformed_missing_matrix=1, verify_planted_claim=2)
     assert json.loads(proc.stdout) == {"at_import": [], "statuses": statuses, "after_runs": []}
+
+
+def test_signed_permutation_comparison_loads_no_scipy():
+    env = with_src_path(dict(os.environ))
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import mechid\n"
+        "E = np.arange(12.0).reshape(3, 4)\n"
+        "res = mechid.compare_up_to_class(-E[[2, 0, 1]], E, 'signed-permutation')\n"
+        "assert res.permutation == (2, 0, 1) and res.signs == (-1, -1, -1), res\n"
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -787,8 +818,7 @@ def _run_under_1_gib(tmp_path, doc):
     The limit keeps a regression from taking the host.
     """
     document = write_raw(tmp_path, doc)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(FIXTURES.parent / "src"), env.get("PYTHONPATH")]))
+    env = with_src_path(dict(os.environ, OPENBLAS_NUM_THREADS="1"))
     limit = 1 << 30
     return subprocess.run(
         [sys.executable, "-m", "mechid.cli", "recover", str(document), "--output-dir", str(tmp_path / "run")],

@@ -16,7 +16,7 @@ from mechid import (
     simulate_deterministic,
 )
 from mechid.errors import DataDeficiencyError, NonFiniteSampleError
-from mechid.recovery import _assemble_system
+from mechid.recovery import COMPARISON_CLASSES, _assemble_system, _min_cost_assignment
 from mechid.rng import stream
 
 from conftest import distinct_eig_mechanism, random_invertible, random_signed_permutation
@@ -296,6 +296,68 @@ def test_compare_residual_symmetry_under_class_inversion():
         fwd = compare_up_to_class(P @ truth, truth, "signed-permutation")
         back = compare_up_to_class(truth, P @ truth, "signed-permutation")
         assert abs(fwd.residual - back.residual) <= 1e-9
+
+
+def test_assignment_matches_scipy_on_float_costs():
+    from scipy.optimize import linear_sum_assignment
+
+    gen = stream(263)
+    for d in range(1, 17):
+        for trial in range(20):
+            cost = gen.standard_normal((d, d))
+            _, cols = linear_sum_assignment(cost)
+            assert _min_cost_assignment(cost.tolist()) == cols.tolist(), (d, trial)
+
+
+def test_assignment_reaches_scipy_total_on_tied_integer_costs():
+    # costs in {0, 1, 2} have many optimal assignments; ties may break differently
+    from scipy.optimize import linear_sum_assignment
+
+    gen = stream(269)
+    for d in range(1, 12):
+        for trial in range(40):
+            cost = gen.integers(0, 3, size=(d, d)).astype(float)
+            rows, cols = linear_sum_assignment(cost)
+            got = _min_cost_assignment(cost.tolist())
+            assert sorted(got) == list(range(d))
+            assert cost[np.arange(d), got].sum() == cost[rows, cols].sum(), (d, trial)
+
+
+@pytest.mark.parametrize("klass", ["signed-permutation", "signed-permutation+offset"])
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-300])
+def test_compare_recovers_planted_signed_permutation_at_d12(klass, scale):
+    # 1e200 would overflow every squared distance and 1e-300 underflow them
+    gen = stream(271)
+    d = 12
+    W = scale * gen.standard_normal((d, d + 3))
+    c = scale * gen.standard_normal(d)
+    P = random_signed_permutation(gen, d)
+    res = compare_up_to_class((P @ W, P @ c + scale), (W, c), klass)
+    rows, cols = np.nonzero(P)
+    assert res.permutation == tuple(cols.tolist())
+    assert res.signs == tuple(int(s) for s in P[rows, cols])
+    assert np.array_equal(res.L, P)
+    if klass == "signed-permutation+offset":
+        assert np.allclose(res.q, scale)
+        if scale == 1.0:  # the relative residual itself over- and underflows at the extremes
+            assert res.residual <= 1e-12
+
+
+@pytest.mark.parametrize("klass", COMPARISON_CLASSES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", ["estimate", "truth"])
+def test_compare_rejects_non_finite_encoder(klass, bad, which):
+    gen = stream(277)
+    W = gen.standard_normal((3, 4))
+    c = gen.standard_normal(3)
+    bad_W, bad_c = W.copy(), c.copy()
+    if which == "estimate":
+        bad_W[1, 2] = bad
+    else:
+        bad_c[1] = bad
+    args = {"estimate": (W, c), "truth": (W, c), which: (bad_W, bad_c)}
+    with pytest.raises(NonFiniteSampleError, match=f"{which}\\[1\\]"):
+        compare_up_to_class(args["estimate"], args["truth"], klass)
 
 
 def test_compare_rejects_unknown_class():
