@@ -300,17 +300,24 @@ def _min_cost_assignment(cost: list[list[float]]) -> list[int]:
     return col4row
 
 
+def _unit_scaled(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A and B scaled by one power of two so that the largest entry lies in [0.5, 1).
+
+    The scaling is exact, and no sum of squares of the results overflows,
+    nor underflows unless it is negligible beside the largest entry.
+    """
+    e = math.frexp(max(np.abs(A).max(initial=0.0), np.abs(B).max(initial=0.0)))[1]
+    return np.ldexp(A, -e), np.ldexp(B, -e)
+
+
 def _signed_perm_match(RE: np.ndarray, RT: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Best assignment of estimate rows to signed truth rows.
 
     The assignment is exact because the total cost is a sum of independent
-    row costs, each with its sign chosen freely. Both inputs are first scaled
-    by one power of two so that the largest entry lies in [0.5, 1): exact,
-    and no squared distance overflows, nor underflows unless it is
-    negligible beside the largest.
+    row costs, each with its sign chosen freely. The inputs come scaled by
+    `_unit_scaled`, so no squared distance overflows, nor underflows unless
+    it is negligible beside the largest.
     """
-    e = math.frexp(max(np.abs(RE).max(initial=0.0), np.abs(RT).max(initial=0.0)))[1]
-    RE, RT = np.ldexp(RE, -e), np.ldexp(RT, -e)
     minus = ((RE[:, None, :] - RT[None, :, :]) ** 2).sum(axis=2)
     plus = ((RE[:, None, :] + RT[None, :, :]) ** 2).sum(axis=2)
     cost = np.minimum(minus, plus)
@@ -336,8 +343,9 @@ def compare_up_to_class(estimate, truth, klass: str = "exact") -> ComparisonResu
     (coordinate relabels and sign flips), signed-permutation+offset, linear
     (any affine reweighting, fit by least squares). The residual is the
     Frobenius distance of the aligned truth to the estimate, relative to the
-    truth's magnitude. A non-finite entry in either encoder raises
-    NonFiniteSampleError naming the argument and row.
+    truth's magnitude, and reads the same at any scale. A non-finite entry
+    in either encoder raises NonFiniteSampleError naming the argument and
+    row.
     """
     if klass not in COMPARISON_CLASSES:
         raise ValueError(f"unknown class '{klass}'; choose from {COMPARISON_CLASSES}")
@@ -352,30 +360,32 @@ def compare_up_to_class(estimate, truth, klass: str = "exact") -> ComparisonResu
     RT = np.hstack([WT, cT[:, None]])
     _require_finite_rows(RE, "estimate")
     _require_finite_rows(RT, "truth")
-    norm = max(float(np.linalg.norm(RT)), 1e-300)
+    # the residual's norms are taken on unit-scaled rows, where they neither
+    # over- nor underflow; the exact scaling cancels in their ratio
+    SE, ST = _unit_scaled(RE, RT)
     perm = None
     signs = None
     if klass == "exact":
         L = np.eye(d)
         q = np.zeros(d)
-        gap = RE - RT
+        gap = SE - ST
     elif klass == "offset":
         L = np.eye(d)
         q = cE - cT
-        gap = WE - WT
+        gap = SE[:, :-1] - ST[:, :-1]
     elif klass == "signed-permutation":
-        perm, signs = _signed_perm_match(RE, RT)
+        perm, signs = _signed_perm_match(SE, ST)
         L = _perm_matrix(perm, signs)
         q = np.zeros(d)
-        gap = RE - L @ RT
+        gap = SE - L @ ST
     elif klass == "signed-permutation+offset":
-        perm, signs = _signed_perm_match(WE, WT)
+        perm, signs = _signed_perm_match(*_unit_scaled(WE, WT))  # offsets must not set the scale
         L = _perm_matrix(perm, signs)
         q = cE - L @ cT
-        gap = WE - L @ WT
+        gap = SE[:, :-1] - L @ ST[:, :-1]
     else:  # linear
         L = np.linalg.lstsq(WT.T, WE.T, rcond=None)[0].T
         q = cE - L @ cT
-        gap = WE - L @ WT
-    residual = float(np.linalg.norm(gap) / norm)
+        gap = SE[:, :-1] - L @ ST[:, :-1]
+    residual = float(np.linalg.norm(gap) / max(float(np.linalg.norm(ST)), 1e-300))
     return ComparisonResult(residual=residual, L=L, q=q, klass=klass, permutation=perm, signs=signs)

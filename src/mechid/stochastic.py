@@ -144,20 +144,25 @@ def _ks_prob_outside_square(n: int, h: int) -> float:
 def _ks_equal_size(X: np.ndarray, Y: np.ndarray) -> tuple[list[float], list[float]]:
     """Per-column two-sided KS p-values and statistics of two (n, d) samples.
 
-    For 0 < n <= _KS_EXACT_MAX_N this equals `ks_2samp(method="auto")` bit
-    for bit: h = round(n·D) from the same ECDF differences, statistic h/n,
-    p = 1 at h = 0, else the exact value, or `kstwo.sf(h/n, round(n/2))`
-    when the exact value falls outside [0, 1] (scipy's fallback, taken
-    here without its RuntimeWarning), clipped to [0, 1].
+    Each column's h = n·D comes from one stable merge of its two sorted
+    samples (numpy's stable sort is timsort, which merges two runs in O(n)):
+    the running count of +1 per X value and -1 per Y value, read where each
+    run of equal values ends, peaks at ±h. For 0 < n <= _KS_EXACT_MAX_N this
+    equals `ks_2samp(method="auto")` bit for bit, whose round(n·D) is the
+    same integer: statistic h/n, p = 1 at h = 0, else the exact value, or
+    `kstwo.sf(h/n, round(n/2))` when the exact value falls outside [0, 1]
+    (scipy's fallback, taken here without its RuntimeWarning), clipped to
+    [0, 1].
     """
     n = X.shape[0]
-    Xs = np.sort(X, axis=0)
-    Ys = np.sort(Y, axis=0)
     pvals, stats = [], []
-    for x, y in zip(Xs.T, Ys.T):
-        pooled = np.concatenate([x, y])
-        cddiffs = np.searchsorted(x, pooled, side="right") / n - np.searchsorted(y, pooled, side="right") / n
-        h = int(np.round(np.abs(cddiffs).max() * n))
+    for x, y in zip(np.sort(X.T, axis=1), np.sort(Y.T, axis=1)):
+        runs = np.concatenate([x, y])
+        order = np.argsort(runs, kind="stable")
+        merged = runs[order]
+        count = np.cumsum(np.where(order < n, 1, -1))
+        # the count ends at n - n = 0, so the last position can be left out
+        h = int(np.abs(count[:-1][merged[1:] != merged[:-1]]).max(initial=0))
         p = 1.0 if h == 0 else _ks_prob_outside_square(n, h)
         if not 0 <= p <= 1:
             from scipy.stats import kstwo
@@ -177,33 +182,43 @@ def two_sample_test(
 ) -> TwoSampleResult:
     """Test whether X and Y come from one distribution.
 
-    "ks": per-coordinate two-sample Kolmogorov-Smirnov, Bonferroni-combined
-    (d times the smallest coordinate p-value, capped at 1). Each coordinate
-    gets what `scipy.stats.ks_2samp(method="auto")` gives: the exact p-value
-    when neither sample has more than 10^4 points, with Smirnov's asymptotic
-    one where the exact value leaves [0, 1], and the asymptotic one above
-    10^4 points. Equal-size samples up to 10^4 points take a batched routine
-    that is bitwise equal to it; other sizes call it. "energy": the
-    energy-distance statistic with a label-permutation null; samples over
-    512 points are subsampled, so the distance matrix stays at most 1024².
-    The null's statistics come from blocked products of 0/1 labellings with
-    that matrix, drawn in the same order as one permutation per statistic.
-    A non-finite value in X or Y raises NonFiniteSampleError naming it.
+    X and Y hold one point per row; a 1-D array is n points of one
+    coordinate. "ks": per-coordinate two-sample Kolmogorov-Smirnov,
+    Bonferroni-combined (d times the smallest coordinate p-value, capped at
+    1). Each coordinate gets what `scipy.stats.ks_2samp(method="auto")`
+    gives: the exact p-value when neither sample has more than 10^4 points,
+    with Smirnov's asymptotic one where the exact value leaves [0, 1], and
+    the asymptotic one above 10^4 points. Equal-size samples up to 10^4
+    points find the statistic by merging the two sorted columns and share
+    scipy's p-value arithmetic, so they are bitwise equal to it; other sizes
+    call it. "energy": the energy-distance statistic with a
+    label-permutation null; samples over 512 points are subsampled, so the
+    distance matrix stays at most 1024². The null's statistics come from
+    blocked products of 0/1 labellings with that matrix, drawn in the same
+    order as one permutation per statistic. An empty X or Y raises
+    ValueError, and a non-finite value in X or Y raises
+    NonFiniteSampleError, each naming the sample.
     """
     if method not in DistributionalTestSpec.METHODS:
         raise ValueError(f"unknown method '{method}'")
     if permutations < 1:
         raise ValueError("permutations must be >= 1")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if X.shape[1] != Y.shape[1]:
-        raise DimensionMismatchError("samples have different dimensions")
+    samples = []
     for name, sample in (("X", X), ("Y", Y)):
+        sample = np.asarray(sample, dtype=float)
+        if sample.ndim < 2:  # n points of one coordinate, as ks_2samp reads it
+            sample = sample.reshape(-1, 1)
+        if sample.size == 0:
+            raise ValueError(f"sample {name} is empty")
         if not np.isfinite(sample).all():
             raise NonFiniteSampleError(f"sample {name}")
+        samples.append(sample)
+    X, Y = samples
+    if X.shape[1] != Y.shape[1]:
+        raise DimensionMismatchError("samples have different dimensions")
     d = X.shape[1]
     if method == "ks":
-        if 0 < X.shape[0] == Y.shape[0] <= _KS_EXACT_MAX_N:
+        if X.shape[0] == Y.shape[0] <= _KS_EXACT_MAX_N:
             pvals, stats = _ks_equal_size(X, Y)
         else:
             from scipy.stats import ks_2samp

@@ -1,6 +1,7 @@
 """Constructive linear-encoder recovery and class-based comparison."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -339,8 +340,25 @@ def test_compare_recovers_planted_signed_permutation_at_d12(klass, scale):
     assert np.array_equal(res.L, P)
     if klass == "signed-permutation+offset":
         assert np.allclose(res.q, scale)
-        if scale == 1.0:  # the relative residual itself over- and underflows at the extremes
-            assert res.residual <= 1e-12
+        assert res.residual <= 1e-12
+
+
+@pytest.mark.parametrize("klass", COMPARISON_CLASSES)
+@pytest.mark.parametrize("scale", [1e200, 1e-300])
+def test_compare_residual_is_the_same_at_extreme_scales(klass, scale):
+    # norms of the raw rows gave NaN or inf near 1e200 and 0 near 1e-300
+    gen = stream(279)
+    W = gen.standard_normal((4, 6))
+    c = gen.standard_normal(4)
+    P = random_signed_permutation(gen, 4)
+    We = P @ W + 1e-3 * gen.standard_normal((4, 6))
+    ce = P @ c + 0.5
+    expected = compare_up_to_class((We, ce), (W, c), klass).residual
+    assert 1e-4 < expected < 10.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = compare_up_to_class((scale * We, scale * ce), (scale * W, scale * c), klass)
+    assert res.residual == pytest.approx(expected, rel=1e-9)
 
 
 @pytest.mark.parametrize("klass", COMPARISON_CLASSES)

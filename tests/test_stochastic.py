@@ -107,6 +107,30 @@ def test_nonfinite_sample_is_rejected_naming_it(method, side, value):
         two_sample_test(samples["X"], samples["Y"], method=method, permutations=19)
 
 
+@pytest.mark.parametrize("method", ["ks", "energy"])
+@pytest.mark.parametrize("side", ["X", "Y"])
+@pytest.mark.parametrize("shape", [(0, 2), (0,)])
+def test_empty_sample_is_rejected_naming_it(method, side, shape):
+    # KS gave p = 1.0 with NaN statistics, energy p = 1/(1+P) with a NaN statistic
+    full = (300,) + shape[1:]
+    samples = {"X": stream(310).standard_normal(full), "Y": stream(311).standard_normal(full)}
+    samples[side] = np.zeros(shape)
+    with pytest.raises(ValueError, match=f"sample {side} is empty"):
+        two_sample_test(samples["X"], samples["Y"], method=method, permutations=19)
+
+
+@pytest.mark.parametrize("method", ["ks", "energy"])
+def test_one_dimensional_sample_is_points_of_one_coordinate(method):
+    # read as one point in 200 dimensions, N(0,1) against N(3,1) gave p = 1.0
+    x = stream(312, 0).standard_normal(200)
+    y = stream(312, 1).standard_normal(200) + 3.0
+    res = two_sample_test(x, y, method=method, permutations=99)
+    assert res == two_sample_test(x[:, None], y[:, None], method=method, permutations=99)
+    assert res.p_value < 0.05
+    if method == "ks":
+        assert res.coordinate_p_values == (ks_2samp(x, y).pvalue,)
+
+
 def reference_energy_test(X, Y, seed, permutations):
     """The energy test as one np.ix_ gather per permutation: the reference
     for the blocked null, with the same subsample and permutation stream."""
@@ -201,12 +225,32 @@ def ks_case(kind, n, m=None):
     elif kind == "tied":
         X = np.round(X, 1)
         Y = np.round(gen.laplace(size=(n, 2)) + [0.05, 0.0], 1)
+    elif kind == "ties_across":  # each run of equal values holds points of both samples
+        X = gen.integers(0, 4, (n, 2)).astype(float)
+        Y = gen.integers(1, 5, (n, 2)).astype(float)
+    elif kind == "signed_zero":  # -0.0 == 0.0, in whatever order the sort leaves them
+        X = np.where(gen.random((n, 2)) < 0.5, -0.0, 0.0)
+        Y = np.where(gen.random((n, 2)) < 0.3, -0.0, 0.0)
+        X[: n // 6] = 1.0
+        Y[-(n // 3) :] = -1.0
+    elif kind == "equal":  # all 2n values equal: h = 0
+        X = np.full((n, 2), 1.5)
+        Y = X.copy()
     elif kind == "identical":
         Y = X[gen.permutation(n)]
     elif kind == "one_step":
         X = np.tile(np.arange(float(n))[:, None], (1, 2))
         Y = X.copy()
         Y[-1, 0] += 0.5  # one point later: D = 1/n in the first column
+    elif kind == "d1":
+        X = X[:, :1]
+        Y = gen.laplace(size=(n, 1)) + 0.2
+    elif kind == "d5":
+        X = gen.laplace(size=(n, 5))
+        Y = gen.laplace(size=(n, 5)) + np.linspace(0.0, 0.3, 5)
+    elif kind == "huge":  # entries near ±1e300
+        X = gen.uniform(-1.0, 1.0, (n, 2)) * 1e300
+        Y = gen.uniform(-0.9, 1.1, (n, 2)) * 1e300
     else:  # "separated": every Y beyond every X, D = 1
         Y = X + 100.0
     return X, Y
@@ -214,10 +258,17 @@ def ks_case(kind, n, m=None):
 
 @pytest.mark.parametrize(
     "kind, n, m",
-    [("shifted", n, None) for n in (100, 109, 400, 3000, 10_000)]
+    [("shifted", n, None) for n in (1, 2, 100, 109, 400, 3000, 10_000)]
     + [
         ("tied", 400, None),
         ("tied", 3000, None),
+        ("ties_across", 2, None),
+        ("ties_across", 300, None),
+        ("signed_zero", 60, None),
+        ("equal", 50, None),
+        ("d1", 500, None),
+        ("d5", 500, None),
+        ("huge", 400, None),
         ("identical", 400, None),
         ("one_step", 109, None),
         ("separated", 3000, None),
@@ -235,11 +286,17 @@ def test_ks_is_bitwise_equal_to_per_column_ks_2samp(kind, n, m):
     assert bits([res.statistic]) == bits([max(stats)])
     if m is None and n <= 10_000:
         assert bits(_ks_equal_size(X, Y)[1]) == bits(stats)
+    gen = stream(315, n)
+    for shuffled in ((X[gen.permutation(len(X))], Y), (X, Y[gen.permutation(len(Y))])):
+        again = two_sample_test(*shuffled, method="ks")
+        assert bits(again.coordinate_p_values) == bits(pvals)
+        assert bits([again.statistic]) == bits([res.statistic])
 
 
 def test_ks_cases_reach_every_branch():
     # the parametrized cases above cover h = 0, scipy's fallback and h = n
     assert ks_reference(*ks_case("identical", 400))[0] == [1.0, 1.0]
+    assert _ks_equal_size(*ks_case("equal", 50))[1] == [0.0, 0.0]
     assert not 0 <= _ks_prob_outside_square(109, 1) <= 1
     assert round(_ks_equal_size(*ks_case("one_step", 109))[1][0] * 109) == 1
     assert _ks_equal_size(*ks_case("separated", 3000))[1] == [1.0, 1.0]
