@@ -18,7 +18,7 @@ energy test (`scipy.spatial`), and the KS test on samples of unequal size
 or over 10^4 points (`scipy.stats`).
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .dynamics import (
     AffineMechanism,
@@ -32,8 +32,7 @@ from .dynamics import (
     TransformedDecoder,
     additive_noise_mechanism,
     sample_generalized_laplace,
-    simulate_deterministic,
-    simulate_stochastic,
+    simulate,
 )
 from .equivariance import (
     AffineMapFamily,

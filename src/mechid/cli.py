@@ -210,12 +210,13 @@ def _run_command(args) -> int:
 
 
 def _numeric_diff(a, b, rtol: float, path: str):
-    """First divergence between two parsed JSON values, or None."""
+    """First divergence of two parsed values, or None; object keys in recorded order first."""
     if isinstance(a, dict) and isinstance(b, dict):
-        for k in a.keys() | b.keys():
+        for k in [*a, *(k for k in b if k not in a)]:
+            sub = f"{path}.{k}" if path else str(k)
             if k not in a or k not in b:
-                return {"path": f"{path}.{k}", "problem": "key missing on one side"}
-            d = _numeric_diff(a[k], b[k], rtol, f"{path}.{k}" if path else str(k))
+                return {"path": sub, "problem": "key missing on one side"}
+            d = _numeric_diff(a[k], b[k], rtol, sub)
             if d is not None:
                 return d
         return None
@@ -236,31 +237,22 @@ def _numeric_diff(a, b, rtol: float, path: str):
     return None if a == b else {"path": path, "recorded": a, "regenerated": b}
 
 
-def _csv_diff(text_a: str, text_b: str, rtol: float):
-    rows_a = text_a.splitlines()
-    rows_b = text_b.splitlines()
-    if len(rows_a) != len(rows_b):
-        return {"path": "rows", "problem": f"{len(rows_a)} vs {len(rows_b)} rows"}
-    for r, (la, lb) in enumerate(zip(rows_a, rows_b)):
-        ca, cb = la.split(","), lb.split(",")
-        if len(ca) != len(cb):
-            return {"path": f"row {r}", "problem": "column count differs"}
-        for c, (x, y) in enumerate(zip(ca, cb)):
-            try:
-                fx, fy = float(x), float(y)
-                if abs(fx - fy) <= rtol * (1.0 + abs(fx)):
-                    continue
-            except ValueError:
-                if x == y:
-                    continue
-            return {"path": f"row {r}, column {c}", "recorded": x, "regenerated": y}
-    return None
+def _cell(c: str):
+    """A table cell: a float where it parses as one, else the string."""
+    try:
+        return float(c)
+    except ValueError:
+        return c
 
 
 def _compare_output(recorded: Path, regenerated: Path, rtol: float):
     if recorded.suffix == ".json":
         return _numeric_diff(load_json(recorded), load_json(regenerated), rtol, "")
-    return _csv_diff(recorded.read_text(), regenerated.read_text(), rtol)
+    tables = (
+        [[_cell(c) for c in line.split(",")] for line in f.read_text().splitlines()]
+        for f in (recorded, regenerated)
+    )
+    return _numeric_diff(*tables, rtol, "rows")
 
 
 def _replay_command(args) -> int:

@@ -40,8 +40,7 @@ __all__ = [
     "StructuredDecoder",
     "TransformedDecoder",
     "Trajectory",
-    "simulate_deterministic",
-    "simulate_stochastic",
+    "simulate",
 ]
 
 # States with norm beyond this are treated as numerically divergent.
@@ -473,17 +472,24 @@ class Trajectory:
 
     @classmethod
     def from_csv(cls, path) -> "Trajectory":
+        """Read a table `to_csv` wrote; a malformed one raises ValueError naming file and row."""
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            d = sum(1 for h in header if h.startswith("z_"))
-            n = sum(1 for h in header if h.startswith("x_"))
-            latents, observations, mechs = [], [], []
-            for row in reader:
+            rows = list(csv.reader(fh))
+        if len(rows) < 2:
+            raise ValueError(f"{path}: expected a header row and at least one state row")
+        d = sum(1 for h in rows[0] if h.startswith("z_"))
+        n = sum(1 for h in rows[0] if h.startswith("x_"))
+        latents, observations, mechs = [], [], []
+        for r, row in enumerate(rows[1:], start=2):
+            try:
+                if len(row) != 2 + d + n:
+                    raise ValueError(f"{len(row)} cells where the header implies {2 + d + n}")
                 latents.append([float(v) for v in row[1 : 1 + d]])
                 observations.append([float(v) for v in row[1 + d : 1 + d + n]])
                 if row[1 + d + n] != "":
                     mechs.append(int(row[1 + d + n]))
+            except ValueError as e:
+                raise ValueError(f"{path}, row {r}: {e}") from None
         return cls(
             latents=np.array(latents),
             observations=np.array(observations),
@@ -493,8 +499,11 @@ class Trajectory:
 
 def _check_state(z: np.ndarray, step: int) -> None:
     norm = float(np.linalg.norm(z))
-    if not math.isfinite(norm) or norm > DIVERGENCE_BOUND:
-        raise DivergedTrajectoryError(step, norm, DIVERGENCE_BOUND)
+    if norm <= DIVERGENCE_BOUND:
+        return
+    if not np.isfinite(z).all():  # NaN, or an infinite entry rather than an overflowing norm
+        raise NonFiniteSampleError(f"simulation step {step}")
+    raise DivergedTrajectoryError(step, norm, DIVERGENCE_BOUND)
 
 
 def _resolve_schedule(mechanisms: Sequence, schedule: Sequence[int] | None, T: int):
@@ -511,53 +520,28 @@ def _resolve_schedule(mechanisms: Sequence, schedule: Sequence[int] | None, T: i
     return idx
 
 
-def simulate_deterministic(
-    decoder,
-    mechanisms: Sequence,
-    z1: np.ndarray,
-    T: int,
-    schedule: Sequence[int] | None = None,
-) -> Trajectory:
-    """Roll out z_{t+1} = m_t(z_t) for T states and decode each one."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    idx = _resolve_schedule(mechanisms, schedule, T)
-    z = np.asarray(z1, dtype=float).reshape(-1)
-    if z.shape[0] != decoder.latent_dim:
-        raise DimensionMismatchError(
-            f"z1 has dimension {z.shape[0]}, decoder expects {decoder.latent_dim}"
-        )
-    _check_state(z, 1)
-    latents = np.empty((T, z.shape[0]))
-    latents[0] = z
-    for t in range(1, T):
-        z = mechanisms[idx[t - 1]](z)
-        _check_state(z, t + 1)
-        latents[t] = z
-    return Trajectory(latents=latents, observations=decoder.decode(latents), mechanisms=idx)
-
-
-def simulate_stochastic(
+def simulate(
     decoder,
     mechanisms: Sequence,
     z1,
     T: int,
-    seed: int,
     schedule: Sequence[int] | None = None,
+    seed: int = 0,
 ) -> Trajectory:
-    """Roll out a schedule of noise kernels with counter-based streams.
+    """Roll out z_{t+1} = m_t(z_t) for T states and decode each one.
 
-    Step t consumes the stream keyed (seed, t); the initial condition uses
-    (seed, 0) when z1 is a callable z1(gen). Reruns with the same seed are
-    bit-identical, independent of thread count or evaluation order.
+    A `StochasticMechanism` at step t draws from the stream keyed (seed, t)
+    and a callable z1(gen) from (seed, 0), so reruns with one seed are
+    bit-identical, independent of thread count. A non-finite state raises
+    `NonFiniteSampleError` and a norm above DIVERGENCE_BOUND raises
+    `DivergedTrajectoryError`, each naming the step.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
     idx = _resolve_schedule(mechanisms, schedule, T)
     if callable(z1):
-        z = np.asarray(z1(stream(seed, 0)), dtype=float).reshape(-1)
-    else:
-        z = np.asarray(z1, dtype=float).reshape(-1)
+        z1 = z1(stream(seed, 0))
+    z = np.asarray(z1, dtype=float).reshape(-1)
     if z.shape[0] != decoder.latent_dim:
         raise DimensionMismatchError(
             f"z1 has dimension {z.shape[0]}, decoder expects {decoder.latent_dim}"
@@ -572,8 +556,6 @@ def simulate_stochastic(
             z = mech.sample_next(z, U)[0]
         else:
             z = mech(z)
-        if not np.isfinite(z).all():
-            raise NonFiniteSampleError(f"simulation step {t + 1}")
         _check_state(z, t + 1)
         latents[t] = z
     return Trajectory(latents=latents, observations=decoder.decode(latents), mechanisms=idx)

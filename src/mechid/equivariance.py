@@ -4,10 +4,11 @@ An affine map a(z) = A z + p carries a mechanism m1(z) = M1 z + b1 onto
 m2(z) = M2 z + b2 exactly when A M1 = M2 A and A b1 + p = M2 p + b2. Both
 constraints are linear in (A, p). `_intertwiner_system` builds them for a
 stack of pairs (m1_i, m2_i) at once, one block of rows per pair, in a single
-array. An equivariance of m is the case m1 = m2 = m, so its solution set is
-the affine subspace (I, 0) + N where N is the null space of the stacked
-blocks of every mechanism. Everything here reduces to building that operator
-explicitly and reading off SVD null spaces.
+array, and `_intertwiner_family` turns one `null_space` solve of that array
+into the affine solution set: the null space N plus a particular solution,
+which is (I, 0) whenever the identity solves the system. An equivariance of
+m is the case m1 = m2 = m, so its solution set is (I, 0) + N; imitation
+solves the same systems with m1 != m2.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .maps import AffineMap
 from .rng import stream
 
 __all__ = [
+    "CLOSURE_TOL_FACTOR",
     "EIGENGAP_RTOL",
     "LinearSubspaceBasis",
     "AffineMapFamily",
@@ -53,6 +55,9 @@ __all__ = [
 # Eigenvalues closer than this fraction of the spectral radius are equal: they
 # count as tied, and they match between the spectra the imitator closure prunes by.
 EIGENGAP_RTOL = 1e-7
+# A stacked system is solvable, the identity solves it, and a closure
+# representative's grid residuals verify, each within this multiple of the rank cut rtol.
+CLOSURE_TOL_FACTOR = 10.0
 
 _BASIS_ORTHO_TOL = 1e-10
 _REPRESENTATIVE_ATTEMPTS = 20
@@ -192,21 +197,6 @@ class AffineMapFamily:
         return None
 
 
-def _family_from_nullspace(
-    basis_flat: np.ndarray, d: int, particular: np.ndarray | None, residual: float, rtol: float
-) -> AffineMapFamily:
-    """The family cut at `rtol`; `particular`, over (vec A, p), is None for an unsolvable system."""
-    dd = d * d
-    return AffineMapFamily(
-        basis_A=basis_flat[:, :dd].reshape(-1, d, d),
-        basis_p=basis_flat[:, dd:],
-        particular_A=None if particular is None else particular[:dd].reshape(d, d),
-        particular_p=None if particular is None else particular[dd:],
-        residual=residual,
-        rtol=rtol,
-    )
-
-
 def _intertwiner_system(
     M1: np.ndarray, b1: np.ndarray, M2: np.ndarray, b2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -227,6 +217,34 @@ def _intertwiner_system(
     rhs = np.zeros((k, dd + d))
     rhs[:, dd:] = b2
     return C.reshape(k * (dd + d), dd + d), rhs.reshape(-1)
+
+
+def _intertwiner_family(
+    C: np.ndarray, r: np.ndarray, solution: tuple, d: int, rtol: float
+) -> AffineMapFamily:
+    """The solutions of C x = r over (vec A, p), given `null_space(C, rtol, r)`.
+
+    The particular solution, kept with its residual, is (I, 0) if it solves the
+    system within CLOSURE_TOL_FACTOR * rtol, else the minimum-norm solution if
+    that one does; otherwise the family is empty.
+    """
+    basis, x, residual = solution
+    tol = CLOSURE_TOL_FACTOR * rtol
+    ident = np.concatenate([np.eye(d).reshape(-1), np.zeros(d)])
+    ident_residual = float(np.linalg.norm(C @ ident - r) / (1.0 + np.linalg.norm(r)))
+    if ident_residual <= tol:
+        x, residual = ident, ident_residual
+    elif residual > tol:
+        x = None
+    dd = d * d
+    return AffineMapFamily(
+        basis_A=basis[:, :dd].reshape(-1, d, d),
+        basis_p=basis[:, dd:],
+        particular_A=None if x is None else x[:dd].reshape(d, d),
+        particular_p=None if x is None else x[dd:],
+        residual=residual,
+        rtol=rtol,
+    )
 
 
 @dataclass(frozen=True)
@@ -300,10 +318,8 @@ def shared_equivariances(
             raise DimensionMismatchError("mechanisms have mixed dimensions")
     M = np.stack([m.M for m in mechanisms])
     b = np.stack([m.b for m in mechanisms])
-    basis = null_space(_intertwiner_system(M, b, M, b)[0], rtol)
-    # (I, 0) solves the inhomogeneous system exactly, for any mechanism set.
-    ident = np.concatenate([np.eye(d).reshape(-1), np.zeros(d)])
-    family = _family_from_nullspace(basis, d, ident, residual=0.0, rtol=rtol)
+    C, r = _intertwiner_system(M, b, M, b)
+    family = _intertwiner_family(C, r, null_space(C, rtol, r), d, rtol)
     degenerate = any(smallest_singular_gap(m.M - np.eye(d)) <= rtol for m in mechanisms)
     return EquivarianceFamily(mechanisms=mechanisms, family=family, degenerate_offset=degenerate)
 
@@ -339,15 +355,19 @@ def _as_points(grid, dim: int) -> np.ndarray:
     return pts
 
 
-def _residual_report(lhs: np.ndarray, rhs: np.ndarray, tol: float) -> CheckReport:
-    if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
-        bad = np.nonzero(~(np.isfinite(lhs).all(axis=-1) & np.isfinite(rhs).all(axis=-1)))[0]
-        raise NonFiniteSampleError(f"grid point {int(bad[0])}")
-    res = np.linalg.norm(lhs - rhs, axis=-1) / (1.0 + np.linalg.norm(rhs, axis=-1))
+def _row_residuals(lhs, rhs, scale, where: str = "grid point") -> np.ndarray:
+    """|lhs - rhs| / (1 + |scale|) per row; a non-finite row raises, naming it."""
+    finite = np.isfinite(lhs).all(axis=-1) & np.isfinite(rhs).all(axis=-1)
+    if not finite.all():
+        raise NonFiniteSampleError(f"{where} {int(np.argmin(finite))}")
+    return np.linalg.norm(lhs - rhs, axis=-1) / (1.0 + np.linalg.norm(scale, axis=-1))
+
+
+def _residual_report(res: np.ndarray, tol: float) -> CheckReport:
     worst = int(np.argmax(res))
     mx = float(res[worst])
     return CheckReport(
-        passed=bool(mx <= tol), max_residual=mx, worst_index=worst, points=lhs.shape[0], tol=tol
+        passed=bool(mx <= tol), max_residual=mx, worst_index=worst, points=res.shape[0], tol=tol
     )
 
 
@@ -359,9 +379,8 @@ def check_imitation(a, m1, m2, grid=None, tol: float = DEFAULT_RTOL) -> CheckRep
     """
     dim = getattr(m1, "dim", getattr(a, "dim", None))
     Z = _as_points(grid, dim)
-    lhs = a(m1(Z))
-    rhs = m2(a(Z))
-    return _residual_report(lhs, rhs, tol)
+    lhs, rhs = a(m1(Z)), m2(a(Z))
+    return _residual_report(_row_residuals(lhs, rhs, rhs), tol)
 
 
 def check_equivariance(a, m, grid=None, tol: float = DEFAULT_RTOL) -> CheckReport:

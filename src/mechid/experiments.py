@@ -28,7 +28,7 @@ from .config import (
     StochasticTestConfig,
     VerifyConfig,
 )
-from .dynamics import Trajectory, simulate_deterministic, simulate_stochastic
+from .dynamics import Trajectory, simulate
 from .equivariance import (
     exact_recovery_conditions,
     offset_identifiability_check,
@@ -96,11 +96,7 @@ def _simulate_trajectory(cfg: SimulateConfig, seed: int) -> Trajectory:
     z1 = cfg.z1
     if isinstance(z1, tuple):
         z1 = stream(seed, 9901).uniform(*z1, cfg.decoder.latent_dim)
-    if cfg.stochastic:
-        return simulate_stochastic(
-            cfg.decoder, cfg.mechanisms, z1, cfg.steps, seed=seed, schedule=cfg.schedule
-        )
-    return simulate_deterministic(cfg.decoder, cfg.mechanisms, z1, cfg.steps, schedule=cfg.schedule)
+    return simulate(cfg.decoder, cfg.mechanisms, z1, cfg.steps, schedule=cfg.schedule, seed=seed)
 
 
 def _run_simulate(cfg: SimulateConfig, seed: int, threads: int):

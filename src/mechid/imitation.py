@@ -1,11 +1,12 @@
 """Mechanism imitation: maps that turn one mechanism into another.
 
 a intertwines m1 into m2 when a∘m1 = m2∘a. For affine data this is again a
-linear system over (A, p): A M1 = M2 A and A b1 + p = M2 p + b2. The imitator
-closure asks for one shared map a such that every used mechanism is carried
-onto *some* member of the declared class; assignments are enumerated
-explicitly, pruned by eigenvalue spectra (conjugation preserves them), and
-capped by a budget.
+linear system over (A, p): A M1 = M2 A and A b1 + p = M2 p + b2, built and
+read by the same rule as an equivariance family (`equivariance._intertwiner_family`),
+so a system the identity solves always keeps it. The imitator closure asks
+for one shared map a such that every used mechanism is carried onto *some*
+member of the declared class; assignments are enumerated explicitly, pruned
+by eigenvalue spectra (conjugation preserves them), and capped by a budget.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ import numpy as np
 
 from .dynamics import AffineMechanism
 from .equivariance import (
+    CLOSURE_TOL_FACTOR,
     EIGENGAP_RTOL,
     AffineMapFamily,
     _as_points,
-    _family_from_nullspace,
+    _intertwiner_family,
     _intertwiner_system,
     check_equivariance,
     check_imitation,
@@ -50,9 +52,6 @@ __all__ = [
 ]
 
 DEFAULT_ASSIGNMENT_BUDGET = 10_000
-# A stacked system is solvable, the identity solves it, and a representative's
-# grid residuals verify, each within this multiple of the rank cut rtol.
-CLOSURE_TOL_FACTOR = 10.0
 # A cycle's k-fold power of the map commutes with each member within this residual.
 _CYCLE_POWER_TOL = 1e-7
 
@@ -111,25 +110,6 @@ class ImitationRecord:
             )
 
 
-def _solve_intertwiner_system(
-    M1: np.ndarray, b1: np.ndarray, M2: np.ndarray, b2: np.ndarray, rtol: float
-) -> AffineMapFamily:
-    """Shared maps carrying each (M1_i, b1_i) onto (M2_i, b2_i); stacks as in `_intertwiner_system`.
-
-    One `null_space` call gives the basis and the particular solution, which
-    is minimum-norm at the rtol cut, so both come from one rank decision.
-    """
-    d = b1.shape[1]
-    C, r = _intertwiner_system(M1, b1, M2, b2)
-    basis, particular, residual = null_space(C, rtol, r)
-    ident = np.concatenate([np.eye(d).reshape(-1), np.zeros(d)])
-    if residual > rtol * CLOSURE_TOL_FACTOR + 1e-12:
-        particular = None  # the inhomogeneous system has no solution: the family is empty
-    elif np.linalg.norm(C @ ident - r) <= rtol * CLOSURE_TOL_FACTOR * (1.0 + np.linalg.norm(r)):
-        particular = ident  # prefer the identity when it solves the system (self-assignments)
-    return _family_from_nullspace(basis, d, particular, residual, rtol)
-
-
 def find_affine_intertwiners(
     m1: AffineMechanism, m2: AffineMechanism, rtol: float = DEFAULT_RTOL
 ) -> AffineMapFamily:
@@ -141,7 +121,8 @@ def find_affine_intertwiners(
     """
     if m1.dim != m2.dim:
         raise DimensionMismatchError("mechanisms have different dimensions")
-    return _solve_intertwiner_system(m1.M[None], m1.b[None], m2.M[None], m2.b[None], rtol)
+    C, r = _intertwiner_system(m1.M[None], m1.b[None], m2.M[None], m2.b[None])
+    return _intertwiner_family(C, r, null_space(C, rtol, r), m1.dim, rtol)
 
 
 def _sorted_spectrum(m: AffineMechanism) -> np.ndarray:
@@ -218,7 +199,8 @@ def imitator_closure(
     for k, assignment in enumerate(itertools.product(*compatible)):
         # only this assignment's stacked system is held at a time
         to = list(assignment)
-        family = _solve_intertwiner_system(used_M, used_b, member_M[to], member_b[to], rtol)
+        C, r = _intertwiner_system(used_M, used_b, member_M[to], member_b[to])
+        family = _intertwiner_family(C, r, null_space(C, rtol, r), cls.dim, rtol)
         if not family.consistent:
             continue
         rep = family.representative(seed=seed + k)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import AffineMechanism, Trajectory
+from .dynamics import AffineMechanism, Trajectory, _resolve_schedule
 from .equivariance import (
     ConditionReport,
     _distinct_rows,
@@ -100,7 +100,7 @@ class RecoveryProblem:
         """Consecutive observation pairs with each step's (M, b_t)."""
         if not trajectory.mechanisms:
             raise ValueError("trajectory has no transitions")
-        schedule = np.asarray(trajectory.mechanisms, dtype=np.intp)
+        schedule = _resolve_schedule(mechanisms, trajectory.mechanisms, trajectory.steps)
         M = mechanisms[schedule[0]].M
         for i in np.unique(schedule):
             if np.max(np.abs(mechanisms[i].M - M)) > rtol * (1.0 + np.max(np.abs(M))):

@@ -53,7 +53,10 @@ _ENERGY_BLOCK = 256
 
 @dataclass(frozen=True)
 class DistributionalTestSpec:
-    """Protocol parameters for an equivariance-in-distribution test."""
+    """Protocol parameters for an equivariance-in-distribution test.
+
+    `anchors` holds one point per row; at `dim` 1 a 1-D array is that many anchors.
+    """
 
     METHODS = ("ks", "energy")
 
@@ -78,11 +81,16 @@ class DistributionalTestSpec:
         if self.permutations < 1:
             raise ValueError("permutations must be >= 1")
         if self.anchors is not None:
-            anchors = np.atleast_2d(np.asarray(self.anchors, dtype=float))
+            anchors = np.asarray(self.anchors, dtype=float)
+            if self.dim == 1 and anchors.ndim == 1:  # n anchors, as `two_sample_test` reads samples
+                anchors = anchors.reshape(-1, 1)
+            anchors = np.atleast_2d(anchors)
             if anchors.shape[1] != self.dim:
                 raise DimensionMismatchError(
                     f"anchors have dimension {anchors.shape[1]}, spec says {self.dim}"
                 )
+            if anchors.shape[0] == 0:
+                raise ValueError("anchors is empty")
             object.__setattr__(self, "anchors", anchors)
 
     def anchor_points(self) -> np.ndarray:
@@ -441,9 +449,10 @@ class VolumeReport:
 def volume_preservation_test(fn, points: np.ndarray, tol: float = 1e-6) -> VolumeReport:
     """Check |det J(z)| = 1 at every sample point.
 
-    Jacobians are estimated by central differences at steps h and h/2; the
-    two estimates disagreeing beyond 10x the tolerance raises an
-    ill-conditioning error instead of a silent verdict.
+    `points` holds one point per row; the test takes no dimension, so a 1-D
+    array is one point. Jacobians are estimated by central differences at
+    steps h and h/2; the two estimates disagreeing beyond 10x the tolerance
+    raises an ill-conditioning error instead of a silent verdict.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     dets = []
@@ -478,6 +487,7 @@ def jacobian_identifiability_test(fn, anchors: np.ndarray, tol: float = 1e-6) ->
     This is the checkable footprint of the class that product non-Gaussian
     increments single out; smooth maps outside it show either a
     non-orthonormal Jacobian or a pattern that drifts across anchors.
+    `anchors` holds one point per row, and a 1-D array is one point.
     """
     pts = np.atleast_2d(np.asarray(anchors, dtype=float))
     verdicts = []

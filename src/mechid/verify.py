@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .equivariance import CheckReport, _as_points
+from .equivariance import CheckReport, _as_points, _residual_report, _row_residuals
 from .errors import DimensionMismatchError, NonFiniteSampleError
 from .maps import AffineMap
 
@@ -58,14 +58,7 @@ def _identity_residuals(
 ) -> np.ndarray:
     truth_next = truth_decoder.decode(mechanism(truth_decoder.encode(X)))
     cand_next = candidate_decoder.decode(candidate_mechanism(candidate_decoder.encode(X)))
-    if not (np.isfinite(truth_next).all() and np.isfinite(cand_next).all()):
-        bad = np.nonzero(
-            ~(np.isfinite(truth_next).all(axis=-1) & np.isfinite(cand_next).all(axis=-1))
-        )[0]
-        raise NonFiniteSampleError(f"observation grid point {int(bad[0])}")
-    return np.linalg.norm(truth_next - cand_next, axis=-1) / (
-        1.0 + np.linalg.norm(X, axis=-1)
-    )
+    return _row_residuals(truth_next, cand_next, X, "observation grid point")
 
 
 def verify_observation_identity(
@@ -87,11 +80,7 @@ def verify_observation_identity(
     X = truth_decoder.decode(Z)
     cand_mech = mechanism if candidate_mechanism is None else candidate_mechanism
     res = _identity_residuals(truth_decoder, mechanism, candidate_decoder, cand_mech, X)
-    worst = int(np.argmax(res))
-    mx = float(res[worst])
-    return CheckReport(
-        passed=bool(mx <= tol), max_residual=mx, worst_index=worst, points=X.shape[0], tol=tol
-    )
+    return _residual_report(res, tol)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from mechid.errors import ConfigError
 from mechid.experiments import run_experiment
 from mechid.dynamics import LinearDecoder, NoiseSpec, ScalarMap, StructuredDecoder
 from mechid.grids import GridSpec
-from mechid.jsonio import Field, _read, canonical_digest, dumps_json, load_json
+from mechid.jsonio import Field, _read, canonical_digest, dumps_json, file_digest, load_json
 from mechid.rng import stream
 from mechid.stochastic import DistributionalTestSpec
 from mechid.verify import membership_equivalence_audit
@@ -351,6 +351,153 @@ def test_replay_of_a_malformed_manifest_names_the_field(tmp_path, capsys, key, v
     assert run_cli("replay", out / "manifest.json", "--output-dir", tmp_path / "r") == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: config field '{key}"), err
+
+
+def edited_run(tmp_path, argv, name, edit) -> Path:
+    """Run `argv`, rewrite its recorded output `name` with `edit` and re-digest it; the manifest path."""
+    out = tmp_path / "run"
+    assert run_cli(*argv, "--output-dir", out) == 0
+    path = out / name
+    path.write_bytes(edit(path.read_bytes().decode()).encode())
+    manifest = read_json(out / "manifest.json")
+    manifest["outputs"][name] = file_digest(path)
+    (out / "manifest.json").write_text(dumps_json(manifest))
+    return out / "manifest.json"
+
+
+def replay_result(capsys, manifest: Path, tmp_path) -> tuple[int, dict]:
+    capsys.readouterr()
+    status = run_cli("replay", manifest, "--output-dir", tmp_path / "replayed")
+    return status, json.loads(capsys.readouterr().out)
+
+
+def edit_cell(row: int, column: int, change):
+    """An edit of one cell of a written table, row 0 being the header."""
+
+    def edit(text: str) -> str:
+        lines = text.split("\n")
+        cells = lines[row].split(",")
+        cells[column] = change(cells[column])
+        lines[row] = ",".join(cells)
+        return "\n".join(lines)
+
+    return edit
+
+
+COMMUTANT_CSV = ["commutant", FIXTURES / "commutant_shared.json", "--csv"]
+
+
+def test_replay_names_the_row_and_column_of_a_table_cell_outside_tolerance(tmp_path, capsys):
+    manifest = edited_run(tmp_path, COMMUTANT_CSV, "basis.csv", edit_cell(2, 1, lambda c: "0.25"))
+    status, result = replay_result(capsys, manifest, tmp_path)
+    assert status == 2
+    first = result["first_divergence"]
+    assert first["file"] == "basis.csv" and first["match"] == "divergent"
+    assert first["path"] == "rows[2][1]"
+    assert first["recorded"] == 0.25
+
+
+def test_replay_of_a_stochastic_table_within_its_tolerance(tmp_path, capsys):
+    nudge = edit_cell(1, 1, lambda c: format(float(c) * (1.0 + 1e-12), ".17g"))
+    argv = ["stochastic-test", FIXTURES / "stochastic_swap.json"]
+    manifest = edited_run(tmp_path, argv, "anchors.csv", nudge)
+    status, result = replay_result(capsys, manifest, tmp_path)
+    assert status == 0, result
+    assert {e["file"]: e["match"] for e in result["files"]}["anchors.csv"] == "within-tolerance"
+
+
+def test_replay_reports_an_edited_header_cell(tmp_path, capsys):
+    manifest = edited_run(tmp_path, COMMUTANT_CSV, "basis.csv", edit_cell(0, 0, lambda c: "idx"))
+    status, result = replay_result(capsys, manifest, tmp_path)
+    assert status == 2
+    first = result["first_divergence"]
+    assert first["match"] == "divergent"
+    assert (first["path"], first["recorded"], first["regenerated"]) == ("rows[0][0]", "idx", "index")
+
+
+def test_replay_reports_an_extra_table_row_as_a_length_problem(tmp_path, capsys):
+    def extra_row(text: str) -> str:
+        return text + text.splitlines()[-1] + "\n"
+
+    manifest = edited_run(tmp_path, COMMUTANT_CSV, "basis.csv", extra_row)
+    status, result = replay_result(capsys, manifest, tmp_path)
+    assert status == 2
+    first = result["first_divergence"]
+    rows = len((tmp_path / "replayed" / "basis.csv").read_text().splitlines())
+    assert (first["path"], first["problem"]) == ("rows", f"length {rows + 1} vs {rows}")
+
+
+@pytest.mark.parametrize("inside, path", [(("summary",), "summary.extra"), ((), "extra")])
+def test_replay_reports_an_extra_json_key(tmp_path, capsys, inside, path):
+    def extra_key(text: str) -> str:
+        doc = json.loads(text)
+        target = doc
+        for key in inside:
+            target = target[key]
+        target["extra"] = 1
+        return dumps_json(doc) + "\n"
+
+    manifest = edited_run(tmp_path, ["commutant", FIXTURES / "commutant_shared.json"], "report.json", extra_key)
+    status, result = replay_result(capsys, manifest, tmp_path)
+    assert status == 2
+    first = result["first_divergence"]
+    assert (first["path"], first["problem"]) == (path, "key missing on one side")
+
+
+def test_replay_first_divergence_does_not_depend_on_string_hashing(tmp_path):
+    def four_keys(text: str) -> str:
+        doc = json.loads(text)
+        for key in ("dimension", "a_dimension", "p_fiber_dimension", "verdict_dimension"):
+            doc["summary"][key] += 1
+        return dumps_json(doc) + "\n"
+
+    argv = ["commutant", FIXTURES / "commutant_shared.json"]
+    manifest = edited_run(tmp_path, argv, "report.json", four_keys)
+    paths = []
+    for hash_seed in ("1", "2"):
+        env = with_src_path({**os.environ, "PYTHONHASHSEED": hash_seed})
+        proc = subprocess.run(
+            [sys.executable, "-m", "mechid.cli", "replay", str(manifest)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        paths.append(json.loads(proc.stdout)["first_divergence"]["path"])
+    # the recorded document's first diverging key, whatever the hash seed
+    assert paths == ["summary.dimension", "summary.dimension"]
+
+
+def set_mech(row: int, value: str):
+    def edit(lines):
+        lines[row - 1] = lines[row - 1].rsplit(",", 1)[0] + "," + value
+        return lines
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: [*lines[:2], lines[2].rsplit(",", 1)[0], *lines[3:]], "row 3: 5 cells"),
+        (lambda lines: [], "expected a header row"),
+        (set_mech(2, "7"), "schedule index 7 out of range for 1 mechanisms"),
+        (set_mech(2, "-1"), "schedule index -1 out of range for 1 mechanisms"),
+    ],
+    ids=["short-row", "empty-file", "index-7", "index-minus-1"],
+)
+def test_malformed_trajectory_csv_exits_1_with_one_error_line(tmp_path, capsys, edit, message):
+    assert run_cli("simulate", FIXTURES / "simulate_shear.json", "--output-dir", tmp_path / "sim") == 0
+    lines = (tmp_path / "sim" / "trajectory.csv").read_text().splitlines()
+    table = tmp_path / "edited.csv"
+    table.write_text("".join(line + "\n" for line in edit(lines)))
+    mechanism = read_json(FIXTURES / "simulate_shear.json")["mechanisms"][0]
+    cfg = tmp_path / "recover.json"
+    cfg.write_text(json.dumps({"mechanisms": [mechanism], "trajectory_csv": str(table)}))
+    capsys.readouterr()
+    assert run_cli("recover", cfg, "--output-dir", tmp_path / "run") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+    if "row" in message or "header" in message:
+        assert str(table) in err[0]
 
 
 def test_stochastic_manifest_records_tolerance(tmp_path):

@@ -12,6 +12,7 @@ from scipy import integrate, special, stats
 
 from mechid import (
     AffineMechanism,
+    GeneralMechanism,
     LinearDecoder,
     NoiseSpec,
     ScalarMap,
@@ -20,12 +21,12 @@ from mechid import (
     TransformedDecoder,
     additive_noise_mechanism,
     sample_generalized_laplace,
-    simulate_deterministic,
-    simulate_stochastic,
+    simulate,
 )
 from mechid.errors import (
     DimensionMismatchError,
     DivergedTrajectoryError,
+    NonFiniteSampleError,
     OffManifoldError,
 )
 from mechid.maps import AffineMap
@@ -43,7 +44,7 @@ def test_apply_affine_mechanism():
 
 def test_two_step_rollout_values():
     m = AffineMechanism(np.diag([2.0, 3.0]), np.array([1.0, 1.0]))
-    traj = simulate_deterministic(LinearDecoder(G_SHEAR), [m], np.array([1.0, 1.0]), T=2)
+    traj = simulate(LinearDecoder(G_SHEAR), [m], np.array([1.0, 1.0]), T=2)
     assert np.allclose(traj.latents[1], [3.0, 4.0])
     assert np.allclose(traj.observations[1], [7.0, 4.0])
     assert traj.steps == 2
@@ -51,7 +52,7 @@ def test_two_step_rollout_values():
 
 def test_geometric_decay():
     m = AffineMechanism(0.5 * np.eye(2), np.zeros(2))
-    traj = simulate_deterministic(LinearDecoder(np.eye(2)), [m], np.array([1.0, -2.0]), T=8)
+    traj = simulate(LinearDecoder(np.eye(2)), [m], np.array([1.0, -2.0]), T=8)
     for t in range(8):
         assert np.allclose(traj.latents[t], 0.5**t * np.array([1.0, -2.0]), rtol=1e-12)
 
@@ -73,7 +74,7 @@ def test_rollout_matches_closed_form():
         b = gen.standard_normal(d)
         z1 = gen.standard_normal(d)
         T = int(gen.integers(2, 21))
-        traj = simulate_deterministic(
+        traj = simulate(
             LinearDecoder(np.eye(d)), [AffineMechanism(M, b)], z1, T=T
         )
         want = closed_form_state(M, b, z1, T)
@@ -83,16 +84,30 @@ def test_rollout_matches_closed_form():
 def test_divergence_guard_carries_step():
     m = AffineMechanism(3.0 * np.eye(2), np.zeros(2))
     with pytest.raises(DivergedTrajectoryError) as exc:
-        simulate_deterministic(LinearDecoder(np.eye(2)), [m], np.array([1.0, 1.0]), T=40)
+        simulate(LinearDecoder(np.eye(2)), [m], np.array([1.0, 1.0]), T=40)
     assert exc.value.norm > exc.value.bound
     # |z_t| = 3^(t-1) sqrt(2) first exceeds 1e12 at t = 26
     assert exc.value.step == 26
 
 
+def test_non_finite_state_is_named_apart_from_divergence():
+    dec = LinearDecoder(np.eye(2))
+    doubling_then_nan = GeneralMechanism(fn=lambda z: np.where(z > 3.0, np.nan, 2.0 * z), dim=2)
+    with pytest.raises(NonFiniteSampleError, match="simulation step 4"):
+        simulate(dec, [doubling_then_nan], np.ones(2), T=6)
+    to_inf = GeneralMechanism(fn=lambda z: np.full_like(z, np.inf), dim=2)
+    with pytest.raises(NonFiniteSampleError, match="simulation step 2"):
+        simulate(dec, [to_inf], np.ones(2), T=3)
+    # finite entries whose norm overflows are a divergence, not a non-finite state
+    with pytest.raises(DivergedTrajectoryError) as exc, np.errstate(over="ignore"):
+        simulate(dec, [to_inf], np.full(2, 1e200), T=3)
+    assert exc.value.step == 1
+
+
 def test_schedule_cycles_mechanisms():
     m0 = AffineMechanism(np.eye(2), np.array([1.0, 0.0]))
     m1 = AffineMechanism(np.eye(2), np.array([0.0, 1.0]))
-    traj = simulate_deterministic(
+    traj = simulate(
         LinearDecoder(np.eye(2)), [m0, m1], np.zeros(2), T=5, schedule=[0, 1, 0, 1]
     )
     assert np.allclose(traj.latents[-1], [2.0, 2.0])
@@ -198,26 +213,26 @@ def walk(dim=2, alpha=1.0):
 
 def test_stochastic_rollout_reproducible():
     dec = LinearDecoder(np.eye(2))
-    a = simulate_stochastic(dec, [walk()], np.zeros(2), T=6, seed=5)
-    b = simulate_stochastic(dec, [walk()], np.zeros(2), T=6, seed=5)
+    a = simulate(dec, [walk()], np.zeros(2), T=6, seed=5)
+    b = simulate(dec, [walk()], np.zeros(2), T=6, seed=5)
     assert np.array_equal(a.latents, b.latents)
-    c = simulate_stochastic(dec, [walk()], np.zeros(2), T=6, seed=6)
+    c = simulate(dec, [walk()], np.zeros(2), T=6, seed=6)
     assert not np.array_equal(a.latents, c.latents)
 
 
 def test_stochastic_rollout_prefix_property():
     # step t draws from the stream keyed (seed, t), so shorter runs are prefixes
     dec = LinearDecoder(np.eye(2))
-    long = simulate_stochastic(dec, [walk()], np.zeros(2), T=7, seed=11)
-    short = simulate_stochastic(dec, [walk()], np.zeros(2), T=4, seed=11)
+    long = simulate(dec, [walk()], np.zeros(2), T=7, seed=11)
+    short = simulate(dec, [walk()], np.zeros(2), T=4, seed=11)
     assert np.array_equal(long.latents[:4], short.latents)
 
 
 def test_callable_initial_condition_seeded():
     dec = LinearDecoder(np.eye(2))
     init = lambda g: g.uniform(-1, 1, 2)
-    a = simulate_stochastic(dec, [walk()], init, T=3, seed=2)
-    b = simulate_stochastic(dec, [walk()], init, T=3, seed=2)
+    a = simulate(dec, [walk()], init, T=3, seed=2)
+    b = simulate(dec, [walk()], init, T=3, seed=2)
     assert np.array_equal(a.latents, b.latents)
 
 
@@ -294,7 +309,7 @@ def test_trajectory_csv_roundtrip(tmp_path):
     gen = stream(59)
     dec = LinearDecoder(gen.standard_normal((3, 2)))
     m = AffineMechanism(0.9 * random_invertible(gen, 2), gen.standard_normal(2))
-    traj = simulate_deterministic(dec, [m], gen.standard_normal(2) / 3, T=9)
+    traj = simulate(dec, [m], gen.standard_normal(2) / 3, T=9)
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
     back = Trajectory.from_csv(path)
@@ -305,7 +320,7 @@ def test_trajectory_csv_roundtrip(tmp_path):
 
 def test_simulate_rejects_mismatched_initial_state():
     with pytest.raises(DimensionMismatchError):
-        simulate_deterministic(
+        simulate(
             LinearDecoder(np.eye(2)),
             [AffineMechanism(np.eye(2), np.zeros(2))],
             np.zeros(3),

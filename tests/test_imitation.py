@@ -18,6 +18,7 @@ from mechid import (
     shared_equivariances,
 )
 from mechid.errors import BudgetExceededError, ToleranceAmbiguityError
+from mechid.imitation import CLOSURE_TOL_FACTOR
 from mechid.linalg import smallest_singular_gap
 from mechid.maps import AffineMap, compose, map_power
 from mechid.rng import stream
@@ -128,6 +129,39 @@ def test_nonfinite_evaluation_raises():
 
 # ---------------------------------------------------------------------------
 # closures
+
+
+def assert_identity_kept(m):
+    """(I, 0) solves m's self-assignment exactly, so every family of it keeps the identity."""
+    d = m.dim
+    fam = find_affine_intertwiners(m, m)
+    assert fam.consistent
+    assert np.array_equal(fam.particular_A, np.eye(d)) and np.array_equal(fam.particular_p, np.zeros(d))
+    assert fam.residual <= CLOSURE_TOL_FACTOR * fam.rtol
+    assert fam.dimension == shared_equivariances([m]).dimension
+    closure = imitator_closure(MechanismClass(used=(m,)))
+    assert closure.solved == 1
+    assert [found.assignment for found in closure.assignments] == [(0,)]
+
+
+def test_self_assignment_keeps_the_identity_when_the_minimum_norm_solution_misses():
+    # eigenvalue 1 and a tiny offset: the minimum-norm solution's residual is 5e-8,
+    # above CLOSURE_TOL_FACTOR * rtol, while (I, 0) solves the system exactly
+    S = np.random.default_rng(3).standard_normal((3, 3))
+    m = AffineMechanism(S @ np.diag([1.0, 2.0, -1.5]) @ np.linalg.inv(S), 1e-7 * np.ones(3))
+    assert_identity_kept(m)
+    assert shared_equivariances([m]).dimension == 4
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_self_assignment_keeps_the_identity_with_a_unit_eigenvalue(seed):
+    # seeds 0, 14, 36 and 37 lost the identity when the minimum-norm residual decided first
+    gen = stream(4100 + seed)
+    d = int(gen.integers(2, 5))
+    S = random_invertible(gen, d, cond_cap=20.0)
+    spectrum = np.concatenate([[1.0], gen.choice([-1.0, 1.0], d - 1) * gen.uniform(0.5, 3.0, d - 1)])
+    m = AffineMechanism(S @ np.diag(spectrum) @ np.linalg.inv(S), 1e-7 * gen.standard_normal(d))
+    assert_identity_kept(m)
 
 
 def test_closure_single_mechanism_equals_equivariances():

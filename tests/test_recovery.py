@@ -14,7 +14,7 @@ from mechid import (
     compare_up_to_class,
     recover_linear_encoder,
     recover_with_multiple_offsets,
-    simulate_deterministic,
+    simulate,
 )
 from mechid.errors import DataDeficiencyError, NonFiniteSampleError
 from mechid.recovery import COMPARISON_CLASSES, _assemble_system, _min_cost_assignment
@@ -26,7 +26,7 @@ G_SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])
 
 
 def problem_from_rollout(G, mechanisms, z1, T, schedule=None, rtol=1e-9):
-    traj = simulate_deterministic(LinearDecoder(G), mechanisms, z1, T=T, schedule=schedule)
+    traj = simulate(LinearDecoder(G), mechanisms, z1, T=T, schedule=schedule)
     return RecoveryProblem.from_trajectory(traj, mechanisms, rtol=rtol)
 
 
@@ -117,7 +117,7 @@ def test_collinear_offsets_report_other_with_dimension():
 def test_data_deficiency_raises_before_solving():
     # orbit confined to the first eigendirection spans only one direction
     m = AffineMechanism(np.diag([2.0, 3.0]), np.zeros(2))
-    traj = simulate_deterministic(
+    traj = simulate(
         LinearDecoder(np.eye(2)), [m], np.array([1.0, 0.0]), T=8
     )
     problem = RecoveryProblem.from_trajectory(traj, [m])
@@ -216,9 +216,9 @@ def test_from_trajectory_rejects_a_schedule_that_mixes_transition_matrices():
     mechanisms = [AffineMechanism(np.diag([2.0, 3.0]), np.zeros(2)), other, same]
     decoder = LinearDecoder(np.eye(2))
     z1 = np.array([0.1, 0.2])
-    traj = simulate_deterministic(decoder, mechanisms, z1, T=6, schedule=[0, 2, 0, 2, 0])
+    traj = simulate(decoder, mechanisms, z1, T=6, schedule=[0, 2, 0, 2, 0])
     assert RecoveryProblem.from_trajectory(traj, mechanisms).offsets.shape == (5, 2)
-    traj = simulate_deterministic(decoder, mechanisms, z1, T=6, schedule=[0, 2, 0, 1, 0])
+    traj = simulate(decoder, mechanisms, z1, T=6, schedule=[0, 2, 0, 1, 0])
     with pytest.raises(ValueError, match="schedule mixes different M"):
         RecoveryProblem.from_trajectory(traj, mechanisms)
 

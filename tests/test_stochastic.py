@@ -399,6 +399,25 @@ def test_spec_validation():
     assert spec.anchor_points().shape == (1, 2)
 
 
+def test_one_dimensional_anchors_are_anchors_of_one_coordinate():
+    spec = DistributionalTestSpec(dim=1, anchors=[0.0, 1.0], samples_per_anchor=200)
+    assert spec.anchor_points().tolist() == [[0.0], [1.0]]
+    walk = laplace_walk(dim=1)
+    report = stochastic_equivariance_test(identity_map(1), walk, walk, spec)
+    assert [a.anchor for a in report.anchors] == [(0.0,), (1.0,)]
+    # other shapes keep their errors, and without a dimension a 1-D array stays one point
+    with pytest.raises(DimensionMismatchError):
+        DistributionalTestSpec(dim=2, anchors=[0.0, 1.0, 2.0])
+    with pytest.raises(DimensionMismatchError):
+        DistributionalTestSpec(dim=1, anchors=[[0.0, 1.0]])
+    with pytest.raises(ValueError, match="anchors is empty"):
+        DistributionalTestSpec(dim=1, anchors=[])
+    assert DistributionalTestSpec(dim=2, anchors=[0.5, -0.5]).anchor_points().shape == (1, 2)
+    assert volume_preservation_test(lambda z: 2.0 * z, np.array([0.0, 1.0, 2.0])).determinants == (
+        pytest.approx(8.0),
+    )
+
+
 @pytest.mark.parametrize("field", ["anchor_count", "permutations"])
 def test_spec_requires_an_anchor_and_a_permutation(field):
     with pytest.raises(ValueError, match=field):

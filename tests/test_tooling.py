@@ -21,7 +21,7 @@ import pytest
 import mechid.equivariance
 import mechid.imitation
 import mechid.recovery
-from mechid import AffineMechanism, RecoveryProblem
+from mechid import AffineMechanism, MechanismClass, RecoveryProblem
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -47,11 +47,14 @@ def test_tracer_probes_resolve_and_record():
         lambda: mechid.equivariance.linear_commutant(np.diag([2.0, 3.0])),
         lambda: mechid.imitation.find_affine_intertwiners(m1, m2),
         lambda: mechid.recovery.recover_linear_encoder(problem),
+        lambda: mechid.equivariance.shared_equivariances([m1, m2]),
+        lambda: mechid.imitation.imitator_closure(MechanismClass(used=(m1, m2))),
     )
+    results = []
     try:
         for op, call in enumerate(calls):
             tracer.begin(op)
-            call()
+            results.append(call())
     finally:
         tracer.end()
     assert [getattr(owner, attr) for owner, attr, _, _ in spans.PROBES] == originals
@@ -60,6 +63,13 @@ def test_tracer_probes_resolve_and_record():
     # each constraint solve is one null_space call, wherever its module looks it up
     assert rows[0]["linalg.null_space.calls"] == rows[1]["linalg.null_space.calls"] == 1
     assert rows[1]["imitation.solves"] == 1
+    assert rows[3]["equivariance.shared_equivariances.calls"] == 1
+    assert rows[3]["linalg.null_space.calls"] == 1
+    # every assignment the closure solves is counted where imitation looks null_space up
+    closure = results[4]
+    assert closure.candidates_after_pruning == 4
+    assert rows[4]["imitation.solves"] == rows[4]["linalg.null_space.calls"] == closure.candidates_after_pruning
+    assert rows[4]["imitation.found"] == len(closure.assignments) >= 1
     # the recovery makes one solve; the other is its premise check's
     nested = [
         (tracer.spans[parent][1], name)
