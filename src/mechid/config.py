@@ -53,7 +53,7 @@ from .jsonio import (
 )
 from .linalg import DEFAULT_RTOL
 from .maps import AffineMap
-from .recovery import COMPARISON_CLASSES
+from .recovery import COMPARISON_CLASSES, _unshared_M
 from .stochastic import MAX_SAMPLES_PER_ANCHOR, MIN_SAMPLES_PER_ANCHOR, DistributionalTestSpec
 from .verify import CandidateModel, membership_equivalence_audit
 
@@ -295,11 +295,9 @@ def _recovery(g) -> dict:
         if sim.steps > most:
             problem = f"must lie between 1 and {most} for a {n} x {d} decoder, got {sim.steps}"
             raise ConfigError("simulate.steps", problem)
-    M = g["mechanisms"][0].M
-    tol = g["rtol"] * (1.0 + np.max(np.abs(M)))
-    for i, m in enumerate(g["mechanisms"]):
-        if m.M.shape != M.shape or np.max(np.abs(m.M - M)) > tol:
-            raise ConfigError(f"mechanisms[{i}].M", "recovery needs one M shared by all mechanisms")
+    i = _unshared_M(g["mechanisms"], g["rtol"])
+    if i is not None:
+        raise ConfigError(f"mechanisms[{i}].M", "recovery needs one M shared by all mechanisms")
     return g
 
 

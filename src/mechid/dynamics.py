@@ -19,11 +19,10 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     DivergedTrajectoryError,
-    NonFiniteSampleError,
     OffManifoldError,
     SingularMapError,
 )
-from .linalg import DEFAULT_RTOL, relative_rank, smallest_singular_gap
+from .linalg import DEFAULT_RTOL, _require_finite, relative_rank, smallest_singular_gap
 from .rng import stream
 
 __all__ = [
@@ -69,6 +68,8 @@ class AffineMechanism:
             raise DimensionMismatchError(
                 f"offset has dimension {b.shape[0]}, M is {M.shape[0]}x{M.shape[1]}"
             )
+        _require_finite(M, "M")
+        _require_finite(b, "b")
         if smallest_singular_gap(M) <= DEFAULT_RTOL:
             raise SingularMapError("mechanism matrix is singular to working tolerance")
         M.setflags(write=False)
@@ -296,6 +297,7 @@ def _decoder_matrix(G) -> tuple[np.ndarray, np.ndarray]:
     G = np.array(G, dtype=float)
     if G.ndim != 2 or G.shape[0] < G.shape[1] or G.shape[1] < 1:
         raise DimensionMismatchError(f"G must be n x d with n >= d >= 1, got {G.shape}")
+    _require_finite(G, "G")
     if relative_rank(G) < G.shape[1]:
         raise SingularMapError("decoder matrix is column-rank deficient")
     G.setflags(write=False)
@@ -498,11 +500,10 @@ class Trajectory:
 
 
 def _check_state(z: np.ndarray, step: int) -> None:
-    norm = float(np.linalg.norm(z))
+    norm = math.hypot(*np.ravel(z).tolist())  # scaled inside, so finite entries never overflow it
     if norm <= DIVERGENCE_BOUND:
         return
-    if not np.isfinite(z).all():  # NaN, or an infinite entry rather than an overflowing norm
-        raise NonFiniteSampleError(f"simulation step {step}")
+    _require_finite(np.ravel(z), f"simulation step {step}")
     raise DivergedTrajectoryError(step, norm, DIVERGENCE_BOUND)
 
 

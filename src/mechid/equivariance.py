@@ -24,12 +24,14 @@ from .errors import DimensionMismatchError, NonFiniteSampleError
 from .grids import GridSpec
 from .linalg import (
     DEFAULT_RTOL,
+    _require_finite,
     intertwiner_operator,
+    kron_rows,
     null_space,
-    offset_operator,
     relative_rank,
     row_space,
     smallest_singular_gap,
+    solve_residual,
     vec,
 )
 from .maps import AffineMap
@@ -184,11 +186,9 @@ class AffineMapFamily:
         """
         if not self.consistent:
             return None
-        candidates = [np.zeros(self.dimension)] if self.dimension else [np.zeros(0)]
+        candidates = [np.zeros(self.dimension)]
         gen = stream(seed, 7041)
-        for _ in range(_REPRESENTATIVE_ATTEMPTS):
-            if self.dimension == 0:
-                break
+        for _ in range(_REPRESENTATIVE_ATTEMPTS if self.dimension else 0):
             candidates.append(gen.standard_normal(self.dimension))
         for c in candidates:
             A, p = self.element(c)
@@ -209,10 +209,9 @@ def _intertwiner_system(
     """
     k, d = b1.shape
     dd = d * d
-    C = np.empty((k, dd + d, dd + d))
+    C = np.zeros((k, dd + d, dd + d))
     C[:, :dd, :dd] = intertwiner_operator(M1, M2)
-    C[:, :dd, dd:] = 0.0
-    C[:, dd:, :dd] = offset_operator(b1)
+    C[:, dd:, :dd] = kron_rows(np.eye(d), b1[..., None])
     C[:, dd:, dd:] = np.eye(d) - M2
     rhs = np.zeros((k, dd + d))
     rhs[:, dd:] = b2
@@ -231,7 +230,7 @@ def _intertwiner_family(
     basis, x, residual = solution
     tol = CLOSURE_TOL_FACTOR * rtol
     ident = np.concatenate([np.eye(d).reshape(-1), np.zeros(d)])
-    ident_residual = float(np.linalg.norm(C @ ident - r) / (1.0 + np.linalg.norm(r)))
+    ident_residual = solve_residual(C, ident, r)
     if ident_residual <= tol:
         x, residual = ident, ident_residual
     elif residual > tol:
@@ -292,12 +291,17 @@ class EquivarianceFamily:
         return ConditionVerdict("other", dim)
 
 
+def _commutant_null_space(M: np.ndarray, offsets: np.ndarray, rtol: float) -> np.ndarray:
+    """Null basis over vec(A) of {A M = M A, A b = 0 for each row b of offsets}."""
+    rows = kron_rows(np.eye(len(M)), offsets[..., None]).reshape(-1, M.size)
+    return null_space(np.vstack([intertwiner_operator(M, M), rows]), rtol)
+
+
 def linear_commutant(M: np.ndarray | AffineMechanism, rtol: float = DEFAULT_RTOL) -> LinearSubspaceBasis:
     """Orthonormal basis of {A : A M = M A}."""
     M = M.M if isinstance(M, AffineMechanism) else np.asarray(M, dtype=float)
     d = M.shape[0]
-    basis = null_space(intertwiner_operator(M, M), rtol)
-    return LinearSubspaceBasis(basis.reshape(-1, d, d))
+    return LinearSubspaceBasis(_commutant_null_space(M, np.zeros((0, d)), rtol).reshape(-1, d, d))
 
 
 def affine_equivariances(m: AffineMechanism, rtol: float = DEFAULT_RTOL) -> EquivarianceFamily:
@@ -454,10 +458,10 @@ def _eigen_summary(M: np.ndarray):
     return w, S, radius, recon_ok, distinct, min_gap
 
 
-def _measured_dimension(M: np.ndarray, offsets: np.ndarray, rtol: float) -> int:
-    d = M.shape[0]
-    rows = offset_operator(offsets).reshape(-1, d * d)
-    return null_space(np.vstack([intertwiner_operator(M, M), rows]), rtol).shape[0]
+def _eigencoordinates(S: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|S^-1 v| for each row v of V, as C-order rows, and each row's norm as norm() takes it."""
+    av = np.ascontiguousarray(np.abs(np.linalg.solve(S, V.astype(complex).T)).T)
+    return av, np.sqrt((av[:, None, :] @ av[:, :, None])[:, 0, 0])
 
 
 def exact_recovery_conditions(m: AffineMechanism, rtol: float = DEFAULT_RTOL) -> ConditionReport:
@@ -469,17 +473,12 @@ def exact_recovery_conditions(m: AffineMechanism, rtol: float = DEFAULT_RTOL) ->
     dimension of {A M = M A, A b = 0}.
     """
     w, S, radius, diag_ok, distinct, min_gap = _eigen_summary(m.M)
-    measured = _measured_dimension(m.M, m.b[None, :], rtol)
-    mags = None
-    zero_count = None
-    offset_ok = None
+    measured = _commutant_null_space(m.M, m.b[None, :], rtol).shape[0]
+    mags = zero_count = offset_ok = None
     if diag_ok:
-        v = np.linalg.solve(S, m.b.astype(complex))
-        av = np.abs(v)
-        norm = float(np.linalg.norm(av))
-        flags = av <= rtol * max(norm, 1e-300)
+        [av], [norm] = _eigencoordinates(S, m.b[None, :])
         mags = tuple(float(x) for x in av)
-        zero_count = int(np.sum(flags))
+        zero_count = int(np.sum(av <= rtol * max(norm, 1e-300)))
         offset_ok = bool(zero_count == 0)
     if not diag_ok:
         verdict = ConditionVerdict("not-applicable", measured)
@@ -501,13 +500,6 @@ def exact_recovery_conditions(m: AffineMechanism, rtol: float = DEFAULT_RTOL) ->
         offset_count=1,
         distinct_offset_count=1,
     )
-
-
-def _require_finite_rows(a: np.ndarray, field: str) -> None:
-    """Raise naming the first row of the 2-D array `a` that is not finite."""
-    finite = np.isfinite(a).all(axis=1)
-    if not finite.all():
-        raise NonFiniteSampleError(f"{field}[{int(np.argmin(finite))}]")
 
 
 def _distinct_rows(rows: np.ndarray, rtol: float) -> list[int]:
@@ -572,18 +564,15 @@ def offset_identifiability_check(
     B = np.atleast_2d(np.asarray(offsets, dtype=float))
     if B.shape[1] != d:
         raise DimensionMismatchError(f"offsets have dimension {B.shape[1]}, M is {d}x{d}")
-    _require_finite_rows(M, "M")
-    _require_finite_rows(B, "offsets")
+    _require_finite(M, "M")
+    _require_finite(B, "offsets")
     w, S, radius, diag_ok, distinct, min_gap = _eigen_summary(M)
     kept = _distinct_rows(B, rtol)
     R = B[kept]
     K = len(kept)
-    diffs = R[1:] - R[0] if K > 1 else np.zeros((0, d))
-    rank = relative_rank(diffs, rtol) if diffs.size else 0
+    rank = relative_rank(R[1:] - R[0], rtol)  # 0 for a single kept offset
     rank_ok = bool(K >= d + 1 and rank == d)
-    best_pair = None
-    best_mags = None
-    offset_ok = None
+    best_pair = best_mags = offset_ok = None
     if diag_ok:
         offset_ok = False
         best_score = -1.0
@@ -593,12 +582,8 @@ def offset_identifiability_check(
         for a0 in range(0, K - 1, step):
             a, b = np.nonzero(cols[a0 : a0 + step, None] < cols)
             a += a0
-            diff = (R.take(a, axis=0) - R.take(b, axis=0)).astype(complex)
-            mags = np.abs(np.linalg.solve(S, diff.T))  # (d, pairs)
-            # pair rows in C order, so that each norm is the dot product norm() takes
-            av = np.ascontiguousarray(mags.T)
-            norm = np.sqrt((av[:, None, :] @ av[:, :, None])[:, 0, 0])
-            low = np.minimum.reduce(mags, axis=0)
+            av, norm = _eigencoordinates(S, R.take(a, axis=0) - R.take(b, axis=0))
+            low = av.min(axis=1)
             live = norm > 0
             score = np.full(norm.shape, -np.inf)
             np.divide(low, norm, out=score, where=live)
@@ -609,7 +594,7 @@ def offset_identifiability_check(
                 best_mags = tuple(float(x) for x in av[i])
             # every |v| > rtol * norm exactly when the smallest one is
             offset_ok = offset_ok or bool(np.any(live & (low > rtol * norm)))
-    measured = _measured_dimension(M, R, rtol)
+    measured = _commutant_null_space(M, R, rtol).shape[0]
     if not diag_ok:
         verdict = ConditionVerdict("not-applicable", measured)
     elif rank_ok and offset_ok and distinct:

@@ -2,25 +2,27 @@
 
 Row-major (C-order) vectorization is used throughout:
 
-    vec(M @ A) = kron(M, I) @ vec(A)
-    vec(A @ M) = kron(I, M.T) @ vec(A)
-    A @ b      = kron(I, b.T) @ vec(A)
+    vec(L @ X @ R) = kron(L, R.T) @ vec(X)
 
-so operators on matrices become explicit (d*d x d*d) matrices and solution
-sets of matrix equations become null spaces computed by SVD with a relative
-threshold: `null_space` solves each system with one SVD and one rank cut.
+so every linear constraint on a matrix unknown is a sum of `kron_rows(L, R)`
+blocks, and solution sets of matrix equations become null spaces computed by
+SVD with a relative threshold: `null_space` solves each system with one SVD
+and one rank cut.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import NonFiniteSampleError
+
 __all__ = [
     "DEFAULT_RTOL",
     "vec",
+    "kron_rows",
     "intertwiner_operator",
-    "offset_operator",
     "null_space",
+    "solve_residual",
     "row_space",
     "relative_rank",
     "smallest_singular_gap",
@@ -30,35 +32,38 @@ __all__ = [
 DEFAULT_RTOL = 1e-9
 
 
+def _require_finite(a: np.ndarray, field: str) -> None:
+    """Raise NonFiniteSampleError naming `field`, and the first bad row of a 2-D `a`."""
+    if not np.isfinite(a).all():
+        row = f"[{int(np.argmin(np.isfinite(a).all(axis=1)))}]" if a.ndim == 2 else ""
+        raise NonFiniteSampleError(field + row)
+
+
 def vec(A: np.ndarray) -> np.ndarray:
     """Row-major flattening of a matrix."""
     return np.asarray(A, dtype=float).reshape(-1)
 
 
+def kron_rows(L: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Matrix of X -> L X R on vec(X): (p*q, n*m) for L (p, n) and R (m, q).
+
+    Entry [i*q + c, j*m + k] is L[i, j] * R[k, c], the product np.kron(L, R.T) forms,
+    so the two agree bit for bit, signed zeros included. Leading axes broadcast.
+    """
+    L = np.asarray(L, dtype=float)
+    R = np.asarray(R, dtype=float)
+    (p, n), (m, q) = L.shape[-2:], R.shape[-2:]
+    # written in C order, so that the reshape is a view and not a strided copy
+    op = np.multiply(L[..., :, None, :, None], np.swapaxes(R, -1, -2)[..., None, :, None, :], order="C")
+    return op.reshape(op.shape[:-4] + (p * q, n * m))
+
+
 def intertwiner_operator(M1: np.ndarray, M2: np.ndarray) -> np.ndarray:
-    """Matrix of A -> A M1 - M2 A acting on vec(A); stacks (k, d, d) give (k, d*d, d*d).
-
-    Entry [i*d + j, k*d + l] is I[i, k] * M1[l, j] - M2[i, k] * I[j, l]: the
-    same products np.kron(I, M1.T) and np.kron(M2, I) form, so the result
-    equals their difference bit for bit, signed zeros included.
-    """
-    M1 = np.asarray(M1, dtype=float)
-    M2 = np.asarray(M2, dtype=float)
-    d = M1.shape[-1]
-    eye = np.eye(d)
-    op = eye[:, None, :, None] * np.swapaxes(M1, -1, -2)[..., None, :, None, :]
-    op -= M2[..., :, None, :, None] * eye[:, None, :]
-    return op.reshape(M1.shape[:-2] + (d * d, d * d))
-
-
-def offset_operator(b: np.ndarray) -> np.ndarray:
-    """Matrix of A -> A b acting on vec(A); shape (d, d*d), or (k, d, d*d) for (k, d).
-
-    Entry [i, j*d + l] is I[i, j] * b[l], the product np.kron(I, b[None, :]) forms.
-    """
-    b = np.asarray(b, dtype=float)
-    d = b.shape[-1]
-    return (np.eye(d)[:, :, None] * b[..., None, None, :]).reshape(b.shape[:-1] + (d, d * d))
+    """Matrix of A -> A M1 - M2 A acting on vec(A); stacks (k, d, d) give (k, d*d, d*d)."""
+    eye = np.eye(np.shape(M1)[-1])
+    op = kron_rows(eye, M1)
+    op -= kron_rows(M2, eye)
+    return op
 
 
 def _rank(s: np.ndarray, rtol: float) -> int:
@@ -91,8 +96,12 @@ def null_space(K: np.ndarray, rtol: float = DEFAULT_RTOL, rhs: np.ndarray | None
             x = vh[:k].T @ ((u[:, :k].T @ rhs) / s[:k])
     if rhs is None:
         return basis
-    residual = float(np.linalg.norm(K @ x - rhs) / (1.0 + np.linalg.norm(rhs)))
-    return basis, x, residual
+    return basis, x, solve_residual(K, x, rhs)
+
+
+def solve_residual(K: np.ndarray, x: np.ndarray, rhs: np.ndarray) -> float:
+    """|K x - rhs| / (1 + |rhs|): how far x is from solving K x = rhs."""
+    return float(np.linalg.norm(K @ x - rhs) / (1.0 + np.linalg.norm(rhs)))
 
 
 def row_space(K: np.ndarray, rtol: float = DEFAULT_RTOL) -> np.ndarray:

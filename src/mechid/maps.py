@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatchError, SingularMapError
-from .linalg import smallest_singular_gap
+from .linalg import _require_finite, smallest_singular_gap
 
 __all__ = ["AffineMap", "FunctionBijection", "identity_map", "compose", "map_power"]
 
@@ -38,6 +38,8 @@ class AffineMap:
             raise DimensionMismatchError(
                 f"offset has dimension {p.shape[0]}, matrix is {A.shape[0]}x{A.shape[1]}"
             )
+        _require_finite(A, "A")
+        _require_finite(p, "p")
         if smallest_singular_gap(A) <= _INVERTIBILITY_RTOL:
             raise SingularMapError("affine map matrix is singular to working tolerance")
         A.setflags(write=False)

@@ -22,12 +22,11 @@ from .dynamics import AffineMechanism, Trajectory, _resolve_schedule
 from .equivariance import (
     ConditionReport,
     _distinct_rows,
-    _require_finite_rows,
     exact_recovery_conditions,
     offset_identifiability_check,
 )
 from .errors import DataDeficiencyError, DimensionMismatchError
-from .linalg import DEFAULT_RTOL, null_space, relative_rank, row_space
+from .linalg import DEFAULT_RTOL, _require_finite, kron_rows, null_space, relative_rank, row_space
 from .rng import stream
 
 __all__ = [
@@ -75,7 +74,7 @@ class RecoveryProblem:
                 f"offsets must be (pairs, d) = ({xp.shape[0]}, {M.shape[0]}), got {B.shape}"
             )
         for name, a in (("x_prev", xp), ("x_next", xn), ("M", M), ("offsets", B)):
-            _require_finite_rows(a, name)
+            _require_finite(a, name)
         object.__setattr__(self, "x_prev", xp)
         object.__setattr__(self, "x_next", xn)
         object.__setattr__(self, "M", M)
@@ -101,15 +100,27 @@ class RecoveryProblem:
         if not trajectory.mechanisms:
             raise ValueError("trajectory has no transitions")
         schedule = _resolve_schedule(mechanisms, trajectory.mechanisms, trajectory.steps)
-        M = mechanisms[schedule[0]].M
-        for i in np.unique(schedule):
-            if np.max(np.abs(mechanisms[i].M - M)) > rtol * (1.0 + np.max(np.abs(M))):
-                raise ValueError(
-                    "recovery expects one shared transition matrix; schedule mixes different M"
-                )
+        used = list(dict.fromkeys(schedule))  # in order of first use, so schedule[0] sets M
+        i = _unshared_M([mechanisms[j] for j in used], rtol)
+        if i is not None:
+            raise ValueError(
+                "recovery expects one shared transition matrix; schedule mixes different M "
+                f"(mechanisms[{used[i]}].M)"
+            )
+        M = mechanisms[used[0]].M
         X = trajectory.observations
         B = np.stack([m.b for m in mechanisms])[schedule]
         return cls(x_prev=X[:-1], x_next=X[1:], M=M, offsets=B)
+
+
+def _unshared_M(mechanisms: Sequence[AffineMechanism], rtol: float) -> int | None:
+    """Index of the first M unlike the first one in shape or by > rtol (1 + max |M_0|), or None."""
+    M = mechanisms[0].M
+    tol = rtol * (1.0 + np.max(np.abs(M)))
+    for i, m in enumerate(mechanisms):
+        if m.M.shape != M.shape or np.max(np.abs(m.M - M)) > tol:
+            return i
+    return None
 
 
 @dataclass(frozen=True)
@@ -133,17 +144,10 @@ class RecoveryResult:
 
 
 def _assemble_system(Xi_p, Xi_n, M, B):
-    """Rows of E x_{t+1} - M E x_t = b_t over vec(E), E of shape (d, r).
-
-    Entry [t, i, j, k] is the coefficient of E[j, k] in row i of pair t:
-    delta_ij * xn[t, k] - M[i, j] * xp[t, k].
-    """
-    N, r = Xi_p.shape
-    d = M.shape[0]
-    xn = Xi_n[:, None, None, :]
-    xp = Xi_p[:, None, None, :]
-    C = np.eye(d)[None, :, :, None] * xn - M[None, :, :, None] * xp
-    return C.reshape(N * d, d * r), B.reshape(-1)
+    """Rows of E x_{t+1} - M E x_t = b_t over vec(E), E of shape (d, r), d rows per pair."""
+    C = kron_rows(np.eye(M.shape[0]), Xi_n[..., None])
+    C -= kron_rows(M, Xi_p[..., None])
+    return C.reshape(-1, C.shape[-1]), B.reshape(-1)
 
 
 def recover_linear_encoder(
@@ -358,8 +362,8 @@ def compare_up_to_class(estimate, truth, klass: str = "exact") -> ComparisonResu
     d = WE.shape[0]
     RE = np.hstack([WE, cE[:, None]])
     RT = np.hstack([WT, cT[:, None]])
-    _require_finite_rows(RE, "estimate")
-    _require_finite_rows(RT, "truth")
+    _require_finite(RE, "estimate")
+    _require_finite(RT, "truth")
     # the residual's norms are taken on unit-scaled rows, where they neither
     # over- nor underflow; the exact scaling cancels in their ratio
     SE, ST = _unit_scaled(RE, RT)

@@ -6,6 +6,8 @@ checked against a CDF obtained by adaptive quadrature of the unnormalized
 density, not against the gamma-transform used by the sampler.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
@@ -99,9 +101,32 @@ def test_non_finite_state_is_named_apart_from_divergence():
     with pytest.raises(NonFiniteSampleError, match="simulation step 2"):
         simulate(dec, [to_inf], np.ones(2), T=3)
     # finite entries whose norm overflows are a divergence, not a non-finite state
-    with pytest.raises(DivergedTrajectoryError) as exc, np.errstate(over="ignore"):
+    with pytest.raises(DivergedTrajectoryError) as exc, warnings.catch_warnings():
+        warnings.simplefilter("error")
         simulate(dec, [to_inf], np.full(2, 1e200), T=3)
     assert exc.value.step == 1
+    assert exc.value.norm == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+
+
+IDENTITY_MAPS = (ScalarMap("identity"),) * 2
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda v: AffineMechanism([[1.0, 0.0], [0.0, v]], np.zeros(2)), r"M\[1\]"),
+        (lambda v: AffineMechanism(np.eye(2), [v, 0.0]), "b"),
+        (lambda v: AffineMap([[v, 0.0], [0.0, 1.0]], np.zeros(2)), r"A\[0\]"),
+        (lambda v: AffineMap(np.eye(2), [0.0, v]), "p"),
+        (lambda v: LinearDecoder([[1.0, 0.0], [0.0, 1.0], [v, 1.0]]), r"G\[2\]"),
+        (lambda v: StructuredDecoder([[1.0, v], [0.0, 1.0]], IDENTITY_MAPS), r"G\[0\]"),
+    ],
+    ids=["M", "b", "A", "p", "LinearDecoder.G", "StructuredDecoder.G"],
+)
+@pytest.mark.parametrize("v", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameters_are_rejected_naming_them(build, name, v):
+    with pytest.raises(NonFiniteSampleError, match=rf"at {name}$"):
+        build(v)
 
 
 def test_schedule_cycles_mechanisms():

@@ -28,7 +28,7 @@ from mechid.equivariance import (
     _intertwiner_system,
 )
 from mechid.errors import NonFiniteSampleError
-from mechid.linalg import intertwiner_operator, null_space, offset_operator, relative_rank
+from mechid.linalg import null_space, relative_rank
 from mechid.maps import AffineMap, compose
 from mechid.rng import stream
 
@@ -397,7 +397,8 @@ def reference_offset_check(M, offsets, rtol):
                     best_mags = tuple(float(x) for x in av)
                 if np.all(av > rtol * norm):
                     offset_ok = True
-    blocks = [intertwiner_operator(M, M)] + [offset_operator(b) for b in B[kept]]
+    eye = np.eye(d)
+    blocks = [np.kron(eye, M.T) - np.kron(M, eye)] + [np.kron(eye, b[None, :]) for b in B[kept]]
     measured = null_space(np.vstack(blocks), rtol).shape[0]
     if not diag_ok:
         verdict = ConditionVerdict("not-applicable", measured)

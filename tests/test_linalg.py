@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from mechid.linalg import (
     intertwiner_operator,
+    kron_rows,
     null_space,
-    offset_operator,
     relative_rank,
     row_space,
     vec,
@@ -61,22 +61,49 @@ def test_stacked_operators_equal_kron_bit_for_bit(k, d, seed):
     b[gen.random((k, d)) < 0.3] = -0.0
     eye = np.eye(d)
     stack = intertwiner_operator(M1, M2)
-    offsets = offset_operator(b)
+    offsets = kron_rows(eye, b[..., None])
     for i in range(k):
         want = np.kron(eye, M1[i].T) - np.kron(M2[i], eye)
         assert _bitwise_equal(stack[i], want)
         assert _bitwise_equal(intertwiner_operator(M1[i], M2[i]), want)
         assert _bitwise_equal(offsets[i], np.kron(eye, b[i][None, :]))
-        assert _bitwise_equal(offset_operator(b[i]), offsets[i])
+        assert _bitwise_equal(kron_rows(eye, b[i][:, None]), offsets[i])
+
+
+sides = st.integers(min_value=1, max_value=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sides, sides, sides, sides, st.integers(0, 3), st.integers(0, 2**31 - 1))
+@example(1, 1, 1, 1, 0, 0)
+def test_kron_rows_equals_kron_bit_for_bit(p, n, m, q, stacked, seed):
+    # stacked: 0 neither side, 1 only L, 2 only R, 3 both
+    gen = stream(seed, 6)
+    k = 3
+    L = gen.standard_normal((k, p, n) if stacked in (1, 3) else (p, n))
+    R = gen.standard_normal((k, m, q) if stacked in (2, 3) else (m, q))
+    # exact zeros of both signs, so that signed-zero products are exercised
+    L[gen.random(L.shape) < 0.3] = 0.0
+    L[gen.random(L.shape) < 0.2] = -0.0
+    R[gen.random(R.shape) < 0.3] = -0.0
+    R[gen.random(R.shape) < 0.2] = 0.0
+    got = kron_rows(L, R)
+    if not stacked:
+        assert _bitwise_equal(got, np.kron(L, R.T))
+        return
+    assert got.shape == (k, p * q, n * m)
+    Ls = L if L.ndim == 3 else [L] * k
+    Rs = R if R.ndim == 3 else [R] * k
+    for i in range(k):
+        assert _bitwise_equal(got[i], np.kron(Ls[i], Rs[i].T))
 
 
 @settings(max_examples=40, deadline=None)
-@given(dims, st.integers(min_value=0, max_value=2**31 - 1))
-def test_offset_operator_applies_matrix_to_vector(d, seed):
+@given(sides, sides, sides, sides, st.integers(min_value=0, max_value=2**31 - 1))
+def test_kron_rows_applies_the_bilinear_map(p, n, m, q, seed):
     gen = stream(seed, 3)
-    b = gen.standard_normal(d)
-    A = gen.standard_normal((d, d))
-    assert np.allclose(offset_operator(b) @ vec(A), A @ b)
+    L, X, R = gen.standard_normal((p, n)), gen.standard_normal((n, m)), gen.standard_normal((m, q))
+    assert np.allclose(kron_rows(L, R) @ vec(X), vec(L @ X @ R))
 
 
 def test_null_space_rows_orthonormal_and_annihilated():

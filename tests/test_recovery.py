@@ -16,7 +16,8 @@ from mechid import (
     recover_with_multiple_offsets,
     simulate,
 )
-from mechid.errors import DataDeficiencyError, NonFiniteSampleError
+from mechid.config import parse_config
+from mechid.errors import ConfigError, DataDeficiencyError, NonFiniteSampleError
 from mechid.recovery import COMPARISON_CLASSES, _assemble_system, _min_cost_assignment
 from mechid.rng import stream
 
@@ -221,6 +222,24 @@ def test_from_trajectory_rejects_a_schedule_that_mixes_transition_matrices():
     traj = simulate(decoder, mechanisms, z1, T=6, schedule=[0, 2, 0, 1, 0])
     with pytest.raises(ValueError, match="schedule mixes different M"):
         RecoveryProblem.from_trajectory(traj, mechanisms)
+
+
+@pytest.mark.parametrize(
+    "other", [np.diag([2.0, 3.5]), np.diag([2.0, 3.0, 4.0])], ids=["entry", "shape"]
+)
+def test_an_unshared_M_is_named_by_config_and_by_from_trajectory(other):
+    mechanisms = [AffineMechanism(np.diag([2.0, 3.0]), np.ones(2)), AffineMechanism(other, np.ones(len(other)))]
+    traj = Trajectory(latents=np.zeros((4, 2)), observations=np.zeros((4, 2)), mechanisms=(0, 0, 1))
+    with pytest.raises(ValueError, match=r"schedule mixes different M \(mechanisms\[1\]\.M\)"):
+        RecoveryProblem.from_trajectory(traj, mechanisms)
+    doc = {
+        "experiment": "recover",
+        "mechanisms": [{"M": m.M.tolist(), "b": m.b.tolist()} for m in mechanisms],
+        "trajectory_csv": "trajectory.csv",
+    }
+    with pytest.raises(ConfigError) as exc:
+        parse_config(doc)
+    assert exc.value.field == "mechanisms[1].M"
 
 
 def test_many_pairs_with_few_offsets_count_each_offset_once():

@@ -5,7 +5,8 @@ bench/selftest.py runs one operation of every workload through its checks;
 a rename or a changed output in the library would otherwise only surface as
 a failing benchmark run. The scripts under scripts/ are run once each at a
 small size for the same reason; scripts/bench_pairs.py runs against two
-stub checkouts whose bench/run.py prints canned lines.
+stub checkouts whose bench/run.py prints canned lines, and
+scripts/fixture_parity.py against two that share this checkout's code.
 """
 
 import importlib.util
@@ -179,6 +180,42 @@ def test_bench_pairs_alternates_and_summarizes(tmp_path):
     }
     assert doc["environment"] == [{"cores": 2, "side": "parent"}, {"cores": 2, "side": "change"}]
     assert doc["change"] == "stub"
+
+
+def test_fixture_parity_reports_each_run_and_an_edited_fixture(tmp_path):
+    # both stubs run this checkout's code; only the change's simulate fixture differs
+    for side in ("parent", "change"):
+        (tmp_path / side / "fixtures").mkdir(parents=True)
+        (tmp_path / side / "src").symlink_to(ROOT / "src", target_is_directory=True)
+        for name in ("commutant_shared", "simulate_shear"):
+            (tmp_path / side / "fixtures" / f"{name}.json").write_bytes(
+                (ROOT / "fixtures" / f"{name}.json").read_bytes()
+            )
+    edited = json.loads((ROOT / "fixtures" / "simulate_shear.json").read_text())
+    edited["z1"] = [1.0, 2.0]
+    (tmp_path / "change" / "fixtures" / "simulate_shear.json").write_text(json.dumps(edited))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "fixture_parity.py"),
+         "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["identical"] is False
+    runs = doc["runs"]
+    assert list(runs) == [
+        "commutant_shared-seed0", "commutant_shared-seed3", "commutant_shared-seed0-csv",
+        "simulate_shear-seed0", "simulate_shear-seed3",
+    ]
+    for run in ("commutant_shared-seed0", "commutant_shared-seed3", "commutant_shared-seed0-csv"):
+        assert runs[run] == {"exit_status": 0, "differences": [], "replay": "bitwise"}
+    for run in ("simulate_shear-seed0", "simulate_shear-seed3"):
+        # the parent's manifest still replays: its config echo holds the parent's fixture
+        assert runs[run]["replay"] == "bitwise"
+        assert runs[run]["differences"] == ["manifest.json", "report.json", "trajectory.csv"]
+    # every run wrote into a temporary directory, never into the checkouts
+    for side in ("parent", "change"):
+        assert sorted(p.name for p in (tmp_path / side).iterdir()) == ["fixtures", "src"]
 
 
 def test_bench_pairs_times_each_shipped_fixture(tmp_path):
