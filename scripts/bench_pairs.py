@@ -29,6 +29,13 @@ workloads, in the same order. Per fixture the output keeps every pair's
 wall seconds and exit status, each side's least and median seconds and the
 pairs the change won; a pair whose sides exit differently is an error.
 
+Every run of either side, fixtures included, gets the same fixed glibc
+allocator thresholds, ``ALLOCATOR_ENV``, and the record keeps them with each
+environment. Otherwise glibc moves its mmap and trim thresholds as a process
+frees large blocks, and two runs of the same code can fault pages in
+different steps. ``--default-allocator`` leaves glibc's dynamic thresholds
+in place instead.
+
 The file is rewritten after every pair, so a failed run leaves the pairs
 before it. Standard library only.
 """
@@ -62,18 +69,26 @@ PINNED_ENV = {
     "VECLIB_MAXIMUM_THREADS": "1",
 }
 
+# fixed glibc thresholds: blocks up to 32 MiB come from the heap, which is
+# trimmed only when 128 MiB at its top are free
+ALLOCATOR_ENV = {"MALLOC_MMAP_THRESHOLD_": "33554432", "MALLOC_TRIM_THRESHOLD_": "134217728"}
+
 
 class RunError(RuntimeError):
     pass
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> tuple[dict, dict]:
-    """One bench/run.py call: its (description, result) lines."""
+def run_bench(
+    checkout: Path, workload: str, seed: int, seconds: int, trace: int, allocator: dict
+) -> tuple[dict, dict]:
+    """One bench/run.py call with `allocator` added to the environment: its (description, result) lines."""
     argv = [
         sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
         "--seconds", str(seconds), "--trace", str(trace),
     ]
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    env = {k: v for k, v in os.environ.items() if k not in ALLOCATOR_ENV}
+    env.update(allocator)
+    proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise RunError(f"{checkout}: {' '.join(argv[1:])} exited {proc.returncode}\n{proc.stderr[-2000:]}")
@@ -86,10 +101,10 @@ def fixture_kinds(checkout: Path) -> dict[str, str]:
     return {p.stem: json.loads(p.read_text())["experiment"] for p in paths}
 
 
-def run_fixture(checkout: Path, kind: str, name: str) -> tuple[float, int]:
+def run_fixture(checkout: Path, kind: str, name: str, allocator: dict) -> tuple[float, int]:
     """Wall seconds and exit status of one fresh ``mechid <kind> fixtures/<name>.json``."""
-    env = {k: v for k, v in os.environ.items() if k != "MECHID_SEED"}
-    env.update(PINNED_ENV, PYTHONPATH=str(checkout / "src"))
+    env = {k: v for k, v in os.environ.items() if k != "MECHID_SEED" and k not in ALLOCATOR_ENV}
+    env.update(PINNED_ENV, **allocator, PYTHONPATH=str(checkout / "src"))
     with tempfile.TemporaryDirectory() as out:
         argv = [sys.executable, "-m", "mechid.cli", kind, f"fixtures/{name}.json"]
         argv += ["--threads", "1", "--output-dir", out]
@@ -171,6 +186,9 @@ def main(argv=None) -> int:
     ap.add_argument(
         "--fixtures", type=int, default=0, metavar="PAIRS", help="fresh-process pairs per shipped fixture"
     )
+    ap.add_argument(
+        "--default-allocator", action="store_true", help="leave glibc's dynamic mmap and trim thresholds in place"
+    )
     ap.add_argument("--title", default="", help="what the change does")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
@@ -202,9 +220,12 @@ def main(argv=None) -> int:
         "environment": [],
     }
 
+    allocator = {} if args.default_allocator else ALLOCATOR_ENV
+
     def note_environment(info: dict) -> None:
-        if info.get("environment") not in doc["environment"]:
-            doc["environment"].append(info.get("environment"))
+        environment = dict(info.get("environment") or {}, allocator=allocator or "glibc defaults")
+        if environment not in doc["environment"]:
+            doc["environment"].append(environment)
 
     def write() -> None:
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
@@ -217,7 +238,9 @@ def main(argv=None) -> int:
                     continue
                 pair = {"seed": args.seeds[k], "first": order[0], "parent": None, "change": None}
                 for side in order:
-                    info, result = run_bench(sides[side], workload, args.seeds[k], spec["run_seconds"], 0)
+                    info, result = run_bench(
+                        sides[side], workload, args.seeds[k], spec["run_seconds"], 0, allocator
+                    )
                     note_environment(info)
                     pair[side] = side_record(result)
                 entry = doc["workloads"][workload]
@@ -230,7 +253,7 @@ def main(argv=None) -> int:
             for name, entry in doc["fixtures"]["runs"].items():
                 if k >= args.fixtures:
                     break
-                timed = {side: run_fixture(sides[side], entry["kind"], name) for side in order}
+                timed = {side: run_fixture(sides[side], entry["kind"], name, allocator) for side in order}
                 (parent_s, status), (change_s, change_status) = timed["parent"], timed["change"]
                 if status != change_status:
                     raise RunError(
@@ -244,7 +267,7 @@ def main(argv=None) -> int:
         for workload in args.trace:
             traced = {"seed": args.seeds[0]}
             for side in ("parent", "change"):
-                info, result = run_bench(sides[side], workload, args.seeds[0], spec["run_seconds"], 1)
+                info, result = run_bench(sides[side], workload, args.seeds[0], spec["run_seconds"], 1, allocator)
                 note_environment(info)
                 traced[side] = {name: m["value"] for name, m in result["metrics"].items()}
             doc["trace"][workload] = traced

@@ -18,7 +18,7 @@ energy test (`scipy.spatial`), and the KS test on samples of unequal size
 or over 10^4 points (`scipy.stats`).
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .dynamics import (
     AffineMechanism,

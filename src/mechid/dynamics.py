@@ -304,6 +304,13 @@ def _decoder_matrix(G) -> tuple[np.ndarray, np.ndarray]:
     return G, np.linalg.pinv(G)
 
 
+def _require_finite_rows(y: np.ndarray, tol: float) -> None:
+    """Raise for the first row with a non-finite entry: the encoder is undefined there."""
+    bad_rows = np.nonzero(~np.isfinite(np.atleast_2d(y)).all(axis=-1))[0]
+    if bad_rows.size:
+        raise OffManifoldError(int(bad_rows[0]), float("inf"), tol)
+
+
 def _manifold_check(x: np.ndarray, recon: np.ndarray, tol: float) -> None:
     """Raise for the first observation whose reconstruction deviates beyond tol."""
     x2 = np.atleast_2d(x)
@@ -339,6 +346,7 @@ class LinearDecoder:
 
     def encode(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
+        _require_finite_rows(x, self.manifold_tol)
         z = x @ self._pinv.T
         if self.obs_dim > self.latent_dim:
             _manifold_check(x, self.decode(z), self.manifold_tol)
@@ -389,9 +397,7 @@ class StructuredDecoder:
         y = np.empty_like(x, dtype=float)
         for i, m in enumerate(self.maps):
             y[..., i] = m.inverse(x[..., i])
-        bad_rows = np.nonzero(~np.isfinite(np.atleast_2d(y)).all(axis=-1))[0]
-        if bad_rows.size:
-            raise OffManifoldError(int(bad_rows[0]), float("inf"), self.manifold_tol)
+        _require_finite_rows(y, self.manifold_tol)
         z = y @ self._pinv.T
         if self.obs_dim > self.latent_dim:
             _manifold_check(x, self.decode(z), self.manifold_tol)

@@ -4,11 +4,12 @@ An affine map a(z) = A z + p carries a mechanism m1(z) = M1 z + b1 onto
 m2(z) = M2 z + b2 exactly when A M1 = M2 A and A b1 + p = M2 p + b2. Both
 constraints are linear in (A, p). `_intertwiner_system` builds them for a
 stack of pairs (m1_i, m2_i) at once, one block of rows per pair, in a single
-array, and `_intertwiner_family` turns one `null_space` solve of that array
-into the affine solution set: the null space N plus a particular solution,
-which is (I, 0) whenever the identity solves the system. An equivariance of
-m is the case m1 = m2 = m, so its solution set is (I, 0) + N; imitation
-solves the same systems with m1 != m2.
+array. `null_space` solves it one pair's block at a time, and
+`_intertwiner_family` turns the array and that solve into the affine solution
+set: the null space N plus a particular solution, which is (I, 0) whenever
+the identity solves the whole system. An equivariance of m is the case
+m1 = m2 = m, so its solution set is (I, 0) + N; imitation solves the same
+systems with m1 != m2.
 """
 
 from __future__ import annotations
@@ -218,23 +219,36 @@ def _intertwiner_system(
     return C.reshape(k * (dd + d), dd + d), rhs.reshape(-1)
 
 
-def _intertwiner_family(
-    C: np.ndarray, r: np.ndarray, solution: tuple, d: int, rtol: float
-) -> AffineMapFamily:
-    """The solutions of C x = r over (vec A, p), given `null_space(C, rtol, r)`.
+def _data_scale(*arrays: np.ndarray) -> float:
+    """Largest absolute entry of the data a constraint system is built from: its rank-cut floor."""
+    return max([float(abs(a).max(initial=0.0)) for a in arrays])
 
-    The particular solution, kept with its residual, is (I, 0) if it solves the
-    system within CLOSURE_TOL_FACTOR * rtol, else the minimum-norm solution if
-    that one does; otherwise the family is empty.
+
+def _particular(C: np.ndarray, r: np.ndarray, x: np.ndarray, d: int, rtol: float):
+    """(particular solution or None, its residual) of C x = r over (vec A, p).
+
+    The particular solution is (I, 0) if it solves the system within
+    CLOSURE_TOL_FACTOR * rtol, else `x` if that one does; otherwise the system
+    has no solution and None is returned with x's residual.
     """
-    basis, x, residual = solution
     tol = CLOSURE_TOL_FACTOR * rtol
     ident = np.concatenate([np.eye(d).reshape(-1), np.zeros(d)])
     ident_residual = solve_residual(C, ident, r)
     if ident_residual <= tol:
-        x, residual = ident, ident_residual
-    elif residual > tol:
-        x = None
+        return ident, ident_residual
+    residual = solve_residual(C, x, r)
+    return (x if residual <= tol else None), residual
+
+
+def _intertwiner_family(
+    C: np.ndarray, r: np.ndarray, basis: np.ndarray, x: np.ndarray, d: int, rtol: float
+) -> AffineMapFamily:
+    """The solutions of the whole stacked system C x = r, given its null basis and a solution x.
+
+    `_particular` decides on all of C which particular solution is kept, or
+    that the family is empty.
+    """
+    x, residual = _particular(C, r, x, d, rtol)
     dd = d * d
     return AffineMapFamily(
         basis_A=basis[:, :dd].reshape(-1, d, d),
@@ -294,7 +308,7 @@ class EquivarianceFamily:
 def _commutant_null_space(M: np.ndarray, offsets: np.ndarray, rtol: float) -> np.ndarray:
     """Null basis over vec(A) of {A M = M A, A b = 0 for each row b of offsets}."""
     rows = kron_rows(np.eye(len(M)), offsets[..., None]).reshape(-1, M.size)
-    return null_space(np.vstack([intertwiner_operator(M, M), rows]), rtol)
+    return null_space(np.vstack([intertwiner_operator(M, M), rows]), rtol, scale=_data_scale(M, offsets))
 
 
 def linear_commutant(M: np.ndarray | AffineMechanism, rtol: float = DEFAULT_RTOL) -> LinearSubspaceBasis:
@@ -323,7 +337,13 @@ def shared_equivariances(
     M = np.stack([m.M for m in mechanisms])
     b = np.stack([m.b for m in mechanisms])
     C, r = _intertwiner_system(M, b, M, b)
-    family = _intertwiner_family(C, r, null_space(C, rtol, r), d, rtol)
+    # one mechanism's block of rows at a time, each cut on the basis the blocks before left
+    scale = _data_scale(M, b)
+    start = None
+    for block, rhs in zip(np.split(C, len(mechanisms)), np.split(r, len(mechanisms))):
+        basis, x, _ = null_space(block, rtol, rhs, scale, start)
+        start = basis, x
+    family = _intertwiner_family(C, r, basis, x, d, rtol)
     degenerate = any(smallest_singular_gap(m.M - np.eye(d)) <= rtol for m in mechanisms)
     return EquivarianceFamily(mechanisms=mechanisms, family=family, degenerate_offset=degenerate)
 

@@ -5,13 +5,16 @@ linear system over (A, p): A M1 = M2 A and A b1 + p = M2 p + b2, built and
 read by the same rule as an equivariance family (`equivariance._intertwiner_family`),
 so a system the identity solves always keeps it. The imitator closure asks
 for one shared map a such that every used mechanism is carried onto *some*
-member of the declared class; assignments are enumerated explicitly, pruned
-by eigenvalue spectra (conjugation preserves them), and capped by a budget.
+member of the declared class. Assignments are pruned by eigenvalue spectra
+(conjugation preserves them), capped by a budget and searched depth first
+over the used mechanisms: a node appends one used -> target block of rows to
+its parent's null basis and particular solution, so each prefix is solved
+once for all of its completions, and a prefix with no solution is not
+extended.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -24,8 +27,10 @@ from .equivariance import (
     EIGENGAP_RTOL,
     AffineMapFamily,
     _as_points,
+    _data_scale,
     _intertwiner_family,
     _intertwiner_system,
+    _particular,
     check_equivariance,
     check_imitation,
 )
@@ -122,18 +127,26 @@ def find_affine_intertwiners(
     if m1.dim != m2.dim:
         raise DimensionMismatchError("mechanisms have different dimensions")
     C, r = _intertwiner_system(m1.M[None], m1.b[None], m2.M[None], m2.b[None])
-    return _intertwiner_family(C, r, null_space(C, rtol, r), m1.dim, rtol)
-
-
-def _sorted_spectrum(m: AffineMechanism) -> np.ndarray:
-    w = np.linalg.eigvals(m.M)
-    order = np.lexsort((w.imag, w.real))
-    return w[order]
+    basis, x, _ = null_space(C, rtol, r, _data_scale(m1.M, m1.b, m2.M, m2.b))
+    return _intertwiner_family(C, r, basis, x, m1.dim, rtol)
 
 
 def _spectra_match(w1: np.ndarray, w2: np.ndarray) -> bool:
+    """Do two eigenvalue multisets agree within EIGENGAP_RTOL of the larger spectral radius?
+
+    Each eigenvalue of w1 in turn takes the nearest one of w2 not yet taken. No
+    sort order is relied on: rounding can order the two copies of a tied
+    complex pair differently in the two spectra.
+    """
     scale = max(float(np.max(np.abs(w1))), float(np.max(np.abs(w2))), 1e-300)
-    return bool(np.max(np.abs(w1 - w2)) <= EIGENGAP_RTOL * scale)
+    left = list(w2)
+    for z in w1:
+        gaps = np.abs(np.array(left) - z)
+        k = int(np.argmin(gaps))
+        if gaps[k] > EIGENGAP_RTOL * scale:
+            return False
+        del left[k]
+    return True
 
 
 @dataclass(frozen=True)
@@ -171,42 +184,64 @@ def imitator_closure(
 ) -> ImitatorClosure:
     """Search for shared affine maps carrying each used mechanism into the class.
 
-    Enumerates assignments sigma: used -> members, pruned by eigenvalue
-    multisets (conjugation preserves spectra), solves each stacked
-    intertwiner system for one shared (A, p), and keeps assignments with a
-    representative invertible at `rtol` whose grid residuals verify within
-    `check_tol` (default CLOSURE_TOL_FACTOR * rtol). Raises when the
-    post-pruning assignment count exceeds `budget`.
+    Assignments sigma: used -> members are pruned by eigenvalue multisets
+    (conjugation preserves spectra) and searched depth first, in the order
+    of `itertools.product`. The node for sigma(0), ..., sigma(i) adds the
+    rows of used i -> sigma(i) to its parent's solution with one `null_space`
+    block solve; a node whose stacked system has no solution (`_particular`)
+    is not extended. A complete assignment is kept when its representative
+    is invertible at `rtol` and its grid residuals verify within `check_tol`
+    (default CLOSURE_TOL_FACTOR * rtol). Raises when the post-pruning
+    assignment count exceeds `budget`.
     """
     check_tol = CLOSURE_TOL_FACTOR * rtol if check_tol is None else check_tol
     members = cls.members
-    spectra = [_sorted_spectrum(m) for m in members]
+    spectra = [np.linalg.eigvals(m.M) for m in members]
     compatible = [
         [j for j in range(len(members)) if _spectra_match(spectra[i], spectra[j])]
         for i in range(len(cls.used))
     ]
+    sizes = [len(t) for t in compatible]
     total = len(members) ** len(cls.used)
-    after_pruning = math.prod(len(t) for t in compatible)
+    after_pruning = math.prod(sizes)
     if after_pruning > budget:
         raise BudgetExceededError(after_pruning, budget)
     points = _as_points(grid, cls.dim)
-    used_M = np.stack([m.M for m in cls.used])
-    used_b = np.stack([m.b for m in cls.used])
-    member_M = np.stack([m.M for m in members])
-    member_b = np.stack([m.b for m in members])
+    d = cls.dim
+    M = np.stack([m.M for m in members])
+    b = np.stack([m.b for m in members])
+    # the rows of every compatible pair used i -> member j, built once; pair
+    # first[i] + pos maps used i to compatible[i][pos]
+    first = np.cumsum([0] + sizes)
+    source = np.repeat(np.arange(len(compatible)), sizes)
+    target = np.concatenate(compatible)
+    C, r = _intertwiner_system(M[source], b[source], M[target], b[target])
+    C = C.reshape(len(target), -1, C.shape[1])
+    r = r.reshape(len(target), -1)
+    scale = _data_scale(M, b)
     found: list[AssignmentFamily] = []
     solved = 0
-    for k, assignment in enumerate(itertools.product(*compatible)):
-        # only this assignment's stacked system is held at a time
-        to = list(assignment)
-        C, r = _intertwiner_system(used_M, used_b, member_M[to], member_b[to])
-        family = _intertwiner_family(C, r, null_space(C, rtol, r), cls.dim, rtol)
+    # (used index, position in its compatible list, parent (basis, x), parent pairs, parent rank)
+    stack = [(0, pos, None, [], 0) for pos in reversed(range(sizes[0]))]
+    while stack:
+        i, pos, start, path, index = stack.pop()
+        pair = first[i] + pos
+        basis, x, _ = null_space(C[pair], rtol, r[pair], scale, start)
+        path = path + [pair]
+        index = index * sizes[i] + pos  # at a leaf, the assignment's rank in product order
+        Cs, rs = C[path].reshape(-1, C.shape[2]), r[path].reshape(-1)
+        if i + 1 < len(compatible):
+            if _particular(Cs, rs, x, d, rtol)[0] is not None:  # else no completion is solved
+                stack.extend((i + 1, q, (basis, x), path, index) for q in reversed(range(sizes[i + 1])))
+            continue
+        family = _intertwiner_family(Cs, rs, basis, x, d, rtol)
         if not family.consistent:
             continue
-        rep = family.representative(seed=seed + k)
+        rep = family.representative(seed=seed + index)
         if rep is None:
             continue
         solved += 1
+        assignment = tuple(int(j) for j in target[path])
         records = []
         for i, j in enumerate(assignment):
             report = check_imitation(rep, cls.used[i], members[j], points, tol=check_tol)
@@ -223,7 +258,7 @@ def imitator_closure(
         else:  # every used mechanism verified
             found.append(
                 AssignmentFamily(
-                    assignment=tuple(assignment),
+                    assignment=assignment,
                     family=family,
                     representative=rep,
                     records=tuple(records),

@@ -6,8 +6,21 @@ Row-major (C-order) vectorization is used throughout:
 
 so every linear constraint on a matrix unknown is a sum of `kron_rows(L, R)`
 blocks, and solution sets of matrix equations become null spaces computed by
-SVD with a relative threshold: `null_space` solves each system with one SVD
-and one rank cut.
+SVD with a relative threshold.
+
+`null_space` is the one constraint solve. It takes rows one block at a time:
+given the null basis N (as rows) and particular solution x of the blocks
+before, a block C with right-hand side r is projected onto that basis and cut
+there,
+
+    N' = null(C N^T) N,    x' = x + N^T y,    y = argmin-norm |C N^T y - (r - C x)|,
+
+so each later block costs an SVD of its rows against the surviving directions
+only, and a solution set shared by k mechanisms costs about one mechanism's
+SVD. A first block (no N) is solved directly. Every cut keeps the singular
+values above rtol * max(s_1, scale), where `scale` is the size of the data the
+rows were built from: a block that is rounding noise next to its data (the
+commutator rows of a scalar M, or a mechanism appended twice) has no rank.
 """
 
 from __future__ import annotations
@@ -66,36 +79,48 @@ def intertwiner_operator(M1: np.ndarray, M2: np.ndarray) -> np.ndarray:
     return op
 
 
-def _rank(s: np.ndarray, rtol: float) -> int:
-    """Count of singular values (descending) above rtol times the largest."""
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rtol * s[0]))
+def _rank(s: np.ndarray, rtol: float, scale: float = 0.0) -> int:
+    """Count of singular values (descending) above rtol * max(largest, scale)."""
+    return int(np.sum(s > rtol * max(s[0], scale))) if s.size else 0
 
 
-def null_space(K: np.ndarray, rtol: float = DEFAULT_RTOL, rhs: np.ndarray | None = None):
+def null_space(
+    K: np.ndarray,
+    rtol: float = DEFAULT_RTOL,
+    rhs: np.ndarray | None = None,
+    scale: float = 0.0,
+    start: tuple[np.ndarray, np.ndarray] | None = None,
+):
     """Orthonormal basis of the null space of K, as rows; the one constraint solve.
 
-    Singular values at or below rtol times the largest count as zero. A
+    Singular values at or below rtol * max(largest, scale) count as zero. A
     wide K needs the full V factor for its null rows; a tall one needs only
     the economy factors, and never the (rows x rows) U. Given `rhs`, returns
     (basis, x, residual) from the same factors and cut: x = V_k diag(1/s_k)
-    U_k^T rhs is the minimum-norm solution at the rtol cut, and residual is
+    U_k^T rhs is the minimum-norm solution at the cut, and residual is
     |K x - rhs| / (1 + |rhs|), which counts the directions the cut dropped.
+
+    `start` = (N, x) appends K as a further block of rows to a system whose
+    null basis is N and particular solution x: K N^T is cut instead of K, and
+    the returned basis and solution lie in the affine set x + span(N).
     """
     K = np.atleast_2d(np.asarray(K, dtype=float))
     n = K.shape[1]
-    x = np.zeros(n)
-    if K.shape[0] == 0:
-        basis = np.eye(n)
+    N, x = (None, np.zeros(n)) if start is None else start
+    P = K if N is None else K @ N.T
+    k = 0
+    if P.size:
+        u, s, vh = np.linalg.svd(P, full_matrices=P.shape[0] < P.shape[1])
+        k = _rank(s, rtol, scale)
+    if k == 0:
+        basis = np.eye(n) if N is None else N
     else:
-        u, s, vh = np.linalg.svd(K, full_matrices=K.shape[0] < n)
-        k = _rank(s, rtol)
-        basis = vh[k:, :] if s.size and s[0] != 0.0 else np.eye(n)
-        if rhs is not None:
-            x = vh[:k].T @ ((u[:, :k].T @ rhs) / s[:k])
+        basis = vh[k:] if N is None else vh[k:] @ N
     if rhs is None:
         return basis
+    if k:
+        y = vh[:k].T @ ((u[:, :k].T @ (rhs if N is None else rhs - K @ x)) / s[:k])
+        x = y if N is None else x + N.T @ y
     return basis, x, solve_residual(K, x, rhs)
 
 

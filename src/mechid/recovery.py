@@ -109,7 +109,10 @@ class RecoveryProblem:
             )
         M = mechanisms[used[0]].M
         X = trajectory.observations
-        B = np.stack([m.b for m in mechanisms])[schedule]
+        # one offset row per scheduled mechanism; others may even have another dimension
+        row = np.zeros(len(mechanisms), dtype=int)
+        row[used] = np.arange(len(used))
+        B = np.stack([mechanisms[j].b for j in used])[row[schedule]]
         return cls(x_prev=X[:-1], x_next=X[1:], M=M, offsets=B)
 
 

@@ -280,6 +280,20 @@ def test_linear_decoder_manifold_check():
     assert np.allclose(dec.encode(np.array([1.5, 1.5])), [1.5])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "G", [[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [[2.0, 0.0], [1.0, 1.0]]], ids=["tall", "square"]
+)
+def test_linear_decoder_rejects_a_non_finite_observation(G, bad):
+    # a NaN deviation is not above the tolerance, so it used to pass the manifold check
+    dec = LinearDecoder(np.array(G))
+    x = dec.decode(np.array([[0.3, -0.2], [1.0, 2.0]]))
+    x[1, 0] = bad
+    with pytest.raises(OffManifoldError) as exc:
+        dec.encode(x)
+    assert exc.value.point_index == 1
+
+
 def test_structured_decoder_roundtrip():
     gen = stream(43)
     G = gen.standard_normal((4, 2))

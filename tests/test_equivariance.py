@@ -27,7 +27,9 @@ from mechid.equivariance import (
     _eigen_summary,
     _intertwiner_system,
 )
+from mechid.config import parse_config
 from mechid.errors import NonFiniteSampleError
+from mechid.experiments import run_experiment
 from mechid.linalg import null_space, relative_rank
 from mechid.maps import AffineMap, compose
 from mechid.rng import stream
@@ -204,6 +206,43 @@ def test_shared_dimension_monotone():
     dims = [affine_equivariances(m).dimension for m in ms]
     shared = shared_equivariances(ms)
     assert shared.dimension <= min(dims)
+
+
+# ---------------------------------------------------------------------------
+# every rank cut is floored at the size of the data its rows are built from
+
+
+def conjugated_scalar(c: float, d: int, seed: int) -> np.ndarray:
+    """S (c I) S^-1: c I up to rounding, so its commutator rows are pure noise."""
+    S = random_invertible(stream(5200, seed), d, cond_cap=20.0)
+    return S @ (c * np.eye(d)) @ np.linalg.inv(S)
+
+
+def test_conjugated_identity_is_unconstrained():
+    M = conjugated_scalar(1.0, 3, 0)
+    assert 0.0 < np.max(np.abs(M - np.eye(3))) < 1e-13
+    doc = {"experiment": "commutant", "mechanisms": [{"M": M.tolist(), "b": [0.0, 0.0, 0.0]}]}
+    summary = run_experiment(parse_config(doc), seed=0).summary
+    assert (summary["dimension"], summary["a_dimension"], summary["measured_dimension"]) == (12, 9, 9)
+    assert summary["verdict"] == "unconstrained"
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_conjugated_scalar_has_the_full_commutant(d):
+    assert linear_commutant(conjugated_scalar(2.0, d, d)).dimension == d * d
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_mechanism_given_twice_adds_nothing(seed):
+    gen = stream(5300, seed)
+    d = int(gen.integers(1, 6))
+    S = random_invertible(gen, d, cond_cap=20.0)
+    spectrum = gen.choice([0.5, 1.0, 2.0, -1.5], d) if seed % 2 else gen.standard_normal(d)
+    m = AffineMechanism(S @ np.diag(spectrum) @ np.linalg.inv(S), gen.standard_normal(d) * (seed % 3 > 0))
+    once = shared_equivariances([m]).family
+    twice = shared_equivariances([m, m]).family
+    for field in ("basis_A", "basis_p", "particular_A", "particular_p", "residual"):
+        assert np.array_equal(getattr(twice, field), getattr(once, field)), field
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +438,9 @@ def reference_offset_check(M, offsets, rtol):
                     offset_ok = True
     eye = np.eye(d)
     blocks = [np.kron(eye, M.T) - np.kron(M, eye)] + [np.kron(eye, b[None, :]) for b in B[kept]]
-    measured = null_space(np.vstack(blocks), rtol).shape[0]
+    # the cut's floor is the largest entry of the data the rows are built from
+    scale = max(np.max(np.abs(M)), np.max(np.abs(B[kept])))
+    measured = null_space(np.vstack(blocks), rtol, scale=scale).shape[0]
     if not diag_ok:
         verdict = ConditionVerdict("not-applicable", measured)
     elif rank_ok and offset_ok and distinct:

@@ -1,5 +1,8 @@
 """Intertwiners, imitator closures, and cycle structure on finite classes."""
 
+import itertools
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,16 +12,19 @@ from mechid import (
     AffineMechanism,
     FunctionBijection,
     GeneralMechanism,
+    GridSpec,
     MechanismClass,
     affine_equivariances,
     check_imitation,
     cycle_analysis,
     find_affine_intertwiners,
     imitator_closure,
+    linear_commutant,
     shared_equivariances,
 )
 from mechid.errors import BudgetExceededError, ToleranceAmbiguityError
-from mechid.imitation import CLOSURE_TOL_FACTOR
+from mechid.equivariance import _data_scale, _intertwiner_family, _intertwiner_system
+from mechid.imitation import CLOSURE_TOL_FACTOR, _spectra_match
 from mechid.linalg import smallest_singular_gap
 from mechid.maps import AffineMap, compose, map_power
 from mechid.rng import stream
@@ -208,6 +214,20 @@ def test_closure_includes_swap_assignment():
         assert record.residual <= record.tol
 
 
+@pytest.mark.parametrize("seed", [29, 30])
+def test_closure_matches_a_spectrum_of_tied_complex_pairs(seed):
+    # the two copies of 0.25 + 1.5i differ in their real parts by rounding, so a
+    # lexicographic sort can interleave them with their conjugates in one spectrum only
+    gen = stream(5400, seed)
+    S, P = random_invertible(gen, 4, cond_cap=10.0), random_invertible(gen, 4, cond_cap=10.0)
+    M1 = S @ np.kron(np.eye(2), [[0.25, -1.5], [1.5, 0.25]]) @ np.linalg.inv(S)
+    b = gen.standard_normal(4)
+    m2 = AffineMechanism(P @ M1 @ np.linalg.inv(P), P @ b)
+    closure = imitator_closure(MechanismClass(used=(AffineMechanism(M1, b),), hypothesized=(m2,)))
+    assert closure.candidates_after_pruning == 2
+    assert [found.assignment for found in closure.assignments] == [(0,), (1,)]
+
+
 def test_closure_budget_error():
     m = AffineMechanism(np.diag([2.0, 3.0]), np.zeros(2))
     cls = MechanismClass(used=(m, m), hypothesized=(m, m))
@@ -332,37 +352,64 @@ def test_closure_maps_yield_bijective_cycle_permutations():
 # every decision about a family reads the cut it was solved at
 
 EIGENVALUES = [1.0, 1.0 + 1e-7, 1.0 + 1e-4, 1.0 - 1e-5, 0.5, 2.0, -1.5]
+# apart by more than 1, so no closed form below depends on the cut
+SEPARATED = [-2.0, -0.5, 1.0, 2.5]
+PAIRS = [(0.25, 1.5), (-1.0, 1.0)]  # a +- i w
+
+
+@dataclass
+class Planted:
+    """Mechanisms M = S J S^-1 sharing S, with each J's blocks as (eigenvalue, size)."""
+
+    mechanisms: list
+    jordans: list
+    carry: AffineMap  # a generic affine map; conjugate(carry, m) is imitated by it
+    split: AffineMechanism  # the first mechanism's spectrum, every Jordan chain cut, another S and offset
+    rtol: float
 
 
 @st.composite
-def planted_families(draw):
-    """(mechanisms, m1 -> conjugate pair, rtol) with M = S J S^-1 at d <= 4.
+def planted_families(draw, eigenvalues=EIGENVALUES, pairs=(), rtols=(1e-9, 1e-6, 1e-3), cond_cap=20.0):
+    """Planted mechanisms at d <= 8 in real Jordan form, conjugated by S with cond(S) <= cond_cap.
 
-    J has tied eigenvalues, eigenvalues near 1 and Jordan blocks; each
-    eigencoordinate of an offset may be zero. The second mechanism shares S.
+    J has tied eigenvalues and Jordan blocks from `eigenvalues`, and
+    complex-conjugate pairs a +- iw from `pairs` as rotation-scaling blocks,
+    chained by identities into a real Jordan block of a pair; each
+    eigencoordinate of an offset may be zero.
     """
-    d = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 8))
     gen = stream(draw(st.integers(0, 2**32 - 1)))
-    S = random_invertible(gen, d, cond_cap=20.0)
-    Sinv = np.linalg.inv(S)
+    S = random_invertible(gen, d, cond_cap=cond_cap)
 
-    def planted():
-        J = np.zeros((d, d))
-        i = 0
+    def real_jordan():
+        """J, J without its chains (same spectrum, diagonalizable), and J's blocks."""
+        diagonal, chains, blocks, i = np.zeros((d, d)), np.zeros((d, d)), [], 0
         while i < d:
-            size = draw(st.integers(1, d - i))
-            lam = draw(st.sampled_from(EIGENVALUES))
-            J[i : i + size, i : i + size] = lam * np.eye(size) + draw(st.booleans()) * np.eye(size, k=1)
+            if pairs and d - i >= 2 and draw(st.booleans()):
+                (a, w), n = draw(st.sampled_from(pairs)), draw(st.integers(1, (d - i) // 2))
+                diagonal[i : i + 2 * n, i : i + 2 * n] = np.kron(np.eye(n), [[a, -w], [w, a]])
+                chains[i : i + 2 * n, i : i + 2 * n] = np.eye(2 * n, k=2)
+                blocks += [(complex(a, w), n), (complex(a, -w), n)]
+                i += 2 * n
+                continue
+            size, lam = draw(st.integers(1, d - i)), draw(st.sampled_from(eigenvalues))
+            chained = draw(st.booleans())
+            diagonal[i : i + size, i : i + size] = lam * np.eye(size)
+            chains[i : i + size, i : i + size] = chained * np.eye(size, k=1)
+            blocks += [(lam, size)] if chained else [(lam, 1)] * size
             i += size
-        v = gen.uniform(0.5, 1.5, d) * draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=d, max_size=d))
-        return AffineMechanism(S @ J @ Sinv, S @ v)
+        return diagonal + chains, diagonal, blocks
 
-    mechanisms = [planted() for _ in range(draw(st.integers(1, 2)))]
-    m1 = mechanisms[0]
-    P, q = random_invertible(gen, d, cond_cap=20.0), gen.standard_normal(d)
-    M2 = P @ m1.M @ np.linalg.inv(P)
-    m2 = AffineMechanism(M2, P @ m1.b + q - M2 @ q)  # (P, q) carries m1 onto m2
-    return mechanisms, (m1, m2), draw(st.sampled_from([1e-9, 1e-6, 1e-3]))
+    def offset():
+        return gen.uniform(0.5, 1.5, d) * draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=d, max_size=d))
+
+    drawn = [real_jordan() for _ in range(draw(st.integers(1, 2)))]
+    mechanisms = [AffineMechanism(S @ J @ np.linalg.inv(S), S @ offset()) for J, _, _ in drawn]
+    T = random_invertible(gen, d, cond_cap=cond_cap)
+    split = AffineMechanism(T @ drawn[0][1] @ np.linalg.inv(T), T @ offset())
+    carry = AffineMap(random_invertible(gen, d, cond_cap=cond_cap), gen.standard_normal(d))
+    rtol = draw(st.sampled_from(rtols))
+    return Planted(mechanisms, [blocks for _, _, blocks in drawn], carry, split, rtol)
 
 
 def assert_one_cut(family, rtol):
@@ -378,7 +425,9 @@ def assert_one_cut(family, rtol):
 @settings(max_examples=60, deadline=None)
 @given(planted_families())
 def test_every_family_decision_reads_its_own_cut(case):
-    mechanisms, (m1, m2), rtol = case
+    mechanisms, rtol = case.mechanisms, case.rtol
+    m1 = mechanisms[0]
+    m2 = conjugate(case.carry, m1)
     shared = shared_equivariances(mechanisms, rtol)
     assert_one_cut(shared.family, rtol)
     assert shared.a_dimension == shared.a_part_basis().dimension
@@ -388,3 +437,96 @@ def test_every_family_decision_reads_its_own_cut(case):
     for found in closure.assignments:
         assert_one_cut(found.family, rtol)
         assert smallest_singular_gap(found.representative.A) > rtol
+
+
+# ---------------------------------------------------------------------------
+# closed forms and one stacked SVD as oracles of the blocked solves
+
+
+def commutant_dimension(blocks) -> int:
+    """sum over eigenvalues of sum_{i, j} min(n_i, n_j) over their Jordan block sizes."""
+    sizes = {}
+    for lam, n in blocks:
+        sizes.setdefault(lam, []).append(n)
+    return sum(min(a, b) for ns in sizes.values() for a in ns for b in ns)
+
+
+# Within this factor of the cut a rank decision may go either way: the blocked and the
+# stacked solve see different singular values there. Outside it they must agree.
+MARGIN = 100.0
+
+
+def stacked_solve(C, r, rtol, scale):
+    """Null basis, minimum-norm solution and whether no singular value is near the cut,
+    from one SVD of the whole system cut as the kernel cuts."""
+    u, s, vh = np.linalg.svd(C, full_matrices=C.shape[0] < C.shape[1])
+    cut = rtol * max(s[0], scale)
+    k = int(np.sum(s > cut))
+    clear = not np.any((s > cut / MARGIN) & (s <= cut * MARGIN))
+    return vh[k:], vh[:k].T @ ((u[:, :k].T @ r) / s[:k]), clear
+
+
+def stacked_family(used, targets, rtol, scale):
+    """The family of one stacked SVD, and whether its rank was decided clear of the cut."""
+    M1, b1 = np.stack([m.M for m in used]), np.stack([m.b for m in used])
+    M2, b2 = np.stack([m.M for m in targets]), np.stack([m.b for m in targets])
+    C, r = _intertwiner_system(M1, b1, M2, b2)
+    basis, x, clear = stacked_solve(C, r, rtol, scale)
+    return _intertwiner_family(C, r, basis, x, used[0].dim, rtol), clear
+
+
+def assert_same_family(got, want):
+    assert (got.dimension, got.consistent) == (want.dimension, want.consistent)
+    B1, B2 = (np.hstack([f.basis_A.reshape(f.dimension, f.basis_p.shape[1] ** 2), f.basis_p]) for f in (got, want))
+    # sine of the largest principal angle between the two null spaces
+    assert np.linalg.norm(B1 - (B1 @ B2.T) @ B2, 2, axis=None) <= 1e-8 if B1.size else True
+
+
+def exhaustive_closure(cls, rtol, scale, seed=0):
+    """Every spectrum-compatible assignment solved from scratch: the kept ones, the solved
+    count, and whether every rank was decided clear of the cut."""
+    members = cls.members
+    spectra = [np.linalg.eigvals(m.M) for m in members]
+    compatible = [
+        [j for j in range(len(members)) if _spectra_match(spectra[i], spectra[j])] for i in range(len(cls.used))
+    ]
+    points, tol = GridSpec(dim=cls.dim).points(), CLOSURE_TOL_FACTOR * rtol
+    kept, solved, all_clear = {}, 0, True
+    for k, assignment in enumerate(itertools.product(*compatible)):
+        family, clear = stacked_family(cls.used, [members[j] for j in assignment], rtol, scale)
+        all_clear &= clear
+        rep = family.representative(seed + k)
+        if rep is None:
+            continue
+        solved += 1
+        if all(check_imitation(rep, cls.used[i], members[j], points, tol=tol) for i, j in enumerate(assignment)):
+            kept[assignment] = family
+    return kept, solved, all_clear
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted_families(eigenvalues=SEPARATED, pairs=PAIRS, rtols=(1e-9,), cond_cap=10.0))
+def test_blocked_solves_agree_with_closed_forms_and_one_stacked_svd(case):
+    for m, blocks in zip(case.mechanisms, case.jordans):
+        assert linear_commutant(m).dimension == commutant_dimension(blocks)
+    rtol, used = case.rtol, tuple(case.mechanisms)
+    scale = _data_scale(np.stack([m.M for m in used]), np.stack([m.b for m in used]))
+    want, clear = stacked_family(used, used, rtol, scale)
+    if clear:
+        assert_same_family(shared_equivariances(used, rtol).family, want)
+    # each used mechanism carried onto its image under (P, q); the Jordan-split copy of
+    # m1 shares its spectrum, but every map carrying a Jordan chain onto it is singular
+    carried = tuple(conjugate(case.carry, m) for m in used)
+    cls = MechanismClass(used=used, hypothesized=carried + (case.split,))
+    scale = _data_scale(np.stack([m.M for m in cls.members]), np.stack([m.b for m in cls.members]))
+    kept, solved, clear = exhaustive_closure(cls, rtol, scale)
+    if not clear:
+        return
+    closure = imitator_closure(cls, rtol=rtol)
+    assert [found.assignment for found in closure.assignments] == list(kept)
+    assert closure.solved == solved
+    if all(n == 1 for blocks in case.jordans for _, n in blocks):
+        # the spectrum prune keeps the planted assignment; it cannot see a Jordan chain's tie
+        assert tuple(len(used) + i for i in range(len(used))) in kept
+    for found in closure.assignments:
+        assert_same_family(found.family, kept[found.assignment])

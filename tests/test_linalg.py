@@ -2,7 +2,8 @@
 
 The operator constructions are verified against direct entrywise
 evaluation of the bilinear maps they encode, not against each other. The
-constraint solve is checked against numpy's pseudoinverse at the same cut.
+constraint solve is checked against numpy's pseudoinverse at the same cut,
+and its block-by-block form against one solve of the stacked blocks.
 """
 
 import numpy as np
@@ -172,3 +173,37 @@ def test_constraint_solve_of_empty_and_zero_systems():
     basis, x, residual = null_space(np.zeros((3, 2)), rhs=rhs)
     assert _bitwise_equal(basis, np.eye(2)) and _bitwise_equal(x, np.zeros(2))
     assert residual == 5.0 / 6.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=12),
+    st.lists(st.integers(min_value=1, max_value=11), min_size=1, max_size=4),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_blocked_solve_is_the_stacked_solve(cols, ranks, seed):
+    # a consistent system of rank-deficient blocks, appended one at a time on the shrinking basis
+    gen = stream(seed, 8)
+    blocks = [
+        gen.standard_normal((rank + 1, min(rank, cols - 1))) @ gen.standard_normal((min(rank, cols - 1), cols))
+        for rank in ranks
+    ]
+    x_true = gen.standard_normal(cols)
+    start = None
+    for K in blocks:
+        basis, x, residual = null_space(K, 1e-9, K @ x_true, start=start)
+        start = basis, x
+        assert residual <= 1e-10
+    K = np.vstack(blocks)
+    want_basis, want_x, _ = null_space(K, 1e-9, K @ x_true)
+    assert basis.shape == want_basis.shape
+    assert np.allclose(basis @ basis.T, np.eye(basis.shape[0]), atol=1e-10)
+    # sine of the largest principal angle between the two null spaces
+    assert np.linalg.norm(basis - (basis @ want_basis.T) @ want_basis, 2) <= 1e-8 if basis.size else True
+    assert np.linalg.norm(x - want_x) <= 1e-8 * (1.0 + np.linalg.norm(want_x))
+
+
+def test_a_cut_is_floored_at_the_given_scale():
+    noise = 1e-15 * np.array([[1.0, -2.0], [0.5, 1.0]])
+    assert null_space(noise, 1e-9).shape == (0, 2)
+    assert _bitwise_equal(null_space(noise, 1e-9, scale=1.0), np.eye(2))

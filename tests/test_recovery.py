@@ -224,6 +224,16 @@ def test_from_trajectory_rejects_a_schedule_that_mixes_transition_matrices():
         RecoveryProblem.from_trajectory(traj, mechanisms)
 
 
+def test_from_trajectory_ignores_unscheduled_mechanisms_of_another_dimension():
+    mechanisms = [
+        AffineMechanism(np.diag([2.0, 3.0]), np.array([1.0, -1.0])),
+        AffineMechanism(np.eye(3), np.ones(3)),  # never scheduled
+    ]
+    traj = Trajectory(latents=np.zeros((3, 2)), observations=np.zeros((3, 2)), mechanisms=(0, 0))
+    problem = RecoveryProblem.from_trajectory(traj, mechanisms)
+    assert np.array_equal(problem.offsets, np.array([[1.0, -1.0], [1.0, -1.0]]))
+
+
 @pytest.mark.parametrize(
     "other", [np.diag([2.0, 3.5]), np.diag([2.0, 3.0, 4.0])], ids=["entry", "shape"]
 )

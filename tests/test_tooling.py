@@ -65,11 +65,14 @@ def test_tracer_probes_resolve_and_record():
     assert rows[0]["linalg.null_space.calls"] == rows[1]["linalg.null_space.calls"] == 1
     assert rows[1]["imitation.solves"] == 1
     assert rows[3]["equivariance.shared_equivariances.calls"] == 1
-    assert rows[3]["linalg.null_space.calls"] == 1
-    # every assignment the closure solves is counted where imitation looks null_space up
+    # a shared family is solved one mechanism's block of rows at a time
+    assert rows[3]["linalg.null_space.calls"] == 2
+    # every node the closure's depth-first search solves is counted where imitation
+    # looks null_space up: both one-mechanism prefixes are consistent, so each is
+    # solved once and extended to its two complete assignments
     closure = results[4]
     assert closure.candidates_after_pruning == 4
-    assert rows[4]["imitation.solves"] == rows[4]["linalg.null_space.calls"] == closure.candidates_after_pruning
+    assert rows[4]["imitation.solves"] == rows[4]["linalg.null_space.calls"] == 2 + 4
     assert rows[4]["imitation.found"] == len(closure.assignments) >= 1
     # the recovery makes one solve; the other is its premise check's
     nested = [
@@ -111,7 +114,7 @@ def test_experiment_script_runs(script, args):
 
 
 STUB_RUN = """
-import argparse, json, pathlib
+import argparse, json, os, pathlib
 ap = argparse.ArgumentParser()
 for flag in ("--workload", "--seed", "--seconds", "--trace"):
     ap.add_argument(flag, required=True)
@@ -125,7 +128,8 @@ floor = base + int(args.seed)
 metrics = {"latency_floor_ms": {"value": floor, "unit": "ms"}, "setup_s": {"value": 1.0, "unit": "s"}}
 if args.trace == "1":
     metrics = {"stochastic.two_sample_ks_ms": {"value": floor / 2, "unit": "ms"}}
-print(json.dumps({"environment": {"cores": 2, "side": here.name}}))
+mmap = os.environ.get("MALLOC_MMAP_THRESHOLD_")
+print(json.dumps({"environment": {"cores": 2, "side": here.name, "mmap": mmap}}))
 print(json.dumps({"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}))
 """
 
@@ -178,8 +182,29 @@ def test_bench_pairs_alternates_and_summarizes(tmp_path):
         "parent": {"stochastic.two_sample_ks_ms": 22.5},
         "change": {"stochastic.two_sample_ks_ms": 17.5},
     }
-    assert doc["environment"] == [{"cores": 2, "side": "parent"}, {"cores": 2, "side": "change"}]
+    # both sides ran with the same fixed allocator thresholds, and the record names them
+    pinned = {"MALLOC_MMAP_THRESHOLD_": "33554432", "MALLOC_TRIM_THRESHOLD_": "134217728"}
+    assert doc["environment"] == [
+        {"cores": 2, "side": side, "mmap": "33554432", "allocator": pinned} for side in ("parent", "change")
+    ]
     assert doc["change"] == "stub"
+
+
+def test_bench_pairs_can_leave_the_allocator_dynamic(tmp_path):
+    make_stub_checkout(tmp_path / "parent", 40.0)
+    make_stub_checkout(tmp_path / "change", 30.0)
+    out = tmp_path / "BENCH.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"),
+         "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+         "--runs", "cli=1", "--seeds", "5", "--default-allocator", "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "MALLOC_MMAP_THRESHOLD_": "4096"},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(out.read_text())["environment"] == [
+        {"cores": 2, "side": side, "mmap": None, "allocator": "glibc defaults"} for side in ("parent", "change")
+    ]
 
 
 def test_fixture_parity_reports_each_run_and_an_edited_fixture(tmp_path):
