@@ -12,10 +12,12 @@ Each side runs in its own fresh working directory, whose ``fixtures`` links
 to that checkout's own, with the checkout's ``src`` as the only PYTHONPATH
 entry, BLAS pinned to one thread and MECHID_SEED unset, so both sides see
 the same relative paths. Per run the script compares exit status, stdout,
-stderr and every output file (report.json, tables, trajectory.csv) byte for
-byte, and manifest.json without its ``duration_seconds``. Every manifest the
-parent wrote is then replayed by the change's code, and each of its outputs
-must replay ``bitwise``.
+stderr and every output file (report.json, tables, trajectory.csv,
+manifest.json) byte for byte, with only the value of the manifest's
+``duration_seconds`` masked. Every manifest the parent wrote is then
+replayed by both sides' code: each of its outputs must replay ``bitwise``
+under the change, and the change's replay must print what the parent's
+replay of its own manifest prints, byte for byte.
 
 Prints one JSON document and exits 1 on any difference. Standard library only.
 """
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -40,11 +43,11 @@ COMMAND = (
 
 
 def cli(checkout: Path, workdir: Path, args: list[str]) -> subprocess.CompletedProcess:
-    """One fresh ``python -m mechid.cli`` in `workdir`, importing `checkout`'s code."""
+    """One fresh ``python -m mechid.cli`` in `workdir`, importing `checkout`'s code; output as bytes."""
     env = {k: v for k, v in os.environ.items() if k != "MECHID_SEED"}
     env.update(PINNED_ENV, PYTHONPATH=str(checkout / "src"))
     argv = [sys.executable, "-m", "mechid.cli", *args]
-    return subprocess.run(argv, cwd=workdir, env=env, capture_output=True, text=True)
+    return subprocess.run(argv, cwd=workdir, env=env, capture_output=True)
 
 
 def runs(kinds: dict[str, str]) -> list[tuple[str, str, list[str]]]:
@@ -61,10 +64,12 @@ def runs(kinds: dict[str, str]) -> list[tuple[str, str, list[str]]]:
     return out
 
 
-def manifest_text(path: Path) -> str:
-    manifest = json.loads(path.read_text())
-    manifest.pop("duration_seconds", None)
-    return json.dumps(manifest)
+DURATION = re.compile(rb'("duration_seconds": )[^,\n]*')
+
+
+def masked_manifest(path: Path) -> bytes:
+    """The manifest's bytes with the value of its duration_seconds masked."""
+    return DURATION.sub(rb"\1<masked>", path.read_bytes(), count=1)
 
 
 def differences(parent: tuple, change: tuple) -> list[str]:
@@ -80,20 +85,19 @@ def differences(parent: tuple, change: tuple) -> list[str]:
         if not (a.exists() and b.exists()):
             found.append(f"{name} missing at {'parent' if b.exists() else 'change'}")
         elif name == "manifest.json":
-            if manifest_text(a) != manifest_text(b):
+            if masked_manifest(a) != masked_manifest(b):
                 found.append(name)
         elif a.read_bytes() != b.read_bytes():
             found.append(name)
     return found
 
 
-def replay(change: Path, workdir: Path, run: str) -> str | dict:
-    """'bitwise' when the change regenerates every output of the parent's manifest bit for bit."""
-    proc = cli(change, workdir, ["replay", f"out/{run}/manifest.json"])
+def replay_verdict(proc: subprocess.CompletedProcess) -> str | dict:
+    """'bitwise' when a replay regenerated every output of its manifest bit for bit."""
     try:
         result = json.loads(proc.stdout)
-    except json.JSONDecodeError:
-        return {"exit_status": proc.returncode, "stderr": proc.stderr[-2000:]}
+    except ValueError:  # not JSON, or not UTF-8
+        return {"exit_status": proc.returncode, "stderr": proc.stderr[-2000:].decode(errors="replace")}
     if proc.returncode == 0 and all(f["match"] == "bitwise" for f in result["files"]):
         return "bitwise"
     return {"exit_status": proc.returncode, "files": result["files"]}
@@ -126,9 +130,15 @@ def main(argv=None) -> int:
                 "differences": differences(done["parent"], done["change"]),
             }
             if (work["parent"] / "out" / run / "manifest.json").exists():
-                entry["replay"] = replay(sides["change"], work["parent"], run)
+                replays = {
+                    side: cli(sides[side], work["parent"], ["replay", f"out/{run}/manifest.json"])
+                    for side in sides
+                }
+                entry["replay"] = replay_verdict(replays["change"])
                 if entry["replay"] != "bitwise":
                     entry["differences"].append("replay")
+                if replays["parent"].stdout != replays["change"].stdout:
+                    entry["differences"].append("replay stdout")
             doc["runs"][run] = entry
     doc["identical"] = not any(entry["differences"] for entry in doc["runs"].values())
     print(json.dumps(doc, indent=1))

@@ -2,9 +2,11 @@
 
 Every run writes a report.json, any tables, and a manifest.json recording
 the effective config (flag and environment overrides already applied), its
-canonical digest, and a sha256 per output file. Replay re-executes the
-manifest's config and compares outputs bit-for-bit, falling back to a
-numeric comparison within the recorded tolerance for stochastic runs.
+canonical digest, and a sha256 per output file, taken from the bytes as
+they are written. Replay re-executes the manifest's config and compares the
+regenerated digests with the recorded ones; only where they differ does it
+read both files, for a numeric comparison within the recorded tolerance
+(stochastic runs) or to locate the first divergence.
 
 Exit status: 0 success, 2 verdict-failure, 1 error.
 """
@@ -19,8 +21,6 @@ import time
 from pathlib import Path
 from tempfile import TemporaryDirectory
 
-import numpy as np
-
 from . import __version__
 from .config import EXPERIMENT_KINDS, parse_config
 from .errors import ConfigError, MechidError, ReplayIncompatibilityError
@@ -34,8 +34,10 @@ from .jsonio import (
     canonical_digest,
     dump_json,
     dumps_json,
-    file_digest,
+    file_digest,  # bench/spans.py probes mechid.cli.file_digest
     load_json,
+    table_text,
+    write_text,
 )
 from .recovery import COMPARISON_CLASSES
 
@@ -93,23 +95,6 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _format_cell(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    return str(v)
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(str(h) for h in header)]
-    for row in rows:
-        lines.append(",".join(_format_cell(c) for c in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _effective_seed(doc: dict, flag_seed: int | None) -> None:
     if flag_seed is not None:
         doc["seed"] = flag_seed
@@ -146,15 +131,12 @@ def _execute_config(doc: dict, output_dir: Path, threads: int):
         "expect_failures": list(outcome.expect_failures),
         "detail": outcome.report,
     }
-    dump_json(report_doc, output_dir / "report.json")
-    outputs = {"report.json": file_digest(output_dir / "report.json")}
+    outputs = {"report.json": dump_json(report_doc, output_dir / "report.json")}
     for name in sorted(outcome.tables):
         tbl = outcome.tables[name]
-        _write_csv(output_dir / name, tbl["header"], tbl["rows"])
-        outputs[name] = file_digest(output_dir / name)
+        outputs[name] = write_text(output_dir / name, table_text(tbl["header"], tbl["rows"]))
     if outcome.trajectory is not None:
-        outcome.trajectory.to_csv(output_dir / "trajectory.csv")
-        outputs["trajectory.csv"] = file_digest(output_dir / "trajectory.csv")
+        outputs["trajectory.csv"] = outcome.trajectory.to_csv(output_dir / "trajectory.csv")
     exit_status = 0 if outcome.verdict else 2
     manifest = {
         "experiment": outcome.kind,
@@ -275,16 +257,15 @@ def _replay_command(args) -> int:
     threads = _pool_size(manifest.get("threads", 1))
 
     def compare_into(workdir: Path) -> dict:
-        _, _new_manifest = _execute_config(dict(config), workdir, threads)
+        regenerated = _execute_config(dict(config), workdir, threads)[1]["outputs"]
         files = []
         first_divergence = None
         for name, digest in outputs.items():
-            new_path = workdir / name
             entry = {"file": name}
-            if not new_path.exists():
+            if name not in regenerated:
                 entry["match"] = "missing"
                 entry["problem"] = "output was not regenerated"
-            elif file_digest(new_path) == digest:
+            elif regenerated[name] == digest:
                 entry["match"] = "bitwise"
             else:
                 recorded_path = recorded_dir / name
@@ -292,7 +273,7 @@ def _replay_command(args) -> int:
                     entry["match"] = "divergent"
                     entry["problem"] = "digest differs and recorded file is unavailable"
                 else:
-                    div = _compare_output(recorded_path, new_path, tolerance)
+                    div = _compare_output(recorded_path, workdir / name, tolerance)
                     if div is None and tolerance > 0:
                         entry["match"] = "within-tolerance"
                     elif div is None:

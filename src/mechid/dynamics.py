@@ -22,6 +22,7 @@ from .errors import (
     OffManifoldError,
     SingularMapError,
 )
+from .jsonio import table_text, write_text
 from .linalg import DEFAULT_RTOL, _require_finite, relative_rank, smallest_singular_gap
 from .rng import stream
 
@@ -459,24 +460,17 @@ class Trajectory:
     def steps(self) -> int:
         return self.latents.shape[0]
 
-    def to_csv(self, path) -> None:
-        d = self.latents.shape[1]
-        n = self.observations.shape[1]
-        header = (
-            ["t"]
-            + [f"z_{i + 1}" for i in range(d)]
-            + [f"x_{i + 1}" for i in range(n)]
-            + ["mech"]
-        )
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for t in range(self.steps):
-                row = [str(t + 1)]
-                row += [format(v, ".17g") for v in self.latents[t]]
-                row += [format(v, ".17g") for v in self.observations[t]]
-                row.append(str(self.mechanisms[t]) if t < self.steps - 1 else "")
-                writer.writerow(row)
+    def to_csv(self, path) -> str:
+        """Write the trajectory as a CSV table, rows ended by "\\r\\n" as the csv module ends them.
+
+        Returns the sha256 of the bytes written.
+        """
+        d, n = self.latents.shape[1], self.observations.shape[1]
+        header = ["t", *(f"z_{i + 1}" for i in range(d)), *(f"x_{i + 1}" for i in range(n)), "mech"]
+        mechs = [*self.mechanisms, ""]
+        states = enumerate(zip(self.latents.tolist(), self.observations.tolist()))
+        rows = ([t + 1, *z, *x, mechs[t]] for t, (z, x) in states)
+        return write_text(path, table_text(header, rows, "\r\n"))
 
     @classmethod
     def from_csv(cls, path) -> "Trajectory":

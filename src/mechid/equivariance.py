@@ -33,6 +33,7 @@ from .linalg import (
     row_space,
     smallest_singular_gap,
     solve_residual,
+    unit_scaled,
     vec,
 )
 from .maps import AffineMap
@@ -469,7 +470,8 @@ def _eigen_summary(M: np.ndarray):
     radius = float(np.max(np.abs(w))) if w.size else 0.0
     recon_ok = False
     if smallest_singular_gap(S) > 1e-12:
-        recon = S @ np.diag(w) @ np.linalg.inv(S)
+        s, M = unit_scaled(M)  # the error is relative, so it is measured where no norm overflows
+        recon = S @ np.diag(w * s) @ np.linalg.inv(S)
         denom = max(np.linalg.norm(M), 1e-300)
         recon_ok = bool(np.linalg.norm(recon - M) / denom <= 1e-8)
     gaps = [abs(w[i] - w[j]) for i in range(len(w)) for j in range(i + 1, len(w))]
@@ -479,9 +481,13 @@ def _eigen_summary(M: np.ndarray):
 
 
 def _eigencoordinates(S: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|S^-1 v| for each row v of V, as C-order rows, and each row's norm as norm() takes it."""
+    """|S^-1 v| for each row v of V, as C-order rows, and each row's norm as norm() takes it.
+
+    The norms are taken on the rows `unit_scaled` gives, so none overflows, and scaled back.
+    """
     av = np.ascontiguousarray(np.abs(np.linalg.solve(S, V.astype(complex).T)).T)
-    return av, np.sqrt((av[:, None, :] @ av[:, :, None])[:, 0, 0])
+    s, scaled = unit_scaled(av)
+    return av, np.sqrt((scaled[:, None, :] @ scaled[:, :, None])[:, 0, 0]) / s
 
 
 def exact_recovery_conditions(m: AffineMechanism, rtol: float = DEFAULT_RTOL) -> ConditionReport:
@@ -539,7 +545,9 @@ def _distinct_rows(rows: np.ndarray, rtol: float) -> list[int]:
     n = rows.shape[0]
     if n == 0:
         return []
-    tol = rtol * (1.0 + float(np.max(np.linalg.norm(rows, axis=1))))
+    # decided on the rows as `unit_scaled` gives them, where no norm overflows; tol scales with them
+    s, rows = unit_scaled(rows)
+    tol = rtol * (s + float(np.max(np.linalg.norm(rows, axis=1))))
     if tol < 0:
         return list(range(n))
     # lexicographic with coordinate 0 first; stable, so a first copy leads its duplicates

@@ -7,7 +7,7 @@ The `verdict` drives the process exit status; when a config carries an
 is the experiment's intrinsic pass flag.
 
 A report names the library's own result objects (`{"audit": AuditReport}`),
-which `jsonio.to_jsonable` renders field by field, so a field added to a
+which `jsonio.dump_json` renders field by field, so a field added to a
 result type reaches report.json with no edit here. Values derived from
 those fields go in the summary. Simulate's result is its trajectory, which
 is written as a table; its report repeats the summary with the start state

@@ -1,10 +1,15 @@
 """JSON helpers: full-precision floats, order-independent digests, and field tables.
 
-Floats are written with 17 significant digits so a reader recovers the
-exact binary64 value; digests hash a canonical form (sorted keys, no
-whitespace) so two files with reordered keys hash identically. A
-dataclass renders as an object of its fields in declaration order, so each
-result type is the one definition of its report form.
+Writing is one pass from a value to bytes. `_render` walks the value once,
+dispatching on its exact type: floats get 17 significant digits so a reader
+recovers the exact binary64 value, and digests hash a canonical form (sorted
+keys, no whitespace) so two documents with reordered keys hash identically.
+A dataclass renders as an object of its fields in declaration order, so
+each result type is the one definition of its report form. `write_text`
+encodes a JSON document or a `table_text` CSV table once, writes the bytes
+and returns their sha256, so no written file is read back to be digested. A
+value that cannot be written raises ValueError naming its field
+(`detail.a[1]`), found by a second walk made only after the failure.
 
 Reading is the twin of that: a JSON object is read by a table of `Field`
 rows, each stating a key, a converter from its JSON form, a default and a
@@ -16,6 +21,7 @@ the dotted path of the offending field (`mechanisms[0].M`).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -31,88 +37,148 @@ from .errors import ConfigError, MechidError
 __all__ = [
     "Field",
     "REQUIRED",
-    "to_jsonable",
     "dump_json",
     "dumps_json",
     "load_json",
     "canonical_digest",
     "file_digest",
+    "table_text",
+    "write_text",
 ]
 
 
+_encode_str = json.encoder.encode_basestring_ascii  # the text json.dumps gives a str
+
+
 def _format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise ValueError(f"non-finite value {x} cannot be serialized")
     return format(x, ".17g")
 
 
-def to_jsonable(value):
-    """Recursively convert dataclasses, numpy values, complex numbers and paths.
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    """A dataclass's field names in declaration order; None for any other class."""
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
 
-    A dataclass instance becomes {field: value} in declaration order and a
-    complex number becomes [re, im].
+
+def _render(value, nl: str | None) -> str:
+    """JSON text of `value`, indented two spaces a level after the newline `nl`.
+
+    For nl None the text is canonical: sorted keys and no whitespace but the
+    space after each colon. A dataclass renders as an object of its fields
+    in declaration order, an array or numpy scalar as its `tolist()`, a
+    complex number as [re, im], a path as its string and a key that is no
+    string as str(key).
     """
-    if is_dataclass(value) and not isinstance(value, type):
-        return {f.name: to_jsonable(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, dict):
-        return {str(k): to_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [to_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [to_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, (complex, np.complexfloating)):
-        return [float(value.real), float(value.imag)]
-    if isinstance(value, Path):
+    t = type(value)
+    if t is float:
+        return _format_float(value)
+    if t is int:
         return str(value)
-    return value
-
-
-def _render(value, sort_keys: bool, indent: int | None, level: int = 0) -> str:
-    """Hand-rolled renderer so floats always print with 17 digits."""
+    if t is str:
+        return _encode_str(value)
+    if t is bool:
+        return "true" if value else "false"
     if value is None:
         return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _format_float(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    pad = "" if indent is None else "\n" + " " * indent * (level + 1)
-    end = "" if indent is None else "\n" + " " * indent * level
-    sep = "," + (pad if indent is not None else "")
-    if isinstance(value, dict):
-        items = sorted(value.items()) if sort_keys else list(value.items())
-        if not items:
-            return "{}"
-        body = sep.join(
-            f"{json.dumps(str(k))}: {_render(v, sort_keys, indent, level + 1)}" for k, v in items
-        )
-        return "{" + pad + body + end + "}"
     if isinstance(value, (list, tuple)):
-        if not len(value):
-            return "[]"
-        body = sep.join(_render(v, sort_keys, indent, level + 1) for v in value)
-        return "[" + pad + body + end + "]"
-    raise TypeError(f"cannot serialize value of type {type(value).__name__}")
+        items = None
+    elif isinstance(value, dict):
+        items = value.items()
+    elif (names := _field_names(t)) is not None:
+        items = [(name, getattr(value, name)) for name in names]
+    elif isinstance(value, (np.ndarray, np.generic)):
+        return _render(value.tolist(), nl)
+    elif isinstance(value, complex):
+        return _render([value.real, value.imag], nl)
+    elif isinstance(value, Path):
+        return _encode_str(str(value))
+    elif isinstance(value, int):
+        return str(value)
+    elif isinstance(value, float):
+        return _format_float(value)
+    elif isinstance(value, str):
+        return _encode_str(value)
+    else:
+        raise TypeError(f"cannot serialize value of type {t.__name__}")
+    if not value if items is None else not items:
+        return "[]" if items is None else "{}"
+    inner = None if nl is None else nl + "  "
+    pad, end = ("", "") if nl is None else (inner, nl)
+    if items is None:
+        return "[" + pad + ("," + pad).join([_render(v, inner) for v in value]) + end + "]"
+    if not all([type(k) is str for k, _ in items]):
+        items = {str(k): v for k, v in items}.items()
+    if nl is None:
+        items = sorted(items)
+    body = ("," + pad).join([_encode_str(k) + ": " + _render(v, inner) for k, v in items])
+    return "{" + pad + body + end + "}"
+
+
+def _culprit(value, path: str) -> str:
+    """Path of the innermost part of `value` that fails to render; walked only after a failure."""
+    if (names := _field_names(type(value))) is not None:
+        parts = [(name, getattr(value, name)) for name in names]
+    elif isinstance(value, dict):
+        parts = [(str(k), v) for k, v in value.items()]
+    elif isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim:
+        parts = enumerate(value)
+    else:
+        parts = []
+    for key, part in parts:
+        try:
+            _render(part, None)
+        except ValueError:
+            return _culprit(part, _join(path, key))
+    return path
+
+
+def _text(value, nl: str | None) -> str:
+    """`_render`, with the path of a value that cannot be written in its ValueError."""
+    try:
+        return _render(value, nl)
+    except ValueError as e:
+        path = _culprit(value, "")
+        raise ValueError(f"{path}: {e}" if path else str(e)) from None
 
 
 def dumps_json(value) -> str:
     """Fields in declaration order, indented by two spaces."""
-    return _render(to_jsonable(value), sort_keys=False, indent=2)
+    return _text(value, "\n")
 
 
-def dump_json(value, path: str | Path) -> None:
-    Path(path).write_text(dumps_json(value) + "\n")
+def write_text(path: str | Path, text: str) -> str:
+    """Write `text` to `path` as UTF-8; the sha256 of the bytes written."""
+    data = text.encode("utf-8")
+    Path(path).write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
+
+
+def dump_json(value, path: str | Path) -> str:
+    """Write `value` as `dumps_json` renders it, plus a newline; the file's sha256."""
+    try:
+        text = dumps_json(value)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    return write_text(path, text + "\n")
+
+
+def _format_cell(v) -> str:
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return format(float(v), ".17g")
+    return str(v)
+
+
+def table_text(header, rows, newline: str = "\n") -> str:
+    """CSV text of a table whose cells need no quoting; floats with 17 digits, booleans as true/false."""
+    lines = [",".join([str(h) for h in header])]
+    lines += [",".join([_format_cell(c) for c in row]) for row in rows]
+    return newline.join(lines) + newline
 
 
 def load_json(path: str | Path):
@@ -121,8 +187,7 @@ def load_json(path: str | Path):
 
 def canonical_digest(value) -> str:
     """sha256 over the canonical rendering; stable under key reordering."""
-    text = _render(to_jsonable(value), sort_keys=True, indent=None)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_text(value, None).encode("utf-8")).hexdigest()
 
 
 def file_digest(path: str | Path) -> str:

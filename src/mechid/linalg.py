@@ -25,6 +25,8 @@ commutator rows of a scalar M, or a mechanism appended twice) has no rank.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NonFiniteSampleError
@@ -36,6 +38,7 @@ __all__ = [
     "intertwiner_operator",
     "null_space",
     "solve_residual",
+    "unit_scaled",
     "row_space",
     "relative_rank",
     "smallest_singular_gap",
@@ -125,8 +128,34 @@ def null_space(
 
 
 def solve_residual(K: np.ndarray, x: np.ndarray, rhs: np.ndarray) -> float:
-    """|K x - rhs| / (1 + |rhs|): how far x is from solving K x = rhs."""
-    return float(np.linalg.norm(K @ x - rhs) / (1.0 + np.linalg.norm(rhs)))
+    """|K x - rhs| / (1 + |rhs|): how far x is from solving K x = rhs.
+
+    Where a sum of squares overflows, both norms are taken again on the
+    vectors `unit_scaled` gives, which changes no result that is finite.
+    """
+    gap = K @ x - rhs
+    with np.errstate(over="ignore"):
+        gap2, rhs2 = gap.dot(gap), rhs.dot(rhs)
+    if math.isinf(gap2) or math.isinf(rhs2):
+        s, gap, rhs = unit_scaled(gap, rhs)
+        return float(np.linalg.norm(gap) / (s + np.linalg.norm(rhs)))
+    return math.sqrt(gap2) / (1.0 + math.sqrt(rhs2))
+
+
+def unit_scaled(*arrays):
+    """(s, s * a for each array a): s is a power of two such that no sum of squares overflows.
+
+    Nor does one underflow unless it is negligible beside the largest
+    entry's square. The scaling is exact, so it changes no result that
+    stays finite: s is 1, and the arrays are returned as they are, when the
+    largest entry lies in [2**-400, 2**400); otherwise s puts it in
+    [0.5, 1), with s at most 2**1000 so that s is finite.
+    """
+    e = math.frexp(max([np.abs(a).max(initial=0.0) for a in arrays]))[1]
+    if -400 < e <= 400:
+        return (1.0, *arrays)
+    s = 2.0 ** -max(e, -1000)
+    return (s, *[a * s for a in arrays])
 
 
 def row_space(K: np.ndarray, rtol: float = DEFAULT_RTOL) -> np.ndarray:

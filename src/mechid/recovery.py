@@ -26,7 +26,15 @@ from .equivariance import (
     offset_identifiability_check,
 )
 from .errors import DataDeficiencyError, DimensionMismatchError
-from .linalg import DEFAULT_RTOL, _require_finite, kron_rows, null_space, relative_rank, row_space
+from .linalg import (
+    DEFAULT_RTOL,
+    _require_finite,
+    kron_rows,
+    null_space,
+    relative_rank,
+    row_space,
+    unit_scaled,
+)
 from .rng import stream
 
 __all__ = [
@@ -307,22 +315,12 @@ def _min_cost_assignment(cost: list[list[float]]) -> list[int]:
     return col4row
 
 
-def _unit_scaled(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A and B scaled by one power of two so that the largest entry lies in [0.5, 1).
-
-    The scaling is exact, and no sum of squares of the results overflows,
-    nor underflows unless it is negligible beside the largest entry.
-    """
-    e = math.frexp(max(np.abs(A).max(initial=0.0), np.abs(B).max(initial=0.0)))[1]
-    return np.ldexp(A, -e), np.ldexp(B, -e)
-
-
 def _signed_perm_match(RE: np.ndarray, RT: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Best assignment of estimate rows to signed truth rows.
 
     The assignment is exact because the total cost is a sum of independent
     row costs, each with its sign chosen freely. The inputs come scaled by
-    `_unit_scaled`, so no squared distance overflows, nor underflows unless
+    `linalg.unit_scaled`, so no squared distance overflows, nor underflows unless
     it is negligible beside the largest.
     """
     minus = ((RE[:, None, :] - RT[None, :, :]) ** 2).sum(axis=2)
@@ -369,7 +367,7 @@ def compare_up_to_class(estimate, truth, klass: str = "exact") -> ComparisonResu
     _require_finite(RT, "truth")
     # the residual's norms are taken on unit-scaled rows, where they neither
     # over- nor underflow; the exact scaling cancels in their ratio
-    SE, ST = _unit_scaled(RE, RT)
+    _, SE, ST = unit_scaled(RE, RT)
     perm = None
     signs = None
     if klass == "exact":
@@ -386,7 +384,7 @@ def compare_up_to_class(estimate, truth, klass: str = "exact") -> ComparisonResu
         q = np.zeros(d)
         gap = SE - L @ ST
     elif klass == "signed-permutation+offset":
-        perm, signs = _signed_perm_match(*_unit_scaled(WE, WT))  # offsets must not set the scale
+        perm, signs = _signed_perm_match(*unit_scaled(WE, WT)[1:])  # offsets must not set the scale
         L = _perm_matrix(perm, signs)
         q = cE - L @ cT
         gap = SE[:, :-1] - L @ ST[:, :-1]

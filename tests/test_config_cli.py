@@ -1,6 +1,7 @@
 """Config parsing, canonical serialization, CLI contract, and replay."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -11,7 +12,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass, fields, is_dataclass, make_dataclass
+from dataclasses import dataclass, fields, is_dataclass, make_dataclass, replace
 from dataclasses import field as dataclass_field
 from pathlib import Path
 
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mechid import AffineMechanism, __version__, config, experiments, find_affine_intertwiners
 from mechid.cli import main
@@ -111,6 +113,177 @@ def test_dataclasses_serialize_in_declaration_order():
         dumps_json(_Inner(1j, object()))
 
 
+def test_a_value_that_cannot_be_written_is_named_with_its_file(tmp_path, monkeypatch, capsys):
+    with pytest.raises(ValueError, match=r"^a\[1\]: non-finite value nan cannot be serialized$"):
+        dumps_json({"a": [1.0, float("nan")]})
+    with pytest.raises(ValueError, match=r"^inner\.a\[0\]\[1\]: non-finite value inf"):
+        dumps_json(_Outer("x", (), None, _Inner(1j, np.array([[0.0, np.inf]]))))
+    with pytest.raises(ValueError, match=r"^non-finite value -inf"):
+        dumps_json(-math.inf)
+    real_run = experiments.run_experiment
+
+    def run_to_nan(*args, **kwargs):
+        outcome = real_run(*args, **kwargs)
+        return replace(outcome, report={**outcome.report, "a": [1.0, float("nan")]})
+
+    monkeypatch.setattr("mechid.cli.run_experiment", run_to_nan)
+    out = tmp_path / "run"
+    assert run_cli("commutant", FIXTURES / "commutant_shared.json", "--output-dir", out) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {out / 'report.json'}: detail.a[1]: non-finite value nan cannot be serialized\n"
+
+
+# The renderer of mechid 0.10.0, which converted a value in one recursive pass
+# and rendered the converted copy in another. Its one difference from the
+# one-pass renderer: a 0-d array raised TypeError; now it is written as its
+# element, which `reference_dumps` here reads it as.
+
+
+def reference_to_jsonable(value):
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: reference_to_jsonable(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {str(k): reference_to_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [reference_to_jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        if value.ndim == 0:
+            return reference_to_jsonable(value.item())
+        return [reference_to_jsonable(v) for v in value.tolist()]
+    if isinstance(value, (np.floating,)):
+        return float(value)
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    if isinstance(value, (np.bool_,)):
+        return bool(value)
+    if isinstance(value, (complex, np.complexfloating)):
+        return [float(value.real), float(value.imag)]
+    if isinstance(value, Path):
+        return str(value)
+    return value
+
+
+def reference_render(value, sort_keys: bool, indent, level: int = 0) -> str:
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        if math.isnan(value) or math.isinf(value):
+            raise ValueError(f"non-finite value {value} cannot be serialized")
+        return format(value, ".17g")
+    if isinstance(value, str):
+        return json.dumps(value)
+    pad = "" if indent is None else "\n" + " " * indent * (level + 1)
+    end = "" if indent is None else "\n" + " " * indent * level
+    sep = "," + (pad if indent is not None else "")
+    if isinstance(value, dict):
+        items = sorted(value.items()) if sort_keys else list(value.items())
+        if not items:
+            return "{}"
+        body = sep.join(
+            f"{json.dumps(str(k))}: {reference_render(v, sort_keys, indent, level + 1)}" for k, v in items
+        )
+        return "{" + pad + body + end + "}"
+    if isinstance(value, (list, tuple)):
+        if not len(value):
+            return "[]"
+        body = sep.join(reference_render(v, sort_keys, indent, level + 1) for v in value)
+        return "[" + pad + body + end + "]"
+    raise TypeError(f"cannot serialize value of type {type(value).__name__}")
+
+
+def reference_dumps(value) -> str:
+    return reference_render(reference_to_jsonable(value), sort_keys=False, indent=2)
+
+
+def reference_digest(value) -> str:
+    text = reference_render(reference_to_jsonable(value), sort_keys=True, indent=None)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def rendered(render, value):
+    """What `render` makes of `value`: its text, or the type of error it raises."""
+    try:
+        return render(value)
+    except (TypeError, ValueError) as e:
+        return type(e)
+
+
+@dataclass(frozen=True)
+class _Pair:
+    left: object
+    right: object
+
+
+ARRAYS = st.sampled_from([np.float64, np.int64, np.bool_, np.complex128]).flatmap(
+    lambda dtype: hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3))
+)
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.complex_numbers(),
+    st.text(),
+    st.text().map(Path),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.complex_numbers().map(np.complex128),
+    ARRAYS,
+)
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(), st.integers(-3, 3)), inner, max_size=4),
+        st.builds(_Pair, inner, inner),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(VALUES)
+@example({"\u00e9\n\x00": [-0.0, 5e-324, 1.7976931348623157e308], 2: (1, "\u2603")})
+@example({1: "int key", "1": "str key", 0: None})
+@example(_Pair(np.zeros((2, 0, 3)), np.array(1.5 - 2j)))
+def test_renderer_matches_the_two_pass_renderer_byte_for_byte(value):
+    assert rendered(dumps_json, value) == rendered(reference_dumps, value)
+    assert rendered(canonical_digest, value) == rendered(reference_digest, value)
+
+
+def test_every_fixture_report_and_manifest_render_as_before(tmp_path, monkeypatch):
+    import mechid.cli
+
+    real_dump = mechid.cli.dump_json
+    documents = []
+
+    def dump(value, path):
+        documents.append(value)
+        return real_dump(value, path)
+
+    monkeypatch.setattr(mechid.cli, "dump_json", dump)
+    for name, kind in RUNNABLE.items():
+        out = tmp_path / name
+        run_cli(kind, FIXTURES / f"{name}.json", "--output-dir", out, "--seed", 0)
+        [report, manifest] = documents[-2:]
+        assert (out / "report.json").read_text() == reference_dumps(report) + "\n"
+        assert (out / "manifest.json").read_text() == reference_dumps(manifest) + "\n"
+        assert manifest["config_digest"] == reference_digest(manifest["config"])
+        for doc in (report, manifest):
+            assert canonical_digest(doc) == reference_digest(doc)
+    assert len(documents) == 2 * len(RUNNABLE)
+
+
 # ---------------------------------------------------------------------------
 # config parsing
 
@@ -193,14 +366,17 @@ def test_all_runnable_fixtures_pass(tmp_path):
 
 
 def test_manifest_output_digests_match_files(tmp_path):
-    out = tmp_path / "run"
-    run_cli("commutant", FIXTURES / "commutant_shared.json", "--output-dir", out, "--csv")
-    manifest = read_json(out / "manifest.json")
-    assert "basis.csv" in manifest["outputs"]
-    from mechid.jsonio import file_digest
-
-    for name, digest in manifest["outputs"].items():
-        assert file_digest(out / name) == digest, name
+    # the digests come from the bytes as they were written; each must be the file's
+    written = set()
+    for name, kind in RUNNABLE.items():
+        out = tmp_path / name
+        run_cli(kind, FIXTURES / f"{name}.json", "--output-dir", out, *(["--csv"] * (kind == "commutant")))
+        manifest = read_json(out / "manifest.json")
+        assert sorted(manifest["outputs"]) == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        for output, digest in manifest["outputs"].items():
+            assert file_digest(out / output) == digest, (name, output)
+        written |= set(manifest["outputs"])
+    assert written == {"report.json", "basis.csv", "records.csv", "trajectory.csv", "anchors.csv", "audit.csv"}
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -299,6 +475,24 @@ def test_replay_bitwise_match(tmp_path, capsys):
     assert result["match"] is True
     assert result["first_divergence"] is None
     assert all(entry["match"] == "bitwise" for entry in result["files"])
+
+
+def test_replay_reports_an_output_it_did_not_write_as_missing_despite_a_stale_file(tmp_path, capsys):
+    out, replayed = tmp_path / "run", tmp_path / "replayed"
+    run_cli("commutant", FIXTURES / "commutant_shared.json", "--output-dir", out, "--csv")
+    manifest = read_json(out / "manifest.json")
+    manifest["config"]["csv_tables"] = False  # the replay writes no basis.csv
+    (out / "manifest.json").write_text(dumps_json(manifest))
+    replayed.mkdir()
+    shutil.copy(out / "basis.csv", replayed / "basis.csv")
+    capsys.readouterr()
+    assert run_cli("replay", out / "manifest.json", "--output-dir", replayed) == 2
+    result = json.loads(capsys.readouterr().out)
+    assert result["files"] == [
+        {"file": "report.json", "match": "bitwise"},
+        {"file": "basis.csv", "match": "missing", "problem": "output was not regenerated"},
+    ]
+    assert result["first_divergence"] == result["files"][1]
 
 
 def test_replay_detects_altered_seed(tmp_path, capsys):

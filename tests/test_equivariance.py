@@ -6,6 +6,7 @@ examples additionally get closed-form parameterizations.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from mechid.equivariance import (
 from mechid.config import parse_config
 from mechid.errors import NonFiniteSampleError
 from mechid.experiments import run_experiment
-from mechid.linalg import null_space, relative_rank
+from mechid.linalg import null_space, relative_rank, solve_residual
 from mechid.maps import AffineMap, compose
 from mechid.rng import stream
 
@@ -317,6 +318,48 @@ def test_offset_check_rejects_nonfinite_offsets():
         offset_identifiability_check(np.diag([2.0, 3.0]), offsets)
     with pytest.raises(NonFiniteSampleError, match=r"M\[1\]"):
         offset_identifiability_check(np.array([[2.0, 0.0], [np.nan, 3.0]]), offsets[:3])
+
+
+def scaled_condition_reports(c: float):
+    """Both condition reports, the commutant summary and two solve residuals at scale c."""
+    M = c * np.array([[1.0, 1.0], [-1.0, 1.0]])
+    b = c * np.array([1.0, 1.0])
+    offsets = c * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    K = c * np.array([[1.0, 2.0], [4.0, 8.0]])
+    doc = {"experiment": "commutant", "mechanisms": [{"M": M.tolist(), "b": b.tolist()}]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return (
+            run_experiment(parse_config(doc), 0).summary,
+            exact_recovery_conditions(AffineMechanism(M, b)),
+            offset_identifiability_check(M, offsets),
+            # K x - rhs is 0, then c (0, 3)
+            solve_residual(K, np.array([1.0, -1.0]), c * np.array([-1.0, -4.0])),
+            solve_residual(K, np.array([1.0, 0.0]), c * np.array([1.0, 1.0])),
+        )
+
+
+@pytest.mark.parametrize("c", [1e100, 1e160, 1e200, 1e300])
+def test_condition_reports_read_the_same_at_every_scale(c):
+    # at 0.10.0, norms of entries near 1e160 overflowed: both offset
+    # magnitudes counted as zero at 1e160, and from 1e200 on a NaN
+    # reconstruction error made M read as not diagonalizable
+    summary, exact, offset, solved, missed = scaled_condition_reports(c)
+    want_summary, want_exact, want_offset, _, _ = scaled_condition_reports(1.0)
+    assert want_summary["condition_verdict"] == "exact"
+    assert summary == want_summary
+    for got, want in ((exact, want_exact), (offset, want_offset)):
+        assert got.verdict == want.verdict
+        assert (got.diagonalizable, got.distinct_eigenvalues, got.offset_condition) == (True, True, True)
+        assert got.zero_component_count == want.zero_component_count
+        assert got.measured_dimension == want.measured_dimension
+        np.testing.assert_allclose(got.offset_component_magnitudes,
+                                   c * np.array(want.offset_component_magnitudes), rtol=1e-12)
+    assert offset.verdict == ConditionVerdict("offset-only", 2)
+    assert offset.distinct_offset_count == 4
+    assert offset.nonzero_difference_pair == want_offset.nonzero_difference_pair
+    assert solved == 0.0
+    assert missed == pytest.approx(3.0 * c / (1.0 + c * np.sqrt(2.0)), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

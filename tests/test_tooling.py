@@ -207,7 +207,7 @@ def test_bench_pairs_can_leave_the_allocator_dynamic(tmp_path):
     ]
 
 
-def test_fixture_parity_reports_each_run_and_an_edited_fixture(tmp_path):
+def test_fixture_parity_reports_each_run_and_an_edited_fixture(tmp_path, monkeypatch):
     # both stubs run this checkout's code; only the change's simulate fixture differs
     for side in ("parent", "change"):
         (tmp_path / side / "fixtures").mkdir(parents=True)
@@ -241,6 +241,22 @@ def test_fixture_parity_reports_each_run_and_an_edited_fixture(tmp_path):
     # every run wrote into a temporary directory, never into the checkouts
     for side in ("parent", "change"):
         assert sorted(p.name for p in (tmp_path / side).iterdir()) == ["fixtures", "src"]
+    # manifests are compared as bytes: only the duration's value is masked, so
+    # a float written with other digits, or other spacing, is a difference
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    parity = importlib.import_module("fixture_parity")
+    done = subprocess.CompletedProcess([], 0, b"", b"")
+    recorded = '{\n  "duration_seconds": 0.0123,\n  "replay_tolerance": 1.0000000000000001e-09\n}\n'
+    variants = {
+        "timed": recorded.replace("0.0123", "0.25"),
+        "digits": recorded.replace("1.0000000000000001e-09", "1e-09"),
+        "spacing": recorded.replace(": 1.0", ":1.0"),
+    }
+    for name, text in {"recorded": recorded, **variants}.items():
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "manifest.json").write_text(text)
+    for name, want in (("timed", []), ("digits", ["manifest.json"]), ("spacing", ["manifest.json"])):
+        assert parity.differences((done, tmp_path / "recorded"), (done, tmp_path / name)) == want, name
 
 
 def test_bench_pairs_times_each_shipped_fixture(tmp_path):
