@@ -36,6 +36,12 @@ frees large blocks, and two runs of the same code can fault pages in
 different steps. ``--default-allocator`` leaves glibc's dynamic thresholds
 in place instead.
 
+Each environment also keeps the filesystem of its side's checkout, where
+bench/run.py writes its outputs, because what a write costs depends on it:
+the type, mount point and options of the mount in ``/proc/self/mountinfo``
+whose mount point is the longest prefix of the checkout's path (null where
+that file cannot be read).
+
 The file is rewritten after every pair, so a failed run leaves the pairs
 before it. Standard library only.
 """
@@ -45,6 +51,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -73,9 +80,36 @@ PINNED_ENV = {
 # trimmed only when 128 MiB at its top are free
 ALLOCATOR_ENV = {"MALLOC_MMAP_THRESHOLD_": "33554432", "MALLOC_TRIM_THRESHOLD_": "134217728"}
 
+MOUNTINFO = Path("/proc/self/mountinfo")
+
 
 class RunError(RuntimeError):
     pass
+
+
+def _unescape(field: str) -> str:
+    """A mountinfo path field with its octal escapes (space as \\040) decoded."""
+    return re.sub(r"\\([0-7]{3})", lambda m: chr(int(m.group(1), 8)), field)
+
+
+def filesystem(path: Path, mountinfo: str) -> dict | None:
+    """Type, mount point and options of the mount holding `path`, from the text of a mountinfo file.
+
+    That is the mount whose mount point is the longest prefix of `path`; of
+    two at one point, the later line, which is mounted over the other. None
+    when no line's mount point is a prefix of `path`.
+    """
+    found = None
+    for line in mountinfo.splitlines():
+        fields = line.split()
+        point = Path(_unescape(fields[4]))
+        if path.is_relative_to(point) and (found is None or len(point.parts) >= len(found[0].parts)):
+            found = point, fields
+    if found is None:
+        return None
+    point, fields = found
+    tail = fields[fields.index("-") + 1 :]  # type, source, superblock options
+    return {"type": tail[0], "mount_point": str(point), "options": fields[5], "super_options": tail[2]}
 
 
 def run_bench(
@@ -221,9 +255,18 @@ def main(argv=None) -> int:
     }
 
     allocator = {} if args.default_allocator else ALLOCATOR_ENV
+    try:
+        mountinfo = MOUNTINFO.read_text()
+    except OSError:
+        mountinfo = ""
+    filesystems = {side: filesystem(checkout, mountinfo) for side, checkout in sides.items()}
 
-    def note_environment(info: dict) -> None:
-        environment = dict(info.get("environment") or {}, allocator=allocator or "glibc defaults")
+    def note_environment(info: dict, side: str) -> None:
+        environment = dict(
+            info.get("environment") or {},
+            allocator=allocator or "glibc defaults",
+            filesystem=filesystems[side],
+        )
         if environment not in doc["environment"]:
             doc["environment"].append(environment)
 
@@ -241,7 +284,7 @@ def main(argv=None) -> int:
                     info, result = run_bench(
                         sides[side], workload, args.seeds[k], spec["run_seconds"], 0, allocator
                     )
-                    note_environment(info)
+                    note_environment(info, side)
                     pair[side] = side_record(result)
                 entry = doc["workloads"][workload]
                 entry["pairs"].append(pair)
@@ -268,7 +311,7 @@ def main(argv=None) -> int:
             traced = {"seed": args.seeds[0]}
             for side in ("parent", "change"):
                 info, result = run_bench(sides[side], workload, args.seeds[0], spec["run_seconds"], 1, allocator)
-                note_environment(info)
+                note_environment(info, side)
                 traced[side] = {name: m["value"] for name, m in result["metrics"].items()}
             doc["trace"][workload] = traced
             write()

@@ -11,13 +11,17 @@ runs at seeds 0 and 3, and each commutant fixture once more with ``--csv``:
 Each side runs in its own fresh working directory, whose ``fixtures`` links
 to that checkout's own, with the checkout's ``src`` as the only PYTHONPATH
 entry, BLAS pinned to one thread and MECHID_SEED unset, so both sides see
-the same relative paths. Per run the script compares exit status, stdout,
-stderr and every output file (report.json, tables, trajectory.csv,
-manifest.json) byte for byte, with only the value of the manifest's
-``duration_seconds`` masked. Every manifest the parent wrote is then
-replayed by both sides' code: each of its outputs must replay ``bitwise``
-under the change, and the change's replay must print what the parent's
-replay of its own manifest prints, byte for byte.
+the same relative paths. Every output is written over a stale file: the
+parent first runs each run once into a probe directory, and for every file
+the probe wrote, ``out/<run>`` of both sides gets a stale file of that name
+longer than it, so a writer that leaves the tail of an older file shows as
+a byte difference. Per run the script compares exit status, stdout, stderr
+and every output file (report.json, tables, trajectory.csv, manifest.json)
+byte for byte, with only the value of the manifest's ``duration_seconds``
+masked. Every manifest the parent wrote is then replayed by both sides'
+code: each of its outputs must replay ``bitwise`` under the change, and the
+change's replay must print what the parent's replay of its own manifest
+prints, byte for byte.
 
 Prints one JSON document and exits 1 on any difference. Standard library only.
 """
@@ -51,7 +55,7 @@ def cli(checkout: Path, workdir: Path, args: list[str]) -> subprocess.CompletedP
 
 
 def runs(kinds: dict[str, str]) -> list[tuple[str, str, list[str]]]:
-    """(run, fixture, mechid arguments) for every run, fixtures in name order."""
+    """(run, fixture, mechid arguments but --output-dir) for every run, fixtures in name order."""
     out = []
     for name, kind in sorted(kinds.items()):
         variants = [(f"seed{seed}", [str(seed)]) for seed in SEEDS]
@@ -60,8 +64,15 @@ def runs(kinds: dict[str, str]) -> list[tuple[str, str, list[str]]]:
         for suffix, extra in variants:
             run = f"{name}-{suffix}"
             args = [kind, f"fixtures/{name}.json", "--seed", *extra]
-            out.append((run, name, args + ["--threads", "1", "--output-dir", f"out/{run}"]))
+            out.append((run, name, args + ["--threads", "1"]))
     return out
+
+
+def prefill(directory: Path, probe: Path) -> None:
+    """Put a stale file into `directory` under the name of each file in `probe`, longer than it."""
+    directory.mkdir(parents=True)
+    for written in probe.iterdir() if probe.is_dir() else ():
+        (directory / written.name).write_bytes(b"stale\n" * (written.stat().st_size // 6 + 2))
 
 
 DURATION = re.compile(rb'("duration_seconds": )[^,\n]*')
@@ -122,8 +133,14 @@ def main(argv=None) -> int:
             if missing:
                 doc["runs"][run] = {"differences": [f"fixtures/{name}.json missing at {missing[0]}"]}
                 continue
+            probe = Path(tmp) / "probe" / run
+            cli(sides["parent"], work["parent"], [*run_args, "--output-dir", str(probe)])
+            for workdir in work.values():
+                prefill(workdir / "out" / run, probe)
+            out = f"out/{run}"
             done = {
-                side: (cli(sides[side], work[side], run_args), work[side] / "out" / run) for side in sides
+                side: (cli(sides[side], work[side], [*run_args, "--output-dir", out]), work[side] / out)
+                for side in sides
             }
             entry = {
                 "exit_status": done["parent"][0].returncode,

@@ -231,7 +231,7 @@ def _compare_output(recorded: Path, regenerated: Path, rtol: float):
     if recorded.suffix == ".json":
         return _numeric_diff(load_json(recorded), load_json(regenerated), rtol, "")
     tables = (
-        [[_cell(c) for c in line.split(",")] for line in f.read_text().splitlines()]
+        [[_cell(c) for c in line.split(",")] for line in f.read_text(encoding="utf-8").splitlines()]
         for f in (recorded, regenerated)
     )
     return _numeric_diff(*tables, rtol, "rows")

@@ -475,7 +475,7 @@ class Trajectory:
     @classmethod
     def from_csv(cls, path) -> "Trajectory":
         """Read a table `to_csv` wrote; a malformed one raises ValueError naming file and row."""
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         if len(rows) < 2:
             raise ValueError(f"{path}: expected a header row and at least one state row")

@@ -7,9 +7,15 @@ keys, no whitespace) so two documents with reordered keys hash identically.
 A dataclass renders as an object of its fields in declaration order, so
 each result type is the one definition of its report form. `write_text`
 encodes a JSON document or a `table_text` CSV table once, writes the bytes
-and returns their sha256, so no written file is read back to be digested. A
-value that cannot be written raises ValueError naming its field
-(`detail.a[1]`), found by a second walk made only after the failure.
+and returns their sha256, so no written file is read back to be digested. It
+rewrites an existing file in place and then cuts it to length, which costs
+far less than truncating it on open. A write that is interrupted can leave
+new bytes followed by the rest of the old file, whose digest then disagrees
+with the run's manifest; `replay` reads a recorded file only where a
+regenerated digest differs from the manifest's, so it does not see it. A value
+that cannot be written raises ValueError naming its field (`detail.a[1]`),
+found by a second walk made only after the failure. `load_json` reads
+UTF-8, the encoding `write_text` writes, whatever the locale.
 
 Reading is the twin of that: a JSON object is read by a table of `Field`
 rows, each stating a key, a converter from its JSON form, a default and a
@@ -25,6 +31,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 from collections import ChainMap
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
@@ -149,9 +156,20 @@ def dumps_json(value) -> str:
 
 
 def write_text(path: str | Path, text: str) -> str:
-    """Write `text` to `path` as UTF-8; the sha256 of the bytes written."""
+    """Write `text` to `path` as UTF-8; the sha256 of the bytes written.
+
+    An existing file is rewritten in place and then cut to the new length; a
+    new one is created with the mode the umask leaves.
+    """
     data = text.encode("utf-8")
-    Path(path).write_bytes(data)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
     return hashlib.sha256(data).hexdigest()
 
 
@@ -182,7 +200,7 @@ def table_text(header, rows, newline: str = "\n") -> str:
 
 
 def load_json(path: str | Path):
-    return json.loads(Path(path).read_text())
+    return json.loads(Path(path).read_bytes())
 
 
 def canonical_digest(value) -> str:

@@ -388,6 +388,39 @@ def test_reruns_are_byte_identical(tmp_path):
     assert read_json(a / "manifest.json")["outputs"] == read_json(b / "manifest.json")["outputs"]
 
 
+DURATION = re.compile(rb'("duration_seconds": )[^,\n]*')
+
+
+def masked_outputs(directory: Path) -> dict:
+    """Every output file's bytes, with the value of the manifest's duration_seconds masked."""
+    files = {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+    files["manifest.json"] = DURATION.sub(rb"\1<masked>", files["manifest.json"], count=1)
+    return files
+
+
+def test_outputs_written_over_longer_ones_equal_a_fresh_run(tmp_path, capsys):
+    # the second config audits one candidate, so its report.json and audit.csv
+    # are shorter than the first run's; no stale tail may survive either run
+    planted = read_json(FIXTURES / "verify_planted_claim.json")
+    single = {**planted, "candidates": planted["candidates"][:1]}
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "report.json").write_text("{" + " " * 65536 + "}\n")
+    sizes = []
+    for i, (doc, status) in enumerate(((planted, 2), (single, 0))):
+        cfg = tmp_path / f"verify{i}.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_cli("verify", cfg, "--output-dir", out) == status
+        assert run_cli("verify", cfg, "--output-dir", tmp_path / f"fresh{i}") == status
+        assert masked_outputs(out) == masked_outputs(tmp_path / f"fresh{i}")
+        sizes.append([(out / name).stat().st_size for name in ("report.json", "audit.csv")])
+    assert all(after < before for before, after in zip(*sizes))
+    capsys.readouterr()
+    assert run_cli("replay", out / "manifest.json", "--output-dir", tmp_path / "replayed") == 0
+    result = json.loads(capsys.readouterr().out)
+    assert [entry["match"] for entry in result["files"]] == ["bitwise", "bitwise"]
+
+
 def test_thread_count_does_not_change_bytes(tmp_path):
     a, b = tmp_path / "t1", tmp_path / "t4"
     for out, threads in ((a, "1"), (b, "4")):
@@ -694,6 +727,53 @@ def test_malformed_trajectory_csv_exits_1_with_one_error_line(tmp_path, capsys, 
         assert str(table) in err[0]
 
 
+def test_non_ascii_text_is_read_as_utf8_under_an_ascii_locale(tmp_path):
+    """Outputs are written as UTF-8; configs, tables and trajectories are read back as UTF-8."""
+    env = with_src_path({k: v for k, v in os.environ.items() if k != "MECHID_SEED"})
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", PYTHONIOENCODING="utf-8")
+
+    def cli(*argv) -> subprocess.CompletedProcess:
+        argv = [sys.executable, "-m", "mechid.cli", *map(str, argv)]
+        return subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, encoding="utf-8")
+
+    def write_utf8(name: str, doc: dict) -> Path:
+        (tmp_path / name).write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        return tmp_path / name
+
+    commutant = read_json(FIXTURES / "commutant_shared.json")
+    commutant["mechanisms"][0]["label"] = "λ-stretch"
+    proc = cli("commutant", write_utf8("commutant.json", commutant), "--output-dir", "run")
+    assert proc.returncode == 0, proc.stderr
+    proc = cli("replay", "run/manifest.json")
+    assert proc.returncode == 0, proc.stderr
+    assert [entry["match"] for entry in json.loads(proc.stdout)["files"]] == ["bitwise"]
+
+    # a recorded table whose digest differs is read as UTF-8 to find its first divergence
+    verify = read_json(FIXTURES / "verify_planted_claim.json")
+    verify["candidates"] = [{**verify["candidates"][0], "label": "λ-member"}]
+    assert cli("verify", write_utf8("verify.json", verify), "--output-dir", "audit").returncode == 0
+    audit = tmp_path / "audit" / "audit.csv"
+    audit.write_bytes(audit.read_bytes().replace("λ-member".encode(), "λ-edited".encode()))
+    manifest = read_json(tmp_path / "audit" / "manifest.json")
+    manifest["outputs"]["audit.csv"] = file_digest(audit)
+    (tmp_path / "audit" / "manifest.json").write_text(dumps_json(manifest))
+    proc = cli("replay", "audit/manifest.json")
+    assert proc.returncode == 2, proc.stderr
+    first = json.loads(proc.stdout)["first_divergence"]
+    assert (first["path"], first["recorded"], first["regenerated"]) == ("rows[1][0]", "λ-edited", "λ-member")
+
+    # a malformed trajectory is named by its row, not by a decoding error
+    assert cli("simulate", FIXTURES / "simulate_shear.json", "--output-dir", "sim").returncode == 0
+    lines = (tmp_path / "sim" / "trajectory.csv").read_text().splitlines()
+    table = tmp_path / "edited.csv"
+    table.write_text("".join(line + "\n" for line in set_mech(2, "λ")(lines)), encoding="utf-8")
+    mechanism = read_json(FIXTURES / "simulate_shear.json")["mechanisms"][0]
+    recover = write_utf8("recover.json", {"mechanisms": [mechanism], "trajectory_csv": str(table)})
+    proc = cli("recover", recover, "--output-dir", "recovered")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {table}, row 2: invalid literal for int()"), proc.stderr
+
+
 def test_stochastic_manifest_records_tolerance(tmp_path):
     out = tmp_path / "run"
     run_cli("stochastic-test", FIXTURES / "stochastic_swap.json", "--output-dir", out)
@@ -719,19 +799,6 @@ def test_console_entry_point_runs(tmp_path):
     assert proc.returncode == 0
     assert "pass" in proc.stdout
     assert (out / "report.json").exists()
-
-
-def _outputs(directory: Path) -> dict:
-    """Every output file's bytes; a manifest without its run time."""
-    files = {}
-    for path in sorted(directory.iterdir()):
-        if path.name == "manifest.json":
-            manifest = read_json(path)
-            manifest.pop("duration_seconds")
-            files[path.name] = manifest
-        else:
-            files[path.name] = path.read_bytes()
-    return files
 
 
 def test_calls_in_one_process_match_separate_processes(tmp_path, monkeypatch, capsys):
@@ -765,7 +832,7 @@ def test_calls_in_one_process_match_separate_processes(tmp_path, monkeypatch, ca
     assert [status for status, _, _ in got] == [1, 0, 0, 0]
     assert got == expected
     for name in ("run", "replayed", "imitated"):
-        assert _outputs(together / name) == _outputs(separate / name)
+        assert masked_outputs(together / name) == masked_outputs(separate / name)
 
 
 # Loading scipy.stats costs about 1 s and scipy.optimize about 0.5 s; no kind

@@ -6,12 +6,15 @@ a rename or a changed output in the library would otherwise only surface as
 a failing benchmark run. The scripts under scripts/ are run once each at a
 small size for the same reason; scripts/bench_pairs.py runs against two
 stub checkouts whose bench/run.py prints canned lines, and
-scripts/fixture_parity.py against two that share this checkout's code.
+scripts/fixture_parity.py against two that share this checkout's code, and
+against a pair whose change is a copy of it with a writer that leaves the
+tail of a longer stale file.
 """
 
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -182,10 +185,13 @@ def test_bench_pairs_alternates_and_summarizes(tmp_path):
         "parent": {"stochastic.two_sample_ks_ms": 22.5},
         "change": {"stochastic.two_sample_ks_ms": 17.5},
     }
-    # both sides ran with the same fixed allocator thresholds, and the record names them
+    # both sides ran with the same fixed allocator thresholds, and the record names
+    # them and the filesystem each checkout is on
     pinned = {"MALLOC_MMAP_THRESHOLD_": "33554432", "MALLOC_TRIM_THRESHOLD_": "134217728"}
     assert doc["environment"] == [
-        {"cores": 2, "side": side, "mmap": "33554432", "allocator": pinned} for side in ("parent", "change")
+        {"cores": 2, "side": side, "mmap": "33554432", "allocator": pinned,
+         "filesystem": checkout_filesystem(tmp_path / side)}
+        for side in ("parent", "change")
     ]
     assert doc["change"] == "stub"
 
@@ -203,8 +209,49 @@ def test_bench_pairs_can_leave_the_allocator_dynamic(tmp_path):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert json.loads(out.read_text())["environment"] == [
-        {"cores": 2, "side": side, "mmap": None, "allocator": "glibc defaults"} for side in ("parent", "change")
+        {"cores": 2, "side": side, "mmap": None, "allocator": "glibc defaults",
+         "filesystem": checkout_filesystem(tmp_path / side)}
+        for side in ("parent", "change")
     ]
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def checkout_filesystem(path: Path):
+    """What bench_pairs.py records as the filesystem of a checkout at `path` on this host."""
+    mountinfo = Path("/proc/self/mountinfo")
+    text = mountinfo.read_text() if mountinfo.exists() else ""
+    return load_script("bench_pairs").filesystem(path.resolve(), text)
+
+
+MOUNTINFO = """\
+28 1 254:0 / / rw,relatime - ext4 /dev/vda rw,discard
+26 25 0:24 / /dev/shm rw,relatime - tmpfs tmpfs rw,size=8222320k
+40 28 0:40 / /data rw,noatime shared:7 master:2 - xfs /dev/vdb rw,attr2
+41 28 0:41 / /data\\040set rw,nosuid - tmpfs tmpfs rw
+42 40 0:42 / /data rw,relatime - btrfs /dev/vdc rw,ssd
+"""
+
+
+@pytest.mark.parametrize(
+    "path, found",
+    [
+        ("/root/repo", ("ext4", "/", "rw,relatime", "rw,discard")),
+        ("/dev/shm/x", ("tmpfs", "/dev/shm", "rw,relatime", "rw,size=8222320k")),
+        ("/dev/shmem", ("ext4", "/", "rw,relatime", "rw,discard")),  # a prefix of the path's parts only
+        ("/data/parent", ("btrfs", "/data", "rw,relatime", "rw,ssd")),  # the later of two at one point
+        ("/data set/change", ("tmpfs", "/data set", "rw,nosuid", "rw")),
+    ],
+)
+def test_bench_pairs_finds_the_mount_holding_a_checkout(path, found):
+    got = load_script("bench_pairs").filesystem(Path(path), MOUNTINFO)
+    assert got == dict(zip(("type", "mount_point", "options", "super_options"), found))
+    assert load_script("bench_pairs").filesystem(Path(path), "") is None
 
 
 def test_fixture_parity_reports_each_run_and_an_edited_fixture(tmp_path, monkeypatch):
@@ -257,6 +304,37 @@ def test_fixture_parity_reports_each_run_and_an_edited_fixture(tmp_path, monkeyp
         (tmp_path / name / "manifest.json").write_text(text)
     for name, want in (("timed", []), ("digits", ["manifest.json"]), ("spacing", ["manifest.json"])):
         assert parity.differences((done, tmp_path / "recorded"), (done, tmp_path / name)) == want, name
+
+
+def test_fixture_parity_reports_a_writer_that_leaves_a_stale_tail(tmp_path):
+    # the change's writer rewrites a file in place but never cuts it to length
+    for side in ("parent", "change"):
+        (tmp_path / side / "fixtures").mkdir(parents=True)
+        (tmp_path / side / "fixtures" / "simulate_shear.json").write_bytes(
+            (ROOT / "fixtures" / "simulate_shear.json").read_bytes()
+        )
+    (tmp_path / "parent" / "src").symlink_to(ROOT / "src", target_is_directory=True)
+    shutil.copytree(ROOT / "src", tmp_path / "change" / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    jsonio = tmp_path / "change" / "src" / "mechid" / "jsonio.py"
+    source = jsonio.read_text()
+    assert source.count("os.ftruncate(fd, len(data))") == 1
+    jsonio.write_text(source.replace("os.ftruncate(fd, len(data))", "pass"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "fixture_parity.py"),
+         "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    runs = json.loads(proc.stdout)["runs"]
+    assert list(runs) == ["simulate_shear-seed0", "simulate_shear-seed3"]
+    for entry in runs.values():
+        # each file holds the right bytes and then the stale file's tail; digests
+        # are taken from the bytes written, so the manifest still replays
+        assert entry == {
+            "exit_status": 0,
+            "differences": ["manifest.json", "report.json", "trajectory.csv"],
+            "replay": "bitwise",
+        }
 
 
 def test_bench_pairs_times_each_shipped_fixture(tmp_path):
