@@ -241,7 +241,7 @@ MOUNTINFO = """\
 @pytest.mark.parametrize(
     "path, found",
     [
-        ("/root/repo", ("ext4", "/", "rw,relatime", "rw,discard")),
+        ("/home/checkout", ("ext4", "/", "rw,relatime", "rw,discard")),
         ("/dev/shm/x", ("tmpfs", "/dev/shm", "rw,relatime", "rw,size=8222320k")),
         ("/dev/shmem", ("ext4", "/", "rw,relatime", "rw,discard")),  # a prefix of the path's parts only
         ("/data/parent", ("btrfs", "/data", "rw,relatime", "rw,ssd")),  # the later of two at one point
