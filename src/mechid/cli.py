@@ -3,10 +3,12 @@
 Every run writes a report.json, any tables, and a manifest.json recording
 the effective config (flag and environment overrides already applied), its
 canonical digest, and a sha256 per output file, taken from the bytes as
-they are written. Replay re-executes the manifest's config and compares the
-regenerated digests with the recorded ones; only where they differ does it
-read both files, for a numeric comparison within the recorded tolerance
-(stochastic runs) or to locate the first divergence.
+they are written. Replay first checks each recorded file that is present
+against its manifest digest: one that disagrees (cut short, left with a
+stale tail, edited) is divergent. It then re-executes the manifest's config
+and compares the regenerated digests with the recorded ones; only where they
+differ does it read both files, for a numeric comparison within the recorded
+tolerance (stochastic runs) or to locate the first divergence.
 
 Exit status: 0 success, 2 verdict-failure, 1 error.
 """
@@ -34,7 +36,7 @@ from .jsonio import (
     canonical_digest,
     dump_json,
     dumps_json,
-    file_digest,  # bench/spans.py probes mechid.cli.file_digest
+    file_digest,
     load_json,
     table_text,
     write_text,
@@ -255,6 +257,12 @@ def _replay_command(args) -> int:
     if problem := _non_negative(tolerance):
         raise ConfigError("replay_tolerance", problem)
     threads = _pool_size(manifest.get("threads", 1))
+    # read before the re-run, which may write into the recorded directory
+    altered = {
+        name
+        for name, digest in outputs.items()
+        if (recorded_dir / name).exists() and file_digest(recorded_dir / name) != digest
+    }
 
     def compare_into(workdir: Path) -> dict:
         regenerated = _execute_config(dict(config), workdir, threads)[1]["outputs"]
@@ -265,6 +273,9 @@ def _replay_command(args) -> int:
             if name not in regenerated:
                 entry["match"] = "missing"
                 entry["problem"] = "output was not regenerated"
+            elif name in altered:
+                entry["match"] = "divergent"
+                entry["problem"] = "recorded file does not match its manifest digest"
             elif regenerated[name] == digest:
                 entry["match"] = "bitwise"
             else:

@@ -67,6 +67,8 @@ _BASIS_ORTHO_TOL = 1e-10
 _REPRESENTATIVE_ATTEMPTS = 20
 # Offset pairs per batched eigencoordinate solve; bounds the premise scan's memory.
 _PAIR_BLOCK = 4096
+# Unknowns (d * d) from which a commutant is solved in row blocks rather than one SVD.
+_BLOCKED_COMMUTANT_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -307,13 +309,30 @@ class EquivarianceFamily:
 
 
 def _commutant_null_space(M: np.ndarray, offsets: np.ndarray, rtol: float) -> np.ndarray:
-    """Null basis over vec(A) of {A M = M A, A b = 0 for each row b of offsets}."""
+    """Null basis over vec(A) of {A M = M A, A b = 0 for each row b of offsets}.
+
+    From _BLOCKED_COMMUTANT_SIZE unknowns (d*d) up, the d*d commutator rows are
+    solved in four blocks and the offsets' rows last, as one more block, each
+    cut on the null basis the blocks before it left. A smaller system, where
+    splitting gains little or loses, stays one SVD of all its rows.
+    """
+    K = intertwiner_operator(M, M)
     rows = kron_rows(np.eye(len(M)), offsets[..., None]).reshape(-1, M.size)
-    return null_space(np.vstack([intertwiner_operator(M, M), rows]), rtol, scale=_data_scale(M, offsets))
+    if M.size < _BLOCKED_COMMUTANT_SIZE:
+        blocks = [np.vstack([K, rows])]
+    else:
+        blocks = np.array_split(K, 4) + ([rows] if len(rows) else [])
+    scale = _data_scale(M, offsets)
+    start = None
+    for block in blocks:
+        basis = null_space(block, rtol, scale=scale, start=start)
+        start = basis, 0
+    return basis
 
 
 def linear_commutant(M: np.ndarray | AffineMechanism, rtol: float = DEFAULT_RTOL) -> LinearSubspaceBasis:
-    """Orthonormal basis of {A : A M = M A}."""
+    """Orthonormal basis of {A : A M = M A}: the null space of its d*d commutator rows,
+    solved as `_commutant_null_space` solves it, in row blocks from d = 8 up."""
     M = M.M if isinstance(M, AffineMechanism) else np.asarray(M, dtype=float)
     d = M.shape[0]
     return LinearSubspaceBasis(_commutant_null_space(M, np.zeros((0, d)), rtol).reshape(-1, d, d))

@@ -65,6 +65,33 @@ def distinct_eig_mechanism(
     return AffineMechanism(M, b), S, lam
 
 
+# ---------------------------------------------------------------------------
+# closed forms and one stacked SVD as oracles of the blocked solves
+
+
+def commutant_dimension(blocks) -> int:
+    """sum over eigenvalues of sum_{i, j} min(n_i, n_j) over their Jordan block sizes."""
+    sizes = {}
+    for lam, n in blocks:
+        sizes.setdefault(lam, []).append(n)
+    return sum(min(a, b) for ns in sizes.values() for a in ns for b in ns)
+
+
+# Within this factor of the cut a rank decision may go either way: the blocked and the
+# stacked solve see different singular values there. Outside it they must agree.
+MARGIN = 100.0
+
+
+def stacked_solve(C, r, rtol, scale):
+    """Null basis, minimum-norm solution and whether no singular value is near the cut,
+    from one SVD of the whole system cut as the kernel cuts."""
+    u, s, vh = np.linalg.svd(C, full_matrices=C.shape[0] < C.shape[1])
+    cut = rtol * max(s[0], scale)
+    k = int(np.sum(s > cut))
+    clear = not np.any((s > cut / MARGIN) & (s <= cut * MARGIN))
+    return vh[k:], vh[:k].T @ ((u[:, :k].T @ r) / s[:k]), clear
+
+
 @pytest.fixture
 def gen():
     return stream(20260819)

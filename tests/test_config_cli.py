@@ -528,6 +528,33 @@ def test_replay_reports_an_output_it_did_not_write_as_missing_despite_a_stale_fi
     assert result["first_divergence"] == result["files"][1]
 
 
+def test_replay_reports_a_recorded_output_that_disagrees_with_its_digest(tmp_path, capsys):
+    out = tmp_path / "run"
+    run_cli("commutant", FIXTURES / "commutant_shared.json", "--output-dir", out, "--csv")
+    with open(out / "report.json", "ab") as f:
+        f.write(b"tampered\n")
+    capsys.readouterr()
+    assert run_cli("replay", out / "manifest.json", "--output-dir", tmp_path / "replayed") == 2
+    result = json.loads(capsys.readouterr().out)
+    assert result["match"] is False
+    assert result["files"] == [
+        {"file": "report.json", "match": "divergent", "problem": "recorded file does not match its manifest digest"},
+        {"file": "basis.csv", "match": "bitwise"},
+    ]
+    assert result["first_divergence"] == result["files"][0]
+
+
+def test_replay_without_the_recorded_files_compares_digests_only(tmp_path, capsys):
+    out = tmp_path / "run"
+    run_cli("commutant", FIXTURES / "commutant_shared.json", "--output-dir", out, "--csv")
+    (out / "report.json").unlink()
+    (out / "basis.csv").unlink()
+    capsys.readouterr()
+    assert run_cli("replay", out / "manifest.json", "--output-dir", tmp_path / "replayed") == 0
+    result = json.loads(capsys.readouterr().out)
+    assert [entry["match"] for entry in result["files"]] == ["bitwise", "bitwise"]
+
+
 def test_replay_detects_altered_seed(tmp_path, capsys):
     cfg = seeded_simulate_doc(tmp_path)
     out = tmp_path / "run"

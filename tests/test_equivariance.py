@@ -7,6 +7,7 @@ examples additionally get closed-form parameterizations.
 
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,6 +25,9 @@ from mechid import (
 from mechid.equivariance import (
     ConditionReport,
     ConditionVerdict,
+    _BLOCKED_COMMUTANT_SIZE,
+    _commutant_null_space,
+    _data_scale,
     _distinct_rows,
     _eigen_summary,
     _intertwiner_system,
@@ -31,11 +35,18 @@ from mechid.equivariance import (
 from mechid.config import parse_config
 from mechid.errors import NonFiniteSampleError
 from mechid.experiments import run_experiment
-from mechid.linalg import null_space, relative_rank, solve_residual
+from mechid.linalg import DEFAULT_RTOL, intertwiner_operator, kron_rows, null_space, relative_rank, solve_residual
 from mechid.maps import AffineMap, compose
 from mechid.rng import stream
 
-from conftest import ROT90, distinct_eig_mechanism, random_invertible
+from conftest import (
+    ROT90,
+    commutant_dimension,
+    distinct_eig_mechanism,
+    random_invertible,
+    random_orthogonal,
+    stacked_solve,
+)
 
 DIAG23 = AffineMechanism(np.diag([2.0, 3.0]), np.zeros(2))
 DIAG23_B11 = AffineMechanism(np.diag([2.0, 3.0]), np.array([1.0, 1.0]))
@@ -244,6 +255,105 @@ def test_a_mechanism_given_twice_adds_nothing(seed):
     twice = shared_equivariances([m, m]).family
     for field in ("basis_A", "basis_p", "particular_A", "particular_p", "residual"):
         assert np.array_equal(getattr(twice, field), getattr(once, field)), field
+
+
+# ---------------------------------------------------------------------------
+# from d = 8 up the commutant is solved in row blocks, the offsets' rows last
+
+COMMUTANT_FAMILIES = ("tied", "jordan", "rotation", "scalar")
+
+
+def planted_commutant(family: str, seed: int):
+    """(M, offsets, M's Jordan blocks as (eigenvalue, size)) at d in 8..18, with 0-2 offsets.
+
+    M = S J S^-1 for a real Jordan form J: tied real eigenvalues, Jordan chains,
+    tied rotation pairs, or a scalar. The offsets' eigencoordinates are zero at random.
+    """
+    gen = stream(5400, COMMUTANT_FAMILIES.index(family), seed)
+    d = int(gen.integers(8, 19))
+    J, blocks, i = np.zeros((d, d)), [], 0
+    while i < d:
+        if family == "rotation" and d - i >= 2:
+            a, w = [(0.5, 1.0), (-1.0, 0.5)][int(gen.integers(2))]
+            J[i : i + 2, i : i + 2] = [[a, -w], [w, a]]
+            blocks += [(complex(a, w), 1), (complex(a, -w), 1)]
+            i += 2
+            continue
+        lam = 2.0 if family == "scalar" else float(gen.choice([0.5, -1.0, 1.5]))
+        n = int(gen.integers(1, min(3, d - i) + 1)) if family == "jordan" else 1
+        J[i : i + n, i : i + n] = lam * np.eye(n) + np.eye(n, k=1)
+        blocks.append((lam, n))
+        i += n
+    S = random_orthogonal(gen, d) @ np.diag(gen.uniform(0.5, 2.0, d)) @ random_orthogonal(gen, d)
+    v = gen.standard_normal((seed % 3, d)) * gen.choice([0.0, 1.0], (seed % 3, d))
+    return S @ J @ np.linalg.inv(S), v @ S.T, blocks
+
+
+def commutant_rows(M: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Every row of {A M = M A, A b = 0 for each offset b}, stacked."""
+    d = len(M)
+    return np.vstack([intertwiner_operator(M, M), kron_rows(np.eye(d), offsets[..., None]).reshape(-1, d * d)])
+
+
+def stacked_commutant(M: np.ndarray, offsets: np.ndarray, rtol: float):
+    """Null basis of one SVD over every commutant row, and whether its rank was decided clear of the cut."""
+    rows = commutant_rows(M, offsets)
+    basis, _, clear = stacked_solve(rows, np.zeros(len(rows)), rtol, _data_scale(M, offsets))
+    return basis, clear
+
+
+@pytest.mark.parametrize("family", COMMUTANT_FAMILIES)
+def test_blocked_commutant_agrees_with_one_stacked_svd(family):
+    clear_cases = 0
+    for seed in range(10):
+        M, offsets, _ = planted_commutant(family, seed)
+        assert M.size >= _BLOCKED_COMMUTANT_SIZE
+        want, clear = stacked_commutant(M, offsets, DEFAULT_RTOL)
+        if not clear:
+            continue
+        clear_cases += 1
+        got = _commutant_null_space(M, offsets, DEFAULT_RTOL)
+        assert got.shape == want.shape, (seed, got.shape, want.shape)
+        # sine of the largest principal angle between the two null spaces
+        assert np.linalg.norm(got - (got @ want.T) @ want, 2) <= 1e-8 if got.size else True
+    assert clear_cases >= 8
+
+
+@pytest.mark.parametrize("family", COMMUTANT_FAMILIES)
+def test_blocked_commutant_has_its_closed_form_dimension(family):
+    for seed in range(0, 30, 3):  # no offsets
+        M, _, blocks = planted_commutant(family, seed)
+        if family == "tied":  # sum of the squared multiplicities
+            want = sum(n * n for n in Counter(lam for lam, _ in blocks).values())
+        elif family == "scalar":  # S (c I) S^-1 commutes with everything
+            want = len(M) ** 2
+        else:
+            want = commutant_dimension(blocks)
+        assert linear_commutant(M).dimension == want, seed
+
+
+@pytest.mark.parametrize("family", COMMUTANT_FAMILIES)
+def test_blocked_commutant_basis_is_orthonormal_and_commutes(family):
+    for seed in range(6):
+        M, offsets, _ = planted_commutant(family, seed)
+        basis = _commutant_null_space(M, offsets, DEFAULT_RTOL)
+        assert np.abs(basis @ basis.T - np.eye(len(basis))).max() <= 1e-10
+        d = len(M)
+        for A in basis.reshape(-1, d, d):
+            assert np.linalg.norm(M @ A - A @ M) <= 10 * DEFAULT_RTOL * np.linalg.norm(M)
+            for b in offsets:
+                assert np.linalg.norm(A @ b) <= 10 * DEFAULT_RTOL * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_small_commutants_stay_one_svd(d):
+    assert d * d < _BLOCKED_COMMUTANT_SIZE
+    gen = stream(5500, d)
+    M = gen.standard_normal((d, d))
+    for k in range(3):
+        offsets = gen.standard_normal((k, d))
+        want = null_space(commutant_rows(M, offsets), DEFAULT_RTOL, scale=_data_scale(M, offsets))
+        assert np.array_equal(_commutant_null_space(M, offsets, DEFAULT_RTOL), want)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,15 @@ from mechid.linalg import smallest_singular_gap
 from mechid.maps import AffineMap, compose, map_power
 from mechid.rng import stream
 
-from conftest import ROT90, SWAP, distinct_eig_mechanism, random_invertible, rotation
+from conftest import (
+    ROT90,
+    SWAP,
+    commutant_dimension,
+    distinct_eig_mechanism,
+    random_invertible,
+    rotation,
+    stacked_solve,
+)
 
 DIAG23 = AffineMechanism(np.diag([2.0, 3.0]), np.zeros(2))
 DIAG32 = AffineMechanism(np.diag([3.0, 2.0]), np.zeros(2))
@@ -441,29 +449,6 @@ def test_every_family_decision_reads_its_own_cut(case):
 
 # ---------------------------------------------------------------------------
 # closed forms and one stacked SVD as oracles of the blocked solves
-
-
-def commutant_dimension(blocks) -> int:
-    """sum over eigenvalues of sum_{i, j} min(n_i, n_j) over their Jordan block sizes."""
-    sizes = {}
-    for lam, n in blocks:
-        sizes.setdefault(lam, []).append(n)
-    return sum(min(a, b) for ns in sizes.values() for a in ns for b in ns)
-
-
-# Within this factor of the cut a rank decision may go either way: the blocked and the
-# stacked solve see different singular values there. Outside it they must agree.
-MARGIN = 100.0
-
-
-def stacked_solve(C, r, rtol, scale):
-    """Null basis, minimum-norm solution and whether no singular value is near the cut,
-    from one SVD of the whole system cut as the kernel cuts."""
-    u, s, vh = np.linalg.svd(C, full_matrices=C.shape[0] < C.shape[1])
-    cut = rtol * max(s[0], scale)
-    k = int(np.sum(s > cut))
-    clear = not np.any((s > cut / MARGIN) & (s <= cut * MARGIN))
-    return vh[k:], vh[:k].T @ ((u[:, :k].T @ r) / s[:k]), clear
 
 
 def stacked_family(used, targets, rtol, scale):
