@@ -32,7 +32,13 @@ from mechid.errors import (
 from mechid.dynamics import StochasticMechanism
 from mechid.maps import AffineMap, FunctionBijection, identity_map
 from mechid.rng import stream
-from mechid.stochastic import _ENERGY_MAX_POINTS, _ks_equal_size, _ks_prob_outside_square
+from mechid.stochastic import (
+    _ENERGY_BLOCK,
+    _ENERGY_MAX_POINTS,
+    _KS_CHUNK_CELLS,
+    _ks_equal_size,
+    _ks_prob_outside_square,
+)
 
 from conftest import (
     SWAP,
@@ -180,6 +186,20 @@ def test_energy_null_matches_per_permutation_reference(n, m, permutations, shift
         assert res.statistic == pytest.approx(stat_ref, rel=1e-10, abs=0.0)
 
 
+@pytest.mark.parametrize(
+    "permutations", [1, _ENERGY_BLOCK - 1, _ENERGY_BLOCK, _ENERGY_BLOCK + 1, 2 * _ENERGY_BLOCK + 1]
+)
+@pytest.mark.parametrize("n, m", [(37, 53), (600, 530)])
+def test_energy_null_matches_the_reference_at_block_boundaries(n, m, permutations):
+    # the first block also carries the all-ones row and the observed labelling
+    X = stream(314, n, 0).standard_normal((n, 2))
+    Y = stream(314, n, 1).standard_normal((m, 2)) + 0.05
+    res = two_sample_test(X, Y, method="energy", seed=2, permutations=permutations)
+    p_ref, stat_ref = reference_energy_test(X, Y, 2, permutations)
+    assert res.p_value == p_ref
+    assert res.statistic == pytest.approx(stat_ref, rel=1e-10, abs=0.0)
+
+
 def test_energy_null_memory_is_flat_in_permutations():
     X = stream(317, 0).standard_normal((600, 2))
     Y = stream(317, 1).standard_normal((600, 2))
@@ -192,6 +212,39 @@ def test_energy_null_memory_is_flat_in_permutations():
     # the 1024² distance matrix is 8.4 MB; without blocking, the 2000 x 1024
     # labelling matrix and its product with D would add about 33 MB
     assert peak < 16e6
+
+
+@pytest.mark.parametrize("exponent", [520, -520, 900, -900])
+def test_energy_test_reads_the_same_at_every_scale(exponent):
+    # squared distances overflowed from c = 1e155 up (NaN statistic, p = 0.002)
+    # and underflowed from c = 1e-170 down (statistic 0.0, p = 1.0)
+    X = stream(318, 0).standard_normal((150, 2))
+    Y = stream(318, 1).standard_normal((150, 2))
+    base = two_sample_test(X, Y, method="energy", seed=3, permutations=499)
+    c = 2.0**exponent
+    scaled = two_sample_test(c * X, c * Y, method="energy", seed=3, permutations=499)
+    assert bits([scaled.p_value]) == bits([base.p_value])
+    assert bits([scaled.statistic]) == bits([c * base.statistic])
+
+
+def test_energy_p_value_is_the_same_at_every_power_of_two_scale():
+    X = stream(318, 2).standard_normal((60, 3))
+    Y = stream(318, 3).standard_normal((60, 3)) + 0.2
+    base = two_sample_test(X, Y, method="energy", seed=4, permutations=99)
+    for exponent in range(-900, 901, 25):
+        scaled = two_sample_test(2.0**exponent * X, 2.0**exponent * Y, method="energy", seed=4, permutations=99)
+        assert scaled.p_value == base.p_value, exponent
+        assert np.isfinite(scaled.statistic) and scaled.statistic > 0.0, exponent
+
+
+@pytest.mark.parametrize("method", ["ks", "energy"])
+@pytest.mark.parametrize("side", ["X", "Y"])
+def test_sample_with_more_than_two_axes_is_rejected_naming_it(method, side):
+    # a (5, 2, 2) sample raised IndexError (KS) or scipy's ValueError (energy)
+    samples = {"X": np.zeros((5, 2)), "Y": np.ones((5, 2))}
+    samples[side] = np.zeros((5, 2, 2))
+    with pytest.raises(DimensionMismatchError, match=f"sample {side}"):
+        two_sample_test(samples["X"], samples["Y"], method=method, permutations=19)
 
 
 def test_bonferroni_uses_worst_coordinate():
@@ -314,6 +367,64 @@ def test_ks_random_cases_are_bitwise_equal_to_ks_2samp():
         assert bits(stats) == bits(ref_s)
 
 
+def per_h_reference(n, h):
+    """Pr(D_{n,n} >= h/n) by one call per h, every A_k advancing through j
+    together: the reference for the batched pass."""
+    k_max = n // h
+    steps = np.arange(0, (k_max + 1) * h, h) + np.arange(h)[:, None]  # [j, k] = kh + j
+    numerators = (n - steps).astype(float)
+    denominators = (n + 1 + steps).astype(float)
+    terms = np.ones(k_max + 1)
+    for j in range(h):
+        np.multiply(terms, numerators[j], out=terms)
+        np.divide(terms, denominators[j], out=terms)
+    P = 0.0
+    for term in reversed(terms.tolist()):
+        P = term * (1.0 - P)
+    return 2 * P
+
+
+@pytest.mark.parametrize("n", [1, 2, 60, 109, 997, 3000])
+def test_batched_ks_probability_is_bitwise_the_per_h_loop_at_every_h(n):
+    hs = np.arange(1, n + 1)
+    assert bits(_ks_prob_outside_square(n, hs)) == bits([per_h_reference(n, h) for h in hs])
+
+
+def test_batched_ks_probability_is_bitwise_the_per_h_loop_in_mixed_batches():
+    gen = stream(319)
+    for n in (1, 2, 60, 997, 3000, 10_000):
+        batches = [
+            [1, n],
+            [n, 1, n, 1],
+            [3] * 7 if n >= 3 else [1, 1],
+            gen.integers(1, n + 1, 40),  # unsorted, with repeats at small n
+            gen.integers(1, min(n, 12) + 1, 25),
+        ]
+        for hs in batches:
+            got = _ks_prob_outside_square(n, hs)
+            assert got.shape == np.shape(hs)
+            assert bits(got) == bits([per_h_reference(n, int(h)) for h in hs]), (n, hs)
+    # h = 1 at n = 10^4 spans more than one group of terms
+    hs = [1, 500, 1, 7, 1, 1, 1, 1, 10_000, 1, 1]
+    assert bits(_ks_prob_outside_square(10_000, hs)) == bits([per_h_reference(10_000, h) for h in hs])
+    assert _ks_prob_outside_square(109, 1).shape == ()
+
+
+def test_batched_ks_probability_memory_is_one_chunk_plus_the_terms():
+    n, columns = 10_000, 10
+    tracemalloc.start()
+    try:
+        _ks_prob_outside_square(n, np.ones(columns, dtype=int))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    terms = columns * (n + 1) * 8
+    # a chunk holds its k h and h per cell (8 B each), the cell's two factors
+    # (8 B each) and their temporaries; without chunks the (h, cells) factor
+    # matrices and their integer steps would grow with the columns
+    assert peak < terms + 6 * 8 * _KS_CHUNK_CELLS
+
+
 # ---------------------------------------------------------------------------
 # the distributional equivariance test
 
@@ -374,6 +485,52 @@ def test_nonfinite_samples_name_the_anchor():
     assert "anchor 0" in str(exc.value)
 
 
+def battery_mechanism(dim, shift):
+    """A kernel keyed on the anchor's first coordinate: at 0 every point is 0
+    (h = 0), at 1 a grid of n points moved `shift` points up (h = shift), and
+    elsewhere logistic noise around the anchor."""
+
+    def kernel(z, U):
+        if z[0] == 0.0:
+            return np.zeros_like(U)
+        if z[0] == 1.0:
+            return np.tile(np.arange(float(U.shape[0]))[:, None] + shift, (1, dim))
+        return z + np.log(U / (1.0 - U))
+
+    return StochasticMechanism(kernel=kernel, dim=dim, label=f"battery+{shift}")
+
+
+# n -> the moved grid's h: at 109, 3000 and 10^4 one whose exact value leaves
+# [0, 1], so scipy falls back to kstwo; no h does at n = 100, and 10^4 + 1
+# points take ks_2samp's asymptotic path
+FALLBACK_STEP = {100: 1, 109: 1, 3000: 2, 10_000: 1, 10_001: 1}
+
+
+@pytest.mark.parametrize("n", [100, 109, 3000, 10_000, 10_001])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_battery_is_bitwise_two_sample_test_at_each_anchor(n, dim, workers):
+    h = FALLBACK_STEP[n]
+    m1, m2 = battery_mechanism(dim, 0), battery_mechanism(dim, h)
+    a = identity_map(dim)
+    anchors = np.array([[0.0, 0.5], [1.0, -1.0], [-0.5, 0.3], [0.7, -1.2], [1.5, 0.0]])[:, :dim]
+    spec = DistributionalTestSpec(dim=dim, samples_per_anchor=n, anchors=anchors, seed=5)
+    report = stochastic_equivariance_test(a, m1, m2, spec, workers=workers)
+    for i, (z, got) in enumerate(zip(anchors, report.anchors)):
+        X = a(m1.sample_next(z, stream(5, i, 0).random((n, dim))))
+        Y = m2.sample_next(a(z[None, :])[0], stream(5, i, 1).random((n, dim)))
+        want = two_sample_test(X, Y, method="ks")
+        assert got.anchor == tuple(z)
+        assert got.result.method == want.method == "ks"
+        assert bits([got.result.p_value, got.result.statistic]) == bits([want.p_value, want.statistic])
+        assert bits(got.result.coordinate_p_values) == bits(want.coordinate_p_values)
+    assert report.anchors[0].result.statistic == 0.0
+    assert report.anchors[1].result.statistic == pytest.approx(h / n, rel=1e-12)
+    if n in (109, 3000, 10_000):  # the exact value at h leaves [0, 1]
+        assert not 0 <= per_h_reference(n, h) <= 1
+    assert report.passed == all(r.result.p_value >= 0.05 / len(anchors) for r in report.anchors)
+
+
 def test_worker_count_does_not_change_report():
     m = laplace_walk()
     a = AffineMap(SWAP, np.zeros(2))
@@ -395,6 +552,9 @@ def test_spec_validation():
         DistributionalTestSpec(dim=2, method="wilcoxon")
     with pytest.raises(DimensionMismatchError):
         DistributionalTestSpec(dim=2, anchors=np.zeros((3, 3)))
+    # accepted before, and the test then failed with "kernel expects dimension 2, got state 4"
+    with pytest.raises(DimensionMismatchError, match="anchors"):
+        DistributionalTestSpec(dim=2, anchors=np.zeros((2, 2, 2)))
     spec = DistributionalTestSpec(dim=2, anchors=[[0.5, -0.5]])
     assert spec.anchor_points().shape == (1, 2)
 
