@@ -45,6 +45,10 @@ __all__ = [
 
 # States with norm beyond this are treated as numerically divergent.
 DIVERGENCE_BOUND = 1e12
+# A state's sum of squares above this may put its norm past DIVERGENCE_BOUND.
+_SCREEN_SQUARES = ((1.0 - 1e-6) * DIVERGENCE_BOUND) ** 2
+# Affine steps taken between two screens of the states.
+_SIMULATE_BLOCK = 1024
 SCALAR_MAP_KINDS = ("identity", "exp", "sinh", "asinh", "cubic", "affine")
 
 
@@ -507,6 +511,43 @@ def _check_state(z: np.ndarray, step: int) -> None:
     raise DivergedTrajectoryError(step, norm, DIVERGENCE_BOUND)
 
 
+def _screen_states(states: np.ndarray, step: int) -> None:
+    """Check each row of `states`, the states of steps step, step + 1, ..., as `_check_state` would.
+
+    One sum of squares per row finds the rows that may fail: those not
+    finite, or whose sum exceeds (1 - 1e-6)^2 DIVERGENCE_BOUND^2, a margin
+    far above its rounding. `_check_state` then decides those rows in order,
+    so the error raised is the one a check after every step raises.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.einsum("ij,ij->i", states, states)
+    for i in np.flatnonzero(~(squares <= _SCREEN_SQUARES)):
+        _check_state(states[i], step + int(i))
+
+
+def _affine_steps(affine: list, idx: list[int], latents: np.ndarray, t: int, stop: int) -> int:
+    """Take the affine steps from state t on, before `stop`, into `latents`; return the first state not taken.
+
+    `affine[i]` is (M.T, b) of mechanism i, or None where that mechanism is
+    not stepped here. Each state is z @ M.T + b, the expression
+    `AffineMechanism.__call__` evaluates, on the stored arrays and written in
+    place. The states are screened once, after the last step.
+    """
+    rows = list(latents[t - 1 : stop])
+    matmul, add = np.matmul, np.add
+    taken = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, z, row in zip(idx[t - 1 : stop - 1], rows, rows[1:]):
+            step = affine[i]
+            if step is None:
+                break
+            matmul(z, step[0], out=row)
+            add(row, step[1], out=row)
+            taken += 1
+    _screen_states(latents[t : t + taken], t + 1)
+    return t + taken
+
+
 def _resolve_schedule(mechanisms: Sequence, schedule: Sequence[int] | None, T: int):
     if schedule is None:
         if len(mechanisms) != 1:
@@ -535,7 +576,10 @@ def simulate(
     and a callable z1(gen) from (seed, 0), so reruns with one seed are
     bit-identical, independent of thread count. A non-finite state raises
     `NonFiniteSampleError` and a norm above DIVERGENCE_BOUND raises
-    `DivergedTrajectoryError`, each naming the step.
+    `DivergedTrajectoryError`, each naming the step. Runs of affine steps
+    are taken on the mechanisms' arrays, up to _SIMULATE_BLOCK at a time,
+    and their states screened once per run; the states, and the first error,
+    are those of calling each mechanism and checking each state in turn.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -550,8 +594,16 @@ def simulate(
     _check_state(z, 1)
     latents = np.empty((T, z.shape[0]))
     latents[0] = z
-    for t in range(1, T):
-        mech = mechanisms[idx[t - 1]]
+    # an affine mechanism of another dimension is called, and raises DimensionMismatchError
+    affine = [
+        (m.M.T, m.b) if isinstance(m, AffineMechanism) and m.dim == z.shape[0] else None for m in mechanisms
+    ]
+    t = 1
+    while t < T:
+        if affine[idx[t - 1]] is not None:
+            t = _affine_steps(affine, idx, latents, t, min(t + _SIMULATE_BLOCK, T))
+            continue
+        mech, z = mechanisms[idx[t - 1]], latents[t - 1].copy()
         if isinstance(mech, StochasticMechanism):
             U = stream(seed, t).random((1, mech.dim))
             z = mech.sample_next(z, U)[0]
@@ -559,4 +611,5 @@ def simulate(
             z = mech(z)
         _check_state(z, t + 1)
         latents[t] = z
+        t += 1
     return Trajectory(latents=latents, observations=decoder.decode(latents), mechanisms=idx)

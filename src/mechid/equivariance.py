@@ -308,31 +308,38 @@ class EquivarianceFamily:
         return ConditionVerdict("other", dim)
 
 
-def _commutant_null_space(M: np.ndarray, offsets: np.ndarray, rtol: float) -> np.ndarray:
-    """Null basis over vec(A) of {A M = M A, A b = 0 for each row b of offsets}.
+def _blocked_null_space(C: np.ndarray, r: np.ndarray, dd: int, rtol: float, scale: float, start=None):
+    """(null basis, particular solution) of C x = r appended to `start`, as `null_space` gives them.
 
-    From _BLOCKED_COMMUTANT_SIZE unknowns (d*d) up, the d*d commutator rows are
-    solved in four blocks and the offsets' rows last, as one more block, each
-    cut on the null basis the blocks before it left. A smaller system, where
+    C's first dd = d*d rows are commutator rows and the rest offset rows. From
+    _BLOCKED_COMMUTANT_SIZE commutator rows up, the commutator rows are solved
+    in four blocks and the offset rows last, as one more block, each cut on
+    the null basis the blocks before it left. A smaller system, where
     splitting gains little or loses, stays one SVD of all its rows.
     """
-    K = intertwiner_operator(M, M)
-    rows = kron_rows(np.eye(len(M)), offsets[..., None]).reshape(-1, M.size)
-    if M.size < _BLOCKED_COMMUTANT_SIZE:
-        blocks = [np.vstack([K, rows])]
+    if dd < _BLOCKED_COMMUTANT_SIZE:
+        blocks = [(C, r)]
     else:
-        blocks = np.array_split(K, 4) + ([rows] if len(rows) else [])
-    scale = _data_scale(M, offsets)
-    start = None
-    for block in blocks:
-        basis = null_space(block, rtol, scale=scale, start=start)
-        start = basis, 0
+        blocks = [*zip(np.array_split(C[:dd], 4), np.array_split(r[:dd], 4))]
+        blocks += [(C[dd:], r[dd:])] if len(C) > dd else []
+    for block, rhs in blocks:
+        basis, x, _ = null_space(block, rtol, rhs, scale, start)
+        start = basis, x
+    return start
+
+
+def _commutant_null_space(M: np.ndarray, offsets: np.ndarray, rtol: float) -> np.ndarray:
+    """Null basis over vec(A) of {A M = M A, A b = 0 for each row b of offsets}, solved in
+    `_blocked_null_space`'s row blocks."""
+    rows = kron_rows(np.eye(len(M)), offsets[..., None]).reshape(-1, M.size)
+    C = np.vstack([intertwiner_operator(M, M), rows])
+    basis, _ = _blocked_null_space(C, np.zeros(len(C)), M.size, rtol, _data_scale(M, offsets))
     return basis
 
 
 def linear_commutant(M: np.ndarray | AffineMechanism, rtol: float = DEFAULT_RTOL) -> LinearSubspaceBasis:
     """Orthonormal basis of {A : A M = M A}: the null space of its d*d commutator rows,
-    solved as `_commutant_null_space` solves it, in row blocks from d = 8 up."""
+    solved in `_blocked_null_space`'s row blocks, which split from d = 8 up."""
     M = M.M if isinstance(M, AffineMechanism) else np.asarray(M, dtype=float)
     d = M.shape[0]
     return LinearSubspaceBasis(_commutant_null_space(M, np.zeros((0, d)), rtol).reshape(-1, d, d))
@@ -346,7 +353,12 @@ def affine_equivariances(m: AffineMechanism, rtol: float = DEFAULT_RTOL) -> Equi
 def shared_equivariances(
     mechanisms: Sequence[AffineMechanism], rtol: float = DEFAULT_RTOL
 ) -> EquivarianceFamily:
-    """Affine maps commuting with every mechanism simultaneously."""
+    """Affine maps commuting with every mechanism simultaneously.
+
+    The system is solved one mechanism's rows at a time, each in
+    `_blocked_null_space`'s row blocks and cut on the basis the mechanisms
+    before it left.
+    """
     mechanisms = tuple(mechanisms)
     if not mechanisms:
         raise ValueError("at least one mechanism is required")
@@ -357,12 +369,11 @@ def shared_equivariances(
     M = np.stack([m.M for m in mechanisms])
     b = np.stack([m.b for m in mechanisms])
     C, r = _intertwiner_system(M, b, M, b)
-    # one mechanism's block of rows at a time, each cut on the basis the blocks before left
     scale = _data_scale(M, b)
     start = None
     for block, rhs in zip(np.split(C, len(mechanisms)), np.split(r, len(mechanisms))):
-        basis, x, _ = null_space(block, rtol, rhs, scale, start)
-        start = basis, x
+        start = _blocked_null_space(block, rhs, d * d, rtol, scale, start)
+    basis, x = start
     family = _intertwiner_family(C, r, basis, x, d, rtol)
     degenerate = any(smallest_singular_gap(m.M - np.eye(d)) <= rtol for m in mechanisms)
     return EquivarianceFamily(mechanisms=mechanisms, family=family, degenerate_offset=degenerate)

@@ -15,12 +15,13 @@ scaled by 2^-30, which is exact.
 from __future__ import annotations
 
 import functools
-import importlib.util
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
+
+from .shipped import scipy_dir
 
 __all__ = ["GridSpec"]
 
@@ -31,10 +32,9 @@ _BITS = 30  # scipy's default: a coordinate is an integer below 2^30, times 2^-3
 def _direction_numbers() -> tuple[np.ndarray, np.ndarray]:
     """scipy's table: a primitive polynomial and initial direction numbers per dimension.
 
-    `find_spec` runs only scipy's top-level `__init__`, not `scipy.stats`.
+    Read from scipy's files without importing `scipy.stats`.
     """
-    (stats_dir,) = importlib.util.find_spec("scipy.stats").submodule_search_locations
-    with np.load(os.path.join(stats_dir, "_sobol_direction_numbers.npz")) as table:
+    with np.load(os.path.join(scipy_dir("stats"), "_sobol_direction_numbers.npz")) as table:
         return table["poly"], table["vinit"]
 
 

@@ -22,6 +22,7 @@ from .grids import GridSpec
 from .linalg import orthonormal_defect, unit_scaled
 from .maps import AffineMap
 from .rng import stream
+from .shipped import scipy_extension
 
 __all__ = [
     "DistributionalTestSpec",
@@ -309,15 +310,18 @@ def two_sample_test(
     (`_ks_prob_outside_square`), so they are bitwise equal to it; other
     sizes call it. "energy": the energy-distance statistic with a
     label-permutation null; samples over 512 points are subsampled, so the
-    distance matrix stays at most 1024². Distances are taken on the pool
-    scaled by the exact power of two `linalg.unit_scaled` gives, so they
-    neither overflow nor underflow, and the statistic is scaled back. The
-    null's statistics come from blocked products of 0/1 labellings with that
-    matrix, drawn in the same order as one permutation per statistic, one
-    product per block: the first block also carries an all-ones row, for
-    1'D1, and the observed labelling. An empty X or Y raises ValueError, a
-    non-finite value in X or Y raises NonFiniteSampleError, and X or Y with
-    more than two axes raises DimensionMismatchError, each naming the sample.
+    distance matrix stays at most 1024². The matrix comes from the compiled
+    kernel that `scipy.spatial.distance.cdist(pool, pool)` calls, loaded
+    without importing `scipy.spatial`, so it is cdist's matrix bit for bit.
+    Distances are taken on the pool scaled by the exact power of two
+    `linalg.unit_scaled` gives, so they neither overflow nor underflow, and
+    the statistic is scaled back. The null's statistics come from blocked
+    products of 0/1 labellings with that matrix, drawn in the same order as
+    one permutation per statistic, one product per block: the first block
+    also carries an all-ones row, for 1'D1, and the observed labelling. An
+    empty X or Y raises ValueError, a non-finite value in X or Y raises
+    NonFiniteSampleError, and X or Y with more than two axes raises
+    DimensionMismatchError, each naming the sample.
     """
     if method not in DistributionalTestSpec.METHODS:
         raise ValueError(f"unknown method '{method}'")
@@ -337,10 +341,8 @@ def two_sample_test(
     if Y.shape[0] > _ENERGY_MAX_POINTS:
         Y = Y[np.sort(gen.choice(Y.shape[0], _ENERGY_MAX_POINTS, replace=False))]
     n, m = X.shape[0], Y.shape[0]
-    from scipy.spatial.distance import cdist
-
     scale, pool = unit_scaled(np.vstack([X, Y]))
-    D = cdist(pool, pool)
+    D = scipy_extension("spatial", "_distance_pybind").cdist_euclidean(pool, pool)
     count, observed, total = 0, 0.0, None
     for start in range(0, permutations, _ENERGY_BLOCK):
         block = min(_ENERGY_BLOCK, permutations - start)

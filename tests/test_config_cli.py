@@ -921,6 +921,40 @@ def test_signed_permutation_comparison_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+# The energy test takes its distance matrix from the compiled kernel that
+# cdist calls, loaded without scipy.spatial (about 0.27 s and 30 MiB).
+ENERGY_RUN_SCRIPT = """
+import contextlib, io, json, sys
+import mechid.cli
+config = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    ran = mechid.cli.main(["stochastic-test", config, "--output-dir", "run", "--threads", "1"])
+replay = io.StringIO()
+with contextlib.redirect_stdout(replay):
+    replayed = mechid.cli.main(["replay", "run/manifest.json", "--output-dir", "replayed"])
+files = json.loads(replay.getvalue())["files"]
+print(json.dumps({"statuses": [ran, replayed], "files": files, "spatial": "scipy.spatial" in sys.modules}))
+"""
+
+
+def test_energy_stochastic_test_runs_and_replays_without_scipy_spatial(tmp_path):
+    doc = load_json(FIXTURES / "stochastic_swap.json")
+    doc["test"]["method"] = "energy"
+    config = tmp_path / "stochastic_energy.json"
+    config.write_text(dumps_json(doc))
+    proc = subprocess.run(
+        [sys.executable, "-c", ENERGY_RUN_SCRIPT, str(config)],
+        cwd=tmp_path, env=with_src_path(dict(os.environ)), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["statuses"] == [0, 0]
+    assert [entry["file"] for entry in result["files"]] == ["report.json", "anchors.csv"]
+    assert {entry["match"] for entry in result["files"]} <= {"bitwise", "within-tolerance"}
+    assert result["spatial"] is False
+    assert load_json(tmp_path / "run" / "report.json")["summary"]["method"] == "energy"
+
+
 # ---------------------------------------------------------------------------
 # report shapes at the seams
 

@@ -31,6 +31,7 @@ from mechid.errors import (
     NonFiniteSampleError,
     OffManifoldError,
 )
+from mechid.dynamics import StochasticMechanism, _check_state
 from mechid.maps import AffineMap
 from mechid.rng import stream
 
@@ -106,6 +107,89 @@ def test_non_finite_state_is_named_apart_from_divergence():
         simulate(dec, [to_inf], np.full(2, 1e200), T=3)
     assert exc.value.step == 1
     assert exc.value.norm == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+
+
+def per_step_rollout(mechanisms, schedule, z1, T, seed=0):
+    """The rollout as one mechanism call and one state check per step: the reference."""
+    z = np.asarray(z1, dtype=float)
+    _check_state(z, 1)
+    latents = [z]
+    for t in range(1, T):
+        mech = mechanisms[schedule[t - 1]]
+        if isinstance(mech, StochasticMechanism):
+            z = mech.sample_next(z, stream(seed, t).random((1, mech.dim)))[0]
+        else:
+            z = mech(z)
+        _check_state(z, t + 1)
+        latents.append(z)
+    return np.array(latents)
+
+
+def outcome(run):
+    """(latents bytes, None) of a rollout, or (None, what it raised)."""
+    try:
+        return run().tobytes(), None
+    except (DivergedTrajectoryError, NonFiniteSampleError) as e:
+        return None, (type(e), str(e), getattr(e, "step", None), getattr(e, "norm", None))
+
+
+def test_long_rollout_is_the_per_step_rollout_bitwise():
+    gen = stream(906)
+    for d, k in ((2, 1), (3, 2), (5, 3)):
+        mechs = []
+        for _ in range(k):
+            M = random_invertible(gen, d, cond_cap=10.0)
+            mechs.append(AffineMechanism(0.99 * M / np.linalg.norm(M, 2), gen.standard_normal(d)))
+        schedule = gen.integers(0, k, 10**5 - 1).tolist()
+        z1 = gen.standard_normal(d)
+        traj = simulate(LinearDecoder(np.eye(d)), mechs, z1, T=10**5, schedule=schedule)
+        assert traj.latents.tobytes() == per_step_rollout(mechs, schedule, z1, 10**5).tobytes()
+
+
+def test_mixed_rollout_keeps_each_stochastic_step_stream():
+    mechs = [AffineMechanism([[0.9, 0.2], [-0.1, 0.8]], [0.3, -0.2]), walk()]
+    schedule = stream(907).integers(0, 2, 3000).tolist()
+    traj = simulate(LinearDecoder(np.eye(2)), mechs, np.ones(2), T=3001, schedule=schedule, seed=4)
+    assert traj.latents.tobytes() == per_step_rollout(mechs, schedule, np.ones(2), 3001, seed=4).tobytes()
+
+
+GROW = AffineMechanism(1.5 * np.eye(2), [1.0, -1.0])
+SHRINK = AffineMechanism(0.5 * np.eye(2), [0.1, 0.0])
+KEEP = AffineMechanism(np.eye(2), np.zeros(2))
+OVERFLOW = AffineMechanism(1e300 * np.eye(2), np.zeros(2))
+# from (1e10, 1e10) the first row is 1e310 - 1e310: inf - inf, NaN
+NAN = AffineMechanism([[1e300, -1e300], [1e300, 1e300]], np.zeros(2))
+HUGE = AffineMechanism(1e200 * np.eye(2), np.zeros(2))
+LAPLACE_WALK = additive_noise_mechanism(NoiseSpec("generalized-laplace", alpha=1.0, dim=2))
+
+
+@pytest.mark.parametrize(
+    "mechs, schedule, z1",
+    [
+        ([GROW], [0] * 200, [1.0, 1.0]),
+        # the bound is crossed deep into a long run, inside a block of steps
+        ([SHRINK, GROW], [0] * 70_000 + [1] * 200, [1.0, 1.0]),
+        ([KEEP, OVERFLOW], [0] * 5000 + [1] * 3, [1e10, 1e10]),
+        ([KEEP, NAN], [0] * 4099 + [1] * 3, [1e10, 1e10]),
+        # finite and past the bound before the step that overflows
+        ([HUGE], [0] * 5, [1e10, 1e10]),
+        ([NAN], [0] * 5, [1e10, 1e10]),
+        ([OVERFLOW], [0] * 5, [1e10, 1e10]),
+        # a stochastic step after a diverged affine one
+        ([GROW, LAPLACE_WALK], [0] * 100 + [1] * 100, [1.0, 1.0]),
+    ],
+    ids=["grow", "late-grow", "overflow", "nan", "huge", "nan-first", "overflow-first", "then-noise"],
+)
+def test_planted_failures_name_the_step_the_per_step_rollout_names(mechs, schedule, z1):
+    T = len(schedule) + 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the reference's overflow warnings
+        want = outcome(lambda: per_step_rollout(mechs, schedule, z1, T, seed=1))
+    assert want[0] is None  # each plant fails
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the rollout screens its states under errstate
+        got = outcome(lambda: simulate(LinearDecoder(np.eye(2)), mechs, z1, T=T, schedule=schedule, seed=1).latents)
+    assert got == want
 
 
 IDENTITY_MAPS = (ScalarMap("identity"),) * 2
@@ -365,3 +449,11 @@ def test_simulate_rejects_mismatched_initial_state():
             np.zeros(3),
             T=2,
         )
+
+
+def test_simulate_rejects_a_scheduled_mechanism_of_another_dimension_at_its_step():
+    mechs = [AffineMechanism(np.eye(2), np.ones(2)), AffineMechanism(np.eye(3), np.zeros(3))]
+    with pytest.raises(DimensionMismatchError, match="state has dimension 2, mechanism expects 3"):
+        simulate(LinearDecoder(np.eye(2)), mechs, np.zeros(2), T=3000, schedule=[0] * 2000 + [1] * 999)
+    # never scheduled, it is never called
+    assert simulate(LinearDecoder(np.eye(2)), mechs, np.zeros(2), T=3, schedule=[0, 0]).latents[-1].tolist() == [2, 2]

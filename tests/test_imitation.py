@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mechid import (
@@ -23,7 +23,7 @@ from mechid import (
     shared_equivariances,
 )
 from mechid.errors import BudgetExceededError, ToleranceAmbiguityError
-from mechid.equivariance import _data_scale, _intertwiner_family, _intertwiner_system
+from mechid.equivariance import _BLOCKED_COMMUTANT_SIZE, _data_scale, _intertwiner_family, _intertwiner_system
 from mechid.imitation import CLOSURE_TOL_FACTOR, _spectra_match
 from mechid.linalg import smallest_singular_gap
 from mechid.maps import AffineMap, compose, map_power
@@ -377,15 +377,17 @@ class Planted:
 
 
 @st.composite
-def planted_families(draw, eigenvalues=EIGENVALUES, pairs=(), rtols=(1e-9, 1e-6, 1e-3), cond_cap=20.0):
-    """Planted mechanisms at d <= 8 in real Jordan form, conjugated by S with cond(S) <= cond_cap.
+def planted_families(
+    draw, eigenvalues=EIGENVALUES, pairs=(), rtols=(1e-9, 1e-6, 1e-3), cond_cap=20.0, dims=(1, 8), used=(1, 2)
+):
+    """Planted mechanisms, `used` of them, at d in `dims` in real Jordan form, conjugated by S with cond(S) <= cond_cap.
 
     J has tied eigenvalues and Jordan blocks from `eigenvalues`, and
     complex-conjugate pairs a +- iw from `pairs` as rotation-scaling blocks,
     chained by identities into a real Jordan block of a pair; each
     eigencoordinate of an offset may be zero.
     """
-    d = draw(st.integers(1, 8))
+    d = draw(st.integers(*dims))
     gen = stream(draw(st.integers(0, 2**32 - 1)))
     S = random_invertible(gen, d, cond_cap=cond_cap)
 
@@ -411,7 +413,7 @@ def planted_families(draw, eigenvalues=EIGENVALUES, pairs=(), rtols=(1e-9, 1e-6,
     def offset():
         return gen.uniform(0.5, 1.5, d) * draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=d, max_size=d))
 
-    drawn = [real_jordan() for _ in range(draw(st.integers(1, 2)))]
+    drawn = [real_jordan() for _ in range(draw(st.integers(*used)))]
     mechanisms = [AffineMechanism(S @ J @ np.linalg.inv(S), S @ offset()) for J, _, _ in drawn]
     T = random_invertible(gen, d, cond_cap=cond_cap)
     split = AffineMechanism(T @ drawn[0][1] @ np.linalg.inv(T), T @ offset())
@@ -487,6 +489,25 @@ def exhaustive_closure(cls, rtol, scale, seed=0):
         if all(check_imitation(rep, cls.used[i], members[j], points, tol=tol) for i, j in enumerate(assignment)):
             kept[assignment] = family
     return kept, solved, all_clear
+
+
+@settings(max_examples=25, deadline=None)
+@given(planted_families(eigenvalues=SEPARATED, pairs=PAIRS, rtols=(1e-9,), cond_cap=50.0, dims=(8, 12), used=(1, 3)))
+def test_shared_family_in_row_blocks_agrees_with_closed_forms_and_one_stacked_svd(case):
+    # from d = 8 each mechanism's commutator rows are cut in four blocks, its offset rows last
+    d = case.mechanisms[0].dim
+    assert d * d >= _BLOCKED_COMMUTANT_SIZE
+    for m, blocks in zip(case.mechanisms, case.jordans):
+        assert linear_commutant(m).dimension == commutant_dimension(blocks)
+    rtol, used = case.rtol, tuple(case.mechanisms)
+    scale = _data_scale(np.stack([m.M for m in used]), np.stack([m.b for m in used]))
+    want, clear = stacked_family(used, used, rtol, scale)
+    assume(clear)
+    got = shared_equivariances(used, rtol).family
+    assert_same_family(got, want)
+    if len(used) == 1 and all(lam != 1.0 for lam, _ in case.jordans[0]):
+        # M - I is invertible, so p is a function of A and the family is the commutant
+        assert got.dimension == got.a_dimension == commutant_dimension(case.jordans[0])
 
 
 @settings(max_examples=40, deadline=None)

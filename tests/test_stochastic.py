@@ -4,8 +4,12 @@ Statistical assertions run on frozen seeds, so every rate below is a
 deterministic replay of a calibration experiment, not a flaky sample.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,7 @@ from mechid.errors import (
 from mechid.dynamics import StochasticMechanism
 from mechid.maps import AffineMap, FunctionBijection, identity_map
 from mechid.rng import stream
+from mechid.shipped import scipy_dir, scipy_extension
 from mechid.stochastic import (
     _ENERGY_BLOCK,
     _ENERGY_MAX_POINTS,
@@ -235,6 +240,58 @@ def test_energy_p_value_is_the_same_at_every_power_of_two_scale():
         scaled = two_sample_test(2.0**exponent * X, 2.0**exponent * Y, method="energy", seed=4, permutations=99)
         assert scaled.p_value == base.p_value, exponent
         assert np.isfinite(scaled.statistic) and scaled.statistic > 0.0, exponent
+
+
+# Each pool is built as two_sample_test builds it: the checked samples,
+# stacked and scaled by unit_scaled. Prints whether scipy.spatial was loaded
+# before the test imported it, then whether every matrix the kernel gave is
+# cdist's, bit for bit.
+KERNEL_SCRIPT = """
+import sys
+import numpy as np
+from mechid.linalg import unit_scaled
+from mechid.shipped import scipy_extension
+from mechid.stochastic import _samples
+if sys.argv[1] == "spatial-first":
+    from scipy.spatial.distance import cdist
+kernel = scipy_extension("spatial", "_distance_pybind").cdist_euclidean
+gen = np.random.default_rng(7)
+cases = [(gen.standard_normal(40), gen.standard_normal(30))]  # 1-D samples
+cases += [(gen.standard_normal((37, d)), gen.standard_normal((53, d)) + 0.3) for d in (1, 2, 3, 5)]
+cases += [(gen.standard_normal((1, 2)), gen.standard_normal((1, 2)))]
+cases += [(gen.standard_normal((512, 2)), gen.standard_normal((512, 2)) + 0.1)]  # the 1024-point cap
+cases += [(2.0**700 * gen.standard_normal((20, 3)), 2.0**700 * gen.standard_normal((20, 3)))]
+pools = [unit_scaled(np.vstack(_samples(X, Y)))[1] for X, Y in cases]
+pools.append(pools[2][:1])  # one point
+Ds = [kernel(pool, pool) for pool in pools]
+loaded = "scipy.spatial" in sys.modules
+from scipy.spatial.distance import cdist
+same = [
+    D.dtype == np.float64 and D.flags.c_contiguous and D.shape == (len(pool), len(pool))
+    and D.tobytes() == cdist(pool, pool).tobytes()
+    for D, pool in zip(Ds, pools)
+]
+print(loaded, same.count(True), len(same))
+"""
+
+
+@pytest.mark.parametrize("order", ["kernel-first", "spatial-first"])
+def test_distance_kernel_is_cdist_bitwise_in_either_import_order(order):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", KERNEL_SCRIPT, order], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    # loading the kernel alone leaves scipy.spatial unimported
+    assert proc.stdout.split() == [str(order == "spatial-first"), "9", "9"]
+
+
+def test_a_missing_scipy_extension_raises_naming_the_directory_and_module():
+    with pytest.raises(ImportError) as exc:
+        scipy_extension("spatial", "_no_such_kernel")
+    assert "scipy.spatial._no_such_kernel" in str(exc.value)
+    assert scipy_dir("spatial") in str(exc.value)
 
 
 @pytest.mark.parametrize("method", ["ks", "energy"])
