@@ -208,13 +208,14 @@ Z1_BOX = (Field("low", _number, -1.0), Field("high", _number, 1.0))
 
 
 def _z1(raw, path, ctx):
-    """A start state in the decoder's dimension, or a {low, high} box to draw it from."""
+    """A start state in the decoder's dimension, or a sampler g -> g.uniform(low, high, d) of a {low, high} box."""
+    d = ctx["decoder"].latent_dim
     if isinstance(raw, dict):
         box = _read(Z1_BOX, raw, path, ctx)
         if not box["high"] > box["low"]:
             raise ConfigError(path, "sampling box requires high > low")
-        return box["low"], box["high"]
-    z1, d = _vector(raw, path), ctx["decoder"].latent_dim
+        return lambda g: g.uniform(box["low"], box["high"], d)
+    z1 = _vector(raw, path)
     if z1.shape[0] != d:
         raise ConfigError(path, f"has dimension {z1.shape[0]}, decoder expects {d}")
     return z1
@@ -274,11 +275,12 @@ def _kind(kind: str, table, build=lambda g: g, **namespace):
 
 
 def _simulation(g) -> dict:
-    """Expand a "cycle" schedule and check it against steps and mechanisms."""
-    if g["schedule"] == "cycle":
-        g["schedule"] = tuple(t % len(g["mechanisms"]) for t in range(g["steps"] - 1))
+    """Resolve the schedule, "cycle" expanded, against steps and mechanisms: the array `simulate` takes."""
+    count, schedule = len(g["mechanisms"]), g["schedule"]
+    if schedule == "cycle":
+        schedule = np.arange(g["steps"] - 1) % count
     try:
-        _resolve_schedule(g["mechanisms"], g["schedule"], g["steps"])
+        g["schedule"] = _resolve_schedule(count, schedule, g["steps"])
     except ValueError as e:
         raise ConfigError("schedule", str(e)) from None
     return g

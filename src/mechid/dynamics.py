@@ -458,7 +458,9 @@ class Trajectory:
             )
         object.__setattr__(self, "latents", z)
         object.__setattr__(self, "observations", x)
-        object.__setattr__(self, "mechanisms", tuple(int(i) for i in self.mechanisms))
+        mechs = self.mechanisms  # a schedule array takes one tolist()
+        mechs = mechs.astype(np.int64).tolist() if isinstance(mechs, np.ndarray) else map(int, mechs)
+        object.__setattr__(self, "mechanisms", tuple(mechs))
 
     @property
     def steps(self) -> int:
@@ -548,17 +550,26 @@ def _affine_steps(affine: list, idx: list[int], latents: np.ndarray, t: int, sto
     return t + taken
 
 
-def _resolve_schedule(mechanisms: Sequence, schedule: Sequence[int] | None, T: int):
+def _resolve_schedule(count: int, schedule: Sequence[int] | None, T: int) -> np.ndarray:
+    """The mechanism index of each of the T - 1 steps, as one int64 array; None runs the one mechanism.
+
+    Too few steps, or an index out of range, raises ValueError; the message names the first bad index.
+    """
     if schedule is None:
-        if len(mechanisms) != 1:
+        if count != 1:
             raise ValueError("schedule is required when more than one mechanism is given")
-        schedule = [0] * (T - 1)
+        return np.zeros(T - 1, dtype=np.int64)
     if len(schedule) < T - 1:
         raise ValueError(f"schedule has {len(schedule)} steps, {T - 1} needed")
-    idx = [int(i) for i in schedule[: T - 1]]
-    for i in idx:
-        if not 0 <= i < len(mechanisms):
-            raise ValueError(f"schedule index {i} out of range for {len(mechanisms)} mechanisms")
+    steps = schedule[: T - 1]
+    try:
+        idx = np.asarray(steps, dtype=np.int64)
+        valid = bool(((idx >= 0) & (idx < count)).all())
+    except OverflowError:  # an index beyond int64
+        valid = False
+    if not valid:
+        i = next(i for i in map(int, steps) if not 0 <= i < count)
+        raise ValueError(f"schedule index {i} out of range for {count} mechanisms")
     return idx
 
 
@@ -572,8 +583,10 @@ def simulate(
 ) -> Trajectory:
     """Roll out z_{t+1} = m_t(z_t) for T states and decode each one.
 
-    A `StochasticMechanism` at step t draws from the stream keyed (seed, t)
-    and a callable z1(gen) from (seed, 0), so reruns with one seed are
+    z1 is the start state, or a sampler of it called with the stream
+    (seed, 0); a `StochasticMechanism` at step t >= 1 draws from (seed, t).
+    Other draws of a run take longer paths, so each step's noise is
+    independent of the start state, and reruns with one seed are
     bit-identical, independent of thread count. A non-finite state raises
     `NonFiniteSampleError` and a norm above DIVERGENCE_BOUND raises
     `DivergedTrajectoryError`, each naming the step. Runs of affine steps
@@ -583,7 +596,7 @@ def simulate(
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    idx = _resolve_schedule(mechanisms, schedule, T)
+    idx = _resolve_schedule(len(mechanisms), schedule, T)
     if callable(z1):
         z1 = z1(stream(seed, 0))
     z = np.asarray(z1, dtype=float).reshape(-1)
@@ -598,12 +611,13 @@ def simulate(
     affine = [
         (m.M.T, m.b) if isinstance(m, AffineMechanism) and m.dim == z.shape[0] else None for m in mechanisms
     ]
+    steps = idx.tolist()  # the step loop reads Python ints, which index faster than numpy scalars
     t = 1
     while t < T:
-        if affine[idx[t - 1]] is not None:
-            t = _affine_steps(affine, idx, latents, t, min(t + _SIMULATE_BLOCK, T))
+        if affine[steps[t - 1]] is not None:
+            t = _affine_steps(affine, steps, latents, t, min(t + _SIMULATE_BLOCK, T))
             continue
-        mech, z = mechanisms[idx[t - 1]], latents[t - 1].copy()
+        mech, z = mechanisms[steps[t - 1]], latents[t - 1].copy()
         if isinstance(mech, StochasticMechanism):
             U = stream(seed, t).random((1, mech.dim))
             z = mech.sample_next(z, U)[0]

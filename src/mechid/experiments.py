@@ -36,7 +36,6 @@ from .equivariance import (
 )
 from .imitation import MechanismClass, cycle_analysis, imitator_closure
 from .recovery import RecoveryProblem, compare_up_to_class, recover_linear_encoder
-from .rng import stream
 from .stochastic import signed_perm_offset_test, stochastic_equivariance_test
 from .verify import membership_equivalence_audit
 
@@ -92,15 +91,8 @@ def _check_expectations(summary: dict, expect: dict):
 # runners
 
 
-def _simulate_trajectory(cfg: SimulateConfig, seed: int) -> Trajectory:
-    z1 = cfg.z1
-    if isinstance(z1, tuple):
-        z1 = stream(seed, 9901).uniform(*z1, cfg.decoder.latent_dim)
-    return simulate(cfg.decoder, cfg.mechanisms, z1, cfg.steps, schedule=cfg.schedule, seed=seed)
-
-
 def _run_simulate(cfg: SimulateConfig, seed: int, threads: int):
-    traj = _simulate_trajectory(cfg, seed)
+    traj = simulate(cfg.decoder, cfg.mechanisms, cfg.z1, cfg.steps, schedule=cfg.schedule, seed=seed)
     summary = {
         "steps": traj.steps,
         "latent_dim": traj.latents.shape[1],
@@ -108,9 +100,7 @@ def _run_simulate(cfg: SimulateConfig, seed: int, threads: int):
         "stochastic": cfg.stochastic,
         "final_norm": float(np.linalg.norm(traj.latents[-1])),
     }
-    report = dict(summary)
-    report["z1"] = traj.latents[0]
-    report["schedule"] = list(traj.mechanisms)
+    report = {**summary, "z1": traj.latents[0], "schedule": list(traj.mechanisms)}
     return ExperimentOutcome(
         kind=cfg.kind,
         verdict=True,
@@ -240,7 +230,8 @@ def _run_recover(cfg: RecoverConfig, seed: int, threads: int):
     if cfg.trajectory_csv is not None:
         traj = Trajectory.from_csv(cfg.trajectory_csv)
     else:
-        traj = _simulate_trajectory(cfg.simulate, seed)
+        sim = cfg.simulate
+        traj = simulate(sim.decoder, sim.mechanisms, sim.z1, sim.steps, schedule=sim.schedule, seed=seed)
     problem = RecoveryProblem.from_trajectory(traj, cfg.mechanisms, rtol=cfg.rtol)
     result = recover_linear_encoder(problem, rtol=cfg.rtol, seed=seed)
     summary = {

@@ -107,8 +107,11 @@ class RecoveryProblem:
         """Consecutive observation pairs with each step's (M, b_t)."""
         if not trajectory.mechanisms:
             raise ValueError("trajectory has no transitions")
-        schedule = _resolve_schedule(mechanisms, trajectory.mechanisms, trajectory.steps)
-        used = list(dict.fromkeys(schedule))  # in order of first use, so schedule[0] sets M
+        schedule = _resolve_schedule(len(mechanisms), trajectory.mechanisms, trajectory.steps)
+        # the scheduled mechanisms in order of first use, so schedule[0] sets M
+        first = np.full(len(mechanisms), schedule.size)
+        np.minimum.at(first, schedule, np.arange(schedule.size))
+        used = np.argsort(first)[: np.count_nonzero(first < schedule.size)].tolist()
         i = _unshared_M([mechanisms[j] for j in used], rtol)
         if i is not None:
             raise ValueError(
@@ -189,7 +192,7 @@ def recover_linear_encoder(
     if dim > 0 and relative_rank(W, rtol) < d:
         # the minimum-norm point may be rank-deficient even when the solution
         # set contains a left-invertible encoder; look for one
-        gen = stream(seed, 9203)
+        gen = stream(seed, 9203, 0)  # two integers: a simulation's steps take (seed, t)
         for _ in range(20):
             cand = W + np.tensordot(gen.standard_normal(dim), basis.reshape(dim, d, r), axes=1)
             if relative_rank(cand, rtol) == d:

@@ -5,6 +5,9 @@ Every stochastic quantity in the package draws from a stream keyed by
 (step index, anchor index, side, trial, ...). Streams with different paths are
 independent and reproducible regardless of evaluation order or thread count,
 so parallel runs are bit-identical to serial ones.
+
+A simulation reserves the one-integer paths, (seed, t) with t >= 1 for step t
+and (seed, 0) for its start state; consumers that share its runs take longer ones.
 """
 
 from __future__ import annotations

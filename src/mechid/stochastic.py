@@ -226,37 +226,28 @@ def _ks_h_values(X: np.ndarray, Y: np.ndarray) -> list[int]:
     return hs
 
 
-def _ks_p_values(n: int, hs: list[int]) -> list[float]:
-    """The two-sided KS p-value of each h in `hs`, as `ks_2samp(method="auto")`
-    gives it for two samples of n <= _KS_EXACT_MAX_N points, bit for bit.
+def _ks_results(n: int, hs: list[list[int]]) -> list[TwoSampleResult]:
+    """The KS result of each list of per-column h values of two samples of n <= _KS_EXACT_MAX_N points.
 
-    That is 1 at h = 0, else the exact value, or `kstwo.sf(h/n, round(n/2))`
-    when the exact value falls outside [0, 1] (scipy's fallback, taken here
-    without its RuntimeWarning), clipped to [0, 1]. Every exact value comes
-    from one `_ks_prob_outside_square` pass.
+    Each statistic is h/n, and each p-value the two-sided one
+    `ks_2samp(method="auto")` gives, bit for bit: 1 at h = 0, else the exact
+    value, or `kstwo.sf(h/n, round(n/2))` when the exact value falls outside
+    [0, 1] (scipy's fallback, taken here without its RuntimeWarning),
+    clipped to [0, 1]. Every exact value comes from one
+    `_ks_prob_outside_square` pass.
     """
-    exact = np.asarray(hs, dtype=np.int64)
-    probs = np.ones(exact.shape)
-    probs[exact > 0] = _ks_prob_outside_square(n, exact[exact > 0])
+    flat = np.array([h for row in hs for h in row], dtype=np.int64)
+    probs = np.ones(flat.shape)
+    probs[flat > 0] = _ks_prob_outside_square(n, flat[flat > 0])
     pvals = []
-    for h, p in zip(hs, probs.tolist()):
+    for h, p in zip(flat.tolist(), probs.tolist()):
         if not 0 <= p <= 1:
             from scipy.stats import kstwo
 
             p = kstwo.sf(h / n, np.round(n / 2))
         pvals.append(float(np.clip(p, 0, 1)))
-    return pvals
-
-
-def _ks_equal_size(X: np.ndarray, Y: np.ndarray) -> tuple[list[float], list[float]]:
-    """Per-column two-sided KS p-values and statistics h/n of two (n, d) samples.
-
-    For 0 < n <= _KS_EXACT_MAX_N both equal `ks_2samp(method="auto")` bit
-    for bit (`_ks_h_values`, `_ks_p_values`).
-    """
-    n = X.shape[0]
-    hs = _ks_h_values(X, Y)
-    return _ks_p_values(n, hs), [h / n for h in hs]
+    pvals = iter(pvals)
+    return [_ks_result([next(pvals) for _ in row], [h / n for h in row]) for row in hs]
 
 
 def _ks_result(pvals: list[float], stats: list[float]) -> TwoSampleResult:
@@ -330,7 +321,7 @@ def two_sample_test(
     X, Y = _samples(X, Y)
     if method == "ks":
         if X.shape[0] == Y.shape[0] <= _KS_EXACT_MAX_N:
-            return _ks_result(*_ks_equal_size(X, Y))
+            return _ks_results(X.shape[0], [_ks_h_values(X, Y)])[0]
         from scipy.stats import ks_2samp
 
         results = [ks_2samp(X[:, i], Y[:, i]) for i in range(X.shape[1])]
@@ -402,16 +393,17 @@ def stochastic_equivariance_test(
     pool without changing any number. Each anchor's result is the one
     `two_sample_test` gives on its two samples, bit for bit. On the exact KS
     path (equal samples of up to 10^4 points) an anchor keeps only the
-    integer h = n·D of each coordinate, and one `_ks_prob_outside_square`
-    pass then gives the exact p-values of every anchor and coordinate; the
-    pass computes each of them by the same operations as one call per h. The
-    verdict passes when every anchor's p-value clears the Bonferroni-corrected
-    level significance / #anchors.
+    integer h = n·D of each coordinate, and one `_ks_results` pass then
+    gives the exact p-values of every anchor and coordinate, each by the same
+    operations as one call per h. An `a` that does not return one point per
+    row raises `DimensionMismatchError` naming the anchor. The verdict passes
+    when every anchor's p-value clears the level significance / #anchors.
     """
     anchors = spec.anchor_points()
     if m1.dim != spec.dim or m2.dim != spec.dim:
         raise DimensionMismatchError("mechanism dimensions do not match the test spec")
     n = spec.samples_per_anchor
+    exact_ks = spec.method == "ks" and n <= _KS_EXACT_MAX_N  # every anchor draws n points a side
 
     def one_anchor(item) -> TwoSampleResult | list[int]:
         i, z = item
@@ -420,12 +412,12 @@ def stochastic_equivariance_test(
         az = np.asarray(a(z[None, :]), dtype=float)[0]
         U2 = stream(spec.seed, i, 1).random((n, spec.dim))
         Y = np.asarray(m2.sample_next(az, U2), dtype=float)
+        if X.shape != Y.shape:
+            raise DimensionMismatchError(f"anchor {i}: a(samples) has shape {X.shape}, expected {Y.shape}")
         if not (np.isfinite(X).all() and np.isfinite(Y).all()):
             raise NonFiniteSampleError(f"anchor {i}")
-        if spec.method == "ks":
-            X, Y = _samples(X, Y)
-            if X.shape[0] == Y.shape[0] <= _KS_EXACT_MAX_N:
-                return _ks_h_values(X, Y)  # the p-values come from one pass below
+        if exact_ks:
+            return _ks_h_values(X, Y)  # the p-values come from one pass below
         return two_sample_test(
             X, Y, method=spec.method, seed=spec.seed + 7919 * (i + 1), permutations=spec.permutations
         )
@@ -436,19 +428,13 @@ def stochastic_equivariance_test(
             outcomes = list(pool.map(one_anchor, items))
     else:
         outcomes = [one_anchor(it) for it in items]
-    pvals = iter(_ks_p_values(n, [h for o in outcomes if isinstance(o, list) for h in o]))
-    results = [
-        AnchorResult(
-            anchor=tuple(float(v) for v in z),
-            result=_ks_result([next(pvals) for _ in o], [h / n for h in o]) if isinstance(o, list) else o,
-        )
-        for (_, z), o in zip(items, outcomes)
-    ]
+    if exact_ks:
+        outcomes = _ks_results(n, outcomes)
+    results = [AnchorResult(anchor=tuple(float(v) for v in z), result=o) for (_, z), o in zip(items, outcomes)]
     level = spec.significance / len(results)
-    passed = all(r.result.p_value >= level for r in results)
     return TestReport(
         anchors=tuple(results),
-        passed=passed,
+        passed=all(r.result.p_value >= level for r in results),
         significance=spec.significance,
         method=spec.method,
         samples_per_anchor=n,

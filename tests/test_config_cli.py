@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass, make_dataclass, replace
 from dataclasses import field as dataclass_field
 from pathlib import Path
@@ -492,6 +493,56 @@ def test_seed_changes_sampled_initial_condition(tmp_path, monkeypatch):
     run_cli("simulate", cfg, "--output-dir", a, "--seed", 10)
     run_cli("simulate", cfg, "--output-dir", b, "--seed", 11)
     assert (a / "trajectory.csv").read_bytes() != (b / "trajectory.csv").read_bytes()
+
+
+def requested_paths(monkeypatch, run) -> list[tuple]:
+    """Every (seed, *path) that `run()` asks of `stream`, wrapped where each mechid module looks it up."""
+    import mechid.rng
+
+    real, paths = mechid.rng.stream, []
+
+    def recording(seed, *path):
+        paths.append((int(seed), *map(int, path)))
+        return real(seed, *path)
+
+    with monkeypatch.context() as patch:
+        for name, module in list(sys.modules.items()):
+            if (name == "mechid" or name.startswith("mechid.")) and getattr(module, "stream", None) is real:
+                patch.setattr(module, "stream", recording)
+        run()
+    return paths
+
+
+def test_no_stream_path_is_requested_twice_in_one_run(tmp_path, monkeypatch):
+    # a start box drawn from a step's stream makes that step's noise equal the start state
+    monkeypatch.delenv("MECHID_SEED", raising=False)
+    walk = {"noise": {"family": "uniform", "scale": 1.0}}
+    sim = {"experiment": "simulate", "decoder": {"G": np.eye(2).tolist()}, "mechanisms": [walk], "steps": 9903}
+    (tmp_path / "sim.json").write_text(dumps_json(sim))
+    sim_paths = requested_paths(
+        monkeypatch, lambda: run_cli("simulate", tmp_path / "sim.json", "--seed", 3, "--output-dir", tmp_path / "s")
+    )
+
+    # a walk whose noise lies under the rank cut: the encoder keeps the two free
+    # directions of diag(0.5, 0.8)'s commutant, its minimum-norm point is 0, and
+    # the refinement draws
+    M = np.diag([0.5, 0.8]).tolist()
+    tiny_walk = {"noise": {"family": "uniform", "scale": 1e-30}, "M": M}
+    rec = {
+        "experiment": "recover",
+        "mechanisms": [{"M": M}],
+        "simulate": {"decoder": {"G": [[2.0, 0.0], [1.0, 1.0]]}, "mechanisms": [tiny_walk], "steps": 9204},
+    }
+    (tmp_path / "rec.json").write_text(dumps_json(rec))
+    rec_paths = requested_paths(
+        monkeypatch, lambda: run_cli("recover", tmp_path / "rec.json", "--seed", 3, "--output-dir", tmp_path / "r")
+    )
+    assert read_json(tmp_path / "r" / "report.json")["summary"]["solution_space_dim"] == 2
+    for paths in (sim_paths, rec_paths):
+        twice = sorted(p for p, count in Counter(paths).items() if count > 1)
+        assert not twice, f"stream paths requested more than once: {twice}"
+    assert sorted(sim_paths) == [(3, t) for t in range(9903)]  # the start box, then each step
+    assert set(rec_paths) > {(3, t) for t in range(9204)}  # the refinement drew too
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from mechid.errors import (
     NonFiniteSampleError,
     OffManifoldError,
 )
-from mechid.dynamics import StochasticMechanism, _check_state
+from mechid.dynamics import StochasticMechanism, _check_state, _resolve_schedule
 from mechid.maps import AffineMap
 from mechid.rng import stream
 
@@ -151,6 +151,61 @@ def test_mixed_rollout_keeps_each_stochastic_step_stream():
     schedule = stream(907).integers(0, 2, 3000).tolist()
     traj = simulate(LinearDecoder(np.eye(2)), mechs, np.ones(2), T=3001, schedule=schedule, seed=4)
     assert traj.latents.tobytes() == per_step_rollout(mechs, schedule, np.ones(2), 3001, seed=4).tobytes()
+
+
+def per_step_schedule(count, schedule, T):
+    """The schedule as one `int` and one range check per step: the reference."""
+    if schedule is None:
+        if count != 1:
+            raise ValueError("schedule is required when more than one mechanism is given")
+        schedule = [0] * (T - 1)
+    if len(schedule) < T - 1:
+        raise ValueError(f"schedule has {len(schedule)} steps, {T - 1} needed")
+    idx = [int(i) for i in schedule[: T - 1]]
+    for i in idx:
+        if not 0 <= i < count:
+            raise ValueError(f"schedule index {i} out of range for {count} mechanisms")
+    return idx
+
+
+@pytest.mark.parametrize(
+    "count, schedule, T",
+    [
+        (1, None, 1),
+        (1, None, 6),
+        (2, None, 6),
+        (3, (0, 2, 1, 1, 0), 6),
+        (3, [0, 2, 1, 1, 0, 2, 2], 6),  # steps past T - 1 are not read, nor checked
+        (3, (0, 2, 1, 1, 0, 7), 6),
+        (3, np.array([2, 0, 1, 0, 1]), 6),
+        (3, np.array([2, 0, 1], dtype=np.int32), 4),
+        (3, np.array([2.0, 0.5, 1.9]), 4),  # truncated, as int() truncates
+        (3, (), 1),
+        (3, (0, 1), 4),
+        (3, np.arange(5), 7),
+        (3, (0, 1, 3, -1), 5),
+        (3, (0, 1, -1, 3), 5),
+        (3, np.array([0, -2, 5]), 4),
+        (3, (0, 2**70, -1), 4),  # past int64
+        (3, (0, 1, 2) * 1000 + (3,), 3002),
+    ],
+)
+def test_resolve_schedule_gives_the_per_step_values_and_messages(count, schedule, T):
+    try:
+        want = np.array(per_step_schedule(count, schedule, T), dtype=np.int64)
+    except ValueError as e:
+        with pytest.raises(ValueError) as exc:
+            _resolve_schedule(count, schedule, T)
+        assert str(exc.value) == str(e)
+    else:
+        got = _resolve_schedule(count, schedule, T)
+        assert got.dtype == np.int64 and got.shape == (T - 1,)
+        assert np.array_equal(got, want)
+
+
+def test_trajectory_keeps_a_schedule_array_as_a_tuple_of_ints():
+    traj = Trajectory(latents=np.zeros((4, 1)), observations=np.zeros((4, 1)), mechanisms=np.array([2, 0, 1]))
+    assert traj.mechanisms == (2, 0, 1) and all(type(i) is int for i in traj.mechanisms)
 
 
 GROW = AffineMechanism(1.5 * np.eye(2), [1.0, -1.0])

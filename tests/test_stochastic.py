@@ -41,7 +41,7 @@ from mechid.stochastic import (
     _ENERGY_BLOCK,
     _ENERGY_MAX_POINTS,
     _KS_CHUNK_CELLS,
-    _ks_equal_size,
+    _ks_h_values,
     _ks_prob_outside_square,
 )
 
@@ -395,7 +395,7 @@ def test_ks_is_bitwise_equal_to_per_column_ks_2samp(kind, n, m):
     assert bits(res.coordinate_p_values) == bits(pvals)
     assert bits([res.statistic]) == bits([max(stats)])
     if m is None and n <= 10_000:
-        assert bits(_ks_equal_size(X, Y)[1]) == bits(stats)
+        assert bits([h / n for h in _ks_h_values(X, Y)]) == bits(stats)
     gen = stream(315, n)
     for shuffled in ((X[gen.permutation(len(X))], Y), (X, Y[gen.permutation(len(Y))])):
         again = two_sample_test(*shuffled, method="ks")
@@ -406,10 +406,10 @@ def test_ks_is_bitwise_equal_to_per_column_ks_2samp(kind, n, m):
 def test_ks_cases_reach_every_branch():
     # the parametrized cases above cover h = 0, scipy's fallback and h = n
     assert ks_reference(*ks_case("identical", 400))[0] == [1.0, 1.0]
-    assert _ks_equal_size(*ks_case("equal", 50))[1] == [0.0, 0.0]
+    assert _ks_h_values(*ks_case("equal", 50)) == [0, 0]
     assert not 0 <= _ks_prob_outside_square(109, 1) <= 1
-    assert round(_ks_equal_size(*ks_case("one_step", 109))[1][0] * 109) == 1
-    assert _ks_equal_size(*ks_case("separated", 3000))[1] == [1.0, 1.0]
+    assert _ks_h_values(*ks_case("one_step", 109))[0] == 1
+    assert _ks_h_values(*ks_case("separated", 3000)) == [3000, 3000]
 
 
 def test_ks_random_cases_are_bitwise_equal_to_ks_2samp():
@@ -418,10 +418,10 @@ def test_ks_random_cases_are_bitwise_equal_to_ks_2samp():
         n = int(gen.integers(100, 2001))
         X = np.round(gen.standard_normal((n, 2)), int(gen.integers(1, 4)))
         Y = np.round(gen.standard_normal((n, 2)) * gen.uniform(0.8, 1.2) + gen.uniform(-0.2, 0.2), 2)
-        pvals, stats = _ks_equal_size(X, Y)
+        hs = _ks_h_values(X, Y)
         ref_p, ref_s = ks_reference(X, Y)
-        assert bits(pvals) == bits(ref_p)
-        assert bits(stats) == bits(ref_s)
+        assert bits(two_sample_test(X, Y, method="ks").coordinate_p_values) == bits(ref_p)
+        assert bits([h / n for h in hs]) == bits(ref_s)
 
 
 def per_h_reference(n, h):
@@ -586,6 +586,17 @@ def test_battery_is_bitwise_two_sample_test_at_each_anchor(n, dim, workers):
     if n in (109, 3000, 10_000):  # the exact value at h leaves [0, 1]
         assert not 0 <= per_h_reference(n, h) <= 1
     assert report.passed == all(r.result.p_value >= 0.05 / len(anchors) for r in report.anchors)
+
+
+@pytest.mark.parametrize("method", ["ks", "energy"])
+def test_a_map_that_does_not_return_one_point_per_row_raises_naming_the_anchor(method):
+    def doubled(z):  # twice the rows: a silent unequal-size test once took these samples
+        return np.vstack([z, z]) if len(z) > 1 else z
+
+    anchors = np.array([[0.0, 0.5], [1.0, -1.0]])
+    spec = DistributionalTestSpec(dim=2, samples_per_anchor=200, anchors=anchors, method=method, permutations=20)
+    with pytest.raises(DimensionMismatchError, match=r"anchor 0: .* shape \(400, 2\), expected \(200, 2\)"):
+        stochastic_equivariance_test(doubled, laplace_walk(), laplace_walk(), spec)
 
 
 def test_worker_count_does_not_change_report():
