@@ -26,8 +26,10 @@ fixture shipped in the change, with the checkout as working directory, its
 ``src`` as the only PYTHONPATH entry and BLAS pinned to one thread as
 bench/run.py pins it. Pair k of every fixture comes after pair k of the
 workloads, in the same order. Per fixture the output keeps every pair's
-wall seconds and exit status, each side's least and median seconds and the
-pairs the change won; a pair whose sides exit differently is an error.
+wall seconds, peak RSS and exit status, each side's least and median seconds
+and median peak RSS, and the pairs the change won on seconds; a pair whose
+sides exit differently is an error. The peak RSS is the fixture process's
+own ``ru_maxrss`` as ``os.wait4`` returns it, in MiB.
 
 Every run of either side, fixtures included, gets the same fixed glibc
 allocator thresholds, ``ALLOCATOR_ENV``, and the record keeps them with each
@@ -135,26 +137,32 @@ def fixture_kinds(checkout: Path) -> dict[str, str]:
     return {p.stem: json.loads(p.read_text())["experiment"] for p in paths}
 
 
-def run_fixture(checkout: Path, kind: str, name: str, allocator: dict) -> tuple[float, int]:
-    """Wall seconds and exit status of one fresh ``mechid <kind> fixtures/<name>.json``."""
+def run_fixture(checkout: Path, kind: str, name: str, allocator: dict) -> tuple[float, float, int]:
+    """Wall seconds, peak RSS in MiB and exit status of one fresh ``mechid <kind> fixtures/<name>.json``."""
     env = {k: v for k, v in os.environ.items() if k != "MECHID_SEED" and k not in ALLOCATOR_ENV}
     env.update(PINNED_ENV, **allocator, PYTHONPATH=str(checkout / "src"))
-    with tempfile.TemporaryDirectory() as out:
+    with tempfile.TemporaryDirectory() as out, tempfile.TemporaryFile() as err:
         argv = [sys.executable, "-m", "mechid.cli", kind, f"fixtures/{name}.json"]
         argv += ["--threads", "1", "--output-dir", out]
         t = time.perf_counter()
-        proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
+        proc = subprocess.Popen(argv, cwd=checkout, env=env, stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)  # reaps the child with its own resource usage
         seconds = time.perf_counter() - t
-    if proc.returncode not in (0, 1, 2) or "Traceback" in proc.stderr:
-        raise RunError(
-            f"{checkout}: mechid {kind} fixtures/{name}.json exited {proc.returncode}\n{proc.stderr[-2000:]}"
-        )
-    return seconds, proc.returncode
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        stderr = err.read().decode(errors="replace")
+    if proc.returncode not in (0, 1, 2) or "Traceback" in stderr:
+        raise RunError(f"{checkout}: mechid {kind} fixtures/{name}.json exited {proc.returncode}\n{stderr[-2000:]}")
+    return seconds, usage.ru_maxrss / 1024, proc.returncode  # Linux counts ru_maxrss in KiB
 
 
 def summarize_fixture(pairs: list[dict]) -> dict:
     out = {
-        side: {"min_s": min(p[side] for p in pairs), "median_s": statistics.median(p[side] for p in pairs)}
+        side: {
+            "min_s": min(p[side] for p in pairs),
+            "median_s": statistics.median(p[side] for p in pairs),
+            "median_peak_rss_mb": statistics.median(p["peak_rss_mb"][side] for p in pairs),
+        }
         for side in ("parent", "change")
     }
     out["change_better_pairs"] = sum(p["change"] < p["parent"] for p in pairs)
@@ -297,15 +305,23 @@ def main(argv=None) -> int:
                 if k >= args.fixtures:
                     break
                 timed = {side: run_fixture(sides[side], entry["kind"], name, allocator) for side in order}
-                (parent_s, status), (change_s, change_status) = timed["parent"], timed["change"]
+                (parent_s, parent_mb, status), (change_s, change_mb, change_status) = (
+                    timed["parent"], timed["change"]
+                )
                 if status != change_status:
                     raise RunError(
                         f"fixtures/{name}.json exits {status} at the parent, {change_status} changed"
                     )
-                pair = {"first": order[0], "parent": parent_s, "change": change_s, "exit_status": status}
+                pair = {
+                    "first": order[0], "parent": parent_s, "change": change_s, "exit_status": status,
+                    "peak_rss_mb": {"parent": parent_mb, "change": change_mb},
+                }
                 entry["pairs"].append(pair)
                 entry["summary"] = summarize_fixture(entry["pairs"])
-                print(f"{name}: {pair['parent']:.3f} s -> {pair['change']:.3f} s", flush=True)
+                print(
+                    f"{name}: {parent_s:.3f} s -> {change_s:.3f} s, {parent_mb:.2f} -> {change_mb:.2f} MiB",
+                    flush=True,
+                )
                 write()
         for workload in args.trace:
             traced = {"seed": args.seeds[0]}

@@ -6,17 +6,18 @@ which models are observationally indistinguishable, recovers linear
 encoders where those sets are trivial, and tests the stochastic analogue
 of equivariance in distribution.
 
-scipy is imported inside the functions that call it, so `import mechid`
-loads numpy alone and a run pays for a scipy module only when it uses one.
-Evaluation grids are built in numpy from the Sobol direction numbers scipy
-ships as data, the energy test loads only the compiled distance kernel that
-`cdist` calls, and signed-permutation comparisons match rows with an
-assignment solver of their own, so no shipped fixture loads `scipy.stats`,
-`scipy.special`, `scipy.optimize` or `scipy.spatial`, no kind ever loads
-`scipy.spatial`, and `recover` loads no scipy module at all. What still
-loads one: Gaussian and generalized-Laplace noise with alpha other than 1
-(`scipy.special`), and the KS test on samples of unequal size or over 10^4
-points (`scipy.stats`).
+scipy is imported inside the functions that call it, and the thread pool
+inside the branch that builds one, so `import mechid` loads numpy alone and
+a run pays for a scipy module only when it uses one. Evaluation grids are
+built in numpy from the rows of scipy's Sobol direction-number table that
+they need, found without running any scipy code; the energy test loads only
+the compiled distance kernel that `cdist` calls; and signed-permutation
+comparisons match rows with an assignment solver of their own. So no
+shipped fixture loads any scipy module, no kind ever loads `scipy.spatial`,
+and `recover` loads no scipy module at all. What still loads one: the energy
+test (scipy's top-level `__init__`), Gaussian and generalized-Laplace noise
+with alpha other than 1 (`scipy.special`), and the KS test on samples of
+unequal size or over 10^4 points (`scipy.stats`).
 """
 
 __version__ = "0.10.0"

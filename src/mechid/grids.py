@@ -5,11 +5,12 @@ box. Unscrambled Sobol points are used so a grid is a pure function of its
 spec; no seed is involved.
 
 The points are built here in numpy, bit for bit those of scipy's
-`qmc.Sobol(d, scramble=False)`, without importing `scipy.stats`: the
-Joe–Kuo direction numbers (Joe & Kuo, "Constructing Sobol sequences with
-better two-dimensional projections", SIAM J. Sci. Comput. 2008) are read
-from the table scipy ships, and each point is an XOR of 30-bit integers
-scaled by 2^-30, which is exact.
+`qmc.Sobol(d, scramble=False)`, without importing scipy: the Joe–Kuo
+direction numbers (Joe & Kuo, "Constructing Sobol sequences with better
+two-dimensional projections", SIAM J. Sci. Comput. 2008) are streamed from
+the table scipy ships, of which a grid of dimension d reads only the rows
+of its d dimensions, and each point is an XOR of 30-bit integers scaled by
+2^-30, which is exact.
 """
 
 from __future__ import annotations
@@ -17,25 +18,96 @@ from __future__ import annotations
 import functools
 import math
 import os
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib import format as npy
 
 from .shipped import scipy_dir
 
 __all__ = ["GridSpec"]
 
 _BITS = 30  # scipy's default: a coordinate is an integer below 2^30, times 2^-30
+_CHUNK = 1 << 14  # bytes per read while skipping the table's unused rows: small buffers per read
 
 
-@functools.cache
-def _direction_numbers() -> tuple[np.ndarray, np.ndarray]:
-    """scipy's table: a primitive polynomial and initial direction numbers per dimension.
+def _table() -> str:
+    """The path of scipy's Joe–Kuo table, found without importing scipy."""
+    return os.path.join(scipy_dir("stats"), "_sobol_direction_numbers.npz")
 
-    Read from scipy's files without importing `scipy.stats`.
+
+def _int64_member(archive: zipfile.ZipFile, path: str, name: str, ndim: int):
+    """Member `name` of the .npz `archive`, opened at its data: (stream, shape, fortran order, dtype).
+
+    Raises ValueError naming `path` and the member when it is missing or is
+    not an `ndim`-D int64 array (of either byte order).
     """
-    with np.load(os.path.join(scipy_dir("stats"), "_sobol_direction_numbers.npz")) as table:
-        return table["poly"], table["vinit"]
+    try:
+        stream = archive.open(f"{name}.npy")
+    except KeyError:
+        raise ValueError(f"{path}: no member '{name}'") from None
+    try:
+        version = npy.read_magic(stream)
+        header = npy.read_array_header_1_0 if version == (1, 0) else npy.read_array_header_2_0
+        shape, fortran, dtype = header(stream)
+    except ValueError as e:
+        stream.close()
+        raise ValueError(f"{path}: member '{name}' is not a .npy array: {e}") from None
+    if len(shape) != ndim or dtype.newbyteorder("=") != np.int64:
+        stream.close()
+        raise ValueError(f"{path}: member '{name}' is a {len(shape)}-D {dtype} array, expected {ndim}-D int64")
+    return stream, shape, fortran, dtype
+
+
+def _read(stream, count: int, dtype: np.dtype, where: str) -> np.ndarray:
+    """The next `count` values of `stream` as native int64; `where` names the member in errors."""
+    data = stream.read(count * dtype.itemsize)
+    if len(data) < count * dtype.itemsize:
+        raise ValueError(f"{where} ends before its header's shape")
+    return np.frombuffer(data, dtype).astype(np.int64)
+
+
+def _skip(stream, count: int, dtype: np.dtype, where: str) -> None:
+    """Read past the next `count` values of `stream`, at most _CHUNK bytes at a time."""
+    left = count * dtype.itemsize
+    while left:
+        got = len(stream.read(min(left, _CHUNK)))
+        if not got:
+            raise ValueError(f"{where} ends before its header's shape")
+        left -= got
+
+
+def _direction_numbers(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's primitive polynomials and initial direction numbers of dimensions 0..dim-1.
+
+    `poly` is (dim,) and `vinit` is (dim, s), s the largest polynomial
+    degree among them (dimension 0 needs none). Both are streamed from the
+    table, read in either C or Fortran order: of `vinit` only the leading
+    dim rows of its first s columns are kept, so memory grows with the
+    grid, not with the table's 21201 x 18 values.
+    """
+    path = _table()
+    with zipfile.ZipFile(path) as archive:
+        stream, (n,), _, dtype = _int64_member(archive, path, "poly", 1)
+        with stream:
+            if dim > n:
+                raise ValueError(f"Maximum supported dimensionality is {n}.")
+            poly = _read(stream, dim, dtype, f"{path}: member 'poly'")
+        s = int(np.frexp(poly[1:])[1].max()) - 1 if dim > 1 else 0  # bit length minus one
+        stream, (rows, cols), fortran, dtype = _int64_member(archive, path, "vinit", 2)
+        where = f"{path}: member 'vinit'"
+        with stream:
+            if rows != n or cols < s:
+                raise ValueError(f"{where} is {rows} x {cols}, expected {n} rows and at least {s} columns")
+            if not fortran:  # row by row: the leading dim rows whole
+                return poly, _read(stream, dim * cols, dtype, where).reshape(dim, cols)[:, :s]
+            vinit = np.empty((dim, s), dtype=np.int64)
+            for j in range(s):  # column by column: each one's leading dim rows
+                if j:
+                    _skip(stream, n - dim, dtype, where)
+                vinit[:, j] = _read(stream, dim, dtype, where)
+            return poly, vinit
 
 
 @functools.cache
@@ -47,12 +119,10 @@ def _direction_integers(dim: int) -> np.ndarray:
     is van der Corput's sequence. The direction of bit j is then shifted to
     bit 29 - j.
     """
-    poly, vinit = _direction_numbers()
-    if dim > len(poly):
-        raise ValueError(f"Maximum supported dimensionality is {len(poly)}.")
+    poly, vinit = _direction_numbers(dim)
     v = np.ones((_BITS, dim), dtype=np.int64)
-    degree = np.frexp(poly[:dim])[1] - 1  # bit length minus one
-    for s in np.unique(degree[1:]).tolist():  # every dimension of degree s at once
+    degree = np.frexp(poly)[1] - 1  # bit length minus one
+    for s in sorted(set(degree[1:].tolist())):  # every dimension of degree s at once
         cols = np.flatnonzero(degree == s)
         p = poly[cols]
         v[:s, cols] = vinit[cols, :s].T

@@ -10,7 +10,6 @@ that product non-Gaussian increments force.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -424,6 +423,8 @@ def stochastic_equivariance_test(
 
     items = list(enumerate(anchors))
     if workers > 1 and len(items) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(one_anchor, items))
     else:

@@ -11,7 +11,6 @@ reports any disagreement.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Sequence
@@ -259,6 +258,8 @@ def membership_equivalence_audit(
         blocks = [slice(lo, lo + step) for lo in range(0, n, step)]
         E = truth_decoder.encode(X)
         pooled = workers > 1 and len(blocks) > 1
+        if pooled:
+            from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) if pooled else nullcontext() as pool:
             for m in mechanisms:
                 truth_next = truth_decoder.decode(m(E))

@@ -913,21 +913,23 @@ def test_calls_in_one_process_match_separate_processes(tmp_path, monkeypatch, ca
         assert masked_outputs(together / name) == masked_outputs(separate / name)
 
 
-# Loading scipy.stats costs about 1 s and scipy.optimize about 0.5 s; no kind
-# needs them, or the other heavy scipy subpackages, to run a shipped fixture
-# or to compare a recovered encoder up to a signed permutation.
+# Loading scipy.stats costs about 1 s and scipy.optimize about 0.5 s, and
+# scipy's own __init__ about 4 MiB; no kind needs any scipy module to run a
+# shipped fixture or to compare a recovered encoder up to a signed
+# permutation, and a run on one thread builds no thread pool.
 IMPORT_BOUNDARY_SCRIPT = """
 import contextlib, io, json, sys
 from pathlib import Path
 import mechid, mechid.cli
-heavy = ("scipy.stats", "scipy.special", "scipy.optimize", "scipy.spatial")
-at_import = [m for m in heavy if m in sys.modules]
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.startswith("concurrent.futures"))
+at_import = loaded()
 statuses = {}
 for path, kind in json.loads(sys.argv[1]).items():
     name = Path(path).stem
     with contextlib.redirect_stdout(io.StringIO()):
         statuses[name] = mechid.cli.main([kind, path, "--output-dir", name, "--threads", "1"])
-after_runs = [m for m in heavy if m in sys.modules]
+after_runs = loaded()
 print(json.dumps({"at_import": at_import, "statuses": statuses, "after_runs": after_runs}))
 """
 

@@ -361,7 +361,10 @@ def test_bench_pairs_times_each_shipped_fixture(tmp_path):
     [pair] = entry["pairs"]
     assert (pair["first"], pair["exit_status"]) == ("parent", 0)
     for side in ("parent", "change"):
-        assert entry["summary"][side] == {"min_s": pair[side], "median_s": pair[side]}
+        rss = pair["peak_rss_mb"][side]
+        assert entry["summary"][side] == {"min_s": pair[side], "median_s": pair[side], "median_peak_rss_mb": rss}
         assert pair[side] > 0
+        # the fixture process's own peak: above a bare interpreter, below what a leak would reach
+        assert 10 < rss < 1024
     # each run wrote into a temporary directory, never into the checkout
     assert sorted(p.name for p in (tmp_path / "change").iterdir()) == ["fixtures", "src"]
