@@ -24,16 +24,13 @@ __version__ = "0.10.0"
 
 from .dynamics import (
     AffineMechanism,
-    GeneralMechanism,
     LinearDecoder,
     NoiseSpec,
     ScalarMap,
     StochasticMechanism,
     StructuredDecoder,
     Trajectory,
-    TransformedDecoder,
     additive_noise_mechanism,
-    sample_generalized_laplace,
     simulate,
 )
 from .equivariance import (
@@ -75,37 +72,32 @@ from .imitation import (
     find_affine_intertwiners,
     imitator_closure,
 )
-from .maps import AffineMap, FunctionBijection, compose, identity_map, map_power
+from .maps import AffineMap, FunctionBijection, compose, map_power
 from .recovery import (
     ComparisonResult,
     RecoveryProblem,
     RecoveryResult,
     compare_up_to_class,
     recover_linear_encoder,
-    recover_with_multiple_offsets,
 )
-from .rng import spawn_seeds, stream
+from .rng import stream
 from .stochastic import (
     ClassVerdict,
     DistributionalTestSpec,
     JacobianClassReport,
     TestReport,
     TwoSampleResult,
-    VolumeReport,
     finite_difference_jacobian,
     jacobian_identifiability_test,
     signed_perm_offset_test,
     stochastic_equivariance_test,
     two_sample_test,
-    volume_preservation_test,
 )
 from .verify import (
     AuditReport,
     AuditRow,
     CandidateModel,
     membership_equivalence_audit,
-    verify_identity_unknown_mech,
-    verify_observation_identity,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -30,15 +30,12 @@ __all__ = [
     "DIVERGENCE_BOUND",
     "SCALAR_MAP_KINDS",
     "AffineMechanism",
-    "GeneralMechanism",
     "StochasticMechanism",
     "NoiseSpec",
-    "sample_generalized_laplace",
     "additive_noise_mechanism",
     "ScalarMap",
     "LinearDecoder",
     "StructuredDecoder",
-    "TransformedDecoder",
     "Trajectory",
     "simulate",
 ]
@@ -93,23 +90,6 @@ class AffineMechanism:
                 f"state has dimension {z.shape[-1]}, mechanism expects {self.dim}"
             )
         return z @ self.M.T + self.b
-
-
-@dataclass(frozen=True)
-class GeneralMechanism:
-    """A deterministic mechanism given by an arbitrary (batched) callable."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    dim: int
-    label: str | None = None
-
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        if z.shape[-1] != self.dim:
-            raise DimensionMismatchError(
-                f"state has dimension {z.shape[-1]}, mechanism expects {self.dim}"
-            )
-        return self.fn(z)
 
 
 @dataclass(frozen=True)
@@ -206,23 +186,6 @@ class NoiseSpec:
             return self.scale**2 / 3.0
         a = self.alpha
         return self.scale**2 * math.gamma(3.0 / a) / math.gamma(1.0 / a)
-
-
-def sample_generalized_laplace(
-    alpha: float, scale: float, size, gen: np.random.Generator | int
-) -> np.ndarray:
-    """Exact draws from density proportional to exp(-|v/scale|^alpha).
-
-    Uses the gamma transform: |V|^alpha / scale^alpha ~ Gamma(1/alpha, 1),
-    with an independent symmetric sign.
-    """
-    if alpha <= 0 or scale <= 0:
-        raise ValueError("alpha and scale must be positive")
-    if not isinstance(gen, np.random.Generator):
-        gen = stream(int(gen))
-    mag = scale * gen.gamma(1.0 / alpha, 1.0, size) ** (1.0 / alpha)
-    sign = np.where(gen.random(size) < 0.5, -1.0, 1.0)
-    return sign * mag
 
 
 def additive_noise_mechanism(noise: NoiseSpec) -> StochasticMechanism:
@@ -409,32 +372,6 @@ class StructuredDecoder:
         return z
 
 
-@dataclass(frozen=True)
-class TransformedDecoder:
-    """The decoder g∘a^{-1} for a base decoder g and a latent bijection a.
-
-    Its encoder is a∘g^{-1}, so candidate models that differ from the truth
-    by a latent map are built by wrapping the true decoder.
-    """
-
-    base: object
-    latent_map: object
-
-    @property
-    def latent_dim(self) -> int:
-        return self.base.latent_dim
-
-    @property
-    def obs_dim(self) -> int:
-        return self.base.obs_dim
-
-    def decode(self, z: np.ndarray) -> np.ndarray:
-        return self.base.decode(self.latent_map.inverse(z))
-
-    def encode(self, x: np.ndarray) -> np.ndarray:
-        return self.latent_map(self.base.encode(x))
-
-
 # ---------------------------------------------------------------------------
 # trajectories
 
@@ -588,8 +525,9 @@ def simulate(
     Other draws of a run take longer paths, so each step's noise is
     independent of the start state, and reruns with one seed are
     bit-identical, independent of thread count. A non-finite state raises
-    `NonFiniteSampleError` and a norm above DIVERGENCE_BOUND raises
-    `DivergedTrajectoryError`, each naming the step. Runs of affine steps
+    `NonFiniteSampleError`, a norm above DIVERGENCE_BOUND
+    `DivergedTrajectoryError`, and a state of another shape
+    `DimensionMismatchError`, each naming the step. Runs of affine steps
     are taken on the mechanisms' arrays, up to _SIMULATE_BLOCK at a time,
     and their states screened once per run; the states, and the first error,
     are those of calling each mechanism and checking each state in turn.
@@ -623,6 +561,11 @@ def simulate(
             z = mech.sample_next(z, U)[0]
         else:
             z = mech(z)
+            if np.shape(z) != latents[t].shape:
+                raise DimensionMismatchError(
+                    f"simulation step {t + 1}: mechanism returned shape {np.shape(z)}, "
+                    f"expected {latents[t].shape}"
+                )
         _check_state(z, t + 1)
         latents[t] = z
         t += 1

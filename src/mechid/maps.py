@@ -8,7 +8,7 @@ without loops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DimensionMismatchError, SingularMapError
 from .linalg import _require_finite, smallest_singular_gap
 
-__all__ = ["AffineMap", "FunctionBijection", "identity_map", "compose", "map_power"]
+__all__ = ["AffineMap", "FunctionBijection", "compose", "map_power"]
 
 _INVERTIBILITY_RTOL = 1e-12
 
@@ -88,10 +88,6 @@ class FunctionBijection:
 
     def inverse(self, x: np.ndarray) -> np.ndarray:
         return self.backward(np.asarray(x, dtype=float))
-
-
-def identity_map(dim: int) -> AffineMap:
-    return AffineMap(np.eye(dim), np.zeros(dim), label="id")
 
 
 def compose(outer, inner):

@@ -43,7 +43,6 @@ __all__ = [
     "ComparisonResult",
     "COMPARISON_CLASSES",
     "recover_linear_encoder",
-    "recover_with_multiple_offsets",
     "compare_up_to_class",
 ]
 
@@ -214,24 +213,6 @@ def recover_linear_encoder(
         pair_count=N,
         sufficient_pairs=bool(N >= d * (n + 1)),
     )
-
-
-def recover_with_multiple_offsets(
-    problem: RecoveryProblem, rtol: float = DEFAULT_RTOL, seed: int = 0
-) -> RecoveryResult:
-    """Recovery specialized to schedules that vary the offset.
-
-    Identical solver; requires at least two distinct offsets, as the solver
-    counts them, so the offset-variation premises are meaningful. A problem
-    whose data span too few directions raises `DataDeficiencyError` first.
-    """
-    result = recover_linear_encoder(problem, rtol=rtol, seed=seed)
-    if result.conditions.distinct_offset_count < 2:
-        raise ValueError(
-            "offset-variation recovery needs >= 2 distinct offsets; "
-            "use recover_linear_encoder for a fixed mechanism"
-        )
-    return result
 
 
 # ---------------------------------------------------------------------------

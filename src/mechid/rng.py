@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["stream", "spawn_seeds"]
+__all__ = ["stream"]
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
@@ -26,8 +26,3 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     ss = np.random.SeedSequence(seed, spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(ss))
 
-
-def spawn_seeds(seed: int, count: int, *path: int) -> list[int]:
-    """Derive `count` child seeds from (seed, *path), for nested consumers."""
-    ss = np.random.SeedSequence(seed, spawn_key=tuple(int(p) for p in path))
-    return [int(s) for s in ss.generate_state(count, dtype=np.uint64)]

@@ -30,12 +30,10 @@ __all__ = [
     "TestReport",
     "ClassVerdict",
     "JacobianClassReport",
-    "VolumeReport",
     "two_sample_test",
     "stochastic_equivariance_test",
     "signed_perm_offset_test",
     "finite_difference_jacobian",
-    "volume_preservation_test",
     "jacobian_identifiability_test",
 ]
 
@@ -534,36 +532,6 @@ def _consistent_jacobians(fn, z, tol, context):
             f"the map may not be differentiable there"
         )
     return J2
-
-
-@dataclass(frozen=True)
-class VolumeReport:
-    passed: bool
-    max_deviation: float
-    determinants: tuple[float, ...]
-    tol: float
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def volume_preservation_test(fn, points: np.ndarray, tol: float = 1e-6) -> VolumeReport:
-    """Check |det J(z)| = 1 at every sample point.
-
-    `points` holds one point per row; the test takes no dimension, so a 1-D
-    array is one point. Jacobians are estimated by central differences at
-    steps h and h/2; the two estimates disagreeing beyond 10x the tolerance
-    raises an ill-conditioning error instead of a silent verdict.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    dets = []
-    for i, z in enumerate(pts):
-        J = _consistent_jacobians(fn, z, tol, f"point {i}")
-        dets.append(float(abs(np.linalg.det(J))))
-    deviation = float(max(abs(v - 1.0) for v in dets))
-    return VolumeReport(
-        passed=bool(deviation <= tol), max_deviation=deviation, determinants=tuple(dets), tol=tol
-    )
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,11 @@
 
 The latent story is invisible; what can be checked on data is whether two
 models induce the same observation-to-observation step map g∘m∘g^{-1}. A
-candidate built from the true decoder composed with a latent map a satisfies
-the identity exactly when a commutes with the mechanism, so the latent-space
-equivariance check and the observation-space identity check must agree row
-for row. The audit computes both columns through independent code paths and
-reports any disagreement.
+candidate g∘a^{-1}, built from the true decoder and a latent map a, satisfies
+the identity exactly when a commutes with every mechanism, so the latent
+equivariance check and the observation identity check must agree row for
+row. `membership_equivalence_audit`, the route of `mechid verify`, computes
+both columns by independent routes and reports any disagreement.
 """
 
 from __future__ import annotations
@@ -17,16 +17,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .equivariance import CheckReport, _as_points, _residual_report, _row_residuals
-from .errors import DimensionMismatchError, NonFiniteSampleError
+from .equivariance import _as_points
+from .errors import NonFiniteSampleError
 from .maps import AffineMap
 
 __all__ = [
     "CandidateModel",
     "AuditRow",
     "AuditReport",
-    "verify_observation_identity",
-    "verify_identity_unknown_mech",
     "membership_equivalence_audit",
 ]
 
@@ -50,75 +48,6 @@ class CandidateModel:
     latent_map: AffineMap
     label: str = "candidate"
     expect_equivariant: bool | None = None
-
-
-def _identity_residuals(
-    truth_decoder, mechanism, candidate_decoder, candidate_mechanism, X: np.ndarray
-) -> np.ndarray:
-    truth_next = truth_decoder.decode(mechanism(truth_decoder.encode(X)))
-    cand_next = candidate_decoder.decode(candidate_mechanism(candidate_decoder.encode(X)))
-    return _row_residuals(truth_next, cand_next, X, "observation grid point")
-
-
-def verify_observation_identity(
-    truth_decoder,
-    mechanism,
-    candidate_decoder,
-    grid=None,
-    tol: float = 1e-8,
-    candidate_mechanism=None,
-) -> CheckReport:
-    """Check g∘m∘g^{-1} = g~∘m~∘g~^{-1} on decoded grid points.
-
-    The grid lives in latent space and is pushed forward through the true
-    decoder, so every test point lies on the data manifold. The residual at
-    x is normalized by (1 + |x|). An encoder that is undefined at some grid
-    point raises an off-manifold error carrying the point index.
-    """
-    Z = _as_points(grid, truth_decoder.latent_dim)
-    X = truth_decoder.decode(Z)
-    cand_mech = mechanism if candidate_mechanism is None else candidate_mechanism
-    res = _identity_residuals(truth_decoder, mechanism, candidate_decoder, cand_mech, X)
-    return _residual_report(res, tol)
-
-
-@dataclass(frozen=True)
-class UnknownMechReport:
-    """Per-step identity reports when the mechanism is also hypothesized."""
-
-    steps: tuple[CheckReport, ...]
-    passed: bool
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def verify_identity_unknown_mech(
-    truth_decoder,
-    truth_schedule: Sequence,
-    candidate_decoder,
-    candidate_schedule: Sequence,
-    grid=None,
-    tol: float = 1e-8,
-) -> UnknownMechReport:
-    """Check g∘m_t∘g^{-1} = g~∘m~_t∘g~^{-1} for every scheduled step."""
-    if len(truth_schedule) != len(candidate_schedule):
-        raise DimensionMismatchError(
-            f"candidate proposes {len(candidate_schedule)} mechanisms "
-            f"for {len(truth_schedule)} steps"
-        )
-    reports = tuple(
-        verify_observation_identity(
-            truth_decoder,
-            m_true,
-            candidate_decoder,
-            grid=grid,
-            tol=tol,
-            candidate_mechanism=m_cand,
-        )
-        for m_true, m_cand in zip(truth_schedule, candidate_schedule)
-    )
-    return UnknownMechReport(steps=reports, passed=all(r.passed for r in reports))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,17 @@
-"""Shared constructors for randomized test instances.
+"""Shared constructors for randomized test instances, and oracles.
 
 Everything here is seeded through mechid.rng.stream so the suite is
-bit-reproducible; no test may touch the global numpy RNG.
+bit-reproducible; no test may touch the global numpy RNG. The oracles
+compute what the library computes by another route.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from mechid import AffineMechanism
+from mechid.equivariance import CheckReport, _as_points, _residual_report, _row_residuals
 from mechid.rng import stream
 
 
@@ -90,6 +94,85 @@ def stacked_solve(C, r, rtol, scale):
     k = int(np.sum(s > cut))
     clear = not np.any((s > cut / MARGIN) & (s <= cut * MARGIN))
     return vh[k:], vh[:k].T @ ((u[:, :k].T @ r) / s[:k]), clear
+
+
+# ---------------------------------------------------------------------------
+# independent routes as oracles: the per-candidate observation identity, which
+# `membership_equivalence_audit` computes in blocks, and the gamma-transform
+# sampler of the law `NoiseSpec.ppf` draws
+
+
+@dataclass(frozen=True)
+class TransformedDecoder:
+    """The decoder g∘a^{-1} for a base decoder g and a latent bijection a.
+
+    Its encoder is a∘g^{-1}, so candidate models that differ from the truth
+    by a latent map are built by wrapping the true decoder.
+    """
+
+    base: object
+    latent_map: object
+
+    @property
+    def latent_dim(self) -> int:
+        return self.base.latent_dim
+
+    @property
+    def obs_dim(self) -> int:
+        return self.base.obs_dim
+
+    def decode(self, z: np.ndarray) -> np.ndarray:
+        return self.base.decode(self.latent_map.inverse(z))
+
+    def encode(self, x: np.ndarray) -> np.ndarray:
+        return self.latent_map(self.base.encode(x))
+
+
+def _identity_residuals(
+    truth_decoder, mechanism, candidate_decoder, candidate_mechanism, X: np.ndarray
+) -> np.ndarray:
+    truth_next = truth_decoder.decode(mechanism(truth_decoder.encode(X)))
+    cand_next = candidate_decoder.decode(candidate_mechanism(candidate_decoder.encode(X)))
+    return _row_residuals(truth_next, cand_next, X, "observation grid point")
+
+
+def verify_observation_identity(
+    truth_decoder,
+    mechanism,
+    candidate_decoder,
+    grid=None,
+    tol: float = 1e-8,
+    candidate_mechanism=None,
+) -> CheckReport:
+    """Check g∘m∘g^{-1} = g~∘m~∘g~^{-1} on decoded grid points.
+
+    The grid lives in latent space and is pushed forward through the true
+    decoder, so every test point lies on the data manifold. The residual at
+    x is normalized by (1 + |x|). An encoder that is undefined at some grid
+    point raises an off-manifold error carrying the point index.
+    """
+    Z = _as_points(grid, truth_decoder.latent_dim)
+    X = truth_decoder.decode(Z)
+    cand_mech = mechanism if candidate_mechanism is None else candidate_mechanism
+    res = _identity_residuals(truth_decoder, mechanism, candidate_decoder, cand_mech, X)
+    return _residual_report(res, tol)
+
+
+def sample_generalized_laplace(
+    alpha: float, scale: float, size, gen: np.random.Generator | int
+) -> np.ndarray:
+    """Exact draws from density proportional to exp(-|v/scale|^alpha).
+
+    Uses the gamma transform: |V|^alpha / scale^alpha ~ Gamma(1/alpha, 1),
+    with an independent symmetric sign.
+    """
+    if alpha <= 0 or scale <= 0:
+        raise ValueError("alpha and scale must be positive")
+    if not isinstance(gen, np.random.Generator):
+        gen = stream(int(gen))
+    mag = scale * gen.gamma(1.0 / alpha, 1.0, size) ** (1.0 / alpha)
+    sign = np.where(gen.random(size) < 0.5, -1.0, 1.0)
+    return sign * mag
 
 
 @pytest.fixture

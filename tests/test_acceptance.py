@@ -17,37 +17,29 @@ from mechid.dynamics import (
     AffineMechanism,
     LinearDecoder,
     NoiseSpec,
-    TransformedDecoder,
     additive_noise_mechanism,
 )
 from mechid.equivariance import affine_equivariances, shared_equivariances
 from mechid.imitation import MechanismClass, cycle_analysis, imitator_closure
 from mechid.maps import AffineMap
-from mechid.recovery import (
-    RecoveryProblem,
-    recover_linear_encoder,
-    recover_with_multiple_offsets,
-)
+from mechid.recovery import RecoveryProblem, recover_linear_encoder
 from mechid.rng import stream
 from mechid.stochastic import (
     DistributionalTestSpec,
     jacobian_identifiability_test,
     signed_perm_offset_test,
     stochastic_equivariance_test,
-    volume_preservation_test,
 )
-from mechid.verify import (
-    CandidateModel,
-    membership_equivalence_audit,
-    verify_identity_unknown_mech,
-)
+from mechid.verify import CandidateModel, membership_equivalence_audit
 
 from conftest import (
+    TransformedDecoder,
     distinct_eig_mechanism,
     random_invertible,
     random_orthogonal,
     random_signed_permutation,
     rotation,
+    verify_observation_identity,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -201,7 +193,8 @@ def test_criterion_04_offset_variation_regimes():
         while np.linalg.matrix_rank(np.array(offsets[1:])) < d:
             offsets = [np.zeros(d)] + [g.standard_normal(d) for _ in range(d)]
         G = _tall_full_rank(g, d + 1, d)
-        res = recover_with_multiple_offsets(_grouped_problem(g, G, M, offsets, d + 1))
+        res = recover_linear_encoder(_grouped_problem(g, G, M, offsets, d + 1))
+        assert res.conditions.distinct_offset_count == d + 1, f"generic trial {t}: offsets"
         assert res.solution_space_dim == 0, f"generic trial {t}: dim {res.solution_space_dim}"
     for t in range(100):
         g = stream(41450, t)
@@ -211,7 +204,8 @@ def test_criterion_04_offset_variation_regimes():
         c = np.linspace(0.0, 1.5, d + 1) + g.uniform(0.0, 0.05, d + 1)
         offsets = [ci * u for ci in c]
         G = _tall_full_rank(g, d + 1, d)
-        res = recover_with_multiple_offsets(_grouped_problem(g, G, mech.M, offsets, d + 1))
+        res = recover_linear_encoder(_grouped_problem(g, G, mech.M, offsets, d + 1))
+        assert res.conditions.distinct_offset_count == d + 1, f"collinear trial {t}: offsets"
         assert res.solution_space_dim >= 1, f"collinear trial {t}: dim 0"
     _verdict(4, True, "100/100 spanning trials dim 0, 100/100 collinear trials dim >= 1")
 
@@ -247,8 +241,8 @@ def test_criterion_06_swap_imitator_end_to_end():
     assert abs(rep.A[0, 0]) <= 1e-9 and abs(rep.A[1, 1]) <= 1e-9, "representative is not a swap"
     g = LinearDecoder([[1.0, 1.0], [0.0, 1.0], [0.5, -0.5]])
     candidate = TransformedDecoder(g, rep)
-    accepted = verify_identity_unknown_mech(g, [m23], candidate, [m32]).passed
-    forced = verify_identity_unknown_mech(g, [m23], candidate, [m23]).passed
+    accepted = verify_observation_identity(g, m23, candidate, candidate_mechanism=m32).passed
+    forced = verify_observation_identity(g, m23, candidate, candidate_mechanism=m23).passed
     _verdict(
         6,
         accepted and not forced,
@@ -382,13 +376,14 @@ def test_criterion_09_class_and_volume():
         w = signed_perm_offset_test(B)
         mis += w.orthonormal or w.in_class
     shear = lambda z: np.stack([z[..., 0] + 0.1 * z[..., 1] ** 2, z[..., 1]], axis=-1)
-    shear_ok = volume_preservation_test(shear, stream(41901).uniform(-2, 2, (12, 2))).passed
+    shear_anchors = jacobian_identifiability_test(shear, stream(41901).uniform(-2, 2, (12, 2))).anchors
+    shear_ok = all(v.volume_preserving for v in shear_anchors)
     doubling_exact = True
     for d in (2, 3):
-        rep = volume_preservation_test(
+        (v,) = jacobian_identifiability_test(
             AffineMap(2.0 * np.eye(d), np.zeros(d)), np.zeros((1, d)), tol=1e-6
-        )
-        doubling_exact &= (not rep.passed) and abs(rep.max_deviation - (2.0**d - 1.0)) <= 1e-6
+        ).anchors
+        doubling_exact &= (not v.volume_preserving) and abs(v.det_deviation - (2.0**d - 1.0)) <= 1e-6
     _verdict(
         9,
         mis == 0 and shear_ok and doubling_exact,

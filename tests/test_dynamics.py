@@ -14,15 +14,12 @@ from scipy import integrate, special, stats
 
 from mechid import (
     AffineMechanism,
-    GeneralMechanism,
     LinearDecoder,
     NoiseSpec,
     ScalarMap,
     StructuredDecoder,
     Trajectory,
-    TransformedDecoder,
     additive_noise_mechanism,
-    sample_generalized_laplace,
     simulate,
 )
 from mechid.errors import (
@@ -35,7 +32,7 @@ from mechid.dynamics import StochasticMechanism, _check_state, _resolve_schedule
 from mechid.maps import AffineMap
 from mechid.rng import stream
 
-from conftest import random_invertible
+from conftest import TransformedDecoder, random_invertible, sample_generalized_laplace
 
 G_SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])
 
@@ -95,10 +92,10 @@ def test_divergence_guard_carries_step():
 
 def test_non_finite_state_is_named_apart_from_divergence():
     dec = LinearDecoder(np.eye(2))
-    doubling_then_nan = GeneralMechanism(fn=lambda z: np.where(z > 3.0, np.nan, 2.0 * z), dim=2)
+    doubling_then_nan = lambda z: np.where(z > 3.0, np.nan, 2.0 * z)
     with pytest.raises(NonFiniteSampleError, match="simulation step 4"):
         simulate(dec, [doubling_then_nan], np.ones(2), T=6)
-    to_inf = GeneralMechanism(fn=lambda z: np.full_like(z, np.inf), dim=2)
+    to_inf = lambda z: np.full_like(z, np.inf)
     with pytest.raises(NonFiniteSampleError, match="simulation step 2"):
         simulate(dec, [to_inf], np.ones(2), T=3)
     # finite entries whose norm overflows are a divergence, not a non-finite state
@@ -107,6 +104,20 @@ def test_non_finite_state_is_named_apart_from_divergence():
         simulate(dec, [to_inf], np.full(2, 1e200), T=3)
     assert exc.value.step == 1
     assert exc.value.norm == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+
+
+def test_a_callable_mechanism_that_returns_the_wrong_shape_is_named_with_its_step():
+    # the state was stored by broadcasting, so numpy's "could not broadcast
+    # input array from shape (3,) into shape (2,)" was all a caller saw
+    dec = LinearDecoder(np.eye(2))
+    widen = lambda z: np.append(z, 0.0)
+    with pytest.raises(DimensionMismatchError, match=r"simulation step 2: .* shape \(3,\), expected \(2,\)"):
+        simulate(dec, [widen], np.ones(2), T=3)
+    # after a run of affine steps, and for a shape that would have broadcast
+    m = AffineMechanism(0.5 * np.eye(2), np.zeros(2))
+    as_row = lambda z: z[None, :]
+    with pytest.raises(DimensionMismatchError, match=r"simulation step 4: .* shape \(1, 2\), expected \(2,\)"):
+        simulate(dec, [m, as_row], np.ones(2), T=5, schedule=[0, 0, 1, 0])
 
 
 def per_step_rollout(mechanisms, schedule, z1, T, seed=0):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from mechid import (
     AffineMechanism,
     FunctionBijection,
-    GeneralMechanism,
     GridSpec,
     MechanismClass,
     affine_equivariances,
@@ -135,7 +134,7 @@ def test_distinct_scalings_never_imitate_affinely():
 def test_nonfinite_evaluation_raises():
     from mechid.errors import NonFiniteSampleError
 
-    bad = GeneralMechanism(fn=lambda z: np.full_like(z, np.nan), dim=2, label="bad")
+    bad = lambda z: np.full_like(z, np.nan)
     a = AffineMap(np.eye(2), np.zeros(2))
     with pytest.raises(NonFiniteSampleError):
         check_imitation(a, bad, bad)

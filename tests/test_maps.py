@@ -7,15 +7,13 @@ from mechid import (
     AffineMap,
     FunctionBijection,
     LinearDecoder,
-    TransformedDecoder,
     compose,
-    identity_map,
     map_power,
 )
 from mechid.errors import SingularMapError
 from mechid.rng import stream
 
-from conftest import random_invertible
+from conftest import TransformedDecoder, random_invertible
 
 
 def test_affine_roundtrip_and_batch():
@@ -97,7 +95,3 @@ def test_map_power_matches_repeated_application():
     assert np.allclose(map_power(a, 4)(z), out, atol=1e-10)
     assert isinstance(map_power(a, 1), AffineMap)
 
-
-def test_identity_map():
-    z = np.arange(3.0)
-    assert np.array_equal(identity_map(3)(z), z)

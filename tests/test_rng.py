@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from mechid.rng import spawn_seeds, stream
+from mechid.rng import stream
 
 
 def test_same_path_same_draws():
@@ -30,10 +30,3 @@ def test_streams_independent_of_creation_order():
 def test_counter_based_generator():
     assert type(stream(0).bit_generator).__name__ == "Philox"
 
-
-def test_spawn_seeds_deterministic_and_distinct():
-    seeds = spawn_seeds(11, 8, 2)
-    again = spawn_seeds(11, 8, 2)
-    assert seeds == again
-    assert len(set(seeds)) == 8
-    assert spawn_seeds(11, 8, 3) != seeds

@@ -26,7 +26,6 @@ from mechid import (
     signed_perm_offset_test,
     stochastic_equivariance_test,
     two_sample_test,
-    volume_preservation_test,
 )
 from mechid.errors import (
     DimensionMismatchError,
@@ -34,7 +33,7 @@ from mechid.errors import (
     NonFiniteSampleError,
 )
 from mechid.dynamics import StochasticMechanism
-from mechid.maps import AffineMap, FunctionBijection, identity_map
+from mechid.maps import AffineMap, FunctionBijection
 from mechid.rng import stream
 from mechid.shipped import scipy_dir, scipy_extension
 from mechid.stochastic import (
@@ -496,7 +495,7 @@ def test_identity_map_calibration_rate():
     # a = id, m1 = m2: the null holds, so the Bonferroni verdict should pass
     # in at least 94% of 200 seeded repetitions
     m = laplace_walk()
-    a = identity_map(2)
+    a = AffineMap(np.eye(2), np.zeros(2))
     passes = 0
     for rep in range(200):
         spec = DistributionalTestSpec(dim=2, samples_per_anchor=300, anchor_count=3, seed=rep)
@@ -538,7 +537,7 @@ def test_nonfinite_samples_name_the_anchor():
         kernel=lambda z, U: np.full_like(U, np.nan), dim=2, label="nan"
     )
     with pytest.raises(NonFiniteSampleError) as exc:
-        stochastic_equivariance_test(identity_map(2), bad, good, spec_for(2, n=200))
+        stochastic_equivariance_test(AffineMap(np.eye(2), np.zeros(2)), bad, good, spec_for(2, n=200))
     assert "anchor 0" in str(exc.value)
 
 
@@ -569,7 +568,7 @@ FALLBACK_STEP = {100: 1, 109: 1, 3000: 2, 10_000: 1, 10_001: 1}
 def test_battery_is_bitwise_two_sample_test_at_each_anchor(n, dim, workers):
     h = FALLBACK_STEP[n]
     m1, m2 = battery_mechanism(dim, 0), battery_mechanism(dim, h)
-    a = identity_map(dim)
+    a = AffineMap(np.eye(dim), np.zeros(dim))
     anchors = np.array([[0.0, 0.5], [1.0, -1.0], [-0.5, 0.3], [0.7, -1.2], [1.5, 0.0]])[:, :dim]
     spec = DistributionalTestSpec(dim=dim, samples_per_anchor=n, anchors=anchors, seed=5)
     report = stochastic_equivariance_test(a, m1, m2, spec, workers=workers)
@@ -631,7 +630,7 @@ def test_one_dimensional_anchors_are_anchors_of_one_coordinate():
     spec = DistributionalTestSpec(dim=1, anchors=[0.0, 1.0], samples_per_anchor=200)
     assert spec.anchor_points().tolist() == [[0.0], [1.0]]
     walk = laplace_walk(dim=1)
-    report = stochastic_equivariance_test(identity_map(1), walk, walk, spec)
+    report = stochastic_equivariance_test(AffineMap(np.eye(1), np.zeros(1)), walk, walk, spec)
     assert [a.anchor for a in report.anchors] == [(0.0,), (1.0,)]
     # other shapes keep their errors, and without a dimension a 1-D array stays one point
     with pytest.raises(DimensionMismatchError):
@@ -641,9 +640,8 @@ def test_one_dimensional_anchors_are_anchors_of_one_coordinate():
     with pytest.raises(ValueError, match="anchors is empty"):
         DistributionalTestSpec(dim=1, anchors=[])
     assert DistributionalTestSpec(dim=2, anchors=[0.5, -0.5]).anchor_points().shape == (1, 2)
-    assert volume_preservation_test(lambda z: 2.0 * z, np.array([0.0, 1.0, 2.0])).determinants == (
-        pytest.approx(8.0),
-    )
+    (doubling,) = jacobian_identifiability_test(lambda z: 2.0 * z, np.array([0.0, 1.0, 2.0])).anchors
+    assert doubling.det_deviation == pytest.approx(7.0)
 
 
 @pytest.mark.parametrize("field", ["anchor_count", "permutations"])
@@ -712,30 +710,30 @@ def test_fd_jacobian_exact_on_quadratics():
 def test_fd_guard_trips_on_square_root_kink():
     fn = lambda z: np.sign(z) * np.sqrt(np.abs(z))
     with pytest.raises(IllConditionedError):
-        volume_preservation_test(fn, np.zeros((1, 2)))
+        jacobian_identifiability_test(fn, np.zeros((1, 2)))
 
 
 def test_volume_signed_permutation():
     gen = stream(341)
     a = AffineMap(random_signed_permutation(gen, 3), gen.standard_normal(3))
-    report = volume_preservation_test(a, gen.standard_normal((6, 3)))
-    assert report.passed
-    assert report.max_deviation <= 1e-8
+    anchors = jacobian_identifiability_test(a, gen.standard_normal((6, 3))).anchors
+    assert all(v.volume_preserving for v in anchors)
+    assert max(v.det_deviation for v in anchors) <= 1e-8
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_volume_doubling_map_deviation(d):
     a = AffineMap(2.0 * np.eye(d), np.zeros(d))
-    report = volume_preservation_test(a, np.zeros((1, d)))
-    assert not report.passed
-    assert report.max_deviation == pytest.approx(2.0**d - 1.0, rel=1e-6)
+    (v,) = jacobian_identifiability_test(a, np.zeros((1, d))).anchors
+    assert not v.volume_preserving
+    assert v.det_deviation == pytest.approx(2.0**d - 1.0, rel=1e-6)
 
 
 def test_volume_shear_passes():
     fn = lambda z: np.stack([z[..., 0] + 0.1 * z[..., 1] ** 2, z[..., 1]], axis=-1)
     pts = stream(347).uniform(-2, 2, (12, 2))
-    report = volume_preservation_test(fn, pts)
-    assert report.passed
+    report = jacobian_identifiability_test(fn, pts)
+    assert all(v.volume_preserving for v in report.anchors)
 
 
 def test_jacobian_constant_rotation_pattern_in_class():
@@ -761,7 +759,7 @@ def test_jacobian_cubic_perturbation_out_of_class():
 
 
 def test_jacobian_identity_in_class():
-    report = jacobian_identifiability_test(identity_map(3), np.zeros((2, 3)))
+    report = jacobian_identifiability_test(AffineMap(np.eye(3), np.zeros(3)), np.zeros((2, 3)))
     assert report.in_class
 
 
@@ -780,5 +778,4 @@ def test_affine_class_consistency_across_levels():
         numeric = jacobian_identifiability_test(a, anchors, tol=1e-6)
         assert closed_form.in_class == numeric.in_class
         if closed_form.in_class:
-            vol = volume_preservation_test(a, anchors)
-            assert vol.passed
+            assert all(v.volume_preserving for v in numeric.anchors)

@@ -8,10 +8,15 @@ small size for the same reason; scripts/bench_pairs.py runs against two
 stub checkouts whose bench/run.py prints canned lines, and
 scripts/fixture_parity.py against two that share this checkout's code, and
 against a pair whose change is a copy of it with a writer that leaves the
-tail of a longer stale file.
+tail of a longer stale file. Two source checks close the file: every name a
+library module imports is used in it, and the README's quick tour runs as
+its comments say.
 """
 
+import ast
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import shutil
@@ -368,3 +373,36 @@ def test_bench_pairs_times_each_shipped_fixture(tmp_path):
         assert 10 < rss < 1024
     # each run wrote into a temporary directory, never into the checkout
     assert sorted(p.name for p in (tmp_path / "change").iterdir()) == ["fixtures", "src"]
+
+
+# ---------------------------------------------------------------------------
+# the library's source and the README
+
+
+def test_every_import_in_src_is_used():
+    unused = []
+    for path in sorted((ROOT / "src" / "mechid").glob("*.py")):
+        if path.name == "__init__.py":  # the package's imports are its exports
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}" for name in names if name not in used]
+    assert unused == []
+
+
+def test_readme_quick_tour_runs_as_its_comments_say():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library quick tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(compile(tour, "README.md quick tour", "exec"), namespace)
+    assert [af.assignment for af in namespace["closure"].assignments] == [(0,), (1,)]
+    assert namespace["res"].solution_space_dim == 0
+    assert out.getvalue().splitlines()[0] == "[(0,), (1,)]"

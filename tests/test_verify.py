@@ -15,18 +15,21 @@ from mechid import (
     LinearDecoder,
     ScalarMap,
     StructuredDecoder,
-    TransformedDecoder,
     affine_equivariances,
     membership_equivalence_audit,
-    verify_identity_unknown_mech,
-    verify_observation_identity,
 )
 from mechid.errors import NonFiniteSampleError
 from mechid.maps import AffineMap
 from mechid.rng import stream
-from mechid.verify import _AUDIT_BLOCK, AuditRow, _audit_block, _identity_residuals
+from mechid.verify import _AUDIT_BLOCK, AuditRow, _audit_block
 
-from conftest import SWAP, random_invertible
+from conftest import (
+    SWAP,
+    TransformedDecoder,
+    _identity_residuals,
+    random_invertible,
+    verify_observation_identity,
+)
 
 DIAG23 = AffineMechanism(np.diag([2.0, 3.0]), np.zeros(2))
 DIAG32 = AffineMechanism(np.diag([3.0, 2.0]), np.zeros(2))
@@ -59,18 +62,10 @@ def test_random_candidate_fails():
 def test_unknown_mechanism_swap_hypothesis():
     swap = AffineMap(SWAP, np.zeros(2))
     cand = TransformedDecoder(G, swap)
-    ok = verify_identity_unknown_mech(G, [DIAG23], cand, [DIAG32])
+    ok = verify_observation_identity(G, DIAG23, cand, candidate_mechanism=DIAG32)
     assert ok.passed
-    forced = verify_identity_unknown_mech(G, [DIAG23], cand, [DIAG23], tol=1e-8)
+    forced = verify_observation_identity(G, DIAG23, cand, tol=1e-8, candidate_mechanism=DIAG23)
     assert not forced.passed
-    assert len(forced.steps) == 1
-
-
-def test_unknown_mech_schedule_length_guard():
-    from mechid.errors import DimensionMismatchError
-
-    with pytest.raises(DimensionMismatchError):
-        verify_identity_unknown_mech(G, [DIAG23, DIAG23], G, [DIAG23])
 
 
 def test_audit_agreement_on_mixed_candidates():
