@@ -72,7 +72,7 @@ from .imitation import (
     find_affine_intertwiners,
     imitator_closure,
 )
-from .maps import AffineMap, FunctionBijection, compose, map_power
+from .maps import AffineMap, compose, map_power
 from .recovery import (
     ComparisonResult,
     RecoveryProblem,

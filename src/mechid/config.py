@@ -25,8 +25,9 @@ from .dynamics import (
     StochasticMechanism,
     StructuredDecoder,
     _resolve_schedule,
+    additive_noise_mechanism,
 )
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError
 from .grids import GridSpec
 from .imitation import CLOSURE_TOL_FACTOR, DEFAULT_ASSIGNMENT_BUDGET
 from .jsonio import (
@@ -99,24 +100,11 @@ NOISE = (
 # z -> Mz + b + noise in the enclosing `dim`; M and b default to the identity walk
 STOCHASTIC_MECHANISM = (
     Field("noise", _object(NOISE, lambda g, c: NoiseSpec(dim=c["dim"], **g))),
-    Field("M", _matrix, lambda c: np.eye(c["dim"])),
-    Field("b", _vector, lambda c: np.zeros(c["dim"])),
+    Field("M", _matrix, None),
+    Field("b", _vector, None),
     Field("label", _str, None),
 )
-
-
-def _walk(g, ctx) -> StochasticMechanism:
-    M, b, noise, dim = g["M"], g["b"], g["noise"], ctx["dim"]
-    if M.shape != (dim, dim) or b.shape != (dim,):
-        raise DimensionMismatchError(f"M/b shapes {M.shape}/{b.shape} do not match dimension {dim}")
-
-    def kernel(z, U):
-        return z @ M.T + b + noise.ppf(U)
-
-    return StochasticMechanism(kernel=kernel, dim=dim, label=g["label"])
-
-
-_walks = _object(STOCHASTIC_MECHANISM, _walk)
+_walks = _object(STOCHASTIC_MECHANISM, lambda g, _: additive_noise_mechanism(**g))
 
 
 def _simulated_mechanism(raw, path, ctx):

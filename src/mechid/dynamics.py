@@ -23,7 +23,8 @@ from .errors import (
     SingularMapError,
 )
 from .jsonio import table_text, write_text
-from .linalg import DEFAULT_RTOL, _require_finite, relative_rank, smallest_singular_gap
+from .linalg import DEFAULT_RTOL, _require_finite, relative_rank
+from .maps import _affine_parameters
 from .rng import stream
 
 __all__ = [
@@ -62,20 +63,7 @@ class AffineMechanism:
     label: str | None = None
 
     def __post_init__(self):
-        M = np.array(self.M, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
-            raise DimensionMismatchError(f"M must be square and nonempty, got shape {M.shape}")
-        b = np.array(self.b, dtype=float).reshape(-1)
-        if b.shape[0] != M.shape[0]:
-            raise DimensionMismatchError(
-                f"offset has dimension {b.shape[0]}, M is {M.shape[0]}x{M.shape[1]}"
-            )
-        _require_finite(M, "M")
-        _require_finite(b, "b")
-        if smallest_singular_gap(M) <= DEFAULT_RTOL:
-            raise SingularMapError("mechanism matrix is singular to working tolerance")
-        M.setflags(write=False)
-        b.setflags(write=False)
+        M, b = _affine_parameters(self.M, self.b, ("M", "b"), DEFAULT_RTOL)
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "b", b)
 
@@ -188,13 +176,18 @@ class NoiseSpec:
         return self.scale**2 * math.gamma(3.0 / a) / math.gamma(1.0 / a)
 
 
-def additive_noise_mechanism(noise: NoiseSpec) -> StochasticMechanism:
-    """Kernel z -> z + V with V drawn coordinatewise from `noise`."""
+def additive_noise_mechanism(noise: NoiseSpec, M=None, b=None, label="additive-noise") -> StochasticMechanism:
+    """Kernel z -> M z + b + V with V drawn coordinatewise from `noise`; M = I and b = 0 by default."""
+    dim = noise.dim
+    M = np.eye(dim) if M is None else np.asarray(M, dtype=float)
+    b = np.zeros(dim) if b is None else np.asarray(b, dtype=float)
+    if M.shape != (dim, dim) or b.shape != (dim,):
+        raise DimensionMismatchError(f"M/b shapes {M.shape}/{b.shape} do not match dimension {dim}")
 
     def kernel(z, U):
-        return z[None, :] + noise.ppf(U)
+        return z @ M.T + b + noise.ppf(U)
 
-    return StochasticMechanism(kernel=kernel, dim=noise.dim, label="additive-noise")
+    return StochasticMechanism(kernel=kernel, dim=dim, label=label)
 
 
 # ---------------------------------------------------------------------------

@@ -430,11 +430,21 @@ def check_imitation(a, m1, m2, grid=None, tol: float = DEFAULT_RTOL) -> CheckRep
     """Does a carry m1 onto m2 on the grid, i.e. a∘m1 = m2∘a?
 
     The residual at z is |a(m1(z)) - m2(a(z))| / (1 + |m2(a(z))|); the check
-    passes when the maximum over the grid is at or below tol.
+    passes when the maximum over the grid is at or below tol. Each of a, m1
+    and m2 may be any callable on (N, d) points; one that returns another
+    shape raises DimensionMismatchError naming it.
     """
+
+    def apply(f, name, X):
+        out = np.asarray(f(X))
+        if out.shape != X.shape:
+            raise DimensionMismatchError(f"{name} returned shape {out.shape}, expected {X.shape}")
+        return out
+
     dim = getattr(m1, "dim", getattr(a, "dim", None))
     Z = _as_points(grid, dim)
-    lhs, rhs = a(m1(Z)), m2(a(Z))
+    lhs = apply(a, "a", apply(m1, "m1", Z))
+    rhs = apply(m2, "m2", apply(a, "a", Z))
     return _residual_report(_row_residuals(lhs, rhs, rhs), tol)
 
 

@@ -1,24 +1,46 @@
-"""Invertible latent-space maps.
+"""Invertible affine latent-space maps, their composition and powers.
 
-An affine map a(z) = A z + p with invertible A, plus a thin wrapper for
-general bijections given as forward/inverse callables. All maps act on the
-last axis of their input, so batched evaluation over (N, d) point sets works
-without loops.
+An affine map a(z) = A z + p with invertible A acts on the last axis of its
+input, so batched evaluation over (N, d) point sets works without loops. A
+nonlinear map is passed as a plain callable wherever one is accepted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionMismatchError, SingularMapError
 from .linalg import _require_finite, smallest_singular_gap
 
-__all__ = ["AffineMap", "FunctionBijection", "compose", "map_power"]
+__all__ = ["AffineMap", "compose", "map_power"]
 
 _INVERTIBILITY_RTOL = 1e-12
+
+
+def _affine_parameters(matrix, offset, names: tuple[str, str], rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(matrix, offset) as read-only float arrays, or raise.
+
+    The matrix must be square and non-empty, the offset as long as it is
+    wide, every entry finite, and the matrix invertible: its
+    `smallest_singular_gap` above `rtol`. `names` are the caller's names for
+    the two, which every error message uses.
+    """
+    m, v = names
+    A = np.array(matrix, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
+        raise DimensionMismatchError(f"{m} must be square and nonempty, got shape {A.shape}")
+    p = np.array(offset, dtype=float).reshape(-1)
+    if p.shape[0] != A.shape[0]:
+        raise DimensionMismatchError(f"{v} has dimension {p.shape[0]}, {m} is {A.shape[0]}x{A.shape[1]}")
+    _require_finite(A, m)
+    _require_finite(p, v)
+    if smallest_singular_gap(A) <= rtol:
+        raise SingularMapError(f"{m} is singular to working tolerance")
+    A.setflags(write=False)
+    p.setflags(write=False)
+    return A, p
 
 
 @dataclass(frozen=True)
@@ -30,20 +52,7 @@ class AffineMap:
     label: str | None = None
 
     def __post_init__(self):
-        A = np.array(self.A, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise DimensionMismatchError(f"A must be square, got shape {A.shape}")
-        p = np.array(self.p, dtype=float).reshape(-1)
-        if p.shape[0] != A.shape[0]:
-            raise DimensionMismatchError(
-                f"offset has dimension {p.shape[0]}, matrix is {A.shape[0]}x{A.shape[1]}"
-            )
-        _require_finite(A, "A")
-        _require_finite(p, "p")
-        if smallest_singular_gap(A) <= _INVERTIBILITY_RTOL:
-            raise SingularMapError("affine map matrix is singular to working tolerance")
-        A.setflags(write=False)
-        p.setflags(write=False)
+        A, p = _affine_parameters(self.A, self.p, ("A", "p"), _INVERTIBILITY_RTOL)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "p", p)
 
@@ -69,39 +78,14 @@ class AffineMap:
         return AffineMap(Ainv, -Ainv @ self.p)
 
 
-@dataclass(frozen=True)
-class FunctionBijection:
-    """A bijection given by explicit forward and inverse callables.
-
-    Both callables must broadcast over the last axis, i.e. accept (..., d)
-    arrays. No invertibility verification is performed beyond what callers
-    choose to spot-check.
-    """
-
-    forward: Callable[[np.ndarray], np.ndarray]
-    backward: Callable[[np.ndarray], np.ndarray]
-    dim: int
-    label: str | None = None
-
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        return self.forward(np.asarray(z, dtype=float))
-
-    def inverse(self, x: np.ndarray) -> np.ndarray:
-        return self.backward(np.asarray(x, dtype=float))
-
-
-def compose(outer, inner):
-    """The map z -> outer(inner(z)); affine pairs stay affine."""
-    if isinstance(outer, AffineMap) and isinstance(inner, AffineMap):
-        if outer.dim != inner.dim:
-            raise DimensionMismatchError("composed maps have different dimensions")
-        return AffineMap(outer.A @ inner.A, outer.A @ inner.p + outer.p)
-    dim = getattr(outer, "dim", getattr(inner, "dim", None))
-    return FunctionBijection(
-        forward=lambda z: outer(inner(z)),
-        backward=lambda x: inner.inverse(outer.inverse(x)),
-        dim=dim,
-    )
+def compose(outer: AffineMap, inner: AffineMap) -> AffineMap:
+    """The affine map z -> outer(inner(z))."""
+    for name, a in (("outer", outer), ("inner", inner)):
+        if not isinstance(a, AffineMap):
+            raise TypeError(f"{name}: compose takes an AffineMap, got {type(a).__name__}")
+    if outer.dim != inner.dim:
+        raise DimensionMismatchError("composed maps have different dimensions")
+    return AffineMap(outer.A @ inner.A, outer.A @ inner.p + outer.p)
 
 
 def map_power(a, k: int):

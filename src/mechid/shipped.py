@@ -7,7 +7,11 @@ compiled kernel of `scipy.spatial` (the Euclidean distance matrix that
 `cdist` calls). It finds scipy's directory with `importlib.util.find_spec`,
 which imports nothing, and joins the subpackage's name to it. A data file is
 then read from there without any scipy code running; a compiled module is
-loaded from there after scipy's top-level `__init__`, which it may rely on.
+loaded from there after scipy's top-level `__init__`. That import stays:
+scipy's `__init__` imports `_distributor_init`, the hook where a
+distribution of scipy sets up the libraries its compiled modules load
+against (a BLAS, DLL directories on Windows), so a module loaded before it
+may not find them.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from mechid.cli import main
 from mechid.config import parse_config
 from mechid.errors import ConfigError
 from mechid.experiments import run_experiment
-from mechid.dynamics import LinearDecoder, NoiseSpec, ScalarMap, StructuredDecoder
+from mechid.dynamics import LinearDecoder, NoiseSpec, ScalarMap, StructuredDecoder, additive_noise_mechanism
 from mechid.grids import GridSpec
 from mechid.jsonio import Field, _read, canonical_digest, dumps_json, file_digest, load_json
 from mechid.rng import stream
@@ -1417,6 +1417,38 @@ def test_stochastic_config_holds_the_test_spec():
     cfg = parse_config(load_json(FIXTURES / "stochastic_swap.json"))
     assert (cfg.test.dim, cfg.test.samples_per_anchor, cfg.test.anchor_count) == (2, 400, 3)
     assert (cfg.test.method, cfg.test.permutations, cfg.test.seed) == ("ks", 500, 0)
+
+
+@pytest.mark.parametrize(
+    "m1",
+    [
+        None,  # the fixture's identity walk
+        {"noise": {"family": "gaussian", "scale": 0.5}, "M": [[0.5, 1.0], [0.0, 2.0]], "b": [0.1, -3.0], "label": "w"},
+    ],
+)
+def test_config_walks_are_the_library_walk(m1):
+    doc = load_json(FIXTURES / "stochastic_swap.json")
+    raw = doc["m1"] if m1 is None else m1
+    doc["m1"] = raw
+    walk = parse_config(doc).m1
+    noise = NoiseSpec(dim=2, **raw["noise"])
+    M, b = (np.asarray(raw[k], dtype=float) if k in raw else None for k in ("M", "b"))
+    same = additive_noise_mechanism(noise, M, b, raw.get("label"))
+    assert (walk.dim, walk.label) == (same.dim, same.label)
+    gen = stream(53, 0)
+    U = gen.random((32, 2))
+    for z in (np.zeros(2), gen.standard_normal(2), 1e-300 * gen.standard_normal(2)):
+        assert walk.sample_next(z, U).tobytes() == same.sample_next(z, U).tobytes()
+
+
+@pytest.mark.parametrize("key, value", [("M", np.eye(3).tolist()), ("b", [1.0, 2.0, 3.0])])
+def test_config_walk_of_another_dimension_names_m1(key, value):
+    doc = load_json(FIXTURES / "stochastic_swap.json")
+    doc["m1"][key] = value
+    shapes = "(3, 3)/(2,)" if key == "M" else "(2, 2)/(3,)"
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert str(err.value) == f"config field 'm1': M/b shapes {shapes} do not match dimension 2"
 
 
 def _paths(value, prefix=()):

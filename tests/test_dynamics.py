@@ -386,6 +386,38 @@ def walk(dim=2, alpha=1.0):
     return additive_noise_mechanism(NoiseSpec("generalized-laplace", alpha=alpha, dim=dim))
 
 
+WALK_NOISES = [
+    {"family": "gaussian"},
+    {"family": "uniform"},
+    {"family": "generalized-laplace", "alpha": 1.0},
+    {"family": "generalized-laplace", "alpha": 1.5},
+]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("noise", WALK_NOISES)
+def test_identity_walk_is_the_state_plus_its_noise_bit_for_bit(noise, dim):
+    # z @ I.T + 0 adds only exact zeros to z, so the walk's default M and b
+    # leave every bit of z + ppf(U), signed zeros and subnormal states included
+    noise = NoiseSpec(dim=dim, **noise)
+    mech = additive_noise_mechanism(noise)
+    assert (mech.dim, mech.label) == (dim, "additive-noise")
+    gen = stream(47, dim)
+    U = np.vstack([gen.random((64, dim)), np.full((1, dim), 0.5)])  # ppf(0.5) is exactly 0
+    states = [np.zeros(dim), -np.zeros(dim), 1e3 * gen.standard_normal(dim), 1e-300 * gen.standard_normal(dim)]
+    for z in states:
+        want = z[None, :] + noise.ppf(U)
+        assert mech.sample_next(z, U).tobytes() == want.tobytes()
+
+
+def test_walk_offset_and_matrix_must_match_the_noise_dimension():
+    noise = NoiseSpec("uniform", dim=2)
+    with pytest.raises(DimensionMismatchError, match=r"^M/b shapes \(3, 3\)/\(2,\) do not match dimension 2$"):
+        additive_noise_mechanism(noise, M=np.eye(3))
+    with pytest.raises(DimensionMismatchError, match=r"^M/b shapes \(2, 2\)/\(1,\) do not match dimension 2$"):
+        additive_noise_mechanism(noise, b=[1.0])
+
+
 def test_stochastic_rollout_reproducible():
     dec = LinearDecoder(np.eye(2))
     a = simulate(dec, [walk()], np.zeros(2), T=6, seed=5)

@@ -17,6 +17,7 @@ from mechid import (
     GridSpec,
     affine_equivariances,
     check_equivariance,
+    check_imitation,
     exact_recovery_conditions,
     linear_commutant,
     offset_identifiability_check,
@@ -33,7 +34,7 @@ from mechid.equivariance import (
     _intertwiner_system,
 )
 from mechid.config import parse_config
-from mechid.errors import NonFiniteSampleError
+from mechid.errors import DimensionMismatchError, NonFiniteSampleError
 from mechid.experiments import run_experiment
 from mechid.linalg import DEFAULT_RTOL, intertwiner_operator, kron_rows, null_space, relative_rank, solve_residual
 from mechid.maps import AffineMap, compose
@@ -155,6 +156,31 @@ def test_check_equivariance_pass_and_fail():
     # a(m z) = (2.3, 3), m(a z) = (2.6, 3): residual 0.3 / (1 + |(2.6, 3)|)
     want = 0.3 / (1.0 + np.hypot(2.6, 3.0))
     assert np.isclose(report.max_residual, want, rtol=1e-12)
+
+
+def test_check_imitation_names_a_callable_that_returns_the_wrong_shape():
+    ident = AffineMap(np.eye(2), np.zeros(2))
+    grid = GridSpec(dim=2, count=8)
+
+    def widen(z):
+        return np.hstack([z, z[:, :1]])
+
+    def first(z):
+        return z[:, :1]
+
+    # each call's output is checked before the next call reads it, so the error
+    # names the callable at fault and not the one its output reached
+    cases = [
+        ((ident, widen, widen), "m1 returned shape (8, 3), expected (8, 2)"),
+        ((first, DIAG23, DIAG23), "a returned shape (8, 1), expected (8, 2)"),
+        ((ident, DIAG23, first), "m2 returned shape (8, 1), expected (8, 2)"),
+        ((np.sum, DIAG23, DIAG23), "a returned shape (), expected (8, 2)"),
+    ]
+    for args, message in cases:
+        with pytest.raises(DimensionMismatchError) as err:
+            check_imitation(*args, grid=grid)
+        assert str(err.value) == message
+    assert check_imitation(np.sinh, ident, ident, grid=grid).passed
 
 
 def test_members_of_random_families_pass_check():

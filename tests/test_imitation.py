@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from mechid import (
     AffineMechanism,
-    FunctionBijection,
     GridSpec,
     MechanismClass,
     affine_equivariances,
@@ -82,7 +81,7 @@ def test_exp_intertwines_sum_with_product():
     c = np.array([0.4, -0.3, 0.2])
     m_sum = AffineMechanism(np.eye(d), c)
     m_prod = AffineMechanism(np.diag(np.exp(c)), np.zeros(d))
-    a = FunctionBijection(np.exp, np.log, dim=d)
+    a = np.exp
     grid = stream(79).uniform(-1.5, 1.5, (128, d))
     assert check_imitation(a, m_sum, m_prod, grid=grid, tol=1e-12).passed
     assert not check_imitation(a, m_prod, m_sum, grid=grid, tol=1e-6).passed
@@ -115,8 +114,7 @@ def test_particular_solution_is_cut_where_the_basis_is(delta):
 
 def test_identity_mechanisms_imitated_by_any_bijection():
     ident = AffineMechanism(np.eye(2), np.zeros(2))
-    a = FunctionBijection(np.sinh, np.arcsinh, dim=2)
-    assert check_imitation(a, ident, ident).passed
+    assert check_imitation(np.sinh, ident, ident).passed
 
 
 def test_distinct_scalings_never_imitate_affinely():

@@ -1,16 +1,16 @@
-"""Affine and functional bijections: inversion, composition, powers."""
+"""Affine maps: their parameter check, inversion, composition, powers."""
 
 import numpy as np
 import pytest
 
 from mechid import (
     AffineMap,
-    FunctionBijection,
+    AffineMechanism,
     LinearDecoder,
     compose,
     map_power,
 )
-from mechid.errors import SingularMapError
+from mechid.errors import DimensionMismatchError, NonFiniteSampleError, SingularMapError
 from mechid.rng import stream
 
 from conftest import TransformedDecoder, random_invertible
@@ -55,6 +55,35 @@ def test_singular_matrix_rejected():
         AffineMap(np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros(2))
 
 
+@pytest.mark.parametrize("cls, m, v", [(AffineMap, "A", "p"), (AffineMechanism, "M", "b")])
+def test_one_parameter_check_names_each_class_fields(cls, m, v):
+    nan_row = np.array([[1.0, 0.0], [np.nan, 1.0]])
+    cases = [
+        # a 0 x 0 map is not square and nonempty, for a map as for a mechanism
+        (np.zeros((0, 0)), np.zeros(0), DimensionMismatchError, f"{m} must be square and nonempty, got shape (0, 0)"),
+        (np.zeros((2, 3)), np.zeros(2), DimensionMismatchError, f"{m} must be square and nonempty, got shape (2, 3)"),
+        (np.eye(2), np.zeros(3), DimensionMismatchError, f"{v} has dimension 3, {m} is 2x2"),
+        (nan_row, np.zeros(2), NonFiniteSampleError, f"non-finite values produced at {m}[1]"),
+        (np.eye(2), np.array([0.0, np.inf]), NonFiniteSampleError, f"non-finite values produced at {v}"),
+        (np.diag([1.0, 0.0]), np.zeros(2), SingularMapError, f"{m} is singular to working tolerance"),
+    ]
+    for matrix, offset, error, message in cases:
+        with pytest.raises(error) as err:
+            cls(matrix, offset)
+        assert str(err.value) == message
+    made = cls(np.eye(2), [1, 2])
+    for array in (getattr(made, m), getattr(made, v)):
+        assert array.dtype == float and not array.flags.writeable
+
+
+def test_invertibility_is_judged_at_each_class_threshold():
+    # a smallest relative singular value of 1e-10 passes the map's 1e-12, not the mechanism's 1e-9
+    nearly = np.diag([1.0, 1e-10])
+    assert AffineMap(nearly, np.zeros(2)).dim == 2
+    with pytest.raises(SingularMapError):
+        AffineMechanism(nearly, np.zeros(2))
+
+
 def test_inverse_map_is_explicit_inverse():
     gen = stream(2, 0)
     a = AffineMap(random_invertible(gen, 2), gen.standard_normal(2))
@@ -75,14 +104,12 @@ def test_compose_affine_stays_affine():
     assert np.allclose(h.inverse(h(z)), z, atol=1e-10)
 
 
-def test_compose_function_bijection():
-    exp = FunctionBijection(np.exp, np.log, dim=2)
-    gen = stream(4, 0)
+def test_compose_rejects_a_map_that_is_not_affine():
     a = AffineMap(np.diag([2.0, 0.5]), np.zeros(2))
-    h = compose(exp, a)
-    z = gen.uniform(-1, 1, (8, 2))
-    assert np.allclose(h(z), np.exp(a(z)))
-    assert np.allclose(h.inverse(h(z)), z, atol=1e-12)
+    with pytest.raises(TypeError, match=r"^outer: compose takes an AffineMap, got ufunc$"):
+        compose(np.exp, a)
+    with pytest.raises(TypeError, match=r"^inner: compose takes an AffineMap, got function$"):
+        compose(a, lambda z: z)
 
 
 def test_map_power_matches_repeated_application():

@@ -33,7 +33,7 @@ from mechid.errors import (
     NonFiniteSampleError,
 )
 from mechid.dynamics import StochasticMechanism
-from mechid.maps import AffineMap, FunctionBijection
+from mechid.maps import AffineMap
 from mechid.rng import stream
 from mechid.shipped import scipy_dir, scipy_extension
 from mechid.stochastic import (

@@ -8,9 +8,10 @@ small size for the same reason; scripts/bench_pairs.py runs against two
 stub checkouts whose bench/run.py prints canned lines, and
 scripts/fixture_parity.py against two that share this checkout's code, and
 against a pair whose change is a copy of it with a writer that leaves the
-tail of a longer stale file. Two source checks close the file: every name a
-library module imports is used in it, and the README's quick tour runs as
-its comments say.
+tail of a longer stale file. Three source checks close the file: every name
+a library module imports is used in it, every private name a library module
+defines is read somewhere in the library, and the README's quick tour runs
+as its comments say.
 """
 
 import ast
@@ -395,6 +396,32 @@ def test_every_import_in_src_is_used():
                 continue
             unused += [f"{path.name}:{node.lineno} {name}" for name in names if name not in used]
     assert unused == []
+
+
+def test_every_private_name_in_src_is_used():
+    # a module-level _name that no line of the library reads is left over from
+    # code that went; tests may still reach it, but nothing they test does
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted((ROOT / "src" / "mechid").glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    orphans = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            private = [d for d in defined if d.startswith("_") and not d.startswith("__")]
+            orphans += [f"{name}:{node.lineno} {d}" for d in private if d not in read]
+    assert orphans == []
 
 
 def test_readme_quick_tour_runs_as_its_comments_say():
