@@ -166,15 +166,6 @@ class NoiseSpec:
             mag = gammaincinv(1.0 / self.alpha, w) ** (1.0 / self.alpha)
         return np.sign(s) * (self.scale * mag)
 
-    def variance(self) -> float:
-        """Per-coordinate variance."""
-        if self.family == "gaussian":
-            return self.scale**2
-        if self.family == "uniform":
-            return self.scale**2 / 3.0
-        a = self.alpha
-        return self.scale**2 * math.gamma(3.0 / a) / math.gamma(1.0 / a)
-
 
 def additive_noise_mechanism(noise: NoiseSpec, M=None, b=None, label="additive-noise") -> StochasticMechanism:
     """Kernel z -> M z + b + V with V drawn coordinatewise from `noise`; M = I and b = 0 by default."""

@@ -4,16 +4,17 @@ An affine map a(z) = A z + p carries a mechanism m1(z) = M1 z + b1 onto
 m2(z) = M2 z + b2 exactly when A M1 = M2 A and A b1 + p = M2 p + b2. Both
 constraints are linear in (A, p). `_intertwiner_system` builds them for a
 stack of pairs (m1_i, m2_i) at once, one block of rows per pair, in a single
-array. `null_space` solves it one pair's block at a time, and
+array. `_intertwiner_solve` solves it one pair's block at a time, and
 `_intertwiner_family` turns the array and that solve into the affine solution
 set: the null space N plus a particular solution, which is (I, 0) whenever
 the identity solves the whole system. An equivariance of m is the case
 m1 = m2 = m, so its solution set is (I, 0) + N; imitation solves the same
-systems with m1 != m2.
+systems with m1 != m2, and a pair m, m by the same solve.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -31,10 +32,8 @@ from .linalg import (
     null_space,
     relative_rank,
     row_space,
-    smallest_singular_gap,
     solve_residual,
     unit_scaled,
-    vec,
 )
 from .maps import AffineMap
 from .rng import stream
@@ -93,18 +92,6 @@ class LinearSubspaceBasis:
     @property
     def dimension(self) -> int:
         return self.matrices.shape[0]
-
-    def projection_defect(self, A: np.ndarray) -> float:
-        """Relative distance from A to the subspace."""
-        v = vec(A)
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            return 0.0
-        if self.dimension == 0:
-            return 1.0
-        flat = self.matrices.reshape(self.dimension, -1)
-        proj = flat.T @ (flat @ v)
-        return float(np.linalg.norm(v - proj) / nv)
 
 
 @dataclass(frozen=True)
@@ -165,26 +152,13 @@ class AffineMapFamily:
             return LinearSubspaceBasis(np.zeros((0, d, d)))
         return LinearSubspaceBasis(row_space(self.basis_A.reshape(k, -1), self.rtol).reshape(-1, d, d))
 
-    def membership_defect(self, A: np.ndarray, p: np.ndarray) -> float:
-        """Relative distance of (A, p) from the family."""
-        if not self.consistent:
-            return float("inf")
-        h = np.concatenate([vec(A) - vec(self.particular_A), np.asarray(p) - self.particular_p])
-        nh = np.linalg.norm(h)
-        if nh == 0:
-            return 0.0
-        if self.dimension == 0:
-            return float(nh / max(nh, 1.0))
-        flat = np.hstack([self.basis_A.reshape(self.dimension, -1), self.basis_p])
-        proj = flat.T @ (flat @ h)
-        return float(np.linalg.norm(h - proj) / max(nh, 1.0))
-
     def representative(self, seed: int = 0) -> AffineMap | None:
         """An invertible member, or None if none is found.
 
         Tries the particular solution first, then seeded random combinations
-        of the homogeneous basis; a member is invertible when its smallest
-        singular gap exceeds the family's `rtol`. Failure after the attempt
+        of the homogeneous basis; a member is invertible when it has full
+        `relative_rank` at the family's `rtol`, cut at unit scale or above,
+        as `AffineMap` requires. Failure after the attempt
         budget means no invertible representative was found, not that none
         exists.
         """
@@ -196,7 +170,7 @@ class AffineMapFamily:
             candidates.append(gen.standard_normal(self.dimension))
         for c in candidates:
             A, p = self.element(c)
-            if smallest_singular_gap(A) > self.rtol:
+            if relative_rank(A, self.rtol, 1.0) == len(A):
                 return AffineMap(A, p)
         return None
 
@@ -328,6 +302,22 @@ def _blocked_null_space(C: np.ndarray, r: np.ndarray, dd: int, rtol: float, scal
     return start
 
 
+def _intertwiner_solve(
+    M1: np.ndarray, b1: np.ndarray, M2: np.ndarray, b2: np.ndarray, rtol: float
+) -> AffineMapFamily:
+    """The affine maps a with a∘m1_i = m2_i∘a for every pair i of the stacks, as for
+    `_intertwiner_system`: its rows are solved one pair at a time, each pair in
+    `_blocked_null_space`'s row blocks and cut on the basis the pairs before it left."""
+    k, d = b1.shape
+    C, r = _intertwiner_system(M1, b1, M2, b2)
+    scale = _data_scale(M1, b1, M2, b2)
+    start = None
+    for block, rhs in zip(np.split(C, k), np.split(r, k)):
+        start = _blocked_null_space(block, rhs, d * d, rtol, scale, start)
+    basis, x = start
+    return _intertwiner_family(C, r, basis, x, d, rtol)
+
+
 def _commutant_null_space(M: np.ndarray, offsets: np.ndarray, rtol: float) -> np.ndarray:
     """Null basis over vec(A) of {A M = M A, A b = 0 for each row b of offsets}, solved in
     `_blocked_null_space`'s row blocks."""
@@ -353,29 +343,18 @@ def affine_equivariances(m: AffineMechanism, rtol: float = DEFAULT_RTOL) -> Equi
 def shared_equivariances(
     mechanisms: Sequence[AffineMechanism], rtol: float = DEFAULT_RTOL
 ) -> EquivarianceFamily:
-    """Affine maps commuting with every mechanism simultaneously.
-
-    The system is solved one mechanism's rows at a time, each in
-    `_blocked_null_space`'s row blocks and cut on the basis the mechanisms
-    before it left.
-    """
+    """Affine maps commuting with every mechanism simultaneously: the
+    `_intertwiner_solve` of each mechanism onto itself."""
     mechanisms = tuple(mechanisms)
     if not mechanisms:
         raise ValueError("at least one mechanism is required")
     d = mechanisms[0].dim
-    for m in mechanisms[1:]:
-        if m.dim != d:
-            raise DimensionMismatchError("mechanisms have mixed dimensions")
+    if any(m.dim != d for m in mechanisms):
+        raise DimensionMismatchError("mechanisms have mixed dimensions")
     M = np.stack([m.M for m in mechanisms])
     b = np.stack([m.b for m in mechanisms])
-    C, r = _intertwiner_system(M, b, M, b)
-    scale = _data_scale(M, b)
-    start = None
-    for block, rhs in zip(np.split(C, len(mechanisms)), np.split(r, len(mechanisms))):
-        start = _blocked_null_space(block, rhs, d * d, rtol, scale, start)
-    basis, x = start
-    family = _intertwiner_family(C, r, basis, x, d, rtol)
-    degenerate = any(smallest_singular_gap(m.M - np.eye(d)) <= rtol for m in mechanisms)
+    family = _intertwiner_solve(M, b, M, b, rtol)
+    degenerate = any(relative_rank(m.M - np.eye(d), rtol, 1.0) < d for m in mechanisms)
     return EquivarianceFamily(mechanisms=mechanisms, family=family, degenerate_offset=degenerate)
 
 
@@ -505,11 +484,15 @@ class ConditionReport:
     analytic_measure_assumed: bool = True
 
 
-def _eigen_summary(M: np.ndarray):
+# M = S diag(w) S^-1 as `_eigen_summary` gives it: w, S and the spectral premises a check reads
+_Spectrum = namedtuple("_Spectrum", "eigenvalues vectors radius diagonalizable distinct min_gap")
+
+
+def _eigen_summary(M: np.ndarray) -> _Spectrum:
     w, S = np.linalg.eig(M)
     radius = float(np.max(np.abs(w))) if w.size else 0.0
     recon_ok = False
-    if smallest_singular_gap(S) > 1e-12:
+    if relative_rank(S, 1e-12, 1.0) == len(S):
         s, M = unit_scaled(M)  # the error is relative, so it is measured where no norm overflows
         recon = S @ np.diag(w * s) @ np.linalg.inv(S)
         denom = max(np.linalg.norm(M), 1e-300)
@@ -517,7 +500,34 @@ def _eigen_summary(M: np.ndarray):
     gaps = [abs(w[i] - w[j]) for i in range(len(w)) for j in range(i + 1, len(w))]
     min_gap = float(min(gaps)) if gaps else None
     distinct = min_gap is None or bool(min_gap > EIGENGAP_RTOL * max(radius, 1e-300))
-    return w, S, radius, recon_ok, distinct, min_gap
+    return _Spectrum(w, S, radius, recon_ok, distinct, min_gap)
+
+
+def _premise_report(
+    spectrum: _Spectrum, measured: int, kind: str, dimension: int, premises: bool, **fields
+) -> ConditionReport:
+    """A premise check's report on M, given `_eigen_summary(M)`, and its own report `fields`.
+
+    The verdict is not-applicable unless M is diagonalizable; the check's
+    `kind` and `dimension` when the eigenvalues are distinct and its
+    `premises` hold; other otherwise. The first and last carry `measured`.
+    """
+    if not spectrum.diagonalizable:
+        verdict = ConditionVerdict("not-applicable", measured)
+    elif spectrum.distinct and premises:
+        verdict = ConditionVerdict(kind, dimension)
+    else:
+        verdict = ConditionVerdict("other", measured)
+    return ConditionReport(
+        eigenvalues=tuple(complex(x) for x in spectrum.eigenvalues),
+        diagonalizable=spectrum.diagonalizable,
+        distinct_eigenvalues=spectrum.distinct,
+        min_eigenvalue_gap=spectrum.min_gap,
+        spectral_radius=spectrum.radius,
+        measured_dimension=measured,
+        verdict=verdict,
+        **fields,
+    )
 
 
 def _eigencoordinates(S: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -538,28 +548,16 @@ def exact_recovery_conditions(m: AffineMechanism, rtol: float = DEFAULT_RTOL) ->
     free direction, whose count is also measured directly as the null-space
     dimension of {A M = M A, A b = 0}.
     """
-    w, S, radius, diag_ok, distinct, min_gap = _eigen_summary(m.M)
+    spectrum = _eigen_summary(m.M)
     measured = _commutant_null_space(m.M, m.b[None, :], rtol).shape[0]
     mags = zero_count = offset_ok = None
-    if diag_ok:
-        [av], [norm] = _eigencoordinates(S, m.b[None, :])
+    if spectrum.diagonalizable:
+        [av], [norm] = _eigencoordinates(spectrum.vectors, m.b[None, :])
         mags = tuple(float(x) for x in av)
         zero_count = int(np.sum(av <= rtol * max(norm, 1e-300)))
         offset_ok = bool(zero_count == 0)
-    if not diag_ok:
-        verdict = ConditionVerdict("not-applicable", measured)
-    elif distinct and offset_ok:
-        verdict = ConditionVerdict("exact", 0)
-    else:
-        verdict = ConditionVerdict("other", measured)
-    return ConditionReport(
-        eigenvalues=tuple(complex(x) for x in w),
-        diagonalizable=diag_ok,
-        distinct_eigenvalues=distinct,
-        min_eigenvalue_gap=min_gap,
-        spectral_radius=radius,
-        measured_dimension=measured,
-        verdict=verdict,
+    return _premise_report(
+        spectrum, measured, "exact", 0, offset_ok,
         offset_component_magnitudes=mags,
         zero_component_count=zero_count,
         offset_condition=offset_ok,
@@ -634,14 +632,14 @@ def offset_identifiability_check(
         raise DimensionMismatchError(f"offsets have dimension {B.shape[1]}, M is {d}x{d}")
     _require_finite(M, "M")
     _require_finite(B, "offsets")
-    w, S, radius, diag_ok, distinct, min_gap = _eigen_summary(M)
+    spectrum = _eigen_summary(M)
     kept = _distinct_rows(B, rtol)
     R = B[kept]
     K = len(kept)
     rank = relative_rank(R[1:] - R[0], rtol)  # 0 for a single kept offset
     rank_ok = bool(K >= d + 1 and rank == d)
     best_pair = best_mags = offset_ok = None
-    if diag_ok:
+    if spectrum.diagonalizable:
         offset_ok = False
         best_score = -1.0
         # pairs a < b in lexicographic order, whole rows a at a time
@@ -650,7 +648,7 @@ def offset_identifiability_check(
         for a0 in range(0, K - 1, step):
             a, b = np.nonzero(cols[a0 : a0 + step, None] < cols)
             a += a0
-            av, norm = _eigencoordinates(S, R.take(a, axis=0) - R.take(b, axis=0))
+            av, norm = _eigencoordinates(spectrum.vectors, R.take(a, axis=0) - R.take(b, axis=0))
             low = av.min(axis=1)
             live = norm > 0
             score = np.full(norm.shape, -np.inf)
@@ -663,22 +661,9 @@ def offset_identifiability_check(
             # every |v| > rtol * norm exactly when the smallest one is
             offset_ok = offset_ok or bool(np.any(live & (low > rtol * norm)))
     measured = _commutant_null_space(M, R, rtol).shape[0]
-    if not diag_ok:
-        verdict = ConditionVerdict("not-applicable", measured)
-    elif rank_ok and offset_ok and distinct:
-        verdict = ConditionVerdict("offset-only", d)
-    else:
-        verdict = ConditionVerdict("other", measured)
-    return ConditionReport(
-        eigenvalues=tuple(complex(x) for x in w),
-        diagonalizable=diag_ok,
-        distinct_eigenvalues=distinct,
-        min_eigenvalue_gap=min_gap,
-        spectral_radius=radius,
-        measured_dimension=measured,
-        verdict=verdict,
+    return _premise_report(
+        spectrum, measured, "offset-only", d, rank_ok and offset_ok,
         offset_component_magnitudes=best_mags,
-        zero_component_count=None,
         offset_condition=offset_ok,
         offset_count=int(B.shape[0]),
         distinct_offset_count=K,

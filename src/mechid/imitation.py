@@ -29,6 +29,7 @@ from .equivariance import (
     _as_points,
     _data_scale,
     _intertwiner_family,
+    _intertwiner_solve,
     _intertwiner_system,
     _particular,
     check_equivariance,
@@ -126,9 +127,7 @@ def find_affine_intertwiners(
     """
     if m1.dim != m2.dim:
         raise DimensionMismatchError("mechanisms have different dimensions")
-    C, r = _intertwiner_system(m1.M[None], m1.b[None], m2.M[None], m2.b[None])
-    basis, x, _ = null_space(C, rtol, r, _data_scale(m1.M, m1.b, m2.M, m2.b))
-    return _intertwiner_family(C, r, basis, x, m1.dim, rtol)
+    return _intertwiner_solve(m1.M[None], m1.b[None], m2.M[None], m2.b[None], rtol)
 
 
 def _spectra_match(w1: np.ndarray, w2: np.ndarray) -> bool:

@@ -41,7 +41,6 @@ __all__ = [
     "unit_scaled",
     "row_space",
     "relative_rank",
-    "smallest_singular_gap",
     "orthonormal_defect",
 ]
 
@@ -84,7 +83,7 @@ def intertwiner_operator(M1: np.ndarray, M2: np.ndarray) -> np.ndarray:
 
 def _rank(s: np.ndarray, rtol: float, scale: float = 0.0) -> int:
     """Count of singular values (descending) above rtol * max(largest, scale)."""
-    return int(np.sum(s > rtol * max(s[0], scale))) if s.size else 0
+    return int(np.count_nonzero(s > rtol * max(s[0], scale))) if s.size else 0
 
 
 def null_space(
@@ -164,23 +163,13 @@ def row_space(K: np.ndarray, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     return vh[: _rank(s, rtol)]
 
 
-def relative_rank(A: np.ndarray, rtol: float = DEFAULT_RTOL) -> int:
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+def relative_rank(A: np.ndarray, rtol: float = DEFAULT_RTOL, scale: float = 0.0) -> int:
+    """Count of A's singular values above rtol * max(largest, scale): the one rank rule. A square
+    A is invertible when that is its size; at `scale` = 1, pure rounding noise is not."""
+    A = np.atleast_2d(np.asarray(A))
     if A.size == 0:
         return 0
-    return _rank(np.linalg.svd(A, compute_uv=False), rtol)
-
-
-def smallest_singular_gap(A: np.ndarray) -> float:
-    """sigma_min / max(1, sigma_max): invertibility at unit working scale.
-
-    The floor matters: a matrix of pure rounding noise can have a healthy
-    sigma ratio, and a purely relative measure would call it invertible.
-    """
-    s = np.linalg.svd(np.asarray(A), compute_uv=False)
-    if s.size == 0:
-        return 0.0
-    return float(s[-1] / max(1.0, s[0]))
+    return _rank(np.linalg.svd(A, compute_uv=False), rtol, scale)
 
 
 def orthonormal_defect(A: np.ndarray) -> float:

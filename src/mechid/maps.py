@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, SingularMapError
-from .linalg import _require_finite, smallest_singular_gap
+from .linalg import _require_finite, relative_rank
 
 __all__ = ["AffineMap", "compose", "map_power"]
 
@@ -23,9 +23,9 @@ def _affine_parameters(matrix, offset, names: tuple[str, str], rtol: float) -> t
     """(matrix, offset) as read-only float arrays, or raise.
 
     The matrix must be square and non-empty, the offset as long as it is
-    wide, every entry finite, and the matrix invertible: its
-    `smallest_singular_gap` above `rtol`. `names` are the caller's names for
-    the two, which every error message uses.
+    wide, every entry finite, and the matrix invertible: of full
+    `relative_rank` at `rtol`, cut at unit scale or above. `names` are the
+    caller's names for the two, which every error message uses.
     """
     m, v = names
     A = np.array(matrix, dtype=float)
@@ -36,7 +36,7 @@ def _affine_parameters(matrix, offset, names: tuple[str, str], rtol: float) -> t
         raise DimensionMismatchError(f"{v} has dimension {p.shape[0]}, {m} is {A.shape[0]}x{A.shape[1]}")
     _require_finite(A, m)
     _require_finite(p, v)
-    if smallest_singular_gap(A) <= rtol:
+    if relative_rank(A, rtol, 1.0) < len(A):
         raise SingularMapError(f"{m} is singular to working tolerance")
     A.setflags(write=False)
     p.setflags(write=False)
@@ -72,10 +72,6 @@ class AffineMap:
             return np.linalg.solve(self.A, (x - self.p).T).T
         # a stack of (N, d) batches: one right-hand side per point
         return np.linalg.solve(self.A, (x - self.p)[..., None])[..., 0]
-
-    def inverse_map(self) -> "AffineMap":
-        Ainv = np.linalg.inv(self.A)
-        return AffineMap(Ainv, -Ainv @ self.p)
 
 
 def compose(outer: AffineMap, inner: AffineMap) -> AffineMap:

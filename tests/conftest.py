@@ -12,6 +12,7 @@ import pytest
 
 from mechid import AffineMechanism
 from mechid.equivariance import CheckReport, _as_points, _residual_report, _row_residuals
+from mechid.maps import AffineMap
 from mechid.rng import stream
 
 
@@ -32,6 +33,19 @@ def random_invertible(gen: np.random.Generator, d: int, cond_cap: float = 50.0) 
         if s[-1] > 0 and s[0] / s[-1] <= cond_cap:
             return A
     raise AssertionError("failed to draw a well-conditioned matrix")
+
+
+def inverse_map(a: AffineMap) -> AffineMap:
+    """The affine map z -> A^-1 (z - p), from the explicit inverse of A."""
+    Ainv = np.linalg.inv(a.A)
+    return AffineMap(Ainv, -Ainv @ a.p)
+
+
+def span_distance(rows: np.ndarray, v: np.ndarray) -> float:
+    """|v - P v| / |v| for P the projection onto the span of orthonormal `rows`; 0 for v = 0."""
+    v = np.ravel(v)
+    nv = np.linalg.norm(v)
+    return float(np.linalg.norm(v - rows.T @ (rows @ v)) / nv) if nv else 0.0
 
 
 def random_orthogonal(gen: np.random.Generator, d: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from mechid import (
 from mechid.errors import BudgetExceededError, ToleranceAmbiguityError
 from mechid.equivariance import _BLOCKED_COMMUTANT_SIZE, _data_scale, _intertwiner_family, _intertwiner_system
 from mechid.imitation import CLOSURE_TOL_FACTOR, _spectra_match
-from mechid.linalg import smallest_singular_gap
+from mechid.linalg import relative_rank
 from mechid.maps import AffineMap, compose, map_power
 from mechid.rng import stream
 
@@ -34,11 +34,18 @@ from conftest import (
     distinct_eig_mechanism,
     random_invertible,
     rotation,
+    span_distance,
     stacked_solve,
 )
 
 DIAG23 = AffineMechanism(np.diag([2.0, 3.0]), np.zeros(2))
 DIAG32 = AffineMechanism(np.diag([3.0, 2.0]), np.zeros(2))
+
+
+def family_distance(fam, A, p):
+    """Relative distance of (A, p) - particular from the span of the family's basis."""
+    rows = np.hstack([fam.basis_A.reshape(fam.dimension, -1), fam.basis_p])
+    return span_distance(rows, np.concatenate([(A - fam.particular_A).ravel(), p - fam.particular_p]))
 
 
 def test_intertwiners_between_swapped_diagonals_are_antidiagonal():
@@ -56,17 +63,17 @@ def test_intertwiners_between_swapped_diagonals_are_antidiagonal():
 
 
 def test_self_intertwiners_are_equivariances():
-    m = AffineMechanism(np.array([[1.1, 0.3], [0.0, 0.7]]), np.array([0.2, -0.4]))
-    inter = find_affine_intertwiners(m, m)
-    equi = affine_equivariances(m).family
-    assert inter.dimension == equi.dimension
-    gen = stream(73)
-    for _ in range(8):
-        c = gen.standard_normal(inter.dimension)
-        A, p = inter.element(c)
-        assert equi.membership_defect(A, p) < 1e-8
-        A2, p2 = equi.element(c)
-        assert inter.membership_defect(A2, p2) < 1e-8
+    # bit for bit, also from d = 8 up, where both are solved in row blocks
+    mechanisms = [AffineMechanism(np.array([[1.1, 0.3], [0.0, 0.7]]), np.array([0.2, -0.4]))]
+    for d in (3, 8, 9):
+        gen = stream(7300, d)
+        mechanisms.append(AffineMechanism(random_invertible(gen, d), gen.standard_normal(d)))
+    for m in mechanisms:
+        inter = find_affine_intertwiners(m, m)
+        equi = affine_equivariances(m).family
+        assert inter.dimension == equi.dimension > 0
+        for field in ("basis_A", "basis_p", "particular_A", "particular_p", "residual"):
+            assert np.array_equal(getattr(inter, field), getattr(equi, field)), (m.dim, field)
 
 
 def test_disjoint_spectra_leave_only_zero():
@@ -186,7 +193,7 @@ def test_closure_single_mechanism_equals_equivariances():
     for _ in range(6):
         c = gen.standard_normal(fam.dimension)
         A, p = fam.element(c)
-        assert equi.membership_defect(A, p) < 1e-8
+        assert family_distance(equi, A, p) < 1e-8
 
 
 def test_closure_spectrum_pruning_forces_identity_assignment():
@@ -213,7 +220,7 @@ def test_closure_includes_swap_assignment():
     self_fam = by_assignment[(0,)].family
     # the antidiagonal solutions are not inside the self-assignment family
     rep = by_assignment[(1,)].representative
-    assert self_fam.membership_defect(rep.A, rep.p) > 0.1
+    assert family_distance(self_fam, rep.A, rep.p) > 0.1
     assert not check_imitation(rep, DIAG23, DIAG23, tol=1e-6).passed
     for record in by_assignment[(1,)].records:
         assert record.residual <= record.tol
@@ -426,7 +433,7 @@ def assert_one_cut(family, rtol):
     for seed in range(3):
         rep = family.representative(seed)
         if rep is not None:
-            assert smallest_singular_gap(rep.A) > family.rtol
+            assert relative_rank(rep.A, family.rtol, 1.0) == rep.dim
 
 
 @settings(max_examples=60, deadline=None)
@@ -443,7 +450,7 @@ def test_every_family_decision_reads_its_own_cut(case):
     closure = imitator_closure(MechanismClass(used=(m1,), hypothesized=(m2,)), rtol=rtol)
     for found in closure.assignments:
         assert_one_cut(found.family, rtol)
-        assert smallest_singular_gap(found.representative.A) > rtol
+        assert relative_rank(found.representative.A, rtol, 1.0) == found.representative.dim
 
 
 # ---------------------------------------------------------------------------

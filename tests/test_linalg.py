@@ -6,6 +6,8 @@ constraint solve is checked against numpy's pseudoinverse at the same cut,
 and its block-by-block form against one solve of the stacked blocks.
 """
 
+import warnings
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -129,6 +131,42 @@ def test_relative_rank():
     U = gen.standard_normal((5, 2))
     V = gen.standard_normal((2, 7))
     assert relative_rank(U @ V) == 2
+
+
+def test_relative_rank_keeps_the_imaginary_part():
+    # [[1, i], [i, -1]] has rank 1, its real part diag(1, -1) rank 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert relative_rank(np.array([[1, 1j], [1j, -1]])) == 1
+
+
+def test_full_rank_at_a_floor_of_one_is_the_singular_ratio_rule():
+    # oracle: the invertibility test relative_rank(A, t, 1.0) == d replaced,
+    # s_min / max(1, s_max) > t, on the same singular values
+    outcomes = set()
+    for t in (1e-9, 1e-12):
+        for trial in range(200):
+            gen = stream(6, 3, trial)
+            d = int(gen.integers(2, 6))
+            s_max = 10.0 ** gen.uniform(-12, 12)
+            s_min = min(s_max, t * max(1.0, s_max) * 10.0 ** gen.uniform(-1, 1))
+            s = np.concatenate([[s_max], np.sort(gen.uniform(s_min, s_max, d - 2))[::-1], [s_min]])
+            # A = U diag(s) V^H, with U and V unitary for odd trials and orthogonal for even ones
+            imag = 1j * (trial % 2)
+            U, V = [np.linalg.qr(gen.standard_normal((d, d)) + imag * gen.standard_normal((d, d)))[0] for _ in "UV"]
+            A = U * s @ V.conj().T
+            A = A if imag else A.real
+            sv = np.linalg.svd(A, compute_uv=False)
+            ratio = sv[-1] / max(1.0, sv[0])
+            if abs(ratio - t) <= 8 * np.spacing(t):
+                continue
+            expect = bool(ratio > t)
+            assert (relative_rank(A, t, 1.0) == d) == expect, (t, trial)
+            outcomes.add((expect, sv[0] < 1.0, sv[-1] / sv[0] > t))
+    # both verdicts occur, and the floor decides some: a purely relative cut
+    # would call those full rank
+    assert {True, False} <= {e for e, _, _ in outcomes}
+    assert (False, True, True) in outcomes
 
 
 def test_row_space_complements_null_space_at_one_cut():

@@ -84,15 +84,6 @@ def test_invertibility_is_judged_at_each_class_threshold():
         AffineMechanism(nearly, np.zeros(2))
 
 
-def test_inverse_map_is_explicit_inverse():
-    gen = stream(2, 0)
-    a = AffineMap(random_invertible(gen, 2), gen.standard_normal(2))
-    inv = a.inverse_map()
-    z = gen.standard_normal((5, 2))
-    assert np.allclose(inv(a(z)), z, atol=1e-12)
-    assert np.allclose(a(inv(z)), z, atol=1e-12)
-
-
 def test_compose_affine_stays_affine():
     gen = stream(3, 0)
     f = AffineMap(random_invertible(gen, 2), gen.standard_normal(2))

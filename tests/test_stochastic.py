@@ -46,6 +46,7 @@ from mechid.stochastic import (
 
 from conftest import (
     SWAP,
+    inverse_map,
     random_invertible,
     random_signed_permutation,
     rotation,
@@ -694,7 +695,7 @@ def test_class_composition_closure():
         a = AffineMap(random_signed_permutation(gen, 3), gen.standard_normal(3))
         b = AffineMap(random_signed_permutation(gen, 3), gen.standard_normal(3))
         assert signed_perm_offset_test(compose(a, b)).in_class
-        assert signed_perm_offset_test(a.inverse_map()).in_class
+        assert signed_perm_offset_test(inverse_map(a)).in_class
 
 
 # ---------------------------------------------------------------------------
