@@ -100,4 +100,7 @@ from .verify import (
     membership_equivalence_audit,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _ModuleType
+
+# the API names: the submodules the imports above bind are not exported
+__all__ = sorted(n for n, v in globals().items() if not (n.startswith("_") or isinstance(v, _ModuleType)))

@@ -244,46 +244,28 @@ class ScalarMap:
         return (y - self.t) / self.s
 
 
-def _decoder_matrix(G) -> tuple[np.ndarray, np.ndarray]:
-    """G as a read-only n x d array of full column rank, and its pseudoinverse."""
-    G = np.array(G, dtype=float)
-    if G.ndim != 2 or G.shape[0] < G.shape[1] or G.shape[1] < 1:
-        raise DimensionMismatchError(f"G must be n x d with n >= d >= 1, got {G.shape}")
-    _require_finite(G, "G")
-    if relative_rank(G) < G.shape[1]:
-        raise SingularMapError("decoder matrix is column-rank deficient")
-    G.setflags(write=False)
-    return G, np.linalg.pinv(G)
-
-
-def _require_finite_rows(y: np.ndarray, tol: float) -> None:
-    """Raise for the first row with a non-finite entry: the encoder is undefined there."""
-    bad_rows = np.nonzero(~np.isfinite(np.atleast_2d(y)).all(axis=-1))[0]
-    if bad_rows.size:
-        raise OffManifoldError(int(bad_rows[0]), float("inf"), tol)
-
-
-def _manifold_check(x: np.ndarray, recon: np.ndarray, tol: float) -> None:
-    """Raise for the first observation whose reconstruction deviates beyond tol."""
-    x2 = np.atleast_2d(x)
-    r2 = np.atleast_2d(recon)
-    dev = np.linalg.norm(r2 - x2, axis=-1) / (1.0 + np.linalg.norm(x2, axis=-1))
-    bad = np.nonzero(dev > tol)[0]
-    if bad.size:
-        raise OffManifoldError(int(bad[0]), float(dev[bad[0]]), tol)
-
-
 @dataclass(frozen=True)
-class LinearDecoder:
-    """x = G z with G of full column rank; encoder is the pseudoinverse."""
+class _Decoder:
+    """x = G z with G of full column rank, then the decoder's coordinate maps, if any.
+
+    The one validation and route of both decoders: the encoder undoes the
+    coordinate maps, then applies the pseudoinverse of G. An observation
+    with no finite preimage, or one whose reconstruction deviates from it
+    by more than `manifold_tol`, raises an off-manifold error.
+    """
 
     G: np.ndarray
-    manifold_tol: float = 1e-6
 
     def __post_init__(self):
-        G, pinv = _decoder_matrix(self.G)
+        G = np.array(self.G, dtype=float)
+        if G.ndim != 2 or G.shape[0] < G.shape[1] or G.shape[1] < 1:
+            raise DimensionMismatchError(f"G must be n x d with n >= d >= 1, got {G.shape}")
+        _require_finite(G, "G")
+        if relative_rank(G) < G.shape[1]:
+            raise SingularMapError("decoder matrix is column-rank deficient")
+        G.setflags(write=False)
         object.__setattr__(self, "G", G)
-        object.__setattr__(self, "_pinv", pinv)
+        object.__setattr__(self, "_pinv", np.linalg.pinv(G))
 
     @property
     def latent_dim(self) -> int:
@@ -296,17 +278,36 @@ class LinearDecoder:
     def decode(self, z: np.ndarray) -> np.ndarray:
         return np.asarray(z, dtype=float) @ self.G.T
 
+    def _unmapped(self, x: np.ndarray) -> np.ndarray:
+        """x before the coordinate maps: x itself when there are none."""
+        return x
+
     def encode(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        _require_finite_rows(x, self.manifold_tol)
-        z = x @ self._pinv.T
+        y = self._unmapped(x)
+        bad_rows = np.nonzero(~np.isfinite(np.atleast_2d(y)).all(axis=-1))[0]
+        if bad_rows.size:
+            raise OffManifoldError(int(bad_rows[0]), float("inf"), self.manifold_tol)
+        z = y @ self._pinv.T
         if self.obs_dim > self.latent_dim:
-            _manifold_check(x, self.decode(z), self.manifold_tol)
+            x2 = np.atleast_2d(x)
+            recon = np.atleast_2d(self.decode(z))
+            dev = np.linalg.norm(recon - x2, axis=-1) / (1.0 + np.linalg.norm(x2, axis=-1))
+            bad = np.nonzero(dev > self.manifold_tol)[0]
+            if bad.size:
+                raise OffManifoldError(int(bad[0]), float(dev[bad[0]]), self.manifold_tol)
         return z
 
 
 @dataclass(frozen=True)
-class StructuredDecoder:
+class LinearDecoder(_Decoder):
+    """x = G z with G of full column rank; encoder is the pseudoinverse."""
+
+    manifold_tol: float = 1e-6
+
+
+@dataclass(frozen=True)
+class StructuredDecoder(_Decoder):
     """x = h(G z) with h strictly monotone coordinatewise.
 
     The encoder inverts h in closed form per coordinate, then applies the
@@ -314,46 +315,30 @@ class StructuredDecoder:
     column space of G) raise an off-manifold error.
     """
 
-    G: np.ndarray
     maps: tuple[ScalarMap, ...]
     manifold_tol: float = LinearDecoder.manifold_tol
 
     def __post_init__(self):
-        G, pinv = _decoder_matrix(self.G)
+        super().__post_init__()
         maps = tuple(self.maps)
-        if len(maps) != G.shape[0]:
+        if len(maps) != self.obs_dim:
             raise DimensionMismatchError(
-                f"{len(maps)} coordinate maps for {G.shape[0]} observation coordinates"
+                f"{len(maps)} coordinate maps for {self.obs_dim} observation coordinates"
             )
-        object.__setattr__(self, "G", G)
         object.__setattr__(self, "maps", maps)
-        object.__setattr__(self, "_pinv", pinv)
-
-    @property
-    def latent_dim(self) -> int:
-        return self.G.shape[1]
-
-    @property
-    def obs_dim(self) -> int:
-        return self.G.shape[0]
 
     def decode(self, z: np.ndarray) -> np.ndarray:
-        lin = np.asarray(z, dtype=float) @ self.G.T
+        lin = super().decode(z)
         out = np.empty_like(lin)
         for i, m in enumerate(self.maps):
             out[..., i] = m.forward(lin[..., i])
         return out
 
-    def encode(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.empty_like(x, dtype=float)
+    def _unmapped(self, x: np.ndarray) -> np.ndarray:
+        y = np.empty_like(x)
         for i, m in enumerate(self.maps):
             y[..., i] = m.inverse(x[..., i])
-        _require_finite_rows(y, self.manifold_tol)
-        z = y @ self._pinv.T
-        if self.obs_dim > self.latent_dim:
-            _manifold_check(x, self.decode(z), self.manifold_tol)
-        return z
+        return y
 
 
 # ---------------------------------------------------------------------------

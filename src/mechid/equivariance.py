@@ -9,7 +9,8 @@ array. `_intertwiner_solve` solves it one pair's block at a time, and
 set: the null space N plus a particular solution, which is (I, 0) whenever
 the identity solves the whole system. An equivariance of m is the case
 m1 = m2 = m, so its solution set is (I, 0) + N; imitation solves the same
-systems with m1 != m2, and a pair m, m by the same solve.
+systems with m1 != m2, and its closure appends each pair in the same row
+blocks (`_row_blocks`), so a family is the same bits on every route.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .grids import GridSpec
 from .linalg import (
     DEFAULT_RTOL,
     _require_finite,
+    _square_matrix,
     intertwiner_operator,
     kron_rows,
     null_space,
@@ -262,9 +264,6 @@ class EquivarianceFamily:
     def p_fiber_dimension(self) -> int:
         return self.family.p_fiber_dimension
 
-    def a_part_basis(self) -> LinearSubspaceBasis:
-        return self.family.a_part_basis()
-
     def classify(self) -> "ConditionVerdict":
         """Decision-table verdict from the family's shape."""
         d = self.family.basis_A.shape[1]
@@ -282,21 +281,25 @@ class EquivarianceFamily:
         return ConditionVerdict("other", dim)
 
 
-def _blocked_null_space(C: np.ndarray, r: np.ndarray, dd: int, rtol: float, scale: float, start=None):
-    """(null basis, particular solution) of C x = r appended to `start`, as `null_space` gives them.
+def _row_blocks(C: np.ndarray, r: np.ndarray, dd: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The blocks of rows, with their right-hand sides, in which C x = r is solved.
 
     C's first dd = d*d rows are commutator rows and the rest offset rows. From
-    _BLOCKED_COMMUTANT_SIZE commutator rows up, the commutator rows are solved
-    in four blocks and the offset rows last, as one more block, each cut on
-    the null basis the blocks before it left. A smaller system, where
-    splitting gains little or loses, stays one SVD of all its rows.
+    _BLOCKED_COMMUTANT_SIZE commutator rows up, the commutator rows form four
+    blocks and the offset rows one more, last; each block is cut on the null
+    basis the blocks before it left. A smaller system, where splitting gains
+    little or loses, stays one block: one SVD of all its rows.
     """
     if dd < _BLOCKED_COMMUTANT_SIZE:
-        blocks = [(C, r)]
-    else:
-        blocks = [*zip(np.array_split(C[:dd], 4), np.array_split(r[:dd], 4))]
-        blocks += [(C[dd:], r[dd:])] if len(C) > dd else []
-    for block, rhs in blocks:
+        return [(C, r)]
+    blocks = [*zip(np.array_split(C[:dd], 4), np.array_split(r[:dd], 4))]
+    return blocks + ([(C[dd:], r[dd:])] if len(C) > dd else [])
+
+
+def _blocked_null_space(C: np.ndarray, r: np.ndarray, dd: int, rtol: float, scale: float, start=None):
+    """(null basis, particular solution) of C x = r appended to `start`, as `null_space` gives
+    them, solved block by block in `_row_blocks`."""
+    for block, rhs in _row_blocks(C, r, dd):
         basis, x, _ = null_space(block, rtol, rhs, scale, start)
         start = basis, x
     return start
@@ -329,8 +332,9 @@ def _commutant_null_space(M: np.ndarray, offsets: np.ndarray, rtol: float) -> np
 
 def linear_commutant(M: np.ndarray | AffineMechanism, rtol: float = DEFAULT_RTOL) -> LinearSubspaceBasis:
     """Orthonormal basis of {A : A M = M A}: the null space of its d*d commutator rows,
-    solved in `_blocked_null_space`'s row blocks, which split from d = 8 up."""
-    M = M.M if isinstance(M, AffineMechanism) else np.asarray(M, dtype=float)
+    solved in `_row_blocks`, which split from d = 8 up. A bare M is checked by
+    `_square_matrix`."""
+    M = M.M if isinstance(M, AffineMechanism) else _square_matrix(M, "M")
     d = M.shape[0]
     return LinearSubspaceBasis(_commutant_null_space(M, np.zeros((0, d)), rtol).reshape(-1, d, d))
 
@@ -620,17 +624,19 @@ def offset_identifiability_check(
     verdict is offset-only; otherwise the measured solution-space dimension
     from the supplied offsets is reported.
 
-    Offsets are deduplicated by the rule of `_distinct_rows`.
+    A bare M is checked by `_square_matrix`, and `offsets` must hold at
+    least one offset. Offsets are deduplicated by the rule of `_distinct_rows`.
     `nonzero_difference_pair` is the pair (a, b), a < b, of kept offsets
     whose difference has the largest smallest-to-norm eigencoordinate
     ratio; on a tie it is the first such pair in lexicographic order.
     """
-    M = M.M if isinstance(M, AffineMechanism) else np.asarray(M, dtype=float)
+    M = M.M if isinstance(M, AffineMechanism) else _square_matrix(M, "M")
     d = M.shape[0]
     B = np.atleast_2d(np.asarray(offsets, dtype=float))
+    if B.size == 0:
+        raise ValueError("offsets: at least one offset is required")
     if B.shape[1] != d:
         raise DimensionMismatchError(f"offsets have dimension {B.shape[1]}, M is {d}x{d}")
-    _require_finite(M, "M")
     _require_finite(B, "offsets")
     spectrum = _eigen_summary(M)
     kept = _distinct_rows(B, rtol)

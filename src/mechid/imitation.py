@@ -32,6 +32,7 @@ from .equivariance import (
     _intertwiner_solve,
     _intertwiner_system,
     _particular,
+    _row_blocks,
     check_equivariance,
     check_imitation,
 )
@@ -186,12 +187,14 @@ def imitator_closure(
     Assignments sigma: used -> members are pruned by eigenvalue multisets
     (conjugation preserves spectra) and searched depth first, in the order
     of `itertools.product`. The node for sigma(0), ..., sigma(i) adds the
-    rows of used i -> sigma(i) to its parent's solution with one `null_space`
-    block solve; a node whose stacked system has no solution (`_particular`)
-    is not extended. A complete assignment is kept when its representative
-    is invertible at `rtol` and its grid residuals verify within `check_tol`
-    (default CLOSURE_TOL_FACTOR * rtol). Raises when the post-pruning
-    assignment count exceeds `budget`.
+    rows of used i -> sigma(i) to its parent's solution in `_row_blocks`, one
+    `null_space` solve per block, as `_intertwiner_solve` adds a pair, so a
+    family is the same bits as `_intertwiner_solve` of its pairs whenever
+    both cuts keep the same rank; a node whose stacked system has no
+    solution (`_particular`) is not extended. A complete assignment is kept
+    when its representative is invertible at `rtol` and its grid residuals
+    verify within `check_tol` (default CLOSURE_TOL_FACTOR * rtol). Raises
+    when the post-pruning assignment count exceeds `budget`.
     """
     check_tol = CLOSURE_TOL_FACTOR * rtol if check_tol is None else check_tol
     members = cls.members
@@ -225,13 +228,16 @@ def imitator_closure(
     while stack:
         i, pos, start, path, index = stack.pop()
         pair = first[i] + pos
-        basis, x, _ = null_space(C[pair], rtol, r[pair], scale, start)
+        # `_blocked_null_space`'s loop on this module's `null_space`, where tracing counts closure solves
+        for block, rhs in _row_blocks(C[pair], r[pair], d * d):
+            basis, x, _ = null_space(block, rtol, rhs, scale, start)
+            start = basis, x
         path = path + [pair]
         index = index * sizes[i] + pos  # at a leaf, the assignment's rank in product order
         Cs, rs = C[path].reshape(-1, C.shape[2]), r[path].reshape(-1)
         if i + 1 < len(compatible):
             if _particular(Cs, rs, x, d, rtol)[0] is not None:  # else no completion is solved
-                stack.extend((i + 1, q, (basis, x), path, index) for q in reversed(range(sizes[i + 1])))
+                stack.extend((i + 1, q, start, path, index) for q in reversed(range(sizes[i + 1])))
             continue
         family = _intertwiner_family(Cs, rs, basis, x, d, rtol)
         if not family.consistent:

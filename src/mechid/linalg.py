@@ -29,11 +29,10 @@ import math
 
 import numpy as np
 
-from .errors import NonFiniteSampleError
+from .errors import DimensionMismatchError, NonFiniteSampleError
 
 __all__ = [
     "DEFAULT_RTOL",
-    "vec",
     "kron_rows",
     "intertwiner_operator",
     "null_space",
@@ -54,9 +53,13 @@ def _require_finite(a: np.ndarray, field: str) -> None:
         raise NonFiniteSampleError(field + row)
 
 
-def vec(A: np.ndarray) -> np.ndarray:
-    """Row-major flattening of a matrix."""
-    return np.asarray(A, dtype=float).reshape(-1)
+def _square_matrix(matrix, name: str) -> np.ndarray:
+    """`matrix` as a new float array that is square, non-empty and finite, or raise naming it."""
+    A = np.array(matrix, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
+        raise DimensionMismatchError(f"{name} must be square and nonempty, got shape {A.shape}")
+    _require_finite(A, name)
+    return A
 
 
 def kron_rows(L: np.ndarray, R: np.ndarray) -> np.ndarray:

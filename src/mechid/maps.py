@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, SingularMapError
-from .linalg import _require_finite, relative_rank
+from .linalg import _require_finite, _square_matrix, relative_rank
 
 __all__ = ["AffineMap", "compose", "map_power"]
 
@@ -22,19 +22,16 @@ _INVERTIBILITY_RTOL = 1e-12
 def _affine_parameters(matrix, offset, names: tuple[str, str], rtol: float) -> tuple[np.ndarray, np.ndarray]:
     """(matrix, offset) as read-only float arrays, or raise.
 
-    The matrix must be square and non-empty, the offset as long as it is
-    wide, every entry finite, and the matrix invertible: of full
+    The matrix must be as `_square_matrix` requires, the offset finite and
+    as long as the matrix is wide, and the matrix invertible: of full
     `relative_rank` at `rtol`, cut at unit scale or above. `names` are the
     caller's names for the two, which every error message uses.
     """
     m, v = names
-    A = np.array(matrix, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
-        raise DimensionMismatchError(f"{m} must be square and nonempty, got shape {A.shape}")
+    A = _square_matrix(matrix, m)
     p = np.array(offset, dtype=float).reshape(-1)
     if p.shape[0] != A.shape[0]:
         raise DimensionMismatchError(f"{v} has dimension {p.shape[0]}, {m} is {A.shape[0]}x{A.shape[1]}")
-    _require_finite(A, m)
     _require_finite(p, v)
     if relative_rank(A, rtol, 1.0) < len(A):
         raise SingularMapError(f"{m} is singular to working tolerance")
@@ -63,15 +60,6 @@ class AffineMap:
     def __call__(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         return z @ self.A.T + self.p
-
-    def inverse(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim <= 1:
-            return np.linalg.solve(self.A, x - self.p)
-        if x.ndim == 2:
-            return np.linalg.solve(self.A, (x - self.p).T).T
-        # a stack of (N, d) batches: one right-hand side per point
-        return np.linalg.solve(self.A, (x - self.p)[..., None])[..., 0]
 
 
 def compose(outer: AffineMap, inner: AffineMap) -> AffineMap:

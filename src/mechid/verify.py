@@ -92,7 +92,8 @@ class AuditReport:
 
 
 def _inverse(A: np.ndarray, p: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a_i^{-1}(x_i) for a stack of maps, solved as `AffineMap.inverse` solves one."""
+    """a_i^{-1}(x_i) for a stack of maps (A_i, p_i): one solve against each A_i, every point
+    of x_i a column. This is the library's one affine inverse."""
     return np.swapaxes(np.linalg.solve(A, np.swapaxes(x - p, 1, 2)), 1, 2)
 
 

@@ -136,7 +136,10 @@ class TransformedDecoder:
         return self.base.obs_dim
 
     def decode(self, z: np.ndarray) -> np.ndarray:
-        return self.base.decode(self.latent_map.inverse(z))
+        # a^{-1}(z): one solve against A, every point a column, whatever axes lead
+        A, p = self.latent_map.A, self.latent_map.p
+        w = np.asarray(z, dtype=float) - p
+        return self.base.decode(np.linalg.solve(A, w.reshape(-1, len(p)).T).T.reshape(w.shape))
 
     def encode(self, x: np.ndarray) -> np.ndarray:
         return self.latent_map(self.base.encode(x))

@@ -480,6 +480,25 @@ def test_structured_decoder_roundtrip():
     assert np.max(np.abs(dec.encode(dec.decode(z)) - z)) < 1e-8
 
 
+def test_identity_structured_decoder_is_the_linear_decoder_bit_for_bit():
+    # both decoders take one route, the structured one adding only its coordinate maps
+    gen = stream(44)
+    G = gen.standard_normal((4, 2))
+    linear = LinearDecoder(G)
+    structured = StructuredDecoder(G, tuple(ScalarMap("identity") for _ in range(4)))
+    z = gen.standard_normal((9, 2))
+    x = linear.decode(z)
+    assert np.array_equal(structured.decode(z), x)
+    assert np.array_equal(structured.encode(x), linear.encode(x))
+    assert np.array_equal(structured.encode(x[0]), linear.encode(x[0]))
+    for off in (x + 0.5 * gen.standard_normal(x.shape), np.where(np.arange(4) == 2, np.nan, x)):
+        with pytest.raises(OffManifoldError) as want:
+            linear.encode(off)
+        with pytest.raises(OffManifoldError) as got:
+            structured.encode(off)
+        assert str(got.value) == str(want.value)
+
+
 def test_structured_decoder_rejects_off_manifold():
     G = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     dec = StructuredDecoder(G, tuple(ScalarMap("exp") for _ in range(3)))

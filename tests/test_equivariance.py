@@ -135,7 +135,7 @@ def test_shared_family_shrinks_to_scalars():
     rot = AffineMechanism(ROT90, np.zeros(2))
     shared = shared_equivariances([DIAG23, rot])
     assert shared.a_dimension == 1
-    basis = shared.a_part_basis()
+    basis = shared.family.a_part_basis()
     assert span_distance(basis.matrices.reshape(basis.dimension, -1), np.eye(2)) <= 1e-9
     # strictly smaller than either individual family
     assert shared.a_dimension < affine_equivariances(DIAG23).a_dimension
@@ -445,6 +445,34 @@ def test_offset_check_collinear_differences():
     assert not report.assumption_rank_ok
     # offsets confined to the first eigendirection leave one free direction
     assert report.measured_dimension == 1
+
+
+@pytest.mark.parametrize(
+    "M, error, message",
+    [
+        (np.zeros((2, 3)), DimensionMismatchError, "M must be square and nonempty, got shape (2, 3)"),
+        (np.zeros((0, 0)), DimensionMismatchError, "M must be square and nonempty, got shape (0, 0)"),
+        (np.array([[2.0, 0.0], [np.nan, 3.0]]), NonFiniteSampleError, "non-finite values produced at M[1]"),
+    ],
+    ids=["not-square", "empty", "non-finite"],
+)
+def test_a_malformed_bare_m_is_rejected_naming_it(M, error, message):
+    # before, numpy's own broadcast, reshape, SVD or lexsort error came out instead
+    with pytest.raises(error) as err:
+        linear_commutant(M)
+    assert str(err.value) == message
+    with pytest.raises(error) as err:
+        offset_identifiability_check(M, np.zeros((1, M.shape[1])))
+    assert str(err.value) == message
+
+
+def test_a_singular_m_is_checked_but_empty_offsets_are_not():
+    # M need not be invertible; an empty offset list failed at R[0]
+    assert linear_commutant(np.zeros((2, 2))).dimension == 4
+    assert offset_identifiability_check(np.zeros((2, 2)), np.eye(2)).measured_dimension == 0  # A e_i = 0
+    for offsets in (np.zeros((0, 2)), []):
+        with pytest.raises(ValueError, match=r"^offsets: at least one offset is required$"):
+            offset_identifiability_check(np.eye(2), offsets)
 
 
 def test_offset_check_rejects_nonfinite_offsets():

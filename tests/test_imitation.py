@@ -76,6 +76,19 @@ def test_self_intertwiners_are_equivariances():
             assert np.array_equal(getattr(inter, field), getattr(equi, field)), (m.dim, field)
 
 
+@pytest.mark.parametrize("d", [3, 8, 12])
+def test_closure_family_is_the_intertwiner_solve_bit_for_bit(d):
+    # the closure appends a pair in the row blocks `_intertwiner_solve` takes, so its
+    # family keeps the same bits also from d = 8 up, where those blocks split
+    gen = stream(7301, d)
+    m = AffineMechanism(random_invertible(gen, d), gen.standard_normal(d))
+    [kept] = imitator_closure(MechanismClass(used=(m,))).assignments
+    want = find_affine_intertwiners(m, m)
+    assert kept.family.dimension == want.dimension > 0
+    for field in ("basis_A", "basis_p", "particular_A", "particular_p", "residual"):
+        assert np.array_equal(getattr(kept.family, field), getattr(want, field)), field
+
+
 def test_disjoint_spectra_leave_only_zero():
     fam = find_affine_intertwiners(DIAG23, AffineMechanism(np.diag([4.0, 5.0]), np.zeros(2)))
     assert fam.dimension == 0
@@ -444,7 +457,7 @@ def test_every_family_decision_reads_its_own_cut(case):
     m2 = conjugate(case.carry, m1)
     shared = shared_equivariances(mechanisms, rtol)
     assert_one_cut(shared.family, rtol)
-    assert shared.a_dimension == shared.a_part_basis().dimension
+    assert shared.a_dimension == shared.family.a_part_basis().dimension
     assert shared.p_fiber_dimension == shared.dimension - shared.a_dimension
     assert_one_cut(find_affine_intertwiners(m1, m2, rtol), rtol)
     closure = imitator_closure(MechanismClass(used=(m1,), hypothesized=(m2,)), rtol=rtol)

@@ -1,4 +1,4 @@
-"""Affine maps: their parameter check, inversion, composition, powers."""
+"""Affine maps: their parameter check, composition, powers."""
 
 import numpy as np
 import pytest
@@ -13,30 +13,15 @@ from mechid import (
 from mechid.errors import DimensionMismatchError, NonFiniteSampleError, SingularMapError
 from mechid.rng import stream
 
-from conftest import TransformedDecoder, random_invertible
+from conftest import TransformedDecoder, inverse_map, random_invertible
 
 
 def test_affine_roundtrip_and_batch():
     gen = stream(1, 0)
     a = AffineMap(random_invertible(gen, 3), gen.standard_normal(3))
     z = gen.standard_normal((10, 3))
-    assert np.allclose(a.inverse(a(z)), z, atol=1e-10)
+    assert np.allclose(inverse_map(a)(a(z)), z, atol=1e-10)
     assert np.allclose(a(z[0]), a(z)[0])  # single points and batches agree
-
-
-def test_inverse_acts_on_the_last_axis_of_a_stack():
-    # solving against (x - p).T reversed every axis of a 3-D stack: the
-    # largest entry of |a(a^-1(x)) - x| was 13.5 on this input
-    a = AffineMap(np.array([[2.0, 1.0], [0.0, 1.0]]), np.array([0.5, -1.0]))
-    x = np.arange(8.0).reshape(2, 2, 2)
-    z = a.inverse(x)
-    assert z.shape == x.shape
-    assert np.allclose(a(z), x, atol=1e-12)
-    for i in range(2):
-        assert np.array_equal(z[i], a.inverse(x[i]))  # each slice as its own batch
-    gen = stream(1, 1)
-    stack = gen.standard_normal((3, 4, 5, 2))
-    assert np.allclose(a(a.inverse(stack)), stack, atol=1e-12)
 
 
 def test_transformed_decoder_decodes_a_stack_like_its_slices():
@@ -92,7 +77,7 @@ def test_compose_affine_stays_affine():
     assert isinstance(h, AffineMap)
     z = gen.standard_normal((6, 2))
     assert np.allclose(h(z), f(g(z)), atol=1e-12)
-    assert np.allclose(h.inverse(h(z)), z, atol=1e-10)
+    assert np.allclose(inverse_map(h)(h(z)), z, atol=1e-10)
 
 
 def test_compose_rejects_a_map_that_is_not_affine():

@@ -8,10 +8,11 @@ small size for the same reason; scripts/bench_pairs.py runs against two
 stub checkouts whose bench/run.py prints canned lines, and
 scripts/fixture_parity.py against two that share this checkout's code, and
 against a pair whose change is a copy of it with a writer that leaves the
-tail of a longer stale file. Four source checks close the file: every name
+tail of a longer stale file. Five source checks close the file: every name
 a library module imports is used in it, every private name a library module
 defines is read somewhere in the library, every public method of a library
-class is called from the library, the benchmark or a script, and the
+class and every module function that `mechid` does not export is called from
+the library, the benchmark or a script, `mechid` exports no module, and the
 README's quick tour runs as its comments say.
 """
 
@@ -24,11 +25,13 @@ import os
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mechid
 import mechid.equivariance
 import mechid.imitation
 import mechid.recovery
@@ -427,25 +430,39 @@ def test_every_private_name_in_src_is_used():
 
 
 def test_every_public_method_in_src_has_a_caller():
-    # a method only tests reach is API kept for the tests alone: they should
-    # check the route the library takes instead
+    # a method, or a module function that `mechid` does not export, that only
+    # tests reach is API kept for the tests alone: they should check the route
+    # the library takes instead
     called = set()
     for folder in ("src/mechid", "bench", "scripts"):
         for path in sorted((ROOT / folder).glob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
             called |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            called |= {
+                node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
     uncalled = []
     for path in sorted((ROOT / "src" / "mechid").glob("*.py")):
-        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(cls, ast.ClassDef):
-                uncalled += [
-                    f"{path.name}:{node.lineno} {cls.name}.{node.name}"
-                    for node in cls.body
-                    if isinstance(node, ast.FunctionDef)
-                    and not node.name.startswith("_")
-                    and node.name not in called
-                ]
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(top, ast.FunctionDef) and top.name not in mechid.__all__:
+                found = [(top.lineno, top.name)]
+            elif isinstance(top, ast.ClassDef):
+                found = [(n.lineno, f"{top.name}.{n.name}") for n in top.body if isinstance(n, ast.FunctionDef)]
+            else:
+                continue
+            uncalled += [
+                f"{path.name}:{line} {name}"
+                for line, name in found
+                if not name.split(".")[-1].startswith("_") and name.split(".")[-1] not in called
+            ]
     assert uncalled == []
+
+
+def test_the_package_exports_its_api_and_no_module():
+    assert [name for name in mechid.__all__ if isinstance(getattr(mechid, name), types.ModuleType)] == []
+    namespace = {}
+    exec("from mechid import *", namespace)
+    assert "imitator_closure" in namespace and "linalg" not in namespace
 
 
 def test_readme_quick_tour_runs_as_its_comments_say():
