@@ -635,8 +635,8 @@ def offset_identifiability_check(
     B = np.atleast_2d(np.asarray(offsets, dtype=float))
     if B.size == 0:
         raise ValueError("offsets: at least one offset is required")
-    if B.shape[1] != d:
-        raise DimensionMismatchError(f"offsets have dimension {B.shape[1]}, M is {d}x{d}")
+    if B.ndim != 2 or B.shape[1] != d:
+        raise DimensionMismatchError(f"offsets must be a (k, {d}) array for a {d}x{d} M, got shape {B.shape}")
     _require_finite(B, "offsets")
     spectrum = _eigen_summary(M)
     kept = _distinct_rows(B, rtol)

@@ -35,6 +35,7 @@ from .equivariance import (
     shared_equivariances,
 )
 from .imitation import MechanismClass, cycle_analysis, imitator_closure
+from .linalg import relative_rank
 from .recovery import RecoveryProblem, compare_up_to_class, recover_linear_encoder
 from .stochastic import signed_perm_offset_test, stochastic_equivariance_test
 from .verify import membership_equivalence_audit
@@ -251,7 +252,7 @@ def _run_recover(cfg: RecoverConfig, seed: int, threads: int):
     report = {"recovery": result, "comparison": comparison}
     return ExperimentOutcome(
         kind=cfg.kind,
-        verdict=True,
+        verdict=relative_rank(result.E_hat, cfg.rtol) == result.E_hat.shape[0],  # an encoder is left-invertible
         summary=summary,
         report=report,
         stochastic=cfg.simulate.stochastic if cfg.simulate is not None else False,

@@ -545,6 +545,23 @@ def test_no_stream_path_is_requested_twice_in_one_run(tmp_path, monkeypatch):
     assert set(rec_paths) > {(3, t) for t in range(9204)}  # the refinement drew too
 
 
+def test_recover_fails_when_its_encoder_is_rank_deficient(tmp_path, capsys):
+    # a noisy identity walk: the offsets are all zero, so the minimum-norm
+    # encoder is 0; the run printed "recover: pass" and exited 0
+    walk = {"M": np.eye(2).tolist(), "noise": {"family": "generalized-laplace", "alpha": 1.0, "scale": 0.1}}
+    doc = {
+        "experiment": "recover",
+        "mechanisms": [{"M": np.eye(2).tolist(), "b": [0.0, 0.0]}],
+        "simulate": {"decoder": {"G": [[2.0, 0.0], [1.0, 1.0]]}, "mechanisms": [walk], "z1": [0.2, 0.4], "steps": 5000},
+    }
+    (tmp_path / "rec.json").write_text(dumps_json(doc))
+    capsys.readouterr()
+    assert run_cli("recover", tmp_path / "rec.json", "--seed", 1, "--output-dir", tmp_path / "run") == 2
+    assert "recover: FAIL" in capsys.readouterr().out
+    report = read_json(tmp_path / "run" / "report.json")
+    assert report["verdict"] is False and report["detail"]["recovery"]["E_hat"] == [[0, 0], [0, 0]]
+
+
 # ---------------------------------------------------------------------------
 # replay
 

@@ -475,6 +475,12 @@ def test_a_singular_m_is_checked_but_empty_offsets_are_not():
             offset_identifiability_check(np.eye(2), offsets)
 
 
+def test_offsets_with_more_than_two_axes_are_rejected_naming_them():
+    # a (2, 2, 2) stack ended in numpy's broadcast error from the pair scan
+    with pytest.raises(DimensionMismatchError, match=r"^offsets must be"):
+        offset_identifiability_check(np.eye(2), np.zeros((2, 2, 2)))
+
+
 def test_offset_check_rejects_nonfinite_offsets():
     offsets = np.arange(12.0).reshape(6, 2)
     offsets[3, 1] = np.nan

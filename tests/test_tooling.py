@@ -403,6 +403,30 @@ def test_every_import_in_src_is_used():
     assert unused == []
 
 
+def test_src_reads_no_private_scipy_file():
+    # scipy's public modules are its API; its data files and private modules
+    # may change in any release. The one exception is the cdist kernel.
+    found = []
+    for path in sorted((ROOT / "src" / "mechid").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "scipy_extension":
+                if [ast.unparse(a) for a in node.args] != ["'spatial'", "'_distance_pybind'"]:
+                    found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+                continue
+            else:
+                continue
+            for module in modules:
+                parts = module.split(".")
+                private_scipy = parts[0] == "scipy" and any(part.startswith("_") for part in parts)
+                if private_scipy or parts[0] == "zipfile" or parts[:3] == ["numpy", "lib", "format"]:
+                    found.append(f"{path.name}:{node.lineno} {module}")
+    assert found == []
+
+
 def test_every_private_name_in_src_is_used():
     # a module-level _name that no line of the library reads is left over from
     # code that went; tests may still reach it, but nothing they test does
