@@ -2,7 +2,7 @@
 
 Importing `scipy.spatial` runs its `__init__`, which loads most of the
 subpackage: about 0.27 s and 30 MiB. The energy test needs only the compiled
-module that `cdist` calls for the Euclidean distance matrix, so that module
+module that `cdist` calls for Euclidean distances, so that module
 is loaded from the subpackage's folder after scipy's top-level `__init__`
 alone. That import stays: scipy's `__init__` imports `_distributor_init`,
 the hook where a distribution of scipy sets up the libraries its compiled

@@ -47,8 +47,20 @@ _ENERGY_MAX_POINTS = 512
 _KS_EXACT_MAX_N = 10_000
 # permutation labellings per S D product; bounds the null's memory
 _ENERGY_BLOCK = 256
+# rows of D per kernel call while D streams: 1 MiB at the 1024-point cap, not
+# D's 8.4 MB. There, for one block of 258 labellings, 64 rows took ~20 % more
+# time and 256 rows ~10 % less but held 1 MB more (2 vCPUs, one BLAS thread)
+_ENERGY_ROWS = 128
 # KS terms, or factors, held at once by the exact-probability pass; bounds its memory
 _KS_CHUNK_CELLS = 1 << 16
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    """Raise ValueError naming `name` unless `value` is an integer >= `minimum`; bools are not counts."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
 
 
 @dataclass(frozen=True)
@@ -70,16 +82,15 @@ class DistributionalTestSpec:
     permutations: int = 500
 
     def __post_init__(self):
-        if self.samples_per_anchor < MIN_SAMPLES_PER_ANCHOR:
-            raise ValueError(f"samples_per_anchor must be >= {MIN_SAMPLES_PER_ANCHOR}")
+        _check_count("dim", self.dim, 1)
+        _check_count("samples_per_anchor", self.samples_per_anchor, MIN_SAMPLES_PER_ANCHOR)
         if not 0 < self.significance < 1:
             raise ValueError("significance must lie in (0, 1)")
         if self.method not in self.METHODS:
             raise ValueError(f"unknown method '{self.method}'")
-        if self.anchor_count < 1:
-            raise ValueError("anchor_count must be >= 1")
-        if self.permutations < 1:
-            raise ValueError("permutations must be >= 1")
+        _check_count("seed", self.seed, 0)
+        _check_count("anchor_count", self.anchor_count, 1)
+        _check_count("permutations", self.permutations, 1)
         if self.anchors is not None:
             anchors = np.asarray(self.anchors, dtype=float)
             if self.dim == 1 and anchors.ndim == 1:  # n anchors, as `two_sample_test` reads samples
@@ -113,15 +124,33 @@ class TwoSampleResult:
     permutations: int | None = None
 
 
-def _energy_statistics(D: np.ndarray, S: np.ndarray, n: int, m: int, total: float | None):
-    """(energy statistic of each labelling in S, 1'D1), from the one product S D.
+def _energy_products(S: np.ndarray, blocks) -> np.ndarray:
+    """S D for the pool's distance matrix D, given as `blocks` of D's upper triangle.
+
+    Each block is (lo, hi, D[lo:hi, lo:]), and the first spans every column.
+    D is symmetric, so a block adds S[:, lo:hi] D[lo:hi, lo:] to the columns
+    from lo on, and its transpose past the diagonal, S[:, hi:] D[lo:hi, hi:]',
+    to columns lo..hi-1. A single block (0, N, D) is the one product S @ D.
+    """
+    for lo, hi, Db in blocks:
+        if not lo:
+            SD = S[:, :hi] @ Db
+        else:
+            SD[:, lo:] += S[:, lo:hi] @ Db
+        if hi < S.shape[1]:
+            SD[:, lo:hi] += S[:, hi:] @ Db[:, hi - lo :].T
+        del Db  # before the next block is computed
+    return SD
+
+
+def _energy_statistics(SD: np.ndarray, S: np.ndarray, n: int, m: int, total: float | None):
+    """(energy statistic of each labelling in S, 1'D1), from the product SD = S D.
 
     S holds one 0/1 row per labelling: a row x marks the X side and y = 1 - x
     the Y side. x'D1 is the sum of the row x'D, and with T = 1'D1,
     x'Dy = x'D1 - x'Dx and y'Dy = T - 2 x'D1 + x'Dx. Without `total`, the
     first row of S is all ones, and its row sum is T.
     """
-    SD = S @ D
     xr = SD.sum(axis=1)
     xdx = np.einsum("ij,ij->i", SD, S)
     if total is None:
@@ -129,6 +158,15 @@ def _energy_statistics(D: np.ndarray, S: np.ndarray, n: int, m: int, total: floa
     xdy = xr - xdx
     ydy = total - 2.0 * xr + xdx
     return 2.0 * xdy / (n * m) - xdx / (n * n) - ydy / (m * m), total
+
+
+def _distance_blocks(pool: np.ndarray, rows: int):
+    """Row blocks (lo, hi, D[lo:hi, lo:]) of the upper triangle of the pool's
+    distance matrix D, `rows` at a time, each computed when it is reached."""
+    kernel = scipy_extension("spatial", "_distance_pybind").cdist_euclidean
+    for lo in range(0, len(pool), rows):
+        hi = min(lo + rows, len(pool))
+        yield lo, hi, kernel(pool[lo:hi], pool[lo:])
 
 
 def _ks_factors(n: int, kh: np.ndarray, h: np.ndarray, j0: int, j1: int):
@@ -298,23 +336,29 @@ def two_sample_test(
     (`_ks_prob_outside_square`), so they are bitwise equal to it; other
     sizes call it. "energy": the energy-distance statistic with a
     label-permutation null; samples over 512 points are subsampled, so the
-    distance matrix stays at most 1024². The matrix comes from the compiled
-    kernel that `scipy.spatial.distance.cdist(pool, pool)` calls, loaded
-    without importing `scipy.spatial`, so it is cdist's matrix bit for bit.
-    Distances are taken on the pool scaled by the exact power of two
-    `linalg.unit_scaled` gives, so they neither overflow nor underflow, and
-    the statistic is scaled back. The null's statistics come from blocked
-    products of 0/1 labellings with that matrix, drawn in the same order as
-    one permutation per statistic, one product per block: the first block
-    also carries an all-ones row, for 1'D1, and the observed labelling. An
-    empty X or Y raises ValueError, a non-finite value in X or Y raises
-    NonFiniteSampleError, and X or Y with more than two axes raises
-    DimensionMismatchError, each naming the sample.
+    pool holds at most 1024 points. Its distance matrix D comes in row
+    blocks of D's upper triangle, block [lo, hi) from the compiled kernel
+    that `scipy.spatial.distance.cdist` calls, as cdist(pool[lo:hi],
+    pool[lo:]), loaded without importing `scipy.spatial`, so each distance
+    is cdist's bit for bit and is computed once. Distances are taken on the
+    pool scaled by the exact power of two `linalg.unit_scaled` gives, so
+    they neither overflow nor underflow, and the statistic is scaled back.
+    The null's statistics come from blocked products S D of 0/1 labellings
+    S with D, drawn in the same order as one permutation per statistic, at
+    most 256 labellings per block: the first block also carries an
+    all-ones row, for 1'D1, and the observed labelling. Up to 256
+    permutations the one labelling block reads D once, so D streams in
+    128-row blocks, each freed before the next is computed; above, D is one
+    block, computed once and kept for every labelling block. Fewer than one
+    permutation, a negative seed, or either not an integer raises
+    ValueError naming it. An empty X or Y raises ValueError, a non-finite
+    value in X or Y raises NonFiniteSampleError, and X or Y with more than
+    two axes raises DimensionMismatchError, each naming the sample.
     """
     if method not in DistributionalTestSpec.METHODS:
         raise ValueError(f"unknown method '{method}'")
-    if permutations < 1:
-        raise ValueError("permutations must be >= 1")
+    _check_count("permutations", permutations, 1)
+    _check_count("seed", seed, 0)
     X, Y = _samples(X, Y)
     if method == "ks":
         if X.shape[0] == Y.shape[0] <= _KS_EXACT_MAX_N:
@@ -330,7 +374,10 @@ def two_sample_test(
         Y = Y[np.sort(gen.choice(Y.shape[0], _ENERGY_MAX_POINTS, replace=False))]
     n, m = X.shape[0], Y.shape[0]
     scale, pool = unit_scaled(np.vstack([X, Y]))
-    D = scipy_extension("spatial", "_distance_pybind").cdist_euclidean(pool, pool)
+    if permutations > _ENERGY_BLOCK:  # several labelling blocks reuse D: one block, kept
+        blocks = list(_distance_blocks(pool, n + m))
+    else:  # the one labelling block reads each entry once, so D streams
+        blocks = _distance_blocks(pool, _ENERGY_ROWS)
     count, observed, total = 0, 0.0, None
     for start in range(0, permutations, _ENERGY_BLOCK):
         block = min(_ENERGY_BLOCK, permutations - start)
@@ -340,8 +387,9 @@ def two_sample_test(
             S[1, :n] = 1.0
         for row in S[len(S) - block :]:
             row[gen.permutation(n + m)[:n]] = 1.0
-        stats, total = _energy_statistics(D, S, n, m, total)
-        del S  # before the next block is drawn
+        SD = _energy_products(S, blocks)
+        stats, total = _energy_statistics(SD, S, n, m, total)
+        del S, SD  # before the next block is drawn
         if not start:
             observed, stats = float(stats[1]), stats[2:]
         count += int(np.count_nonzero(stats >= observed))

@@ -991,7 +991,7 @@ def test_signed_permutation_comparison_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-# The energy test takes its distance matrix from the compiled kernel that
+# The energy test takes its distances from the compiled kernel that
 # cdist calls, loaded without scipy.spatial (about 0.27 s and 30 MiB).
 ENERGY_RUN_SCRIPT = """
 import contextlib, io, json, sys

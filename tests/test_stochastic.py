@@ -177,6 +177,11 @@ def reference_energy_test(X, Y, seed, permutations):
         (37, 53, 199, 0.4, range(6)),
         # more than one block of labellings
         (37, 53, 600, 0.1, range(3)),
+        # ragged last row block of D: 281 = 2·128 + 25 points, and 129 = 128 + 1
+        (150, 131, 199, 0.0, range(3)),
+        (150, 131, 256, 0.15, range(3)),
+        (100, 29, 99, 0.0, range(3)),
+        (100, 29, 255, 0.3, range(3)),
         # both samples over the subsampling cap
         (600, 700, 40, 0.0, range(3)),
         (600, 700, 300, 0.08, (5,)),
@@ -195,9 +200,10 @@ def test_energy_null_matches_per_permutation_reference(n, m, permutations, shift
 @pytest.mark.parametrize(
     "permutations", [1, _ENERGY_BLOCK - 1, _ENERGY_BLOCK, _ENERGY_BLOCK + 1, 2 * _ENERGY_BLOCK + 1]
 )
-@pytest.mark.parametrize("n, m", [(37, 53), (600, 530)])
+@pytest.mark.parametrize("n, m", [(37, 53), (150, 131), (600, 530)])
 def test_energy_null_matches_the_reference_at_block_boundaries(n, m, permutations):
-    # the first block also carries the all-ones row and the observed labelling
+    # the first block also carries the all-ones row and the observed labelling;
+    # up to one block D streams in row blocks, above it D is whole and kept
     X = stream(314, n, 0).standard_normal((n, 2))
     Y = stream(314, n, 1).standard_normal((m, 2)) + 0.05
     res = two_sample_test(X, Y, method="energy", seed=2, permutations=permutations)
@@ -218,6 +224,19 @@ def test_energy_null_memory_is_flat_in_permutations():
     # the 1024² distance matrix is 8.4 MB; without blocking, the 2000 x 1024
     # labelling matrix and its product with D would add about 33 MB
     assert peak < 16e6
+
+
+def test_one_block_energy_null_holds_one_row_block_of_distances():
+    X = stream(317, 2).standard_normal((600, 2))
+    Y = stream(317, 3).standard_normal((600, 2))
+    tracemalloc.start()
+    try:
+        two_sample_test(X, Y, method="energy", seed=0, permutations=9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole 1024² distance matrix alone is 8.4 MB; one 128-row block is 1 MiB
+    assert peak < 2.5e6
 
 
 @pytest.mark.parametrize("exponent", [520, -520, 900, -900])
@@ -650,6 +669,55 @@ def test_one_dimensional_anchors_are_anchors_of_one_coordinate():
 def test_spec_requires_an_anchor_and_a_permutation(field):
     with pytest.raises(ValueError, match=field):
         DistributionalTestSpec(dim=2, **{field: 0})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        # each ended in an error that named no field: range()'s TypeError, a
+        # bitwise_and TypeError, a raw TypeError, then SeedSequence's two
+        ("permutations", 2.5),
+        ("anchor_count", 2.5),
+        ("samples_per_anchor", 1000.5),
+        ("seed", -1),
+        ("seed", 1.5),
+        # ran a one-permutation and a one-anchor test, and seed 0, without complaint
+        ("permutations", True),
+        ("anchor_count", True),
+        ("seed", False),
+        # a TypeError comparing str with int
+        ("samples_per_anchor", "1000"),
+        # a slice TypeError at the grid, and a spec no mechanism could match
+        ("dim", 2.5),
+        ("dim", True),
+    ],
+)
+def test_spec_rejects_a_count_that_is_not_an_integer_naming_it(field, value):
+    with pytest.raises(ValueError, match=field):
+        DistributionalTestSpec(**{"dim": 2, "method": "energy", field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value", [("permutations", 2.5), ("permutations", True), ("seed", -1), ("seed", 1.5), ("seed", True)]
+)
+@pytest.mark.parametrize("method", ["ks", "energy"])
+def test_two_sample_test_rejects_a_count_that_is_not_an_integer_naming_it(method, field, value):
+    X = stream(319, 0).standard_normal((64, 2))
+    with pytest.raises(ValueError, match=field):
+        two_sample_test(X, X + 0.5, method=method, **{field: value})
+
+
+def test_numpy_integers_are_counts():
+    walk = laplace_walk()
+    a = AffineMap(SWAP, np.zeros(2))
+    fields = dict(samples_per_anchor=200, anchor_count=2, permutations=19, seed=3)
+    base = stochastic_equivariance_test(a, walk, walk, DistributionalTestSpec(dim=2, method="energy", **fields))
+    spec = DistributionalTestSpec(dim=2, method="energy", **{k: np.int64(v) for k, v in fields.items()})
+    assert stochastic_equivariance_test(a, walk, walk, spec) == base
+    X = stream(319, 1).standard_normal((64, 2))
+    assert two_sample_test(X, X, "energy", seed=np.int32(3), permutations=np.int64(19)) == two_sample_test(
+        X, X, "energy", seed=3, permutations=19
+    )
 
 
 # ---------------------------------------------------------------------------
