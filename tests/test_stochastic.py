@@ -177,14 +177,14 @@ def reference_energy_test(X, Y, seed, permutations):
         (37, 53, 199, 0.4, range(6)),
         # more than one block of labellings
         (37, 53, 600, 0.1, range(3)),
+        # both samples over the subsampling cap
+        (600, 700, 40, 0.0, range(3)),
+        (600, 700, 300, 0.08, (5,)),
         # ragged last row block of D: 281 = 2·128 + 25 points, and 129 = 128 + 1
         (150, 131, 199, 0.0, range(3)),
         (150, 131, 256, 0.15, range(3)),
         (100, 29, 99, 0.0, range(3)),
         (100, 29, 255, 0.3, range(3)),
-        # both samples over the subsampling cap
-        (600, 700, 40, 0.0, range(3)),
-        (600, 700, 300, 0.08, (5,)),
     ],
 )
 def test_energy_null_matches_per_permutation_reference(n, m, permutations, shift, seeds):
