@@ -23,6 +23,12 @@ code: each of its outputs must replay ``bitwise`` under the change, and the
 change's replay must print what the parent's replay of its own manifest
 prints, byte for byte.
 
+Each side's ``__version__`` is read from its ``src/mechid/__init__.py``,
+without importing it, and printed. Where the two differ, a replay refuses
+the other side's manifests, so the manifest's ``version`` value is masked
+as well, and each side replays the manifests it wrote with its own code:
+both must replay ``bitwise``, and the two replays must print the same bytes.
+
 Prints one JSON document and exits 1 on any difference. Standard library only.
 """
 
@@ -76,14 +82,23 @@ def prefill(directory: Path, probe: Path) -> None:
 
 
 DURATION = re.compile(rb'("duration_seconds": )[^,\n]*')
+MANIFEST_VERSION = re.compile(rb'^(  "version": )"[^"\n]*"', re.M)
+VERSION = re.compile(r'^__version__ = "([^"\n]*)"', re.M)
 
 
-def masked_manifest(path: Path) -> bytes:
-    """The manifest's bytes with the value of its duration_seconds masked."""
-    return DURATION.sub(rb"\1<masked>", path.read_bytes(), count=1)
+def version(checkout: Path) -> str | None:
+    """The checkout's ``__version__`` as its ``src/mechid/__init__.py`` assigns it, or None."""
+    found = VERSION.search((checkout / "src" / "mechid" / "__init__.py").read_text(encoding="utf-8"))
+    return found.group(1) if found else None
 
 
-def differences(parent: tuple, change: tuple) -> list[str]:
+def masked_manifest(path: Path, mask_version: bool = False) -> bytes:
+    """The manifest's bytes with the value of its duration_seconds masked, and of its version too."""
+    data = DURATION.sub(rb"\1<masked>", path.read_bytes(), count=1)
+    return MANIFEST_VERSION.sub(rb"\1<masked>", data, count=1) if mask_version else data
+
+
+def differences(parent: tuple, change: tuple, mask_version: bool = False) -> list[str]:
     """What differs between two sides' (process, output directory) of one run."""
     (p, p_out), (c, c_out) = parent, change
     found = []
@@ -96,7 +111,7 @@ def differences(parent: tuple, change: tuple) -> list[str]:
         if not (a.exists() and b.exists()):
             found.append(f"{name} missing at {'parent' if b.exists() else 'change'}")
         elif name == "manifest.json":
-            if masked_manifest(a) != masked_manifest(b):
+            if masked_manifest(a, mask_version) != masked_manifest(b, mask_version):
                 found.append(name)
         elif a.read_bytes() != b.read_bytes():
             found.append(name)
@@ -122,7 +137,15 @@ def main(argv=None) -> int:
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     shipped = {side: fixture_kinds(checkout) for side, checkout in sides.items()}
     kinds = {**shipped["parent"], **shipped["change"]}
-    doc = {"parent": str(sides["parent"]), "change": str(sides["change"]), "command": COMMAND, "runs": {}}
+    versions = {side: version(checkout) for side, checkout in sides.items()}
+    bumped = versions["parent"] != versions["change"]
+    doc = {
+        "parent": str(sides["parent"]),
+        "change": str(sides["change"]),
+        "versions": versions,
+        "command": COMMAND,
+        "runs": {},
+    }
     with tempfile.TemporaryDirectory() as tmp:
         work = {side: Path(tmp) / side for side in sides}
         for side, workdir in work.items():
@@ -144,16 +167,20 @@ def main(argv=None) -> int:
             }
             entry = {
                 "exit_status": done["parent"][0].returncode,
-                "differences": differences(done["parent"], done["change"]),
+                "differences": differences(done["parent"], done["change"], bumped),
             }
-            if (work["parent"] / "out" / run / "manifest.json").exists():
+            # across a version bump each side replays its own manifest, else both the parent's
+            readers = {side: work[side] if bumped else work["parent"] for side in sides}
+            if all((readers[side] / out / "manifest.json").exists() for side in sides):
                 replays = {
-                    side: cli(sides[side], work["parent"], ["replay", f"out/{run}/manifest.json"])
+                    side: cli(sides[side], readers[side], ["replay", f"{out}/manifest.json"])
                     for side in sides
                 }
                 entry["replay"] = replay_verdict(replays["change"])
                 if entry["replay"] != "bitwise":
                     entry["differences"].append("replay")
+                if bumped and replay_verdict(replays["parent"]) != "bitwise":
+                    entry["differences"].append("parent replay")
                 if replays["parent"].stdout != replays["change"].stdout:
                     entry["differences"].append("replay stdout")
             doc["runs"][run] = entry

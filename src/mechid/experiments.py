@@ -35,7 +35,6 @@ from .equivariance import (
     shared_equivariances,
 )
 from .imitation import MechanismClass, cycle_analysis, imitator_closure
-from .linalg import relative_rank
 from .recovery import RecoveryProblem, compare_up_to_class, recover_linear_encoder
 from .stochastic import signed_perm_offset_test, stochastic_equivariance_test
 from .verify import membership_equivalence_audit
@@ -237,6 +236,7 @@ def _run_recover(cfg: RecoverConfig, seed: int, threads: int):
     result = recover_linear_encoder(problem, rtol=cfg.rtol, seed=seed)
     summary = {
         "solution_space_dim": result.solution_space_dim,
+        "encoder_rank": result.encoder_rank,
         "residual": result.residual,
         "span_rank": result.span_rank,
         "pair_count": result.pair_count,
@@ -252,7 +252,7 @@ def _run_recover(cfg: RecoverConfig, seed: int, threads: int):
     report = {"recovery": result, "comparison": comparison}
     return ExperimentOutcome(
         kind=cfg.kind,
-        verdict=relative_rank(result.E_hat, cfg.rtol) == result.E_hat.shape[0],  # an encoder is left-invertible
+        verdict=result.encoder_rank == result.E_hat.shape[0],  # an encoder is left-invertible
         summary=summary,
         report=report,
         stochastic=cfg.simulate.stochastic if cfg.simulate is not None else False,

@@ -141,13 +141,16 @@ class RecoveryResult:
     """Recovered encoder plus the structure of the full solution set.
 
     `solution_space_dim` counts the free directions of the encoder restricted
-    to the observed subspace; zero means the recovery is unique. `residual`
-    is |C w - rhs| / (1 + |rhs|) for the stacked system's minimum-norm
-    solution w at the rtol cut, so it counts the directions the cut dropped.
+    to the observed subspace; zero means the recovery is unique. `encoder_rank`
+    is E_hat's rank at the rtol cut: below d, E_hat is no left-invertible
+    encoder, whatever `solution_space_dim` reads. `residual` is
+    |C w - rhs| / (1 + |rhs|) for the stacked system's minimum-norm solution
+    w at the rtol cut, so it counts the directions the cut dropped.
     """
 
     E_hat: np.ndarray
     solution_space_dim: int
+    encoder_rank: int
     residual: float
     conditions: ConditionReport
     span_rank: int
@@ -188,14 +191,15 @@ def recover_linear_encoder(
     basis, w, residual = null_space(C, rtol, rhs)
     dim = basis.shape[0]
     W = w.reshape(d, r)
-    if dim > 0 and relative_rank(W, rtol) < d:
+    rank = relative_rank(W, rtol)  # E_hat's: Q has orthonormal rows, so W Q has W's singular values
+    if dim > 0 and rank < d:
         # the minimum-norm point may be rank-deficient even when the solution
         # set contains a left-invertible encoder; look for one
         gen = stream(seed, 9203, 0)  # two integers: a simulation's steps take (seed, t)
         for _ in range(20):
             cand = W + np.tensordot(gen.standard_normal(dim), basis.reshape(dim, d, r), axes=1)
             if relative_rank(cand, rtol) == d:
-                W = cand
+                W, rank = cand, d
                 break
     E_hat = W @ Q
     uniq = _distinct_rows(B, rtol)
@@ -206,6 +210,7 @@ def recover_linear_encoder(
     return RecoveryResult(
         E_hat=E_hat,
         solution_space_dim=dim,
+        encoder_rank=rank,
         residual=residual,
         conditions=conditions,
         span_rank=span_rank,

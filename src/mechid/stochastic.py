@@ -47,9 +47,10 @@ _ENERGY_MAX_POINTS = 512
 _KS_EXACT_MAX_N = 10_000
 # permutation labellings per S D product; bounds the null's memory
 _ENERGY_BLOCK = 256
-# rows of D per kernel call while D streams: 1 MiB at the 1024-point cap, not
-# D's 8.4 MB. There, for one block of 258 labellings, 64 rows took ~20 % more
-# time and 256 rows ~10 % less but held 1 MB more (2 vCPUs, one BLAS thread)
+# least rows of D per kernel call while D streams: 1 MiB at the 1024-point cap,
+# not D's 8.4 MB. A taller labelling block sets the height: there, with 258
+# labellings, 128-row pieces took ~10 % longer than 258-row ones (2 vCPUs, one
+# BLAS thread)
 _ENERGY_ROWS = 128
 # KS terms, or factors, held at once by the exact-probability pass; bounds its memory
 _KS_CHUNK_CELLS = 1 << 16
@@ -347,9 +348,10 @@ def two_sample_test(
     S with D, drawn in the same order as one permutation per statistic, at
     most 256 labellings per block: the first block also carries an
     all-ones row, for 1'D1, and the observed labelling. Up to 256
-    permutations the one labelling block reads D once, so D streams in
-    128-row blocks, each freed before the next is computed; above, D is one
-    block, computed once and kept for every labelling block. Fewer than one
+    permutations the one labelling block reads D once, so D streams in row
+    blocks as tall as that labelling block and at least 128 rows, each
+    freed before the next is computed; above, D is one block, computed once
+    and kept for every labelling block. Fewer than one
     permutation, a negative seed, or either not an integer raises
     ValueError naming it. An empty X or Y raises ValueError, a non-finite
     value in X or Y raises NonFiniteSampleError, and X or Y with more than
@@ -376,8 +378,8 @@ def two_sample_test(
     scale, pool = unit_scaled(np.vstack([X, Y]))
     if permutations > _ENERGY_BLOCK:  # several labelling blocks reuse D: one block, kept
         blocks = list(_distance_blocks(pool, n + m))
-    else:  # the one labelling block reads each entry once, so D streams
-        blocks = _distance_blocks(pool, _ENERGY_ROWS)
+    else:  # the one labelling block, with its two extra rows, reads each entry once, so D streams
+        blocks = _distance_blocks(pool, max(_ENERGY_ROWS, permutations + 2))
     count, observed, total = 0, 0.0, None
     for start in range(0, permutations, _ENERGY_BLOCK):
         block = min(_ENERGY_BLOCK, permutations - start)

@@ -560,6 +560,15 @@ def test_recover_fails_when_its_encoder_is_rank_deficient(tmp_path, capsys):
     assert "recover: FAIL" in capsys.readouterr().out
     report = read_json(tmp_path / "run" / "report.json")
     assert report["verdict"] is False and report["detail"]["recovery"]["E_hat"] == [[0, 0], [0, 0]]
+    # the report says why: E_hat has rank 0, though solution_space_dim 0 reads as unique
+    assert report["summary"]["encoder_rank"] == report["detail"]["recovery"]["encoder_rank"] == 0
+    assert report["summary"]["solution_space_dim"] == 0
+
+
+def test_recover_reports_the_rank_of_its_encoder(tmp_path):
+    assert run_cli("recover", FIXTURES / "recover_inverse.json", "--output-dir", tmp_path / "run") == 0
+    report = read_json(tmp_path / "run" / "report.json")
+    assert report["summary"]["encoder_rank"] == report["detail"]["recovery"]["encoder_rank"] == 2
 
 
 # ---------------------------------------------------------------------------

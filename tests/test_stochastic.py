@@ -239,6 +239,20 @@ def test_one_block_energy_null_holds_one_row_block_of_distances():
     assert peak < 2.5e6
 
 
+def test_full_labelling_block_streams_distances_as_tall_as_itself():
+    # 256 permutations fill one labelling block of 258 rows; D then streams in
+    # 258-row blocks, 2.1 MB each as are S and S D, where the whole D is 8.4 MB
+    X = stream(317, 4).standard_normal((600, 2))
+    Y = stream(317, 5).standard_normal((600, 2))
+    tracemalloc.start()
+    try:
+        two_sample_test(X, Y, method="energy", seed=0, permutations=_ENERGY_BLOCK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9e6
+
+
 @pytest.mark.parametrize("exponent", [520, -520, 900, -900])
 def test_energy_test_reads_the_same_at_every_scale(exponent):
     # squared distances overflowed from c = 1e155 up (NaN statistic, p = 0.002)

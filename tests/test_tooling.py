@@ -6,9 +6,10 @@ a rename or a changed output in the library would otherwise only surface as
 a failing benchmark run. The scripts under scripts/ are run once each at a
 small size for the same reason; scripts/bench_pairs.py runs against two
 stub checkouts whose bench/run.py prints canned lines, and
-scripts/fixture_parity.py against two that share this checkout's code, and
+scripts/fixture_parity.py against two that share this checkout's code,
 against a pair whose change is a copy of it with a writer that leaves the
-tail of a longer stale file. Five source checks close the file: every name
+tail of a longer stale file, and against one whose copy differs in its
+version string alone. Five source checks close the file: every name
 a library module imports is used in it, every private name a library module
 defines is read somewhere in the library, every public method of a library
 class and every module function that `mechid` does not export is called from
@@ -346,6 +347,52 @@ def test_fixture_parity_reports_a_writer_that_leaves_a_stale_tail(tmp_path):
             "differences": ["manifest.json", "report.json", "trajectory.csv"],
             "replay": "bitwise",
         }
+
+
+def test_fixture_parity_across_a_version_bump_replays_each_side_on_its_own(tmp_path, monkeypatch):
+    # the change's code differs from the parent's in its version string alone
+    for side in ("parent", "change"):
+        (tmp_path / side / "fixtures").mkdir(parents=True)
+        (tmp_path / side / "fixtures" / "simulate_shear.json").write_bytes(
+            (ROOT / "fixtures" / "simulate_shear.json").read_bytes()
+        )
+    (tmp_path / "parent" / "src").symlink_to(ROOT / "src", target_is_directory=True)
+    shutil.copytree(ROOT / "src", tmp_path / "change" / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    init = tmp_path / "change" / "src" / "mechid" / "__init__.py"
+    source = init.read_text()
+    assert source.count(f'__version__ = "{mechid.__version__}"') == 1
+    init.write_text(source.replace(f'__version__ = "{mechid.__version__}"', '__version__ = "99.0.0"'))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "fixture_parity.py"),
+         "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["versions"] == {"parent": mechid.__version__, "change": "99.0.0"}
+    assert doc["identical"] is True
+    assert doc["runs"] == {
+        run: {"exit_status": 0, "differences": [], "replay": "bitwise"}
+        for run in ("simulate_shear-seed0", "simulate_shear-seed3")
+    }
+    # only the manifest's own version is masked: other bytes, the config echo's included, still count
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    parity = importlib.import_module("fixture_parity")
+    done = subprocess.CompletedProcess([], 0, b"", b"")
+    recorded = '{\n  "version": "0.1.0",\n  "config": {\n    "version": "a"\n  },\n  "duration_seconds": 0.5\n}\n'
+    variants = {
+        "recorded": recorded,
+        "bumped": recorded.replace('"0.1.0"', '"0.2.0"'),
+        "echo": recorded.replace('"a"', '"b"'),
+    }
+    for name, text in variants.items():
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "manifest.json").write_text(text)
+    for name, masked, want in (
+        ("bumped", True, []), ("bumped", False, ["manifest.json"]), ("echo", True, ["manifest.json"])
+    ):
+        got = parity.differences((done, tmp_path / "recorded"), (done, tmp_path / name), masked)
+        assert got == want, (name, masked)
 
 
 def test_bench_pairs_times_each_shipped_fixture(tmp_path):

@@ -228,6 +228,32 @@ def audit_case(gen, decoder_kind, mechanism_count):
     return truth, mechanisms, candidates
 
 
+AUDIT_FLAGS = ("label", "equivariance_pass", "identity_pass", "coupling_ok", "claim", "claim_ok")
+AUDIT_FLOATS = ("equivariance_residual", "identity_residual", "lipschitz")
+
+
+def assert_rows_near(got, want, floats=AUDIT_FLOATS):
+    """Every flag of each row equal to the oracle's, every float within 1e-12 (1 + |oracle|).
+
+    The audit inverts each candidate once and applies A^{-1} by a product,
+    where the oracle solves against A, so their floats part at rounding level.
+    """
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for name in AUDIT_FLAGS:
+            assert getattr(g, name) == getattr(w, name), (w.label, name)
+        for name in floats:
+            ref = getattr(w, name)
+            assert abs(getattr(g, name) - ref) <= 1e-12 * (1.0 + abs(ref)), (w.label, name)
+
+
+def audit_one_at_a_time(truth, mechanisms, candidates, grid):
+    """The audit called with one candidate at a time, its rows in candidate order."""
+    return tuple(
+        row for c in candidates for row in membership_equivalence_audit(truth, mechanisms, [c], grid=grid).rows
+    )
+
+
 @pytest.mark.parametrize("decoder_kind", ["linear", "structured"])
 @pytest.mark.parametrize("mechanism_count", [1, 3])
 def test_blocked_audit_rows_equal_the_per_candidate_loop(decoder_kind, mechanism_count):
@@ -236,16 +262,17 @@ def test_blocked_audit_rows_equal_the_per_candidate_loop(decoder_kind, mechanism
     # 3000 points give blocks of 5 candidates, so 13 candidates cross two boundaries
     grid = GridSpec(dim=2, count=3000, low=-1.0, high=1.0)
     assert 1 < _AUDIT_BLOCK // grid.count < len(candidates)
-    want = reference_audit_rows(truth, mechanisms, candidates, grid)
+    single = audit_one_at_a_time(truth, mechanisms, candidates, grid)
     for workers in (1, 2):
         report = membership_equivalence_audit(
             truth, mechanisms, candidates, grid=grid, workers=workers
         )
-        assert report.rows == want
+        assert report.rows == single
+    assert_rows_near(single, reference_audit_rows(truth, mechanisms, candidates, grid))
     small = GridSpec(dim=2, count=64)  # one block holds every candidate
-    assert membership_equivalence_audit(truth, mechanisms, candidates, grid=small).rows == (
-        reference_audit_rows(truth, mechanisms, candidates, small)
-    )
+    rows = membership_equivalence_audit(truth, mechanisms, candidates, grid=small).rows
+    assert rows == audit_one_at_a_time(truth, mechanisms, candidates, small)
+    assert_rows_near(rows, reference_audit_rows(truth, mechanisms, candidates, small))
 
 
 def test_audit_block_raw_gaps_equal_the_loop():
@@ -258,11 +285,54 @@ def test_audit_block_raw_gaps_equal_the_loop():
     p = np.stack([c.latent_map.p for c in candidates])
     m = mechanisms[0]
     E = truth.encode(X)
-    out = _audit_block(truth, m, A, p, Z, E, truth.decode(m(E)), np.linalg.norm(X, axis=-1))
+    x_norm = np.linalg.norm(X, axis=-1)
+    out = _audit_block(truth, m, A, p, Z, E, truth.decode(m(E)), x_norm)
     raw_eq, raw_id = out[1], out[4]
     for i, c in enumerate(candidates):
+        one = _audit_block(truth, m, A[i : i + 1], p[i : i + 1], Z, E, truth.decode(m(E)), x_norm)
+        assert (raw_eq[i], raw_id[i]) == (one[1][0], one[4][0])
         want = reference_audit_one(truth, mechanisms, c.latent_map, Z, X, raw_gaps=True)
-        assert (raw_eq[i], raw_id[i]) == want
+        for got, ref in zip((raw_eq[i], raw_id[i]), want):
+            assert abs(got - ref) <= 1e-12 * (1.0 + abs(ref))
+
+
+def conditioned(gen, d, kappa):
+    """A d x d matrix with singular values kappa^(1/2) down to kappa^(-1/2): condition number kappa."""
+    U, _ = np.linalg.qr(gen.standard_normal((d, d)))
+    V, _ = np.linalg.qr(gen.standard_normal((d, d)))
+    return U @ np.diag(np.sqrt(kappa) ** np.linspace(1.0, -1.0, d)) @ V.T
+
+
+@pytest.mark.parametrize("decoder_kind", ["linear", "structured"])
+def test_audit_verdicts_on_ill_conditioned_candidates_equal_the_oracle(decoder_kind):
+    # members A = Q diag(c) Q' commute with M = Q diag(l) Q'; (M - I) p = (A - I) b fixes the offset
+    gen = stream(3302)
+    d = 3
+    Q, _ = np.linalg.qr(gen.standard_normal((d, d)))
+    M = Q @ np.diag([0.5, 0.9, 1.4]) @ Q.T
+    b = gen.standard_normal(d)
+    m = AffineMechanism(M, b)
+    if decoder_kind == "linear":
+        truth = LinearDecoder(gen.standard_normal((5, d)))
+    else:
+        maps = ("cubic", "identity", "asinh", "identity", "cubic")
+        truth = StructuredDecoder(gen.standard_normal((5, d)), tuple(ScalarMap(k, beta=0.2) for k in maps))
+    candidates = []
+    for kappa in (1e2, 1e4, 1e6):
+        for k in range(2):
+            c = np.sqrt(kappa) ** np.linspace(1.0, -1.0, d) * gen.choice([-1.0, 1.0], d)
+            A = Q @ np.diag(c) @ Q.T
+            p = np.linalg.solve(M - np.eye(d), (A - np.eye(d)) @ b)
+            assert np.linalg.cond(A) == pytest.approx(kappa, rel=1e-6)
+            candidates.append(CandidateModel(AffineMap(A, p), f"member-{kappa:.0e}-{k}", True))
+            A = conditioned(gen, d, kappa)
+            assert np.linalg.cond(A) == pytest.approx(kappa, rel=1e-6)
+            candidates.append(CandidateModel(AffineMap(A, gen.standard_normal(d)), f"outsider-{kappa:.0e}-{k}", False))
+    grid = GridSpec(dim=d, count=512, low=-1.0, high=1.0)
+    report = membership_equivalence_audit(truth, [m], candidates, grid=grid)
+    assert report.agreement and report.claims_ok
+    assert [r.equivariance_pass for r in report.rows] == [True, False] * 6
+    assert_rows_near(report.rows, reference_audit_rows(truth, [m], candidates, grid), floats=())
 
 
 def reference_error(truth, mechanisms, candidates, grid):
