@@ -124,7 +124,7 @@ def _execute_config(doc: dict, output_dir: Path, threads: int):
     """
     t0 = time.perf_counter()
     cfg = parse_config(doc)
-    outcome = run_experiment(cfg, cfg.seed, threads=threads)
+    outcome = run_experiment(cfg, threads=threads)
     output_dir.mkdir(parents=True, exist_ok=True)
     report_doc = {
         "experiment": outcome.kind,

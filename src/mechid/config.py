@@ -291,8 +291,8 @@ def _recovery(g) -> dict:
     return g
 
 
-def _simulation_in_recover(g, _):
-    return SimulateConfig(expect=None, **_simulation(g))
+def _simulation_in_recover(g, ctx):
+    return SimulateConfig(seed=ctx["seed"], expect=None, **_simulation(g))
 
 
 def _has_walks(cfg) -> bool:
@@ -303,21 +303,20 @@ def _test_spec(g, ctx) -> DistributionalTestSpec:
     return DistributionalTestSpec(dim=ctx["dim"], seed=ctx["seed"], **g)
 
 
-_SEED = Field("seed", _int, lambda c: c.get("seed", 0), _non_negative)
+_SEED = Field("seed", _int, 0, _non_negative)
 _RTOL = Field("rtol", _number, DEFAULT_RTOL, _open_unit)
 _EXPECT = Field("expect", _expect, None)
 _DECODER = Field("decoder", _object(DECODER, _decoder))
 
-# inside recover, simulate's seed, mechanisms and schedule default to recover's
+# inside recover, simulate takes recover's seed, and its mechanisms and schedule default to recover's
 SIMULATION = (
-    _SEED,
     _DECODER,
     Field("mechanisms", _each(_simulated_mechanism, "m"), lambda c: c.get("mechanisms", REQUIRED)),
     Field("steps", _int, check=_count(1, MAX_STEPS)),
     Field("schedule", _schedule, lambda c: c.get("schedule")),
     Field("z1", _z1, {}),
 )
-SIMULATE = SIMULATION + (_EXPECT,)
+SIMULATE = (_SEED,) + SIMULATION + (_EXPECT,)
 COMMUTANT = (
     _SEED,
     Field("mechanisms", _mechanisms),

@@ -23,7 +23,7 @@ from .errors import (
     SingularMapError,
 )
 from .jsonio import table_text, write_text
-from .linalg import DEFAULT_RTOL, _require_finite, relative_rank
+from .linalg import DEFAULT_RTOL, _check_count, _require_finite, relative_rank
 from .maps import _affine_parameters
 from .rng import stream
 
@@ -132,13 +132,12 @@ class NoiseSpec:
     def __post_init__(self):
         if self.family not in self.FAMILIES:
             raise ValueError(f"unknown noise family '{self.family}'")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale!r}")
+        _check_count("dim", self.dim, 1)
         if self.family == "generalized-laplace":
-            if self.alpha is None or self.alpha <= 0:
-                raise ValueError("generalized-laplace requires alpha > 0")
+            if self.alpha is None or not 0 < self.alpha < math.inf:
+                raise ValueError(f"generalized-laplace requires a finite alpha > 0, got {self.alpha!r}")
 
     def ppf(self, u: np.ndarray) -> np.ndarray:
         """Coordinatewise quantile transform of uniform-[0,1) variates."""
@@ -501,8 +500,7 @@ def simulate(
     and their states screened once per run; the states, and the first error,
     are those of calling each mechanism and checking each state in turn.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    _check_count("T", T, 1)
     idx = _resolve_schedule(len(mechanisms), schedule, T)
     if callable(z1):
         z1 = z1(stream(seed, 0))

@@ -27,6 +27,7 @@ from .errors import DimensionMismatchError, NonFiniteSampleError
 from .grids import GridSpec
 from .linalg import (
     DEFAULT_RTOL,
+    _points,
     _require_finite,
     _square_matrix,
     intertwiner_operator,
@@ -387,10 +388,7 @@ def _as_points(grid, dim: int) -> np.ndarray:
         if grid.dim != dim:
             raise DimensionMismatchError(f"grid dimension {grid.dim} != map dimension {dim}")
         return grid.points()
-    pts = np.atleast_2d(np.asarray(grid, dtype=float))
-    if pts.shape[1] != dim:
-        raise DimensionMismatchError(f"grid points have dimension {pts.shape[1]}, expected {dim}")
-    return pts
+    return _points(grid, "grid", dim)
 
 
 def _row_residuals(lhs, rhs, scale, where: str = "grid point") -> np.ndarray:

@@ -1,7 +1,8 @@
 """Experiment runners: typed configs in, reports and tables out.
 
-Each runner is pure in (config, seed): identical inputs give identical
-outputs, including the order of table rows, independent of thread count.
+Each runner is pure in its config, whose `seed` it reads: identical inputs
+give identical outputs, including the order of table rows, independent of
+thread count.
 The `verdict` drives the process exit status; when a config carries an
 `expect` block the verdict is whether every expectation held, otherwise it
 is the experiment's intrinsic pass flag.
@@ -91,8 +92,8 @@ def _check_expectations(summary: dict, expect: dict):
 # runners
 
 
-def _run_simulate(cfg: SimulateConfig, seed: int, threads: int):
-    traj = simulate(cfg.decoder, cfg.mechanisms, cfg.z1, cfg.steps, schedule=cfg.schedule, seed=seed)
+def _run_simulate(cfg: SimulateConfig, threads: int):
+    traj = simulate(cfg.decoder, cfg.mechanisms, cfg.z1, cfg.steps, schedule=cfg.schedule, seed=cfg.seed)
     summary = {
         "steps": traj.steps,
         "latent_dim": traj.latents.shape[1],
@@ -111,7 +112,7 @@ def _run_simulate(cfg: SimulateConfig, seed: int, threads: int):
     )
 
 
-def _run_commutant(cfg: CommutantConfig, seed: int, threads: int):
+def _run_commutant(cfg: CommutantConfig, threads: int):
     fam = shared_equivariances(cfg.mechanisms, rtol=cfg.rtol)
     report = {"family": fam}
     conditions = None
@@ -149,7 +150,7 @@ def _run_commutant(cfg: CommutantConfig, seed: int, threads: int):
     )
 
 
-def _run_imitate(cfg: ImitateConfig, seed: int, threads: int):
+def _run_imitate(cfg: ImitateConfig, threads: int):
     cls = MechanismClass(used=cfg.used, hypothesized=cfg.hypothesized)
     closure = imitator_closure(
         cls,
@@ -157,7 +158,7 @@ def _run_imitate(cfg: ImitateConfig, seed: int, threads: int):
         budget=cfg.budget,
         grid=cfg.grid,
         check_tol=cfg.check_tol,
-        seed=seed,
+        seed=cfg.seed,
     )
     cycles = [
         cycle_analysis(fam.representative, cfg.used, grid=cfg.grid, tol=max(cfg.check_tol, 1e-8))
@@ -187,7 +188,7 @@ def _run_imitate(cfg: ImitateConfig, seed: int, threads: int):
     )
 
 
-def _run_verify(cfg: VerifyConfig, seed: int, threads: int):
+def _run_verify(cfg: VerifyConfig, threads: int):
     audit = membership_equivalence_audit(
         cfg.decoder,
         cfg.mechanisms,
@@ -226,14 +227,14 @@ def _run_verify(cfg: VerifyConfig, seed: int, threads: int):
     )
 
 
-def _run_recover(cfg: RecoverConfig, seed: int, threads: int):
+def _run_recover(cfg: RecoverConfig, threads: int):
     if cfg.trajectory_csv is not None:
         traj = Trajectory.from_csv(cfg.trajectory_csv)
     else:
         sim = cfg.simulate
-        traj = simulate(sim.decoder, sim.mechanisms, sim.z1, sim.steps, schedule=sim.schedule, seed=seed)
+        traj = simulate(sim.decoder, sim.mechanisms, sim.z1, sim.steps, schedule=sim.schedule, seed=cfg.seed)
     problem = RecoveryProblem.from_trajectory(traj, cfg.mechanisms, rtol=cfg.rtol)
-    result = recover_linear_encoder(problem, rtol=cfg.rtol, seed=seed)
+    result = recover_linear_encoder(problem, rtol=cfg.rtol, seed=cfg.seed)
     summary = {
         "solution_space_dim": result.solution_space_dim,
         "encoder_rank": result.encoder_rank,
@@ -259,9 +260,8 @@ def _run_recover(cfg: RecoverConfig, seed: int, threads: int):
     )
 
 
-def _run_stochastic_test(cfg: StochasticTestConfig, seed: int, threads: int):
-    spec = replace(cfg.test, seed=seed)
-    test = stochastic_equivariance_test(cfg.candidate, cfg.m1, cfg.m2, spec, workers=threads)
+def _run_stochastic_test(cfg: StochasticTestConfig, threads: int):
+    test = stochastic_equivariance_test(cfg.candidate, cfg.m1, cfg.m2, cfg.test, workers=threads)
     report = {"test": test}
     summary = {
         "passed": test.passed,
@@ -304,13 +304,13 @@ _RUNNERS = {
 }
 
 
-def run_experiment(cfg, seed: int, threads: int = 1) -> ExperimentOutcome:
-    """Dispatch a parsed config to its runner with the effective seed.
+def run_experiment(cfg, threads: int = 1) -> ExperimentOutcome:
+    """Dispatch a parsed config to its runner; each reads its seed from `cfg.seed`.
 
     Runners return their intrinsic verdict; an expect block replaces it with
     whether every expectation held.
     """
-    outcome = _RUNNERS[cfg.kind](cfg, seed, threads)
+    outcome = _RUNNERS[cfg.kind](cfg, threads)
     if not cfg.expect:
         return outcome
     ok, failures = _check_expectations(outcome.summary, cfg.expect)

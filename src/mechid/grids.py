@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _check_count
+
 __all__ = ["GridSpec"]
 
 _BITS = 30  # scipy's default: a coordinate is an integer below 2^30, times 2^-30
@@ -77,9 +79,9 @@ class GridSpec:
     high: float = 2.0
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("grid dimension must be >= 1")
-        if not 1 <= self.count <= 2**_BITS:  # the distinct points of the sequence
+        _check_count("dim", self.dim, 1)
+        _check_count("count", self.count, 1)
+        if self.count > 2**_BITS:  # the distinct points of the sequence
             raise ValueError(f"grid count must lie between 1 and 2**{_BITS}")
         if not self.high > self.low:
             raise ValueError("grid box is empty: high must exceed low")

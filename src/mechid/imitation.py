@@ -41,7 +41,7 @@ from .errors import (
     DimensionMismatchError,
     ToleranceAmbiguityError,
 )
-from .linalg import DEFAULT_RTOL, null_space
+from .linalg import DEFAULT_RTOL, _check_count, null_space
 from .maps import AffineMap, map_power
 
 __all__ = [
@@ -196,6 +196,7 @@ def imitator_closure(
     verify within `check_tol` (default CLOSURE_TOL_FACTOR * rtol). Raises
     when the post-pruning assignment count exceeds `budget`.
     """
+    _check_count("budget", budget, 1)
     check_tol = CLOSURE_TOL_FACTOR * rtol if check_tol is None else check_tol
     members = cls.members
     spectra = [np.linalg.eigvals(m.M) for m in members]

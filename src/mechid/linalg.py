@@ -53,6 +53,31 @@ def _require_finite(a: np.ndarray, field: str) -> None:
         raise NonFiniteSampleError(field + row)
 
 
+def _check_count(name: str, value, minimum: int) -> None:
+    """Raise ValueError naming `name` unless `value` is an integer >= `minimum`; bools are not counts."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+
+
+def _points(value, name: str, dim: int | None = None) -> np.ndarray:
+    """`value` as a float array of one point per row, non-empty and of dimension `dim`, or raise naming it.
+
+    A 1-D array is that many points of one coordinate when `dim` is None or 1,
+    and one point otherwise.
+    """
+    P = np.asarray(value, dtype=float)
+    if P.ndim > 2:
+        raise DimensionMismatchError(f"{name} has shape {P.shape}; expected one point per row")
+    P = P.reshape(-1, 1) if P.ndim < 2 and dim in (None, 1) else np.atleast_2d(P)
+    if P.size == 0:
+        raise ValueError(f"{name} is empty")
+    if dim is not None and P.shape[1] != dim:
+        raise DimensionMismatchError(f"{name} has dimension {P.shape[1]}, expected {dim}")
+    return P
+
+
 def _square_matrix(matrix, name: str) -> np.ndarray:
     """`matrix` as a new float array that is square, non-empty and finite, or raise naming it."""
     A = np.array(matrix, dtype=float)

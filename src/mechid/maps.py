@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, SingularMapError
-from .linalg import _require_finite, _square_matrix, relative_rank
+from .linalg import _check_count, _require_finite, _square_matrix, relative_rank
 
 __all__ = ["AffineMap", "compose", "map_power"]
 
@@ -74,8 +74,7 @@ def compose(outer: AffineMap, inner: AffineMap) -> AffineMap:
 
 def map_power(a, k: int):
     """k-fold composition of a with itself, k >= 1."""
-    if k < 1:
-        raise ValueError("power must be >= 1")
+    _check_count("k", k, 1)
     out = a
     for _ in range(k - 1):
         out = compose(a, out)

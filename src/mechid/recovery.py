@@ -29,6 +29,7 @@ from .errors import DataDeficiencyError, DimensionMismatchError
 from .linalg import (
     DEFAULT_RTOL,
     _require_finite,
+    _square_matrix,
     kron_rows,
     null_space,
     relative_rank,
@@ -70,17 +71,15 @@ class RecoveryProblem:
     def __post_init__(self):
         xp = np.atleast_2d(np.asarray(self.x_prev, dtype=float))
         xn = np.atleast_2d(np.asarray(self.x_next, dtype=float))
-        M = np.asarray(self.M, dtype=float)
         B = np.atleast_2d(np.asarray(self.offsets, dtype=float))
         if xp.shape != xn.shape:
             raise DimensionMismatchError("x_prev and x_next must have equal shapes")
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise DimensionMismatchError(f"M must be square, got {M.shape}")
+        M = _square_matrix(self.M, "M")
         if B.shape != (xp.shape[0], M.shape[0]):
             raise DimensionMismatchError(
                 f"offsets must be (pairs, d) = ({xp.shape[0]}, {M.shape[0]}), got {B.shape}"
             )
-        for name, a in (("x_prev", xp), ("x_next", xn), ("M", M), ("offsets", B)):
+        for name, a in (("x_prev", xp), ("x_next", xn), ("offsets", B)):
             _require_finite(a, name)
         object.__setattr__(self, "x_prev", xp)
         object.__setattr__(self, "x_next", xn)

@@ -18,7 +18,7 @@ import numpy as np
 from .dynamics import StochasticMechanism
 from .errors import DimensionMismatchError, IllConditionedError, NonFiniteSampleError
 from .grids import GridSpec
-from .linalg import orthonormal_defect, unit_scaled
+from .linalg import _check_count, _points, _square_matrix, orthonormal_defect, unit_scaled
 from .maps import AffineMap
 from .rng import stream
 from .shipped import scipy_extension
@@ -56,14 +56,6 @@ _ENERGY_ROWS = 128
 _KS_CHUNK_CELLS = 1 << 16
 
 
-def _check_count(name: str, value, minimum: int) -> None:
-    """Raise ValueError naming `name` unless `value` is an integer >= `minimum`; bools are not counts."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}")
-
-
 @dataclass(frozen=True)
 class DistributionalTestSpec:
     """Protocol parameters for an equivariance-in-distribution test.
@@ -93,19 +85,7 @@ class DistributionalTestSpec:
         _check_count("anchor_count", self.anchor_count, 1)
         _check_count("permutations", self.permutations, 1)
         if self.anchors is not None:
-            anchors = np.asarray(self.anchors, dtype=float)
-            if self.dim == 1 and anchors.ndim == 1:  # n anchors, as `two_sample_test` reads samples
-                anchors = anchors.reshape(-1, 1)
-            anchors = np.atleast_2d(anchors)
-            if anchors.ndim > 2:
-                raise DimensionMismatchError(f"anchors have shape {anchors.shape}; expected one point per row")
-            if anchors.shape[1] != self.dim:
-                raise DimensionMismatchError(
-                    f"anchors have dimension {anchors.shape[1]}, spec says {self.dim}"
-                )
-            if anchors.shape[0] == 0:
-                raise ValueError("anchors is empty")
-            object.__setattr__(self, "anchors", anchors)
+            object.__setattr__(self, "anchors", _points(self.anchors, "anchors", self.dim))
 
     def anchor_points(self) -> np.ndarray:
         """The given anchors, or `anchor_count` grid points in [-2, 2]^dim."""
@@ -298,19 +278,10 @@ def _ks_result(pvals: list[float], stats: list[float]) -> TwoSampleResult:
 
 def _samples(X, Y) -> tuple[np.ndarray, np.ndarray]:
     """X and Y as (points, coordinates) arrays of one dimension, each checked and named."""
-    samples = []
+    X, Y = _points(X, "sample X"), _points(Y, "sample Y")
     for name, sample in (("X", X), ("Y", Y)):
-        sample = np.asarray(sample, dtype=float)
-        if sample.ndim < 2:  # n points of one coordinate, as ks_2samp reads it
-            sample = sample.reshape(-1, 1)
-        if sample.ndim > 2:
-            raise DimensionMismatchError(f"sample {name} has shape {sample.shape}; expected one point per row")
-        if sample.size == 0:
-            raise ValueError(f"sample {name} is empty")
         if not np.isfinite(sample).all():
             raise NonFiniteSampleError(f"sample {name}")
-        samples.append(sample)
-    X, Y = samples
     if X.shape[1] != Y.shape[1]:
         raise DimensionMismatchError("samples have different dimensions")
     return X, Y
@@ -536,9 +507,7 @@ def _signed_perm_pattern(A: np.ndarray, tol: float):
 
 def signed_perm_offset_test(a, tol: float = 1e-9) -> ClassVerdict:
     """Classify the linear part of a map; offsets are ignored by design."""
-    A = a.A if isinstance(a, AffineMap) else np.asarray(a, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {A.shape}")
+    A = a.A if isinstance(a, AffineMap) else _square_matrix(a, "a")
     defect = orthonormal_defect(A)
     orthonormal = bool(defect <= tol)
     det_dev = float(abs(abs(np.linalg.det(A)) - 1.0))

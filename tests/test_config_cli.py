@@ -565,6 +565,12 @@ def test_recover_fails_when_its_encoder_is_rank_deficient(tmp_path, capsys):
     assert report["summary"]["solution_space_dim"] == 0
 
 
+def test_recover_simulation_has_no_seed_of_its_own():
+    # parsed, then ignored: the walk took the recover's seed
+    with pytest.raises(ConfigError, match=r"^config field 'simulate\.seed': unknown field"):
+        parse_config(mutated("recover_inverse", ("simulate", "seed"), 7))
+
+
 def test_recover_reports_the_rank_of_its_encoder(tmp_path):
     assert run_cli("recover", FIXTURES / "recover_inverse.json", "--output-dir", tmp_path / "run") == 0
     report = read_json(tmp_path / "run" / "report.json")
@@ -1158,14 +1164,14 @@ def test_imitate_without_hypothesized_lists_each_used_mechanism_once():
     stretch = {"M": [[2.0, 0.0], [0.0, 3.0]]}
     mirrored = {"M": [[3.0, 0.0], [0.0, 2.0]]}
     report = run_experiment(
-        parse_config({"experiment": "imitate", "used": [stretch, mirrored]}), seed=0
+        parse_config({"experiment": "imitate", "used": [stretch, mirrored]})
     ).report
     assert [m.label for m in report["class"].members] == ["m1", "m2"]
     assert report["closure"].candidates_total == 4
     assert [list(a.assignment) for a in report["closure"].assignments] == [[0, 1], [1, 0]]
 
     M = [[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]
-    report = run_experiment(parse_config({"experiment": "imitate", "used": [{"M": M}]}), seed=0).report
+    report = run_experiment(parse_config({"experiment": "imitate", "used": [{"M": M}]})).report
     assert [m.label for m in report["class"].members] == ["m1"]
     assert report["closure"].candidates_total == 1
     assert [len(a.family.basis_A) for a in report["closure"].assignments] == [5]
@@ -1225,7 +1231,7 @@ def commutant_docs(draw):
 @example(JORDAN_DOC)
 def test_commutant_basis_matches_dimension_and_constraints(doc):
     cfg = parse_config({**doc, "csv_tables": True})
-    outcome = run_experiment(cfg, seed=0)
+    outcome = run_experiment(cfg)
     family = outcome.report["family"].family
     assert len(family.basis_A) == outcome.summary["dimension"]
     assert len(outcome.tables["basis.csv"]["rows"]) == len(family.basis_A)
@@ -1283,7 +1289,7 @@ PRODUCERS = {
 def test_report_holds_library_result_objects(name):
     # result objects go into reports as they are; no runner copies their fields
     cfg = parse_config(load_json(FIXTURES / f"{name}.json"))
-    for key, value in run_experiment(cfg, cfg.seed).report.items():
+    for key, value in run_experiment(cfg).report.items():
         for item in value if isinstance(value, list) else [value]:
             assert item is None or (
                 is_dataclass(item) and type(item).__module__.startswith("mechid.")
@@ -1303,7 +1309,7 @@ def test_field_added_to_a_result_type_reaches_the_report(monkeypatch, name):
 
     monkeypatch.setattr(experiments, call, widened)
     cfg = parse_config(load_json(FIXTURES / f"{name}.json"))
-    detail = json.loads(dumps_json(run_experiment(cfg, cfg.seed).report))
+    detail = json.loads(dumps_json(run_experiment(cfg).report))
     assert detail[key]["margin"] == 0.125
 
 

@@ -6,6 +6,7 @@ checked against a CDF obtained by adaptive quadrature of the unnormalized
 density, not against the gamma-transform used by the sampler.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -398,6 +399,32 @@ def test_identity_walk_is_the_state_plus_its_noise_bit_for_bit(noise, dim):
     for z in states:
         want = z[None, :] + noise.ppf(U)
         assert mech.sample_next(z, U).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        # both were accepted, and a count of 2.5 or True is no dimension
+        ({"family": "uniform", "dim": 2.5}, "dim"),
+        ({"family": "uniform", "dim": True}, "dim"),
+        # each built, and its ppf returned NaN or -inf, so a walk failed only at some later step
+        ({"family": "gaussian", "scale": math.nan}, "scale"),
+        ({"family": "gaussian", "scale": math.inf}, "scale"),
+        ({"family": "generalized-laplace", "alpha": math.nan}, "alpha"),
+        ({"family": "generalized-laplace", "alpha": math.inf}, "alpha"),
+    ],
+)
+def test_noise_spec_rejects_a_field_out_of_its_domain_naming_it(fields, name):
+    with pytest.raises(ValueError, match=name):
+        NoiseSpec(**fields)
+
+
+@pytest.mark.parametrize("T", [2.5, True])
+def test_simulate_takes_an_integer_step_count(T):
+    # 2.5 ended in a raw TypeError, and True ran one step
+    m = AffineMechanism(np.diag([2.0, 3.0]), np.zeros(2))
+    with pytest.raises(ValueError, match="^T must be an integer"):
+        simulate(LinearDecoder(np.eye(2)), [m], np.zeros(2), T=T)
 
 
 def test_walk_offset_and_matrix_must_match_the_noise_dimension():

@@ -15,11 +15,16 @@ import pytest
 from mechid import (
     AffineMechanism,
     GridSpec,
+    LinearDecoder,
+    MechanismClass,
     affine_equivariances,
     check_equivariance,
     check_imitation,
+    cycle_analysis,
     exact_recovery_conditions,
+    imitator_closure,
     linear_commutant,
+    membership_equivalence_audit,
     offset_identifiability_check,
     shared_equivariances,
 )
@@ -36,6 +41,7 @@ from mechid.equivariance import (
 from mechid.config import parse_config
 from mechid.errors import DimensionMismatchError, NonFiniteSampleError
 from mechid.experiments import run_experiment
+from mechid.jsonio import dumps_json
 from mechid.linalg import DEFAULT_RTOL, intertwiner_operator, kron_rows, null_space, relative_rank, solve_residual
 from mechid.maps import AffineMap, compose
 from mechid.rng import stream
@@ -161,6 +167,51 @@ def test_check_equivariance_pass_and_fail():
     assert np.isclose(report.max_residual, want, rtol=1e-12)
 
 
+def grid_reader(name: str, d: int):
+    """The library entry `name` at dimension d, as grid -> its result rendered as JSON."""
+    m = AffineMechanism(np.diag([2.0, 3.0][:d]), np.zeros(d))
+    ident = AffineMap(np.eye(d), np.zeros(d))
+    calls = {
+        "check_equivariance": lambda grid: check_equivariance(ident, m, grid=grid),
+        "cycle_analysis": lambda grid: cycle_analysis(ident, [m], grid=grid),
+        "imitator_closure": lambda grid: imitator_closure(MechanismClass(used=(m,)), grid=grid),
+        "membership_equivalence_audit": lambda grid: membership_equivalence_audit(
+            LinearDecoder(np.eye(d)), [m], [ident], grid=grid
+        ),
+    }
+    return lambda grid: dumps_json(calls[name](grid))
+
+
+GRID_READERS = ["check_equivariance", "cycle_analysis", "imitator_closure", "membership_equivalence_audit"]
+
+
+@pytest.mark.parametrize("reader", GRID_READERS)
+@pytest.mark.parametrize(
+    "grid, error, message",
+    [
+        # numpy's argmax or zero-size-reduction ValueError, which named no argument
+        pytest.param(np.zeros((0, 2)), ValueError, r"^grid is empty$", id="empty"),
+        # "only 0-dimensional arrays can be converted", a TypeError
+        pytest.param(
+            np.zeros((3, 2, 2)),
+            DimensionMismatchError,
+            r"^grid has shape \(3, 2, 2\); expected one point per row$",
+            id="three-axes",
+        ),
+    ],
+)
+def test_a_grid_that_is_no_point_set_is_rejected_naming_it(reader, grid, error, message):
+    with pytest.raises(error, match=message):
+        grid_reader(reader, 2)(grid)
+
+
+@pytest.mark.parametrize("reader", GRID_READERS)
+def test_a_one_dimensional_grid_at_dimension_one_is_that_many_points(reader):
+    # "grid points have dimension 3, expected 1", where anchors and samples read three points
+    read = grid_reader(reader, 1)
+    assert read(np.array([0.1, 0.2, 0.3])) == read(np.array([[0.1], [0.2], [0.3]]))
+
+
 def test_check_imitation_names_a_callable_that_returns_the_wrong_shape():
     ident = AffineMap(np.eye(2), np.zeros(2))
     grid = GridSpec(dim=2, count=8)
@@ -263,7 +314,7 @@ def test_conjugated_identity_is_unconstrained():
     M = conjugated_scalar(1.0, 3, 0)
     assert 0.0 < np.max(np.abs(M - np.eye(3))) < 1e-13
     doc = {"experiment": "commutant", "mechanisms": [{"M": M.tolist(), "b": [0.0, 0.0, 0.0]}]}
-    summary = run_experiment(parse_config(doc), seed=0).summary
+    summary = run_experiment(parse_config(doc)).summary
     assert (summary["dimension"], summary["a_dimension"], summary["measured_dimension"]) == (12, 9, 9)
     assert summary["verdict"] == "unconstrained"
 
@@ -503,7 +554,7 @@ def scaled_condition_reports(c: float):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         return (
-            run_experiment(parse_config(doc), 0).summary,
+            run_experiment(parse_config(doc)).summary,
             exact_recovery_conditions(AffineMechanism(M, b)),
             offset_identifiability_check(M, offsets),
             # K x - rhs is 0, then c (0, 3)

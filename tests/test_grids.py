@@ -87,6 +87,19 @@ def test_counts_outside_the_sequence_are_rejected():
         GridSpec(dim=2, count=2**30 + 1)
 
 
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        ({"dim": 2.5}, "dim"),  # a slice TypeError in points()
+        ({"dim": True, "count": 4}, "dim"),  # a (4, 1) grid
+        ({"dim": 2, "count": 2.5}, "count"),  # a TypeError from bitwise_and in points()
+    ],
+)
+def test_a_count_that_is_not_an_integer_is_rejected_naming_it(fields, name):
+    with pytest.raises(ValueError, match=name):
+        GridSpec(**fields).points()
+
+
 # The first grid of a process builds its directions from the vendored rows
 # and reads no file; up to 32 dims it runs no scipy code.
 FIRST_GRID_SCRIPT = """

@@ -262,6 +262,14 @@ def test_closure_budget_error():
     assert exc.value.budget == 10
 
 
+@pytest.mark.parametrize("budget", [0.5, True, 0])
+def test_closure_budget_is_a_positive_integer(budget):
+    # 0.5 ran with a budget of 0.5
+    m = AffineMechanism(np.diag([2.0, 3.0]), np.zeros(2))
+    with pytest.raises(ValueError, match="^budget must"):
+        imitator_closure(MechanismClass(used=(m,)), budget=budget)
+
+
 # ---------------------------------------------------------------------------
 # cycles
 

@@ -98,3 +98,10 @@ def test_map_power_matches_repeated_application():
     assert np.allclose(map_power(a, 4)(z), out, atol=1e-10)
     assert isinstance(map_power(a, 1), AffineMap)
 
+
+
+@pytest.mark.parametrize("k", [2.5, True])
+def test_map_power_takes_a_positive_integer_count(k):
+    # 2.5 raised "'float' object cannot be interpreted as an integer", and True gave a itself
+    with pytest.raises(ValueError, match="^k must"):
+        map_power(AffineMap(np.eye(2), np.zeros(2)), k)

@@ -16,7 +16,7 @@ from mechid import (
     simulate,
 )
 from mechid.config import parse_config
-from mechid.errors import ConfigError, DataDeficiencyError, NonFiniteSampleError
+from mechid.errors import ConfigError, DataDeficiencyError, DimensionMismatchError, NonFiniteSampleError
 from mechid.recovery import COMPARISON_CLASSES, _assemble_system, _min_cost_assignment
 from mechid.rng import stream
 
@@ -277,6 +277,12 @@ def test_problem_rejects_nonfinite_inputs(field):
     arrays[field][1, 0] = np.nan
     with pytest.raises(NonFiniteSampleError, match=rf"{field}\[1\]"):
         RecoveryProblem(**arrays)
+
+
+def test_problem_rejects_an_empty_M():
+    # accepted, with offsets of no columns
+    with pytest.raises(DimensionMismatchError, match=r"^M must be square and nonempty, got shape \(0, 0\)$"):
+        RecoveryProblem(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((0, 0)), np.zeros((3, 0)))
 
 
 # ---------------------------------------------------------------------------

@@ -747,6 +747,19 @@ def test_swap_with_sign_and_offset_in_class():
     assert verdict.signs == (-1, 1)
 
 
+@pytest.mark.parametrize(
+    "matrix, error, message",
+    [
+        # a NaN verdict, after "invalid value encountered in det"
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), NonFiniteSampleError, r"a\[0\]$"),
+        (np.zeros((0, 0)), DimensionMismatchError, r"^a must be square and nonempty, got shape \(0, 0\)$"),
+    ],
+)
+def test_class_test_of_a_matrix_that_is_no_map_names_it(matrix, error, message):
+    with pytest.raises(error, match=message):
+        signed_perm_offset_test(matrix)
+
+
 def test_uniform_scaling_out_of_class():
     verdict = signed_perm_offset_test(2.0 * np.eye(2))
     assert not verdict.orthonormal
