@@ -69,7 +69,6 @@ from .imitation import (
     MechanismClass,
     check_imitation,
     cycle_analysis,
-    find_affine_intertwiners,
     imitator_closure,
 )
 from .maps import AffineMap, compose, map_power

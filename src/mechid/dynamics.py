@@ -1,10 +1,11 @@
 """Latent dynamics, noise, decoders, and trajectory simulation.
 
 The data-generating picture: a latent state evolves by per-step mechanisms
-z_{t+1} = m_t(z_t) (deterministically or through a noise kernel), and a
-decoder maps each latent to an observation x_t. Encoders are left inverses
-of decoders restricted to the decoder's image, which is the only place the
-data ever lives.
+z_{t+1} = m_t(z_t), deterministic or the walk z -> M z + b + V, whose
+dataclass `StochasticMechanism` (noise, M, b, label) `additive_noise_mechanism`
+builds; a decoder maps each latent to an observation x_t. Encoders are left
+inverses of decoders restricted to the decoder's image, which is the only
+place the data ever lives.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .errors import (
     SingularMapError,
 )
 from .jsonio import table_text, write_text
-from .linalg import DEFAULT_RTOL, _check_count, _require_finite, relative_rank
+from .linalg import DEFAULT_RTOL, _check_count, _require_finite, _square_matrix, relative_rank
 from .maps import _affine_parameters
 from .rng import stream
 
@@ -78,34 +79,6 @@ class AffineMechanism:
                 f"state has dimension {z.shape[-1]}, mechanism expects {self.dim}"
             )
         return z @ self.M.T + self.b
-
-
-@dataclass(frozen=True)
-class StochasticMechanism:
-    """A Markov kernel z -> kernel(z, U) with U uniform on [0,1]^dim.
-
-    `kernel` must accept a single state z of shape (dim,) together with a
-    batch U of shape (m, dim) and return the m next states, shape (m, dim).
-    Determinism contract: identical (z, U) gives identical output.
-    """
-
-    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    dim: int
-    label: str | None = None
-
-    def sample_next(self, z: np.ndarray, U: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float).reshape(-1)
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        if z.shape[0] != self.dim or U.shape[1] != self.dim:
-            raise DimensionMismatchError(
-                f"kernel expects dimension {self.dim}, got state {z.shape[0]} / noise {U.shape[1]}"
-            )
-        out = np.asarray(self.kernel(z, U), dtype=float)
-        if out.shape != U.shape:
-            raise DimensionMismatchError(
-                f"kernel returned shape {out.shape}, expected {U.shape}"
-            )
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -166,18 +139,48 @@ class NoiseSpec:
         return np.sign(s) * (self.scale * mag)
 
 
+@dataclass(frozen=True)
+class StochasticMechanism:
+    """The walk z -> M z + b + V, V drawn coordinatewise from `noise`; M and b are
+    finite, of the noise's dimension, and stored read-only. `sample_next(z, U)`
+    maps a state of shape (dim,) and uniforms U of shape (m, dim) to m next states."""
+
+    noise: NoiseSpec
+    M: np.ndarray
+    b: np.ndarray
+    label: str | None = None
+
+    def __post_init__(self):
+        dim = self.noise.dim
+        M = _square_matrix(self.M, "M")
+        b = np.array(self.b, dtype=float)
+        if M.shape != (dim, dim) or b.shape != (dim,):
+            raise DimensionMismatchError(f"M/b shapes {M.shape}/{b.shape} do not match dimension {dim}")
+        _require_finite(b, "b")
+        M.setflags(write=False)
+        b.setflags(write=False)
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "b", b)
+
+    @property
+    def dim(self) -> int:
+        return self.noise.dim
+
+    def sample_next(self, z: np.ndarray, U: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, dtype=float).reshape(-1)
+        U = np.atleast_2d(np.asarray(U, dtype=float))
+        if z.shape[0] != self.dim or U.shape[1] != self.dim:
+            raise DimensionMismatchError(
+                f"walk expects dimension {self.dim}, got state {z.shape[0]} / noise {U.shape[1]}"
+            )
+        return z @ self.M.T + self.b + self.noise.ppf(U)
+
+
 def additive_noise_mechanism(noise: NoiseSpec, M=None, b=None, label="additive-noise") -> StochasticMechanism:
-    """Kernel z -> M z + b + V with V drawn coordinatewise from `noise`; M = I and b = 0 by default."""
-    dim = noise.dim
-    M = np.eye(dim) if M is None else np.asarray(M, dtype=float)
-    b = np.zeros(dim) if b is None else np.asarray(b, dtype=float)
-    if M.shape != (dim, dim) or b.shape != (dim,):
-        raise DimensionMismatchError(f"M/b shapes {M.shape}/{b.shape} do not match dimension {dim}")
-
-    def kernel(z, U):
-        return z @ M.T + b + noise.ppf(U)
-
-    return StochasticMechanism(kernel=kernel, dim=dim, label=label)
+    """The walk z -> M z + b + V with V drawn coordinatewise from `noise`; M = I and b = 0 by default."""
+    M = np.eye(noise.dim) if M is None else M
+    b = np.zeros(noise.dim) if b is None else b
+    return StochasticMechanism(noise, M, b, label)
 
 
 # ---------------------------------------------------------------------------

@@ -413,7 +413,8 @@ def check_imitation(a, m1, m2, grid=None, tol: float = DEFAULT_RTOL) -> CheckRep
     The residual at z is |a(m1(z)) - m2(a(z))| / (1 + |m2(a(z))|); the check
     passes when the maximum over the grid is at or below tol. Each of a, m1
     and m2 may be any callable on (N, d) points; one that returns another
-    shape raises DimensionMismatchError naming it.
+    shape raises DimensionMismatchError naming it. Without a grid, m1 or a
+    must have a `dim` to size the default one.
     """
 
     def apply(f, name, X):
@@ -423,6 +424,8 @@ def check_imitation(a, m1, m2, grid=None, tol: float = DEFAULT_RTOL) -> CheckRep
         return out
 
     dim = getattr(m1, "dim", getattr(a, "dim", None))
+    if grid is None and dim is None:
+        raise ValueError("grid is required when neither a nor m1 has a dim")
     Z = _as_points(grid, dim)
     lhs = apply(a, "a", apply(m1, "m1", Z))
     rhs = apply(m2, "m2", apply(a, "a", Z))

@@ -29,7 +29,6 @@ from .equivariance import (
     _as_points,
     _data_scale,
     _intertwiner_family,
-    _intertwiner_solve,
     _intertwiner_system,
     _particular,
     _row_blocks,
@@ -52,7 +51,6 @@ __all__ = [
     "AssignmentFamily",
     "ImitatorClosure",
     "CycleReport",
-    "find_affine_intertwiners",
     "check_imitation",
     "imitator_closure",
     "cycle_analysis",
@@ -115,20 +113,6 @@ class ImitationRecord:
             raise ValueError(
                 f"imitation record residual {self.residual:.3e} exceeds tolerance {self.tol:.3e}"
             )
-
-
-def find_affine_intertwiners(
-    m1: AffineMechanism, m2: AffineMechanism, rtol: float = DEFAULT_RTOL
-) -> AffineMapFamily:
-    """The affine solution set of {A M1 = M2 A, A b1 + p = M2 p + b2}.
-
-    The family may be empty (spectra differ), trivial (only singular A), or
-    a positive-dimensional affine subspace, cut at `rtol`. Use
-    `.representative(seed)` to extract an invertible member when one exists.
-    """
-    if m1.dim != m2.dim:
-        raise DimensionMismatchError("mechanisms have different dimensions")
-    return _intertwiner_solve(m1.M[None], m1.b[None], m2.M[None], m2.b[None], rtol)
 
 
 def _spectra_match(w1: np.ndarray, w2: np.ndarray) -> bool:

@@ -1,6 +1,6 @@
 """Equivariance in distribution and map-class tests for noisy dynamics.
 
-With additive-noise kernels the commutation identity only holds in
+With additive-noise walks the commutation identity only holds in
 distribution, so it is tested: push one anchor through a∘m1 and through
 m2∘a with independent noise streams and compare the two samples. Separate
 tests probe the map-class restrictions that make such models identifiable:
@@ -417,6 +417,7 @@ def stochastic_equivariance_test(
     row raises `DimensionMismatchError` naming the anchor. The verdict passes
     when every anchor's p-value clears the level significance / #anchors.
     """
+    _check_count("workers", workers, 1)
     anchors = spec.anchor_points()
     if m1.dim != spec.dim or m2.dim != spec.dim:
         raise DimensionMismatchError("mechanism dimensions do not match the test spec")

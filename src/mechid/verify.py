@@ -19,6 +19,7 @@ import numpy as np
 
 from .equivariance import _as_points
 from .errors import NonFiniteSampleError
+from .linalg import _check_count
 from .maps import AffineMap
 
 __all__ = [
@@ -166,6 +167,7 @@ def membership_equivalence_audit(
     A non-finite observation names the first grid point of the first
     failing candidate, at its first failing mechanism.
     """
+    _check_count("workers", workers, 1)
     if tol_identity is None:
         tol_identity = IDENTITY_TOL_FACTOR * tol_equivariance
     Z = _as_points(grid, truth_decoder.latent_dim)

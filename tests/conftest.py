@@ -11,7 +11,16 @@ import numpy as np
 import pytest
 
 from mechid import AffineMechanism
-from mechid.equivariance import CheckReport, _as_points, _residual_report, _row_residuals
+from mechid.equivariance import (
+    AffineMapFamily,
+    CheckReport,
+    _as_points,
+    _intertwiner_solve,
+    _residual_report,
+    _row_residuals,
+)
+from mechid.errors import DimensionMismatchError
+from mechid.linalg import DEFAULT_RTOL
 from mechid.maps import AffineMap
 from mechid.rng import stream
 
@@ -108,6 +117,16 @@ def stacked_solve(C, r, rtol, scale):
     k = int(np.sum(s > cut))
     clear = not np.any((s > cut / MARGIN) & (s <= cut * MARGIN))
     return vh[k:], vh[:k].T @ ((u[:, :k].T @ r) / s[:k]), clear
+
+
+def find_affine_intertwiners(
+    m1: AffineMechanism, m2: AffineMechanism, rtol: float = DEFAULT_RTOL
+) -> AffineMapFamily:
+    """The affine solution set of {A M1 = M2 A, A b1 + p = M2 p + b2}: the solve
+    `shared_equivariances` and the closure make, for the one pair m1 -> m2."""
+    if m1.dim != m2.dim:
+        raise DimensionMismatchError("mechanisms have different dimensions")
+    return _intertwiner_solve(m1.M[None], m1.b[None], m2.M[None], m2.b[None], rtol)
 
 
 # ---------------------------------------------------------------------------

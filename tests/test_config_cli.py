@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mechid import AffineMechanism, __version__, config, experiments, find_affine_intertwiners
+from mechid import AffineMechanism, __version__, config, experiments
 from mechid.cli import main
 from mechid.config import parse_config
 from mechid.errors import ConfigError
@@ -35,7 +35,7 @@ from mechid.rng import stream
 from mechid.stochastic import DistributionalTestSpec
 from mechid.verify import membership_equivalence_audit
 
-from conftest import random_invertible
+from conftest import find_affine_intertwiners, random_invertible
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -435,6 +435,26 @@ def test_walk_offset_and_matrix_must_match_the_noise_dimension():
         additive_noise_mechanism(noise, b=[1.0])
 
 
+@pytest.mark.parametrize("field, value", [("M", [[math.nan, 0.0], [0.0, 1.0]]), ("b", [math.inf, 0.0])])
+def test_walk_with_a_non_finite_parameter_names_it(field, value):
+    # both built, and the NaN walk then sampled [[nan, nan]] at every state
+    with pytest.raises(NonFiniteSampleError, match=f"at {field}"):
+        additive_noise_mechanism(NoiseSpec("uniform", dim=2), **{field: value})
+
+
+def test_walk_holds_its_parameters_read_only():
+    M, b = np.array([[0.5, 1.0], [0.0, 2.0]]), np.array([0.1, -3.0])
+    noise = NoiseSpec("gaussian", scale=0.5, dim=2)
+    mech = StochasticMechanism(noise, M, b, "w")
+    assert (mech.noise, mech.dim, mech.label) == (noise, 2, "w")
+    M[0, 0] = b[0] = 7.0  # the walk keeps its own copies
+    assert mech.M.tolist() == [[0.5, 1.0], [0.0, 2.0]] and mech.b.tolist() == [0.1, -3.0]
+    assert not (mech.M.flags.writeable or mech.b.flags.writeable)
+    U = stream(59, 0).random((16, 2))
+    z = np.array([1.5, -0.25])
+    assert mech.sample_next(z, U).tobytes() == (z @ mech.M.T + mech.b + noise.ppf(U)).tobytes()
+
+
 def test_stochastic_rollout_reproducible():
     dec = LinearDecoder(np.eye(2))
     a = simulate(dec, [walk()], np.zeros(2), T=6, seed=5)

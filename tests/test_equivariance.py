@@ -237,6 +237,18 @@ def test_check_imitation_names_a_callable_that_returns_the_wrong_shape():
     assert check_imitation(np.sinh, ident, ident, grid=grid).passed
 
 
+def test_check_imitation_without_a_grid_or_a_dim_names_the_grid():
+    # this raised "dim must be an integer, got None", naming a GridSpec field the caller never set
+    def same(z):
+        return z
+
+    with pytest.raises(ValueError, match="^grid is required"):
+        check_imitation(same, same, same)
+    # an array grid is read at any dimension
+    for d in (1, 3):
+        assert check_imitation(same, same, same, grid=np.ones((4, d))).passed
+
+
 def test_members_of_random_families_pass_check():
     for trial in range(15):
         gen = stream(500 + trial)

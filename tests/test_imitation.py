@@ -15,7 +15,6 @@ from mechid import (
     affine_equivariances,
     check_imitation,
     cycle_analysis,
-    find_affine_intertwiners,
     imitator_closure,
     linear_commutant,
     shared_equivariances,
@@ -32,6 +31,7 @@ from conftest import (
     SWAP,
     commutant_dimension,
     distinct_eig_mechanism,
+    find_affine_intertwiners,
     random_invertible,
     rotation,
     span_distance,

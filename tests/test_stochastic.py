@@ -9,7 +9,9 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -18,12 +20,15 @@ from scipy.spatial.distance import cdist
 from scipy.stats import ks_2samp
 
 from mechid import (
+    AffineMechanism,
     DistributionalTestSpec,
+    LinearDecoder,
     NoiseSpec,
     additive_noise_mechanism,
     compose,
     finite_difference_jacobian,
     jacobian_identifiability_test,
+    membership_equivalence_audit,
     signed_perm_offset_test,
     stochastic_equivariance_test,
     two_sample_test,
@@ -33,7 +38,6 @@ from mechid.errors import (
     IllConditionedError,
     NonFiniteSampleError,
 )
-from mechid.dynamics import StochasticMechanism
 from mechid.maps import AffineMap
 from mechid.rng import stream
 from mechid.shipped import scipy_extension
@@ -566,11 +570,22 @@ def test_rotation_passes_with_gaussian_increments():
     assert passes >= 9  # isotropic Gaussian is rotation invariant
 
 
+@dataclass(frozen=True)
+class KernelDouble:
+    """A stochastic mechanism as `stochastic_equivariance_test` reads one: its `dim`, and
+    `sample_next(z, U)`, here the m next states `kernel` gives for a state z of shape (dim,)
+    and uniforms U of shape (m, dim)."""
+
+    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    dim: int
+
+    def sample_next(self, z: np.ndarray, U: np.ndarray) -> np.ndarray:
+        return self.kernel(z, U)
+
+
 def test_nonfinite_samples_name_the_anchor():
     good = laplace_walk()
-    bad = StochasticMechanism(
-        kernel=lambda z, U: np.full_like(U, np.nan), dim=2, label="nan"
-    )
+    bad = KernelDouble(lambda z, U: np.full_like(U, np.nan), dim=2)
     with pytest.raises(NonFiniteSampleError) as exc:
         stochastic_equivariance_test(AffineMap(np.eye(2), np.zeros(2)), bad, good, spec_for(2, n=200))
     assert "anchor 0" in str(exc.value)
@@ -588,7 +603,7 @@ def battery_mechanism(dim, shift):
             return np.tile(np.arange(float(U.shape[0]))[:, None] + shift, (1, dim))
         return z + np.log(U / (1.0 - U))
 
-    return StochasticMechanism(kernel=kernel, dim=dim, label=f"battery+{shift}")
+    return KernelDouble(kernel, dim)
 
 
 # n -> the moved grid's h: at 109, 3000 and 10^4 one whose exact value leaves
@@ -643,6 +658,23 @@ def test_worker_count_does_not_change_report():
         r.result.p_value for r in threaded.anchors
     ]
     assert serial.passed == threaded.passed
+
+
+@pytest.mark.parametrize("workers", [2.5, 0, -3, True])
+@pytest.mark.parametrize("entry", ["stochastic_equivariance_test", "membership_equivalence_audit"])
+def test_worker_count_must_be_a_positive_integer(entry, workers):
+    # each ran: 2.5 reached ThreadPoolExecutor(max_workers=2.5), the others ran serially
+    ident = AffineMap(np.eye(2), np.zeros(2))
+    calls = {
+        "stochastic_equivariance_test": lambda: stochastic_equivariance_test(
+            ident, laplace_walk(), laplace_walk(), spec_for(2, n=200), workers=workers
+        ),
+        "membership_equivalence_audit": lambda: membership_equivalence_audit(
+            LinearDecoder(np.eye(2)), [AffineMechanism(np.diag([2.0, 3.0]), np.zeros(2))], [ident], workers=workers
+        ),
+    }
+    with pytest.raises(ValueError, match="^workers must be"):
+        calls[entry]()
 
 
 def test_spec_validation():
