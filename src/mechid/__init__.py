@@ -20,14 +20,13 @@ other than 1 (`scipy.special`), the KS test on samples of unequal size or
 over 10^4 points, and grids of over 32 dimensions (`scipy.stats`).
 """
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 from .dynamics import (
     AffineMechanism,
     LinearDecoder,
     NoiseSpec,
     ScalarMap,
-    StochasticMechanism,
     StructuredDecoder,
     Trajectory,
     additive_noise_mechanism,

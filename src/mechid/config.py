@@ -12,7 +12,7 @@ from the message alone.
 from __future__ import annotations
 
 import inspect
-from dataclasses import field, make_dataclass
+from dataclasses import field, make_dataclass, replace
 
 import numpy as np
 
@@ -22,10 +22,8 @@ from .dynamics import (
     LinearDecoder,
     NoiseSpec,
     ScalarMap,
-    StochasticMechanism,
     StructuredDecoder,
     _resolve_schedule,
-    additive_noise_mechanism,
 )
 from .errors import ConfigError
 from .grids import GridSpec
@@ -83,35 +81,36 @@ MAX_PERMUTATIONS = 10**5  # memory flat; about 50 us each at 1000 samples
 # ---------------------------------------------------------------------------
 # nested objects
 
-MECHANISM = (
-    Field("type", _choice("affine"), "affine"),
-    Field("M", _matrix),
-    Field("b", _vector, lambda c: np.zeros(len(c["M"]))),
-    Field("label", _str, lambda c: c.get("item_label")),
-)
-_mechanism = _object(MECHANISM, lambda g, _: AffineMechanism(g["M"], g["b"], g["label"]))
-_mechanisms = _each(_mechanism, "m")
-
 NOISE = (
     Field("family", _choice(*NoiseSpec.FAMILIES)),
     Field("scale", _number, NoiseSpec.scale, _positive),
     Field("alpha", _number, None, _positive),
 )
-# z -> Mz + b + noise in the enclosing `dim`; M and b default to the identity walk
-STOCHASTIC_MECHANISM = (
-    Field("noise", _object(NOISE, lambda g, c: NoiseSpec(dim=c["dim"], **g))),
-    Field("M", _matrix, None),
-    Field("b", _vector, None),
-    Field("label", _str, None),
+# z -> Mz + b, or with noise in the enclosing `dim` the walk z -> Mz + b + V, whose
+# M defaults to the identity and whose label has no default
+MECHANISM = (
+    Field("type", _choice("affine"), "affine"),
+    Field("noise", _object(NOISE, lambda g, c: NoiseSpec(dim=c["dim"], **g)), None),
+    Field("M", _matrix, lambda c: REQUIRED if c.get("noise") is None else np.eye(c["noise"].dim)),
+    Field("b", _vector, lambda c: np.zeros(len(c["M"]) if c.get("noise") is None else c["noise"].dim)),
+    Field("label", _str, lambda c: c.get("item_label") if c.get("noise") is None else None),
 )
-_walks = _object(STOCHASTIC_MECHANISM, lambda g, _: additive_noise_mechanism(**g))
 
 
-def _simulated_mechanism(raw, path, ctx):
-    """An affine mechanism, or a stochastic walk when the entry has `noise`."""
-    if isinstance(raw, dict) and "noise" in raw:
-        return _walks(raw, path, ctx.new_child({"dim": ctx["decoder"].latent_dim}))
-    return _mechanism(raw, path, ctx)
+def _affine(g, _) -> AffineMechanism:
+    return AffineMechanism(g["M"], g["b"], g["label"], g.get("noise"))
+
+
+# simulate's mechanisms may have noise, in the decoder's dimension; stochastic-test's
+# m1 and m2 must; every other kind's mechanisms refuse `noise` as an unknown field
+_mechanism = _object(tuple(f for f in MECHANISM if f.name != "noise"), _affine)
+_mechanisms = _each(_mechanism, "m")
+_walk = _object(tuple(replace(f, default=REQUIRED) if f.name == "noise" else f for f in MECHANISM), _affine)
+
+
+def _latent_mechanisms(raw, path, ctx):
+    """Mechanisms that may have noise, in the decoder's latent dimension."""
+    return _each(_object(MECHANISM, _affine), "m")(raw, path, ctx.new_child({"dim": ctx["decoder"].latent_dim}))
 
 
 SCALAR_MAP = (
@@ -295,8 +294,8 @@ def _simulation_in_recover(g, ctx):
     return SimulateConfig(seed=ctx["seed"], expect=None, **_simulation(g))
 
 
-def _has_walks(cfg) -> bool:
-    return any(isinstance(m, StochasticMechanism) for m in cfg.mechanisms)
+def _stochastic(cfg) -> bool:
+    return any(m.noise is not None for m in cfg.mechanisms)
 
 
 def _test_spec(g, ctx) -> DistributionalTestSpec:
@@ -311,7 +310,7 @@ _DECODER = Field("decoder", _object(DECODER, _decoder))
 # inside recover, simulate takes recover's seed, and its mechanisms and schedule default to recover's
 SIMULATION = (
     _DECODER,
-    Field("mechanisms", _each(_simulated_mechanism, "m"), lambda c: c.get("mechanisms", REQUIRED)),
+    Field("mechanisms", _latent_mechanisms, lambda c: c.get("mechanisms", REQUIRED)),
     Field("steps", _int, check=_count(1, MAX_STEPS)),
     Field("schedule", _schedule, lambda c: c.get("schedule")),
     Field("z1", _z1, {}),
@@ -364,14 +363,14 @@ STOCHASTIC_TEST = (
     _SEED,
     Field("candidate", _object(AFFINE_MAP, lambda g, _: AffineMap(**g))),
     Field("dim", _dim, lambda c: c["candidate"].dim),
-    Field("m1", _walks),
-    Field("m2", _walks, lambda c: c["m1"]),
+    Field("m1", _walk),
+    Field("m2", _walk, lambda c: c["m1"]),
     Field("test", _object(TEST, _test_spec), {}),
     Field("class_test", _bool, True),
     _EXPECT,
 )
 
-SimulateConfig = _kind("simulate", SIMULATE, _simulation, stochastic=property(_has_walks))
+SimulateConfig = _kind("simulate", SIMULATE, _simulation, stochastic=property(_stochastic))
 CommutantConfig = _kind("commutant", COMMUTANT)
 ImitateConfig = _kind("imitate", IMITATE)
 VerifyConfig = _kind("verify", VERIFY)

@@ -1,11 +1,10 @@
 """Latent dynamics, noise, decoders, and trajectory simulation.
 
 The data-generating picture: a latent state evolves by per-step mechanisms
-z_{t+1} = m_t(z_t), deterministic or the walk z -> M z + b + V, whose
-dataclass `StochasticMechanism` (noise, M, b, label) `additive_noise_mechanism`
-builds; a decoder maps each latent to an observation x_t. Encoders are left
-inverses of decoders restricted to the decoder's image, which is the only
-place the data ever lives.
+z_{t+1} = m_t(z_t): an `AffineMechanism` z -> M z + b, or with `noise` the
+walk z -> M z + b + V, or any callable; a decoder maps each latent to an
+observation x_t. Encoders are left inverses of decoders restricted to the
+decoder's image, which is the only place the data ever lives.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ __all__ = [
     "DIVERGENCE_BOUND",
     "SCALAR_MAP_KINDS",
     "AffineMechanism",
-    "StochasticMechanism",
     "NoiseSpec",
     "additive_noise_mechanism",
     "ScalarMap",
@@ -49,36 +47,6 @@ _SCREEN_SQUARES = ((1.0 - 1e-6) * DIVERGENCE_BOUND) ** 2
 # Affine steps taken between two screens of the states.
 _SIMULATE_BLOCK = 1024
 SCALAR_MAP_KINDS = ("identity", "exp", "sinh", "asinh", "cubic", "affine")
-
-
-# ---------------------------------------------------------------------------
-# mechanisms
-
-
-@dataclass(frozen=True)
-class AffineMechanism:
-    """z -> M z + b with invertible M."""
-
-    M: np.ndarray
-    b: np.ndarray
-    label: str | None = None
-
-    def __post_init__(self):
-        M, b = _affine_parameters(self.M, self.b, ("M", "b"), DEFAULT_RTOL)
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "b", b)
-
-    @property
-    def dim(self) -> int:
-        return self.M.shape[0]
-
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        if z.shape[-1] != self.dim:
-            raise DimensionMismatchError(
-                f"state has dimension {z.shape[-1]}, mechanism expects {self.dim}"
-            )
-        return z @ self.M.T + self.b
 
 
 # ---------------------------------------------------------------------------
@@ -139,34 +107,52 @@ class NoiseSpec:
         return np.sign(s) * (self.scale * mag)
 
 
-@dataclass(frozen=True)
-class StochasticMechanism:
-    """The walk z -> M z + b + V, V drawn coordinatewise from `noise`; M and b are
-    finite, of the noise's dimension, and stored read-only. `sample_next(z, U)`
-    maps a state of shape (dim,) and uniforms U of shape (m, dim) to m next states."""
+# ---------------------------------------------------------------------------
+# mechanisms
 
-    noise: NoiseSpec
+
+@dataclass(frozen=True, eq=False)
+class AffineMechanism:
+    """z -> M z + b, or with `noise` the walk z -> M z + b + V, V drawn coordinatewise from it.
+
+    M and b are stored read-only. Without noise M must be invertible. A walk
+    takes no invertibility cut, since M = 0 is linear ICA, and its M and b
+    must be finite and of the noise's dimension. Calling a mechanism applies
+    z -> M z + b, a walk's mean map; `sample_next(z, U)` maps a state of
+    shape (dim,) and uniforms U of shape (m, dim) to m next states of a walk.
+    """
+
     M: np.ndarray
     b: np.ndarray
     label: str | None = None
+    noise: NoiseSpec | None = None
 
     def __post_init__(self):
-        dim = self.noise.dim
-        M = _square_matrix(self.M, "M")
-        b = np.array(self.b, dtype=float)
-        if M.shape != (dim, dim) or b.shape != (dim,):
-            raise DimensionMismatchError(f"M/b shapes {M.shape}/{b.shape} do not match dimension {dim}")
-        _require_finite(b, "b")
-        M.setflags(write=False)
-        b.setflags(write=False)
+        rtol = DEFAULT_RTOL
+        if self.noise is not None:
+            dim, rtol = self.noise.dim, None
+            shapes = _square_matrix(self.M, "M").shape, np.shape(self.b)
+            if shapes != ((dim, dim), (dim,)):
+                raise DimensionMismatchError(f"M/b shapes {shapes[0]}/{shapes[1]} do not match dimension {dim}")
+        M, b = _affine_parameters(self.M, self.b, ("M", "b"), rtol)
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "b", b)
 
     @property
     def dim(self) -> int:
-        return self.noise.dim
+        return self.M.shape[0]
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        if z.shape[-1] != self.dim:
+            raise DimensionMismatchError(
+                f"state has dimension {z.shape[-1]}, mechanism expects {self.dim}"
+            )
+        return z @ self.M.T + self.b
 
     def sample_next(self, z: np.ndarray, U: np.ndarray) -> np.ndarray:
+        if self.noise is None:
+            raise ValueError("a mechanism with no noise draws no next state")
         z = np.asarray(z, dtype=float).reshape(-1)
         U = np.atleast_2d(np.asarray(U, dtype=float))
         if z.shape[0] != self.dim or U.shape[1] != self.dim:
@@ -176,11 +162,11 @@ class StochasticMechanism:
         return z @ self.M.T + self.b + self.noise.ppf(U)
 
 
-def additive_noise_mechanism(noise: NoiseSpec, M=None, b=None, label="additive-noise") -> StochasticMechanism:
+def additive_noise_mechanism(noise: NoiseSpec, M=None, b=None, label="additive-noise") -> AffineMechanism:
     """The walk z -> M z + b + V with V drawn coordinatewise from `noise`; M = I and b = 0 by default."""
     M = np.eye(noise.dim) if M is None else M
     b = np.zeros(noise.dim) if b is None else b
-    return StochasticMechanism(noise, M, b, label)
+    return AffineMechanism(M, b, label, noise)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +232,7 @@ class ScalarMap:
         return (y - self.t) / self.s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Decoder:
     """x = G z with G of full column rank, then the decoder's coordinate maps, if any.
 
@@ -301,14 +287,14 @@ class _Decoder:
         return z
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearDecoder(_Decoder):
     """x = G z with G of full column rank; encoder is the pseudoinverse."""
 
     manifold_tol: float = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructuredDecoder(_Decoder):
     """x = h(G z) with h strictly monotone coordinatewise.
 
@@ -347,7 +333,7 @@ class StructuredDecoder(_Decoder):
 # trajectories
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Latent and observed paths plus the per-step mechanism indices."""
 
@@ -492,7 +478,7 @@ def simulate(
     """Roll out z_{t+1} = m_t(z_t) for T states and decode each one.
 
     z1 is the start state, or a sampler of it called with the stream
-    (seed, 0); a `StochasticMechanism` at step t >= 1 draws from (seed, t).
+    (seed, 0); a mechanism with noise at step t >= 1 draws from (seed, t).
     Other draws of a run take longer paths, so each step's noise is
     independent of the start state, and reruns with one seed are
     bit-identical, independent of thread count. A non-finite state raises
@@ -515,9 +501,11 @@ def simulate(
     _check_state(z, 1)
     latents = np.empty((T, z.shape[0]))
     latents[0] = z
-    # an affine mechanism of another dimension is called, and raises DimensionMismatchError
+    # a walk draws its noise, and an affine mechanism of another dimension is called, which
+    # raises DimensionMismatchError
     affine = [
-        (m.M.T, m.b) if isinstance(m, AffineMechanism) and m.dim == z.shape[0] else None for m in mechanisms
+        (m.M.T, m.b) if isinstance(m, AffineMechanism) and m.noise is None and m.dim == z.shape[0] else None
+        for m in mechanisms
     ]
     steps = idx.tolist()  # the step loop reads Python ints, which index faster than numpy scalars
     t = 1
@@ -526,7 +514,7 @@ def simulate(
             t = _affine_steps(affine, steps, latents, t, min(t + _SIMULATE_BLOCK, T))
             continue
         mech, z = mechanisms[steps[t - 1]], latents[t - 1].copy()
-        if isinstance(mech, StochasticMechanism):
+        if isinstance(mech, AffineMechanism) and mech.noise is not None:
             U = stream(seed, t).random((1, mech.dim))
             z = mech.sample_next(z, U)[0]
         else:

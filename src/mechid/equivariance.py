@@ -38,7 +38,7 @@ from .linalg import (
     solve_residual,
     unit_scaled,
 )
-from .maps import AffineMap
+from .maps import AffineMap, _affine_parameters
 from .rng import stream
 
 __all__ = [
@@ -73,7 +73,7 @@ _PAIR_BLOCK = 4096
 _BLOCKED_COMMUTANT_SIZE = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearSubspaceBasis:
     """An orthonormal (Frobenius) basis of a subspace of d x d matrices."""
 
@@ -97,7 +97,7 @@ class LinearSubspaceBasis:
         return self.matrices.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineMapFamily:
     """An affine subspace of candidate maps (A, p).
 
@@ -545,19 +545,27 @@ def _eigencoordinates(S: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndar
     return av, np.sqrt((scaled[:, None, :] @ scaled[:, :, None])[:, 0, 0]) / s
 
 
-def exact_recovery_conditions(m: AffineMechanism, rtol: float = DEFAULT_RTOL) -> ConditionReport:
-    """Premises for a unique linear encoder given one affine mechanism.
+def exact_recovery_conditions(
+    M: np.ndarray | AffineMechanism, b: np.ndarray | None = None, rtol: float = DEFAULT_RTOL
+) -> ConditionReport:
+    """Premises for a unique linear encoder given one affine map z -> M z + b.
 
     Uniqueness holds exactly when the eigenvalues of M are distinct and every
     eigencoordinate of the offset is nonzero; each violated component adds a
     free direction, whose count is also measured directly as the null-space
-    dimension of {A M = M A, A b = 0}.
+    dimension of {A M = M A, A b = 0}. A mechanism gives its own M and b; a
+    bare M, which may be singular, is checked by `_square_matrix` and needs
+    a finite `b` of its dimension.
     """
-    spectrum = _eigen_summary(m.M)
-    measured = _commutant_null_space(m.M, m.b[None, :], rtol).shape[0]
+    if isinstance(M, AffineMechanism):
+        M, b = M.M, M.b
+    else:
+        M, b = _affine_parameters(M, b, ("M", "b"), None)
+    spectrum = _eigen_summary(M)
+    measured = _commutant_null_space(M, b[None, :], rtol).shape[0]
     mags = zero_count = offset_ok = None
     if spectrum.diagonalizable:
-        [av], [norm] = _eigencoordinates(spectrum.vectors, m.b[None, :])
+        [av], [norm] = _eigencoordinates(spectrum.vectors, b[None, :])
         mags = tuple(float(x) for x in av)
         zero_count = int(np.sum(av <= rtol * max(norm, 1e-300)))
         offset_ok = bool(zero_count == 0)

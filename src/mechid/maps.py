@@ -19,13 +19,14 @@ __all__ = ["AffineMap", "compose", "map_power"]
 _INVERTIBILITY_RTOL = 1e-12
 
 
-def _affine_parameters(matrix, offset, names: tuple[str, str], rtol: float) -> tuple[np.ndarray, np.ndarray]:
+def _affine_parameters(matrix, offset, names: tuple[str, str], rtol: float | None) -> tuple[np.ndarray, np.ndarray]:
     """(matrix, offset) as read-only float arrays, or raise.
 
     The matrix must be as `_square_matrix` requires, the offset finite and
-    as long as the matrix is wide, and the matrix invertible: of full
-    `relative_rank` at `rtol`, cut at unit scale or above. `names` are the
-    caller's names for the two, which every error message uses.
+    as long as the matrix is wide, and, unless `rtol` is None, the matrix
+    invertible: of full `relative_rank` at `rtol`, cut at unit scale or
+    above. `names` are the caller's names for the two, which every error
+    message uses.
     """
     m, v = names
     A = _square_matrix(matrix, m)
@@ -33,14 +34,14 @@ def _affine_parameters(matrix, offset, names: tuple[str, str], rtol: float) -> t
     if p.shape[0] != A.shape[0]:
         raise DimensionMismatchError(f"{v} has dimension {p.shape[0]}, {m} is {A.shape[0]}x{A.shape[1]}")
     _require_finite(p, v)
-    if relative_rank(A, rtol, 1.0) < len(A):
+    if rtol is not None and relative_rank(A, rtol, 1.0) < len(A):
         raise SingularMapError(f"{m} is singular to working tolerance")
     A.setflags(write=False)
     p.setflags(write=False)
     return A, p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineMap:
     """z -> A z + p with A square and invertible."""
 

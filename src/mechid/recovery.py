@@ -56,7 +56,7 @@ COMPARISON_CLASSES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecoveryProblem:
     """Observation pairs with their per-pair mechanism parameters.
 
@@ -135,7 +135,7 @@ def _unshared_M(mechanisms: Sequence[AffineMechanism], rtol: float) -> int | Non
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecoveryResult:
     """Recovered encoder plus the structure of the full solution set.
 
@@ -203,7 +203,7 @@ def recover_linear_encoder(
     E_hat = W @ Q
     uniq = _distinct_rows(B, rtol)
     if len(uniq) <= 1:
-        conditions = exact_recovery_conditions(AffineMechanism(M, B[0]), rtol=rtol)
+        conditions = exact_recovery_conditions(M, B[0], rtol=rtol)
     else:
         conditions = offset_identifiability_check(M, B[uniq], rtol=rtol)
     return RecoveryResult(
@@ -223,7 +223,7 @@ def recover_linear_encoder(
 # comparison up to a class
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonResult:
     """Best alignment of an estimate to the truth within a map class.
 

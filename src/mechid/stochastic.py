@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import StochasticMechanism
+from .dynamics import AffineMechanism
 from .errors import DimensionMismatchError, IllConditionedError, NonFiniteSampleError
 from .grids import GridSpec
 from .linalg import _check_count, _points, _square_matrix, orthonormal_defect, unit_scaled
@@ -56,7 +56,7 @@ _ENERGY_ROWS = 128
 _KS_CHUNK_CELLS = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistributionalTestSpec:
     """Protocol parameters for an equivariance-in-distribution test.
 
@@ -398,8 +398,8 @@ class TestReport:
 
 def stochastic_equivariance_test(
     a,
-    m1: StochasticMechanism,
-    m2: StochasticMechanism,
+    m1: AffineMechanism,
+    m2: AffineMechanism,
     spec: DistributionalTestSpec,
     workers: int = 1,
 ) -> TestReport:
@@ -414,10 +414,14 @@ def stochastic_equivariance_test(
     integer h = n·D of each coordinate, and one `_ks_results` pass then
     gives the exact p-values of every anchor and coordinate, each by the same
     operations as one call per h. An `a` that does not return one point per
-    row raises `DimensionMismatchError` naming the anchor. The verdict passes
-    when every anchor's p-value clears the level significance / #anchors.
+    row raises `DimensionMismatchError` naming the anchor, and an m1 or m2
+    with no noise `ValueError` naming it. The verdict passes when every
+    anchor's p-value clears the level significance / #anchors.
     """
     _check_count("workers", workers, 1)
+    for name, m in (("m1", m1), ("m2", m2)):
+        if isinstance(m, AffineMechanism) and m.noise is None:
+            raise ValueError(f"{name}: a mechanism with no noise draws no next state")
     anchors = spec.anchor_points()
     if m1.dim != spec.dim or m2.dim != spec.dim:
         raise DimensionMismatchError("mechanism dimensions do not match the test spec")

@@ -28,7 +28,7 @@ from mechid.cli import main
 from mechid.config import parse_config
 from mechid.errors import ConfigError
 from mechid.experiments import run_experiment
-from mechid.dynamics import LinearDecoder, NoiseSpec, ScalarMap, StructuredDecoder, additive_noise_mechanism
+from mechid.dynamics import LinearDecoder, NoiseSpec, ScalarMap, StructuredDecoder, additive_noise_mechanism, simulate
 from mechid.grids import GridSpec
 from mechid.jsonio import Field, _read, canonical_digest, dumps_json, file_digest, load_json
 from mechid.rng import stream
@@ -1432,7 +1432,8 @@ def test_config_defaults_are_the_library_defaults():
         return _read(table, required, "", {})
 
     assert GridSpec(dim=2, **read(config.GRID)) == GridSpec(dim=2)
-    assert DistributionalTestSpec(dim=2, **read(config.TEST)) == DistributionalTestSpec(dim=2)
+    # a spec holds an array field, so it compares as an object: compare its fields
+    assert vars(DistributionalTestSpec(dim=2, **read(config.TEST))) == vars(DistributionalTestSpec(dim=2))
     assert NoiseSpec(dim=2, **read(config.NOISE, family="gaussian")) == NoiseSpec("gaussian", dim=2)
     assert ScalarMap(**read(config.SCALAR_MAP, kind="cubic")) == ScalarMap("cubic")
     tol = read(config.DECODER, G=[[1.0]])["manifold_tol"]
@@ -1568,3 +1569,16 @@ def test_replay_of_a_0_4_0_manifest_names_both_versions(tmp_path, capsys):
     assert run_cli("replay", out / "manifest.json", "--output-dir", tmp_path / "r") == 1
     err = capsys.readouterr().err
     assert "0.4.0" in err and __version__ in err
+
+
+def test_a_simulated_linear_ica_walk_parses_and_steps_by_its_noise():
+    # M = 0 is linear ICA: a walk takes no invertibility cut, so each state is b plus that step's noise
+    walk = {"noise": {"family": "uniform", "scale": 2.0}, "M": [[0, 0], [0, 0]], "b": [0.5, -1.0]}
+    doc = {"experiment": "simulate", "decoder": {"G": np.eye(2).tolist()}, "mechanisms": [walk], "steps": 6, "seed": 4}
+    cfg = parse_config(doc)
+    (m,) = cfg.mechanisms
+    assert (m.M.tolist(), m.b.tolist(), m.label) == ([[0.0, 0.0], [0.0, 0.0]], [0.5, -1.0], None)
+    assert m.noise == NoiseSpec("uniform", 2.0, dim=2) and cfg.stochastic
+    traj = simulate(cfg.decoder, cfg.mechanisms, cfg.z1, cfg.steps, schedule=cfg.schedule, seed=cfg.seed)
+    want = [m.b + m.noise.ppf(stream(4, t).random((1, 2)))[0] for t in range(1, 6)]
+    assert traj.latents[1:].tobytes() == np.array(want).tobytes()

@@ -28,8 +28,9 @@ from mechid.errors import (
     DivergedTrajectoryError,
     NonFiniteSampleError,
     OffManifoldError,
+    SingularMapError,
 )
-from mechid.dynamics import StochasticMechanism, _check_state, _resolve_schedule
+from mechid.dynamics import _check_state, _resolve_schedule
 from mechid.maps import AffineMap
 from mechid.rng import stream
 
@@ -128,7 +129,7 @@ def per_step_rollout(mechanisms, schedule, z1, T, seed=0):
     latents = [z]
     for t in range(1, T):
         mech = mechanisms[schedule[t - 1]]
-        if isinstance(mech, StochasticMechanism):
+        if isinstance(mech, AffineMechanism) and mech.noise is not None:
             z = mech.sample_next(z, stream(seed, t).random((1, mech.dim)))[0]
         else:
             z = mech(z)
@@ -445,7 +446,7 @@ def test_walk_with_a_non_finite_parameter_names_it(field, value):
 def test_walk_holds_its_parameters_read_only():
     M, b = np.array([[0.5, 1.0], [0.0, 2.0]]), np.array([0.1, -3.0])
     noise = NoiseSpec("gaussian", scale=0.5, dim=2)
-    mech = StochasticMechanism(noise, M, b, "w")
+    mech = AffineMechanism(M, b, "w", noise)
     assert (mech.noise, mech.dim, mech.label) == (noise, 2, "w")
     M[0, 0] = b[0] = 7.0  # the walk keeps its own copies
     assert mech.M.tolist() == [[0.5, 1.0], [0.0, 2.0]] and mech.b.tolist() == [0.1, -3.0]
@@ -611,3 +612,30 @@ def test_simulate_rejects_a_scheduled_mechanism_of_another_dimension_at_its_step
         simulate(LinearDecoder(np.eye(2)), mechs, np.zeros(2), T=3000, schedule=[0] * 2000 + [1] * 999)
     # never scheduled, it is never called
     assert simulate(LinearDecoder(np.eye(2)), mechs, np.zeros(2), T=3, schedule=[0, 0]).latents[-1].tolist() == [2, 2]
+
+
+def test_mechanisms_compare_and_hash_as_objects():
+    # == between two equal mechanisms raised numpy's ambiguous-truth
+    # ValueError, and hash() a TypeError
+    noise = NoiseSpec("uniform", dim=2)
+    pairs = [
+        (AffineMechanism(np.eye(2), np.zeros(2)), AffineMechanism(np.eye(2), np.zeros(2))),
+        (additive_noise_mechanism(noise), additive_noise_mechanism(noise)),
+        (AffineMap(np.eye(2), np.zeros(2)), AffineMap(np.eye(2), np.zeros(2))),
+    ]
+    for one, other in pairs:
+        assert one == one and one != other
+        assert len({one, other, one}) == 2
+
+
+def test_a_walk_with_a_singular_mean_map_steps_by_its_noise():
+    # M = 0 is linear ICA: each state is b plus that step's noise, and a
+    # walk takes no invertibility cut, where a mechanism without noise does
+    noise = NoiseSpec("generalized-laplace", alpha=1.0, dim=2)
+    b = np.array([0.5, -1.0])
+    walk = AffineMechanism(np.zeros((2, 2)), b, "ica", noise)
+    traj = simulate(LinearDecoder(np.eye(2)), [walk], np.ones(2), T=6, seed=7)
+    want = [b + noise.ppf(stream(7, t).random((1, 2)))[0] for t in range(1, 6)]
+    assert traj.latents[1:].tobytes() == np.array(want).tobytes()
+    with pytest.raises(SingularMapError):
+        AffineMechanism(np.zeros((2, 2)), b, "ica")

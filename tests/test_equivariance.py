@@ -5,6 +5,7 @@ its definition (no Kronecker algebra) and takes an SVD null space; family
 examples additionally get closed-form parameterizations.
 """
 
+import dataclasses
 import tracemalloc
 import warnings
 from collections import Counter
@@ -17,6 +18,8 @@ from mechid import (
     GridSpec,
     LinearDecoder,
     MechanismClass,
+    NoiseSpec,
+    additive_noise_mechanism,
     affine_equivariances,
     check_equivariance,
     check_imitation,
@@ -831,3 +834,15 @@ def test_offset_check_memory_is_flat_in_pairs():
     assert report.distinct_offset_count == 1200
     assert report.verdict.kind == "offset-only"
     assert peak < 16 * 2**20
+
+
+def test_a_walk_and_its_mean_map_are_one_object_to_the_solvers():
+    M, b = np.array([[0.5, 1.0], [0.0, 2.0]]), np.array([0.1, -3.0])
+    walk = additive_noise_mechanism(NoiseSpec("gaussian", scale=0.5, dim=2), M, b, "w")
+    got, want = shared_equivariances([walk]), shared_equivariances([AffineMechanism(M, b, "w")])
+    assert got.degenerate_offset == want.degenerate_offset
+    for f in dataclasses.fields(want.family):
+        one, other = getattr(got.family, f.name), getattr(want.family, f.name)
+        assert np.asarray(one).tobytes() == np.asarray(other).tobytes(), f.name
+    (m,) = got.mechanisms
+    assert (m.M.tobytes(), m.b.tobytes(), m.label) == (M.tobytes(), b.tobytes(), "w")

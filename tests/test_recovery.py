@@ -416,3 +416,17 @@ def test_compare_rejects_unknown_class():
     E = np.eye(2)
     with pytest.raises(ValueError):
         compare_up_to_class(E, E, "frobnicated")
+
+
+def test_one_offset_recovery_takes_the_singular_M_that_varied_offsets_take():
+    # the one-offset path built AffineMechanism(M, b) only to read its premises,
+    # so diag(0.5, 0) raised SingularMapError there while varied offsets recovered
+    gen = stream(283)
+    G, M = np.array([[2.0, 0.5], [-1.0, 1.0]]), np.diag([0.5, 0.0])
+    varied = recover_linear_encoder(generic_pair_problem(gen, G, M, gen.standard_normal((8, 2))))
+    result = recover_linear_encoder(generic_pair_problem(gen, G, M, [[1.0, 1.0]] * 8))
+    for res in (varied, result):
+        assert res.solution_space_dim == 0
+        assert np.linalg.norm(res.E_hat - np.linalg.inv(G)) <= 1e-8
+    assert result.conditions.verdict.kind == "exact"
+    assert (result.conditions.measured_dimension, result.conditions.distinct_offset_count) == (0, 1)

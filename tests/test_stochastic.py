@@ -908,3 +908,15 @@ def test_affine_class_consistency_across_levels():
         assert closed_form.in_class == numeric.in_class
         if closed_form.in_class:
             assert all(v.volume_preserving for v in numeric.anchors)
+
+
+@pytest.mark.parametrize("side", ["m1", "m2"])
+def test_a_mechanism_without_noise_is_named_where_a_draw_is_needed(side):
+    # it has no noise to draw, and the test ended in a raw AttributeError on sample_next
+    mean_map = AffineMechanism(np.eye(2), np.zeros(2))
+    walks = {"m1": laplace_walk(), "m2": laplace_walk(), side: mean_map}
+    a = AffineMap(np.eye(2), np.zeros(2))
+    with pytest.raises(ValueError, match=f"^{side}: "):
+        stochastic_equivariance_test(a, walks["m1"], walks["m2"], spec_for(2, n=200))
+    with pytest.raises(ValueError, match="no noise"):
+        mean_map.sample_next(np.zeros(2), np.full((1, 2), 0.5))

@@ -9,20 +9,24 @@ stub checkouts whose bench/run.py prints canned lines, and
 scripts/fixture_parity.py against two that share this checkout's code,
 against a pair whose change is a copy of it with a writer that leaves the
 tail of a longer stale file, and against one whose copy differs in its
-version string alone. Five source checks close the file: every name
+version string alone. Six source checks close the file: every name
 a library module imports is used in it, every private name a library module
 defines is read somewhere in the library, every public method of a library
 class and every module function, exported or not, is called from the
-library, the benchmark or a script, `mechid` exports no module, and the
-README's quick tour runs as its comments say.
+library, the benchmark or a script, `mechid` exports no module, the
+README's quick tour runs as its comments say, and no library dataclass
+that holds an array compares by value.
 """
 
 import ast
 import contextlib
+import dataclasses
+import importlib
 import importlib.util
 import io
 import json
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -547,3 +551,18 @@ def test_readme_quick_tour_runs_as_its_comments_say():
     assert [af.assignment for af in namespace["closure"].assignments] == [(0,), (1,)]
     assert namespace["res"].solution_space_dim == 0
     assert out.getvalue().splitlines()[0] == "[(0,), (1,)]"
+
+
+def test_no_dataclass_that_holds_an_array_compares_by_value():
+    # the default eq=True made == between two equal instances raise numpy's
+    # ambiguous-truth ValueError, and hash() a TypeError
+    offenders = []
+    for info in pkgutil.iter_modules(mechid.__path__):
+        module = importlib.import_module(f"mechid.{info.name}")
+        for name, cls in vars(module).items():
+            if not (isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__):
+                continue
+            holds_array = any("ndarray" in str(f.type) for f in dataclasses.fields(cls))
+            if holds_array and cls.__dataclass_params__.eq:
+                offenders.append(f"{module.__name__}.{name}")
+    assert offenders == []
