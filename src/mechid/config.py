@@ -255,7 +255,7 @@ def _kind(kind: str, table, build=lambda g: g, **namespace):
     """
     rows = [(f.name, object) for f in table] + [("kind", str, field(default=kind, init=False))]
     name = "".join(word.capitalize() for word in kind.split("-")) + "Config"
-    cls = make_dataclass(name, rows, namespace=namespace, frozen=True)
+    cls = make_dataclass(name, rows, namespace=namespace, frozen=True, eq=False)
     cls.__module__ = __name__
     _KINDS[kind] = _object(table, lambda g, _: cls(**build(g)))
     return cls

@@ -43,7 +43,7 @@ from .verify import membership_equivalence_audit
 __all__ = ["ExperimentOutcome", "run_experiment"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentOutcome:
     """Everything a run produces before any file is written."""
 

@@ -40,7 +40,7 @@ from .errors import (
     DimensionMismatchError,
     ToleranceAmbiguityError,
 )
-from .linalg import DEFAULT_RTOL, _check_count, null_space
+from .linalg import DEFAULT_RTOL, _check_count, _min_cost_assignment, null_space
 from .maps import AffineMap, map_power
 
 __all__ = [
@@ -116,21 +116,17 @@ class ImitationRecord:
 
 
 def _spectra_match(w1: np.ndarray, w2: np.ndarray) -> bool:
-    """Do two eigenvalue multisets agree within EIGENGAP_RTOL of the larger spectral radius?
+    """Do two eigenvalue multisets pair up within EIGENGAP_RTOL of the larger spectral radius?
 
-    Each eigenvalue of w1 in turn takes the nearest one of w2 not yet taken. No
-    sort order is relied on: rounding can order the two copies of a tied
-    complex pair differently in the two spectra.
+    An exact perfect-matching test: a pair costs 0 when its gap is within the
+    tolerance and 1 otherwise, and the spectra match when the least-cost
+    assignment costs 0. No sort order is relied on (rounding can order the
+    two copies of a tied complex pair differently in the two spectra), nor
+    does a nearest-first pairing reject a cluster that does pair.
     """
     scale = max(float(np.max(np.abs(w1))), float(np.max(np.abs(w2))), 1e-300)
-    left = list(w2)
-    for z in w1:
-        gaps = np.abs(np.array(left) - z)
-        k = int(np.argmin(gaps))
-        if gaps[k] > EIGENGAP_RTOL * scale:
-            return False
-        del left[k]
-    return True
+    cost = (np.abs(w1[:, None] - w2[None, :]) > EIGENGAP_RTOL * scale).astype(float)
+    return not cost[np.arange(len(w1)), _min_cost_assignment(cost.tolist())].any()
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,9 @@ SVD. A first block (no N) is solved directly. Every cut keeps the singular
 values above rtol * max(s_1, scale), where `scale` is the size of the data the
 rows were built from: a block that is rounding noise next to its data (the
 commutator rows of a scalar M, or a mechanism appended twice) has no rank.
+
+`_min_cost_assignment` is the one matching: `compare_up_to_class`'s signed-permutation
+fit, the class test `signed_perm_offset_test` and the closure's spectrum prune pair through it.
 """
 
 from __future__ import annotations
@@ -204,3 +207,70 @@ def orthonormal_defect(A: np.ndarray) -> float:
     """Frobenius norm of A^T A - I."""
     A = np.asarray(A, dtype=float)
     return float(np.linalg.norm(A.T @ A - np.eye(A.shape[1])))
+
+
+def _min_cost_assignment(cost: list[list[float]]) -> list[int]:
+    """Column of each row in a least-total-cost assignment of a square matrix.
+
+    Shortest augmenting paths with row and column potentials (Kuhn 1955; the
+    Jonker-Volgenant family, Crouse, IEEE TAES 2016): row `start` joins the
+    matching along the cheapest alternating path, found by a Dijkstra search
+    over reduced costs cost[i][j] - u[i] - v[j], which the potentials keep
+    non-negative. O(d^3) in all. Plain Python over lists: at the sizes
+    compared here a numpy call per step costs more than the arithmetic. A
+    cost that is not finite raises ValueError: an infinite one keeps the
+    search from settling, and a NaN compares false everywhere.
+    """
+    if not all(math.isfinite(c) for row in cost for c in row):
+        raise ValueError("assignment costs must be finite")
+    d = len(cost)
+    u = [0.0] * d
+    v = [0.0] * d
+    col4row = [-1] * d
+    row4col = [-1] * d
+    path = [-1] * d  # the row that reaches column j on the current search
+    for start in range(d):
+        dist = [math.inf] * d
+        rows = [start]  # rows reached, in order
+        cols = []  # columns settled, in order
+        todo = list(range(d - 1, -1, -1))
+        i, low = start, 0.0
+        while True:
+            row, ui = cost[i], u[i]
+            best, at = math.inf, -1
+            for k, j in enumerate(todo):
+                r = low + row[j] - ui - v[j]
+                if r < dist[j]:
+                    dist[j], path[j] = r, i
+                # among equally near columns prefer a free one: it ends the path
+                if dist[j] < best or (dist[j] == best and row4col[j] < 0):
+                    best, at = dist[j], k
+            low = best
+            j = todo[at]
+            todo[at] = todo[-1]
+            todo.pop()
+            cols.append(j)
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+            rows.append(i)
+        u[start] += low
+        for i in rows[1:]:
+            u[i] += low - dist[col4row[i]]
+        for j in cols:
+            v[j] -= low - dist[j]
+        while True:  # flip the path: each row on it takes the column it reached
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == start:
+                break
+    return col4row
+
+
+def _perm_matrix(perm: tuple[int, ...], signs: tuple[int, ...]) -> np.ndarray:
+    d = len(perm)
+    P = np.zeros((d, d))
+    for i, (j, s) in enumerate(zip(perm, signs)):
+        P[i, j] = s
+    return P

@@ -12,7 +12,6 @@ inverses on the data manifold.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,6 +27,8 @@ from .equivariance import (
 from .errors import DataDeficiencyError, DimensionMismatchError
 from .linalg import (
     DEFAULT_RTOL,
+    _min_cost_assignment,
+    _perm_matrix,
     _require_finite,
     _square_matrix,
     kron_rows,
@@ -247,62 +248,6 @@ def _as_affine_encoder(E) -> tuple[np.ndarray, np.ndarray]:
     return W, np.zeros(W.shape[0])
 
 
-def _min_cost_assignment(cost: list[list[float]]) -> list[int]:
-    """Column of each row in a least-total-cost assignment of a square matrix.
-
-    Shortest augmenting paths with row and column potentials (Kuhn 1955; the
-    Jonker-Volgenant family, Crouse, IEEE TAES 2016): row `start` joins the
-    matching along the cheapest alternating path, found by a Dijkstra search
-    over reduced costs cost[i][j] - u[i] - v[j], which the potentials keep
-    non-negative. O(d^3) in all. Plain Python over lists: at the sizes
-    compared here a numpy call per step costs more than the arithmetic. The
-    costs must be finite; a NaN would stop the search from settling.
-    """
-    d = len(cost)
-    u = [0.0] * d
-    v = [0.0] * d
-    col4row = [-1] * d
-    row4col = [-1] * d
-    path = [-1] * d  # the row that reaches column j on the current search
-    for start in range(d):
-        dist = [math.inf] * d
-        rows = [start]  # rows reached, in order
-        cols = []  # columns settled, in order
-        todo = list(range(d - 1, -1, -1))
-        i, low = start, 0.0
-        while True:
-            row, ui = cost[i], u[i]
-            best, at = math.inf, -1
-            for k, j in enumerate(todo):
-                r = low + row[j] - ui - v[j]
-                if r < dist[j]:
-                    dist[j], path[j] = r, i
-                # among equally near columns prefer a free one: it ends the path
-                if dist[j] < best or (dist[j] == best and row4col[j] < 0):
-                    best, at = dist[j], k
-            low = best
-            j = todo[at]
-            todo[at] = todo[-1]
-            todo.pop()
-            cols.append(j)
-            if row4col[j] < 0:
-                break
-            i = row4col[j]
-            rows.append(i)
-        u[start] += low
-        for i in rows[1:]:
-            u[i] += low - dist[col4row[i]]
-        for j in cols:
-            v[j] -= low - dist[j]
-        while True:  # flip the path: each row on it takes the column it reached
-            i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == start:
-                break
-    return col4row
-
-
 def _signed_perm_match(RE: np.ndarray, RT: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Best assignment of estimate rows to signed truth rows.
 
@@ -318,14 +263,6 @@ def _signed_perm_match(RE: np.ndarray, RT: np.ndarray) -> tuple[tuple[int, ...],
     perm = tuple(_min_cost_assignment(cost.tolist()))
     signs = tuple(int(sign[i, j]) for i, j in enumerate(perm))
     return perm, signs
-
-
-def _perm_matrix(perm: Sequence[int], signs: Sequence[int]) -> np.ndarray:
-    d = len(perm)
-    P = np.zeros((d, d))
-    for i, (j, s) in enumerate(zip(perm, signs)):
-        P[i, j] = s
-    return P
 
 
 def compare_up_to_class(estimate, truth, klass: str = "exact") -> ComparisonResult:

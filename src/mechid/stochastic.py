@@ -18,7 +18,15 @@ import numpy as np
 from .dynamics import AffineMechanism
 from .errors import DimensionMismatchError, IllConditionedError, NonFiniteSampleError
 from .grids import GridSpec
-from .linalg import _check_count, _points, _square_matrix, orthonormal_defect, unit_scaled
+from .linalg import (
+    _check_count,
+    _min_cost_assignment,
+    _perm_matrix,
+    _points,
+    _square_matrix,
+    orthonormal_defect,
+    unit_scaled,
+)
 from .maps import AffineMap
 from .rng import stream
 from .shipped import scipy_extension
@@ -474,10 +482,12 @@ def stochastic_equivariance_test(
 class ClassVerdict:
     """Membership of a linear part in the signed-permutation class.
 
-    `in_class` requires orthonormality together with the one-big-entry-per-
-    row-and-column pattern; offsets never affect any flag. Volume
-    preservation is reported alongside because it is the weaker necessary
-    condition.
+    `signed_permutation` holds when A is within `tol` entrywise of the signed
+    permutation P that pairs rows with columns by the largest total |A[i, j]|,
+    signs taken from A; `permutation` and `signs` give P, or None when it fails.
+    `in_class` also requires orthonormality; offsets never affect any flag.
+    Volume preservation is reported alongside because it is the weaker
+    necessary condition.
     """
 
     orthonormal: bool
@@ -490,26 +500,6 @@ class ClassVerdict:
     signs: tuple[int, ...] | None = None
 
 
-def _signed_perm_pattern(A: np.ndarray, tol: float):
-    d = A.shape[0]
-    perm = []
-    signs = []
-    used = set()
-    for i in range(d):
-        row = np.abs(A[i])
-        big = np.nonzero((row >= 1.0 - tol) & (row <= 1.0 + tol))[0]
-        small_ok = bool(np.all(np.delete(row, big) <= tol)) if big.size else False
-        if big.size != 1 or not small_ok:
-            return None, None
-        j = int(big[0])
-        if j in used:
-            return None, None
-        used.add(j)
-        perm.append(j)
-        signs.append(1 if A[i, j] > 0 else -1)
-    return tuple(perm), tuple(signs)
-
-
 def signed_perm_offset_test(a, tol: float = 1e-9) -> ClassVerdict:
     """Classify the linear part of a map; offsets are ignored by design."""
     A = a.A if isinstance(a, AffineMap) else _square_matrix(a, "a")
@@ -517,8 +507,11 @@ def signed_perm_offset_test(a, tol: float = 1e-9) -> ClassVerdict:
     orthonormal = bool(defect <= tol)
     det_dev = float(abs(abs(np.linalg.det(A)) - 1.0))
     volume = bool(det_dev <= tol)
-    perm, signs = _signed_perm_pattern(A, tol)
-    is_perm = perm is not None
+    perm = tuple(_min_cost_assignment((-np.abs(A)).tolist()))
+    signs = tuple(1 if A[i, j] > 0 else -1 for i, j in enumerate(perm))
+    is_perm = bool(np.abs(A - _perm_matrix(perm, signs)).max() <= tol)
+    if not is_perm:
+        perm = signs = None
     return ClassVerdict(
         orthonormal=orthonormal,
         signed_permutation=is_perm,

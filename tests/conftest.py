@@ -12,6 +12,7 @@ import pytest
 
 from mechid import AffineMechanism
 from mechid.equivariance import (
+    EIGENGAP_RTOL,
     AffineMapFamily,
     CheckReport,
     _as_points,
@@ -127,6 +128,47 @@ def find_affine_intertwiners(
     if m1.dim != m2.dim:
         raise DimensionMismatchError("mechanisms have different dimensions")
     return _intertwiner_solve(m1.M[None], m1.b[None], m2.M[None], m2.b[None], rtol)
+
+
+# ---------------------------------------------------------------------------
+# the pairings the assignment solver replaced, as oracles: a per-row scan for
+# the signed-permutation pattern, and a nearest-first pairing of two spectra
+
+
+def signed_perm_pattern_scan(A: np.ndarray, tol: float):
+    """(permutation, signs) when each row of A has one entry within tol of ±1, in a column
+    no earlier row took, and every other entry within tol of 0; (None, None) otherwise."""
+    d = A.shape[0]
+    perm = []
+    signs = []
+    used = set()
+    for i in range(d):
+        row = np.abs(A[i])
+        big = np.nonzero((row >= 1.0 - tol) & (row <= 1.0 + tol))[0]
+        small_ok = bool(np.all(np.delete(row, big) <= tol)) if big.size else False
+        if big.size != 1 or not small_ok:
+            return None, None
+        j = int(big[0])
+        if j in used:
+            return None, None
+        used.add(j)
+        perm.append(j)
+        signs.append(1 if A[i, j] > 0 else -1)
+    return tuple(perm), tuple(signs)
+
+
+def greedy_spectra_match(w1: np.ndarray, w2: np.ndarray) -> bool:
+    """Each eigenvalue of w1 in turn takes the nearest one of w2 not yet taken, which must
+    lie within EIGENGAP_RTOL of the larger spectral radius. It can reject spectra that pair."""
+    scale = max(float(np.max(np.abs(w1))), float(np.max(np.abs(w2))), 1e-300)
+    left = list(w2)
+    for z in w1:
+        gaps = np.abs(np.array(left) - z)
+        k = int(np.argmin(gaps))
+        if gaps[k] > EIGENGAP_RTOL * scale:
+            return False
+        del left[k]
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,13 @@ from mechid import (
     shared_equivariances,
 )
 from mechid.errors import BudgetExceededError, ToleranceAmbiguityError
-from mechid.equivariance import _BLOCKED_COMMUTANT_SIZE, _data_scale, _intertwiner_family, _intertwiner_system
+from mechid.equivariance import (
+    EIGENGAP_RTOL,
+    _BLOCKED_COMMUTANT_SIZE,
+    _data_scale,
+    _intertwiner_family,
+    _intertwiner_system,
+)
 from mechid.imitation import CLOSURE_TOL_FACTOR, _spectra_match
 from mechid.linalg import relative_rank
 from mechid.maps import AffineMap, compose, map_power
@@ -32,6 +38,7 @@ from conftest import (
     commutant_dimension,
     distinct_eig_mechanism,
     find_affine_intertwiners,
+    greedy_spectra_match,
     random_invertible,
     rotation,
     span_distance,
@@ -251,6 +258,46 @@ def test_closure_matches_a_spectrum_of_tied_complex_pairs(seed):
     closure = imitator_closure(MechanismClass(used=(AffineMechanism(M1, b),), hypothesized=(m2,)))
     assert closure.candidates_after_pruning == 2
     assert [found.assignment for found in closure.assignments] == [(0,), (1,)]
+
+
+def test_spectra_that_pair_within_the_gap_are_kept_where_nearest_first_pairing_drops_them():
+    # 1 takes 1 + t/2, the nearer of two equally near, and leaves 1 + 0.8t 1.3t from 1 - t/2
+    t = EIGENGAP_RTOL
+    w1, w2 = 1.0 + t * np.array([0.0, 0.8]), 1.0 + t * np.array([0.5, -0.5])
+    assert not greedy_spectra_match(w1, w2)
+    assert _spectra_match(w1, w2) and _spectra_match(w2, w1)
+
+
+def test_spectrum_rule_keeps_every_pair_nearest_first_pairing_keeps():
+    # conjugated spectra, plain and tied, must match; clusters of tolerance width are
+    # where the two rules part; the spectra of two random matrices do not match
+    gen = stream(5410)
+    t = EIGENGAP_RTOL
+    kept_only_here = 0
+    for trial in range(400):
+        kind, d = trial % 4, int(gen.integers(1, 6))
+        if kind == 0:
+            M = gen.standard_normal((d, d))
+        elif kind == 1:  # 0.7 up to twice, or 0.25 ± 1.5i twice from d = 4, then a random tail
+            tied = np.kron(np.eye(2), [[0.25, -1.5], [1.5, 0.25]]) if d >= 4 else np.diag([0.7, 0.7][:d])
+            M = np.diag(np.r_[np.zeros(len(tied)), gen.standard_normal(d - len(tied))])
+            M[: len(tied), : len(tied)] = tied
+        if kind in (0, 1):
+            S = random_invertible(gen, d, cond_cap=10.0)
+            w1, w2 = np.linalg.eigvals(M), np.linalg.eigvals(S @ M @ np.linalg.inv(S))
+        elif kind == 2:
+            c = gen.standard_normal() + 1j * gen.standard_normal() * (gen.random() < 0.5)
+            w1, w2 = (c * (1.0 + t * gen.uniform(-1.0, 1.0, d)) for _ in range(2))
+        else:
+            w1, w2 = (np.linalg.eigvals(gen.standard_normal((d, d))) for _ in range(2))
+        greedy, exact = greedy_spectra_match(w1, w2), _spectra_match(w1, w2)
+        assert exact or not greedy, (w1, w2)
+        if kind in (0, 1):
+            assert exact, (w1, w2)
+        elif kind == 3:
+            assert exact == greedy, (w1, w2)
+        kept_only_here += exact and not greedy
+    assert kept_only_here > 0
 
 
 def test_closure_budget_error():

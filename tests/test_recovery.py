@@ -17,7 +17,8 @@ from mechid import (
 )
 from mechid.config import parse_config
 from mechid.errors import ConfigError, DataDeficiencyError, DimensionMismatchError, NonFiniteSampleError
-from mechid.recovery import COMPARISON_CLASSES, _assemble_system, _min_cost_assignment
+from mechid.linalg import _min_cost_assignment
+from mechid.recovery import COMPARISON_CLASSES, _assemble_system
 from mechid.rng import stream
 
 from conftest import distinct_eig_mechanism, random_invertible, random_signed_permutation
@@ -356,6 +357,18 @@ def test_assignment_reaches_scipy_total_on_tied_integer_costs():
             got = _min_cost_assignment(cost.tolist())
             assert sorted(got) == list(range(d))
             assert cost[np.arange(d), got].sum() == cost[rows, cols].sum(), (d, trial)
+
+
+@pytest.mark.parametrize(
+    "cost",
+    [[[np.inf, np.inf], [np.inf, np.inf]], [[np.nan, 0.0], [0.0, 1.0]], [[0.0, -np.inf], [1.0, 0.0]]],
+    ids=["inf", "nan", "minus-inf"],
+)
+def test_assignment_refuses_a_cost_that_is_not_finite(cost):
+    # an infinite cost kept the search from ever settling a column, and a NaN
+    # compared false everywhere and gave an arbitrary answer
+    with pytest.raises(ValueError, match="finite"):
+        _min_cost_assignment(cost)
 
 
 @pytest.mark.parametrize("klass", ["signed-permutation", "signed-permutation+offset"])

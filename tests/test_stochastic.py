@@ -55,6 +55,7 @@ from conftest import (
     random_invertible,
     random_signed_permutation,
     rotation,
+    signed_perm_pattern_scan,
 )
 
 
@@ -797,6 +798,41 @@ def test_uniform_scaling_out_of_class():
     assert not verdict.orthonormal
     assert not verdict.in_class
     assert verdict.det_deviation == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("c", [1e300, 1e-300, 1.0])
+def test_class_test_of_a_swap_at_extreme_scales(c):
+    # A^T A overflows at 1e300, in the orthonormality defect
+    with np.errstate(over="ignore"):
+        verdict = signed_perm_offset_test(c * SWAP)
+    assert verdict.signed_permutation == (c == 1.0) == verdict.in_class
+    assert (verdict.permutation, verdict.signs) == (((1, 0), (1, 1)) if c == 1.0 else (None, None))
+
+
+def test_class_test_takes_the_pattern_the_row_scan_finds():
+    # entries straddle tol around 0 and around ±1; some rows hold a second big
+    # entry, and some copy another row, so that two rows claim one column
+    gen = stream(347)
+    seen = set()
+    for tol in (1e-9, 1e-3):
+        for d in range(1, 6):
+            for _ in range(200):
+                A = random_signed_permutation(gen, d)
+                if gen.random() < 0.2:
+                    A[gen.integers(d), gen.integers(d)] = gen.choice([-1.0, 1.0])
+                if d > 1 and gen.random() < 0.2:
+                    A[gen.integers(d)] = A[gen.integers(d)]
+                f = gen.choice([0.0, 0.5, 0.9, 1.1, 2.0], size=(d, d)) * gen.choice([-1.0, 1.0], size=(d, d))
+                A += (gen.random((d, d)) < 0.5) * tol * f
+                perm, signs = signed_perm_pattern_scan(A, tol)
+                verdict = signed_perm_offset_test(A, tol=tol)
+                assert (verdict.signed_permutation, verdict.permutation, verdict.signs) == (
+                    perm is not None,
+                    perm,
+                    signs,
+                ), (tol, A)
+                seen.add(verdict.signed_permutation)
+    assert seen == {True, False}
 
 
 def test_rotation_orthonormal_but_not_permutation():

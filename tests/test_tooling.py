@@ -41,6 +41,9 @@ import mechid.equivariance
 import mechid.imitation
 import mechid.recovery
 from mechid import AffineMechanism, MechanismClass, RecoveryProblem
+from mechid.config import parse_config
+from mechid.errors import ConfigError
+from mechid.experiments import run_experiment
 
 from conftest import find_affine_intertwiners
 
@@ -566,3 +569,13 @@ def test_no_dataclass_that_holds_an_array_compares_by_value():
             if holds_array and cls.__dataclass_params__.eq:
                 offenders.append(f"{module.__name__}.{name}")
     assert offenders == []
+    # a field typed `object` holds arrays and mechanisms too (a config's schedule,
+    # an outcome's report), so every shipped fixture's config and outcome is built twice
+    for path in sorted((ROOT / "fixtures").glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            first, second = parse_config(doc), parse_config(doc)
+        except ConfigError:
+            continue
+        for a, b in ((first, second), (run_experiment(first), run_experiment(second))):
+            assert (a == a, a == b, hash(a) == hash(a)) == (True, False, True), (path.name, type(a).__name__)
